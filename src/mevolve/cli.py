@@ -134,33 +134,33 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
-        "config": {k: cfg[k] for k in sorted(cfg)},
+        "config": cfg,
         "scenario": {
             "name": scen.name,
-            "certificates": _jsonable(scen.certificates),
-            "eig_data": _jsonable(scen.eig_data),
-            "predicted": _jsonable(scen.predicted),
+            "certificates": scen.certificates,
+            "eig_data": scen.eig_data,
+            "predicted": scen.predicted,
             "notes": scen.notes,
         },
         "iteration": {
             "n_iters": report.n_iters,
             "converged": report.converged,
             "mu_applied": report.mu_applied,
-            "distances_lower": _grid_list(report.distances_lower),
-            "distances_upper": _grid_list(report.distances_upper),
-            "sandwich_violations": _grid_list(report.sandwich_violations),
+            "distances_lower": report.distances_lower,
+            "distances_upper": report.distances_upper,
+            "sandwich_violations": report.sandwich_violations,
             "worst_violation": worst,
             "sandwich_certified": sandwich_ok,
             "unique_flag": report.unique_flag,
             "clamp_fraction": report.clamp_fraction,
         },
         "equilibria": {
-            "u_star": _grid_list(eq.u_star.values),
-            "u_upper_star": _grid_list(eq.u_upper_star.values),
-            "residuals": list(eq.residuals),
+            "u_star": eq.u_star.values,
+            "u_upper_star": eq.u_upper_star.values,
+            "residuals": eq.residuals,
             "horizon": eq.horizon,
             "horizon_converged": eq.horizon_converged,
-            "windows": _jsonable(eq.windows),
+            "windows": eq.windows,
             "worst_violation": eq.worst_violation,
             "continuation_defect": eq.continuation_defect,
             "extremal_violation": eq.extremal_violation,
@@ -168,7 +168,9 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
         },
         "status": status,
     }
-    (out_dir / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+    (out_dir / "report.json").write_text(
+        json.dumps(_jsonable(doc), indent=2, sort_keys=True)
+    )
     if cfg.get("emit", {}).get("trajectories", True):
         trajectory_to_csv(report.u_min, out_dir / "u_min.csv")
         trajectory_to_csv(report.u_max, out_dir / "u_max.csv")
@@ -189,7 +191,7 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _grid_list(obj)
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     return obj
 

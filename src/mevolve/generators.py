@@ -10,7 +10,10 @@ All matrix functions run through a cached eigendecomposition of a
 diagonally-symmetrized copy of the matrix.  Tridiagonal (and block-
 tridiagonal) sign patterns with matching off-diagonal signs are always
 symmetrizable by a positive diagonal scaling, which keeps every evaluation
-spectral-exact; a scaling-and-squaring fallback covers anything else.
+spectral-exact; a generator that admits no such scaling is rejected with a
+ValidationError on its first spectral use.  A shift A + mu*I keeps the
+eigenvectors and the scaling of A, so every shifted copy reuses the base
+factorization and shares one cache of step propagators.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ class GeneratorSpec:
 
     Treated as immutable after construction.  The eigendecomposition is
     computed once on first use (single assignment) and shared by all
-    apply-style operations.
+    apply-style operations; `shifted` hands it on to A + mu*I.  The step
+    propagators are cached by (shift, dt) in a dict that A and all its
+    shifted copies share.
     """
 
     matrix: np.ndarray
@@ -42,6 +47,7 @@ class GeneratorSpec:
     potential: np.ndarray | None = None
     shift: float = 0.0
     _eig: tuple | None = field(default=None, repr=False, compare=False)
+    _prop_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
@@ -65,41 +71,39 @@ class GeneratorSpec:
     def _eig_factors(self):
         """(d, w, Q) with matrix = diag(d) Q diag(w) Q^T diag(1/d)."""
         if self._eig is None:
+            # checked here rather than in __post_init__: the symmetrizer is
+            # a Python graph walk, too slow for every add_potential
             d = _symmetrizer(self.matrix)
             if d is None:
-                self._eig = ("expm",)
-            else:
-                sym = self.matrix * np.outer(1.0 / d, d)
-                skew = float(np.max(np.abs(sym - sym.T)))
-                if skew > 1e-9 * max(1.0, float(np.max(np.abs(sym)))):
-                    raise NumericalError("symmetrization failed; scaling inconsistent")
-                w, q = scipy.linalg.eigh(sym, lower=True)
-                self._eig = (d, w, q)
+                raise ValidationError(
+                    "generator is not symmetrizable by a positive diagonal scaling"
+                )
+            sym = self.matrix * np.outer(1.0 / d, d)
+            skew = float(np.max(np.abs(sym - sym.T)))
+            if skew > 1e-9 * max(1.0, float(np.max(np.abs(sym)))):
+                raise NumericalError("symmetrization failed; scaling inconsistent")
+            w, q = scipy.linalg.eigh(sym, lower=True)
+            self._eig = (d, w, q)
         return self._eig
 
     def apply_function(self, fn, v: np.ndarray) -> np.ndarray:
         """Evaluate f(A) v through the eigendecomposition."""
-        factors = self._eig_factors()
-        if isinstance(factors[0], str):
-            raise NumericalError("generator is not symmetrizable; no spectral path")
-        d, w, q = factors
+        d, w, q = self._eig_factors()
         return d * (q @ (fn(w) * (q.T @ (np.asarray(v, dtype=float) / d))))
 
     def function_matrix(self, fn) -> np.ndarray:
-        factors = self._eig_factors()
-        if isinstance(factors[0], str):
-            raise NumericalError("generator is not symmetrizable; no spectral path")
-        d, w, q = factors
+        d, w, q = self._eig_factors()
         return (d[:, None] * q) @ (fn(w)[:, None] * (q.T / d[None, :]))
 
     def min_eigenvalue(self) -> float:
-        factors = self._eig_factors()
-        if isinstance(factors[0], str):
-            return float(np.min(np.real(scipy.linalg.eigvals(self.matrix))))
-        return float(factors[1][0])
+        return float(self._eig_factors()[1][0])
 
-    def is_symmetrizable(self) -> bool:
-        return not isinstance(self._eig_factors()[0], str)
+    def propagators(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """`propagator_matrices(self, dt)`, built once per (shift, dt)."""
+        key = (self.shift, dt)
+        if key not in self._prop_cache:
+            self._prop_cache[key] = propagator_matrices(self, dt)
+        return self._prop_cache[key]
 
 
 def _symmetrizer(m: np.ndarray) -> np.ndarray | None:
@@ -214,10 +218,17 @@ def add_potential(a: GeneratorSpec, m: GridFunction | np.ndarray) -> GeneratorSp
 
 
 def shifted(a: GeneratorSpec, mu: float) -> GeneratorSpec:
-    """A + mu*I with the accumulated shift recorded."""
+    """A + mu*I with the accumulated shift recorded.
+
+    The shift moves the eigenvalues of A by mu and keeps its eigenvectors
+    and symmetrizing scaling, so the result takes A's factorization (computed
+    now if A has none yet) and shares A's propagator cache.
+    """
+    d, w, q = a._eig_factors()
     return GeneratorSpec(
         a.matrix + mu * np.eye(a.dim), a.mesh_h, a.bc, beta=a.beta,
         potential=a.potential, shift=a.shift + mu,
+        _eig=(d, w + mu, q), _prop_cache=a._prop_cache,
     )
 
 
@@ -233,9 +244,7 @@ def semigroup_apply(a: GeneratorSpec, t: float, v: GridFunction | np.ndarray) ->
         raise DimensionMismatchError("vector length does not match generator")
     if t == 0.0:
         return values.copy()
-    if a.is_symmetrizable():
-        return a.apply_function(lambda w: np.exp(-t * w), values)
-    return scipy.linalg.expm(-t * a.matrix) @ values
+    return a.apply_function(lambda w: np.exp(-t * w), values)
 
 
 def propagator_matrices(a: GeneratorSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:

@@ -144,16 +144,6 @@ def auto_scale(problem: ProblemSpec, floor: float = STABILITY_FLOOR) -> ProblemS
     return scale_problem(problem, delta)
 
 
-def _propagators(a: GeneratorSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    cache = getattr(a, "_prop_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(a, "_prop_cache", cache)
-    if dt not in cache:
-        cache[dt] = generators.propagator_matrices(a, dt)
-    return cache[dt]
-
-
 def picard_step(
     problem: ProblemSpec,
     u0: GridFunction,
@@ -181,7 +171,7 @@ def picard_step(
         moved = np.abs(clamped - traj.states) > slack
         clamp_stats["clamped"] = clamp_stats.get("clamped", 0) + int(np.sum(moved))
         clamp_stats["total"] = clamp_stats.get("total", 0) + int(clamped.size)
-    p_mat, b_mat = _propagators(problem.A, traj.dt)
+    p_mat, b_mat = problem.A.propagators(traj.dt)
     f_vals = problem.rhs(clamped)
     out = np.empty_like(traj.states)
     out[0] = u0_values

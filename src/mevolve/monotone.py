@@ -196,8 +196,8 @@ def certify_sandwich(report: IterationReport) -> tuple[bool, float]:
         (stored["upper_prev"].states, interval.upper.values),
     ]
     worst = max(_violation(a, b, svec) for a, b in chain)
-    worst = max(worst, report.worst_violation)
-    return worst <= stored["slack"], worst
+    worst = float(max(worst, report.worst_violation))
+    return bool(worst <= stored["slack"]), worst
 
 
 def time_monotonicity_violation(traj: Trajectory, interval: OrderInterval, direction: str) -> float:
@@ -428,12 +428,20 @@ def asymptotic_equilibria(
 
 
 def _polish(problem, raw: GridFunction, tol_res: float, tol_eq: float):
-    """Newton-polish a terminal state; fall back to the raw state if Newton
-    wanders further than the horizon tolerance justifies."""
-    v, res, ok = newton_equilibrium(problem, raw.values, tol_res=min(tol_res, 1e-10))
+    """Newton-polish a terminal state.
+
+    Newton's (clamped) iterate is kept when it converged, or when it stalled
+    short of its target but still lowered the residual of the raw state.
+    Either way it must not wander further than the horizon tolerance
+    justifies; otherwise the raw state is returned.
+    """
+    v, _, ok = newton_equilibrium(problem, raw.values, tol_res=min(tol_res, 1e-10))
     moved = monotone_norm(v - raw.values)
     guard = max(1e-5, 1e4 * tol_eq)
-    if ok and moved <= guard:
+    raw_res = problem.equilibrium_residual(raw)
+    if moved <= guard:
         v = clamp_values(v, problem.interval)
-        return v, problem.equilibrium_residual(GridFunction(v, raw.components)), moved
-    return raw.values, problem.equilibrium_residual(raw), 0.0
+        res = problem.equilibrium_residual(GridFunction(v, raw.components))
+        if ok or res < raw_res:
+            return v, res, moved
+    return raw.values, raw_res, 0.0

@@ -272,12 +272,3 @@ class _SignedSqrt(Nonlinearity):
 
 def signed_sqrt() -> Nonlinearity:
     return _SignedSqrt()
-
-
-# Preset registry for config-driven construction.
-REGISTRY = {
-    "logistic": {"factory": logistic, "params": ("a", "b")},
-    "fisher": {"factory": fisher, "params": ("m", "alpha")},
-    "competition": {"factory": competition, "params": ("a1", "a2", "b11", "b12", "b21", "b22")},
-    "signed_sqrt": {"factory": signed_sqrt, "params": ()},
-}

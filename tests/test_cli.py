@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from mevolve.cli import main
 
@@ -86,6 +87,23 @@ class TestRun:
         assert main(["run", str(configs), "--out", str(out), "--jobs", "2"]) == 0
         assert (out / "one" / "report.json").exists()
         assert (out / "two" / "report.json").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"params": {"a": 15.0, "b": 1.0}, "n": 99, "bc": "dirichlet",
+         "dt": 0.02, "T": 1.0},
+        {"scenario": "competition",
+         "params": {"a1": 30.0, "a2": 30.0, "b11": 1.0, "b12": 0.3,
+                    "b21": 0.3, "b22": 1.0},
+         "n": 60, "bc": "dirichlet", "dt": 0.02, "T": 1.0},
+    ], ids=["logistic-dirichlet", "competition-dirichlet"])
+    def test_report_is_valid_json(self, tmp_path, overrides):
+        # their sandwich slack comes out of numpy as np.float64/np.bool_
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **overrides)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) in (0, 2)
+        doc = json.loads((out / "report.json").read_text())
+        assert isinstance(doc["iteration"]["sandwich_certified"], bool)
 
     def test_constant_u0_outside_interval_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

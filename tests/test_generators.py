@@ -8,7 +8,7 @@ import scipy.linalg
 
 import mevolve as mv
 from mevolve.errors import DimensionMismatchError, NumericalError, ValidationError
-from mevolve.generators import propagator_matrices, scalar_generator, shifted
+from mevolve.generators import _symmetrizer, propagator_matrices, scalar_generator, shifted
 
 
 def closed_form_lambda1(n):
@@ -45,6 +45,14 @@ class TestAssembly:
     def test_positive_offdiagonal_rejected(self):
         with pytest.raises(ValidationError):
             mv.GeneratorSpec(np.array([[1.0, 0.5], [0.0, 1.0]]), 0.1, "dirichlet")
+
+    def test_non_symmetrizable_rejected_on_first_spectral_use(self):
+        m = np.array([[2.0, -1.0, 0.0], [0.0, 2.0, -1.0], [-1.0, 0.0, 2.0]])
+        gen = mv.GeneratorSpec(m, 1.0, "system")  # construction does not check
+        with pytest.raises(ValidationError, match="symmetrizable"):
+            mv.semigroup_apply(gen, 0.1, np.ones(3))
+        with pytest.raises(ValidationError, match="symmetrizable"):
+            gen.min_eigenvalue()
 
 
 class TestSemigroup:
@@ -221,13 +229,21 @@ class TestSubmarkovian:
 
 
 class TestPropagators:
-    def test_entrywise_nonnegative_and_consistent(self, dirichlet8):
-        gen = shifted(dirichlet8, 0.5)
-        p, b = propagator_matrices(gen, 0.05)
-        assert np.min(p) >= 0 and np.min(b) >= 0
-        assert np.allclose(p, scipy.linalg.expm(-0.05 * gen.matrix), atol=1e-12)
-        oracle = np.linalg.solve(gen.matrix, np.eye(8) - p)
-        assert np.allclose(b, oracle, atol=1e-12)
+    def test_entrywise_nonnegative_and_consistent(self, dirichlet8, neumann9):
+        # neumann9 is not symmetric: its boundary rows carry -2/h^2
+        for base in (dirichlet8, neumann9):
+            for mu in (0.5, 3.0, 40.0):
+                gen = shifted(base, mu)
+                # the reused base eigenbasis matches a fresh factorization
+                d = _symmetrizer(gen.matrix)
+                fresh = scipy.linalg.eigvalsh(gen.matrix * np.outer(1.0 / d, d))
+                spread = np.max(np.abs(gen._eig_factors()[1] - fresh))
+                assert spread <= 1e-12 * np.max(np.abs(base.matrix))
+                p, b = propagator_matrices(gen, 0.05)
+                assert np.min(p) >= 0 and np.min(b) >= 0
+                assert np.allclose(p, scipy.linalg.expm(-0.05 * gen.matrix), atol=1e-12)
+                oracle = np.linalg.solve(gen.matrix, np.eye(base.dim) - p)
+                assert np.allclose(b, oracle, atol=1e-12)
 
     def test_requires_positive_spectrum(self, neumann9):
         with pytest.raises(ValidationError):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import mevolve as mv
 from mevolve.errors import ValidationError
@@ -63,6 +64,25 @@ class TestScaling:
         scaled = mv.auto_scale(prob)
         assert scaled.mu >= mv.quasi_increasing_shift(prob.F, interval)
         assert scaled.A.min_eigenvalue() >= 0.1 - 1e-12
+
+    def test_auto_scale_shares_one_factorization(self, monkeypatch):
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counted_eigh(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+        gen = mv.build_laplacian_1d(6, "neumann")
+        interval = mv.OrderInterval(grid(np.zeros(6)), grid(np.ones(6)))
+        prob = mv.ProblemSpec(gen, mv.logistic(1.0, 2.0), interval)
+        first, second = mv.auto_scale(prob), mv.auto_scale(prob)
+        assert first.A is not second.A and first.mu == second.mu > 0
+        p1, b1 = first.A.propagators(0.01)
+        p2, b2 = second.A.propagators(0.01)
+        assert p1 is p2 and b1 is b2
+        assert len(calls) == 1
 
 
 class TestPicardSweep:

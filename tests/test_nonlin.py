@@ -7,7 +7,7 @@ import pytest
 
 import mevolve as mv
 from mevolve.errors import ValidationError
-from mevolve.nonlin import REGISTRY, _fisher_h, _fisher_h_prime
+from mevolve.nonlin import _fisher_h, _fisher_h_prime
 
 from conftest import grid
 
@@ -166,10 +166,3 @@ def test_lipschitz_bound_not_falsified(rng):
         b = lo + rng.uniform(size=5) * (hi - lo)
         lhs = np.max(np.abs(f.eval_values(a) - f.eval_values(b)))
         assert lhs <= lip * np.max(np.abs(a - b)) + 1e-12
-
-
-def test_registry_exposes_presets():
-    assert set(REGISTRY) == {"logistic", "fisher", "competition", "signed_sqrt"}
-    assert REGISTRY["logistic"]["params"] == ("a", "b")
-    built = REGISTRY["competition"]["factory"](1, 1, 1, 0.1, 0.1, 1)
-    assert built.components == 2
