@@ -30,7 +30,7 @@ for k in range(0, t.size, 2000):
 print(f"max deviation from the closed-form branch: "
       f"{np.max(np.abs(rpt.u_max.states[:, 0] - exact)):.2e}")
 
-U_min, U_max, _, _ = mv.extremal_trajectories(prob, tol=1e-10)
+U_min, U_max, _ = mv.extremal_trajectories(prob, tol=1e-10)
 print(f"\nenvelopes from the interval bounds:  U_max(0) = {U_max.states[0,0]:.3f},"
       f"  U_max(10) = {U_max.states[-1,0]:.6f}  (decreasing toward 1/a^2)")
 

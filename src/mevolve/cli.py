@@ -24,6 +24,7 @@ from .order import GridFunction, contains
 from .scenarios import (
     SCENARIOS,
     build_from_config,
+    is_number,
     subsolution_margin,
     supersolution_margin,
     verify_subsolution,
@@ -45,28 +46,35 @@ def load_config(path) -> dict:
         raise ValidationError(f"config: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         _fail("", "top level must be an object")
-    if cfg.get("scenario") not in SCENARIOS:
-        _fail("scenario", f"must be one of {SCENARIOS}")
-    if not isinstance(cfg.get("params"), dict):
+    kind = SCENARIOS.get(cfg.get("scenario"))
+    if kind is None:
+        _fail("scenario", f"must be one of {tuple(SCENARIOS)}")
+    params = cfg.get("params")
+    if not isinstance(params, dict):
         _fail("params", "must be an object")
-    if cfg["scenario"] != "scalar-nonunique":
+    for key in kind.params:
+        if not is_number(params.get(key)):
+            _fail(f"params.{key}", "must be a number")
+    if "eps_override" in params and not is_number(params["eps_override"]):
+        _fail("params.eps_override", "must be a number")
+    if kind.meshes:
         if not isinstance(cfg.get("n"), int) or cfg["n"] < 2:
             _fail("n", "must be an integer >= 2")
         if cfg.get("bc") not in ("dirichlet", "neumann", "robin"):
             _fail("bc", "must be dirichlet, neumann or robin")
         if cfg["bc"] == "robin":
             beta = cfg.get("beta")
-            if not isinstance(beta, (int, float)) or beta < 0:
+            if not is_number(beta) or beta < 0:
                 _fail("beta", "robin needs beta >= 0")
     dt = cfg.get("dt")
-    if not isinstance(dt, (int, float)) or dt <= 0:
+    if not is_number(dt) or dt <= 0:
         _fail("dt", "must be a positive number")
     horizon = cfg.get("T", "auto")
-    if horizon != "auto" and (not isinstance(horizon, (int, float)) or horizon <= 0):
+    if horizon != "auto" and (not is_number(horizon) or horizon <= 0):
         _fail("T", "must be a positive number or \"auto\"")
     for key in ("tol", "tol_eq", "tol_res"):
         val = cfg.get(key, DEFAULTS[key])
-        if not isinstance(val, (int, float)) or val <= 0:
+        if not is_number(val) or val <= 0:
             _fail(key, "must be a positive number")
         cfg[key] = float(val)
     cfg.setdefault("seed", DEFAULTS["seed"])
@@ -75,9 +83,7 @@ def load_config(path) -> dict:
         "lower", "upper", "midpoint", "constant",
     ):
         _fail("u0.kind", "must be lower, upper, midpoint or constant")
-    if u0_cfg.get("kind") == "constant" and not isinstance(
-        u0_cfg.get("value"), (int, float)
-    ):
+    if u0_cfg.get("kind") == "constant" and not is_number(u0_cfg.get("value")):
         _fail("u0.value", "constant u0 needs a numeric value")
     cfg["u0"] = u0_cfg
     return cfg
@@ -197,8 +203,7 @@ def _jsonable(obj):
 
 
 def cmd_eig(cfg: dict) -> int:
-    scen_name = cfg["scenario"]
-    if scen_name == "scalar-nonunique":
+    if not SCENARIOS[cfg["scenario"]].meshes:
         print(f"lambda_1 = {cfg['params']['a']:.15g} (scalar generator)")
         return 0
     gen = generators.build_laplacian_1d(cfg["n"], cfg["bc"], cfg.get("beta"))
@@ -249,6 +254,9 @@ def _run_single(args: tuple) -> int:
         return 1
     except NumericalError as exc:
         print(f"{cfg_path}: flagged: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # one broken config must not abort the batch
+        print(f"{cfg_path}: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

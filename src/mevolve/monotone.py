@@ -1,8 +1,9 @@
 """Monotone lower/upper iteration between sub- and super-solutions.
 
-Both sequences start from the constant trajectories at the interval bounds
-and share one initial value in the fixed-point map.  Positivity of every
-quadrature factor keeps the full ordering chain
+Both sequences start from the constant trajectories at the interval bounds;
+the lower one runs the fixed-point map from the initial value u0, the upper
+one from its own initial value u0_upper >= u0 (default u0).  Positivity of
+every quadrature factor keeps the full ordering chain
 
     lower bound <= w_n <= w_{n+1} <= W_{m+1} <= W_m <= upper bound
 
@@ -56,9 +57,6 @@ class IterationReport:
     unique_flag: bool
     clamp_fraction: float
     stored: dict = field(repr=False)
-    u_star: GridFunction | None = None
-    u_upper_star: GridFunction | None = None
-    equilibrium_residuals: tuple | None = None
 
     @property
     def distances(self) -> np.ndarray:
@@ -90,9 +88,15 @@ def iterate(
     u0: GridFunction,
     tol: float = 1e-9,
     max_iter: int = 2000,
+    u0_upper: GridFunction | None = None,
 ) -> IterationReport:
     """Run both iteration sequences until consecutive sup-distances drop
     below tol; returns the sandwiched minimal/maximal trajectories.
+
+    u_min is the minimal solution from u0, u_max the maximal one from
+    u0_upper (default u0; must lie above u0 in the cone order).  unique_flag
+    says they agree within 10*tol, so for distinct initial values it is set
+    only when those agree within 10*tol too.
 
     The problem is scaled on entry (quasi-increasing shift plus stability
     floor); fixed points are unaffected.  Raises NumericalError on a sandwich
@@ -101,29 +105,16 @@ def iterate(
     """
     if max_iter < 1:
         raise ValidationError("max_iter must be at least 1")
+    if u0_upper is None:
+        u0_upper = u0
     interval = problem.interval
     scaled = auto_scale(problem)
     svec = interval.cone.sign_vector(interval.lower.n_points)
     base_slack = order_slack(interval.value_scale(), interval.dim)
     # the breach guard additionally allows the bounds' own certificate deficit
     slack = max(base_slack, 12.0 * _bound_deficit(scaled, svec))
-
-    # degenerate interval: both bounds coincide, must be an equilibrium
-    if monotone_norm(interval.upper.values - interval.lower.values) <= base_slack:
-        res = problem.equilibrium_residual(interval.lower)
-        if res > max(100.0 * base_slack * monotone_norm(problem.A.matrix), 1e-8):
-            raise ValidationError(
-                f"degenerate interval is not an equilibrium (residual {res:.3e})"
-            )
-        const = constant_trajectory(interval.lower, problem.horizon, problem.dt)
-        return IterationReport(
-            n_iters=1, converged=True, tol=tol, mu_applied=scaled.mu,
-            distances_lower=np.zeros(1), distances_upper=np.zeros(1),
-            sandwich_violations=np.zeros(1), worst_violation=0.0,
-            u_min=const, u_max=constant_trajectory(interval.upper, problem.horizon, problem.dt),
-            unique_flag=True, clamp_fraction=0.0,
-            stored={"interval": interval, "slack": slack},
-        )
+    if order_violation(u0, u0_upper, interval.cone) > slack:
+        raise ValidationError("u0_upper must lie above u0 in the cone order")
 
     lower = constant_trajectory(interval.lower, problem.horizon, problem.dt)
     upper = constant_trajectory(interval.upper, problem.horizon, problem.dt)
@@ -132,9 +123,20 @@ def iterate(
     dist_low, dist_up, violations = [], [], []
     converged = False
 
+    # degenerate interval: both bounds coincide and must be an equilibrium;
+    # the constant trajectories are then both limits and no sweep runs
+    if monotone_norm(interval.upper.values - interval.lower.values) <= base_slack:
+        res = problem.equilibrium_residual(interval.lower)
+        if res > max(100.0 * base_slack * monotone_norm(problem.A.matrix), 1e-8):
+            raise ValidationError(
+                f"degenerate interval is not an equilibrium (residual {res:.3e})"
+            )
+        dist_low, dist_up, violations = [0.0], [0.0], [0.0]
+        converged, max_iter = True, 0
+
     for _ in range(max_iter):
         lower_next = picard_step(scaled, u0, lower, clamp_stats, slack=slack)
-        upper_next = picard_step(scaled, u0, upper, clamp_stats, slack=slack)
+        upper_next = picard_step(scaled, u0_upper, upper, clamp_stats, slack=slack)
         d_low = float(np.max(np.abs(lower_next.states - lower.states)))
         d_up = float(np.max(np.abs(upper_next.states - upper.states)))
         worst = max(
@@ -176,23 +178,20 @@ def iterate(
         stored={
             "interval": interval, "slack": slack,
             "lower_prev": lower_prev, "upper_prev": upper_prev,
-            "lower": lower, "upper": upper,
         },
     )
 
 
 def certify_sandwich(report: IterationReport) -> tuple[bool, float]:
-    """Re-check the ordering chain on the stored iterates; (ok, worst)."""
+    """Re-check the ordering chain on the final and previous iterates; (ok, worst)."""
     stored = report.stored
     interval = stored["interval"]
-    if "lower" not in stored:  # degenerate short-circuit
-        return True, 0.0
     svec = interval.cone.sign_vector(interval.lower.n_points)
     chain = [
         (interval.lower.values, stored["lower_prev"].states),
-        (stored["lower_prev"].states, stored["lower"].states),
-        (stored["lower"].states, stored["upper"].states),
-        (stored["upper"].states, stored["upper_prev"].states),
+        (stored["lower_prev"].states, report.u_min.states),
+        (report.u_min.states, report.u_max.states),
+        (report.u_max.states, stored["upper_prev"].states),
         (stored["upper_prev"].states, interval.upper.values),
     ]
     worst = max(_violation(a, b, svec) for a, b in chain)
@@ -212,16 +211,15 @@ def time_monotonicity_violation(traj: Trajectory, interval: OrderInterval, direc
 
 def extremal_trajectories(
     problem: ProblemSpec, tol: float = 1e-9, max_iter: int = 2000
-) -> tuple[Trajectory, Trajectory, IterationReport, IterationReport]:
+) -> tuple[Trajectory, Trajectory, IterationReport]:
     """Minimal trajectory from the lower bound and maximal from the upper.
 
     Certifies the time-monotonicity of both (the minimal one increases, the
     maximal one decreases in the cone order).
     """
     interval = problem.interval
-    rep_low = iterate(problem, interval.lower, tol=tol, max_iter=max_iter)
-    rep_up = iterate(problem, interval.upper, tol=tol, max_iter=max_iter)
-    u_min, u_max = rep_low.u_min, rep_up.u_max
+    report = iterate(problem, interval.lower, tol, max_iter, u0_upper=interval.upper)
+    u_min, u_max = report.u_min, report.u_max
     slack = order_slack(interval.value_scale(), interval.dim)
     v_inc = time_monotonicity_violation(u_min, interval, "increasing")
     v_dec = time_monotonicity_violation(u_max, interval, "decreasing")
@@ -229,7 +227,7 @@ def extremal_trajectories(
         raise NumericalError(
             f"extremal trajectories lost time-monotonicity: {max(v_inc, v_dec):.3e}"
         )
-    return u_min, u_max, rep_low, rep_up
+    return u_min, u_max, report
 
 
 def newton_equilibrium(
@@ -279,8 +277,7 @@ class EquilibriaResult:
     horizon_converged: bool
     U_min: Trajectory
     U_max: Trajectory
-    report_lower: IterationReport
-    report_upper: IterationReport
+    report: IterationReport  # the last window's iteration
     windows: list
     worst_violation: float
     # node-to-node monotonicity defect of the concatenated trajectories;
@@ -319,64 +316,55 @@ def asymptotic_equilibria(
     from random interior Newton runs.
 
     The horizon is extended window by window (the problem's horizon is the
-    window length): each window restarts the iteration from the previous
-    terminal states, which reproduces the extremal trajectories because the
-    problem is autonomous and minimal solutions restart from their own
-    values.  Since U_min increases and U_max decreases, the window increment
-    of the terminal state is a valid stalling signal.
+    window length): each window runs one iteration from the previous minimal
+    and maximal terminal states, which reproduces the extremal trajectories
+    because the problem is autonomous and minimal (maximal) solutions restart
+    from their own values.  Since U_min increases and U_max decreases, the
+    window increment of the terminal state is a valid stalling signal.
     """
     interval = problem.interval
     window = problem.horizon
     state_low, state_up = interval.lower, interval.upper
     seg_low, seg_up, window_summaries = [], [], []
-    rep_low = rep_up = None
+    report = None
     horizon_converged = False
     worst_violation = -np.inf
     horizon = 0.0
     for _ in range(max_windows):
         current = replace(problem, horizon=window)
-        rep_low = iterate(current, state_low, tol=tol, max_iter=max_iter)
-        rep_up = iterate(current, state_up, tol=tol, max_iter=max_iter)
-        seg_low.append(rep_low.u_min)
-        seg_up.append(rep_up.u_max)
+        report = iterate(current, state_low, tol=tol, max_iter=max_iter, u0_upper=state_up)
+        seg_low.append(report.u_min)
+        seg_up.append(report.u_max)
         horizon += window
         inc = max(
-            monotone_norm(rep_low.u_min.states[-1] - rep_low.u_min.states[0]),
-            monotone_norm(rep_up.u_max.states[-1] - rep_up.u_max.states[0]),
+            monotone_norm(report.u_min.states[-1] - report.u_min.states[0]),
+            monotone_norm(report.u_max.states[-1] - report.u_max.states[0]),
         )
-        worst_violation = max(
-            worst_violation, rep_low.worst_violation, rep_up.worst_violation
-        )
+        worst_violation = max(worst_violation, report.worst_violation)
         window_summaries.append(
             {
                 "t_end": horizon,
-                "n_iters": (rep_low.n_iters, rep_up.n_iters),
-                "converged": rep_low.converged and rep_up.converged,
+                "n_iters": report.n_iters,
+                "converged": report.converged,
                 "increment": inc,
             }
         )
-        state_low = rep_low.u_min.terminal()
-        state_up = rep_up.u_max.terminal()
-        if inc < tol_eq and rep_low.converged and rep_up.converged:
+        state_low = report.u_min.terminal()
+        state_up = report.u_max.terminal()
+        if inc < tol_eq and report.converged:
             horizon_converged = True
             break
-    assert rep_low is not None and rep_up is not None
+    assert report is not None
     u_min_full, u_max_full = _concat(seg_low), _concat(seg_up)
     continuation_defect = max(
         time_monotonicity_violation(u_min_full, interval, "increasing"),
         time_monotonicity_violation(u_max_full, interval, "decreasing"),
     )
 
-    raw_star = rep_low.u_min.terminal()
-    raw_upper = rep_up.u_max.terminal()
-    star_values, star_res, moved_low = _polish(problem, raw_star, tol_res, tol_eq)
-    upper_values, upper_res, moved_up = _polish(problem, raw_upper, tol_res, tol_eq)
+    star_values, star_res, moved_low = _polish(problem, state_low, tol_res, tol_eq)
+    upper_values, upper_res, moved_up = _polish(problem, state_up, tol_res, tol_eq)
     u_star = GridFunction(star_values, interval.components)
     u_upper_star = GridFunction(upper_values, interval.components)
-    for rep in (rep_low, rep_up):
-        rep.u_star = u_star
-        rep.u_upper_star = u_upper_star
-        rep.equilibrium_residuals = (star_res, upper_res)
 
     slack = order_slack(interval.value_scale(), interval.dim)
     if order_violation(u_star, u_upper_star, interval.cone) > max(slack, 10 * tol_eq):
@@ -415,12 +403,11 @@ def asymptotic_equilibria(
         horizon_converged=horizon_converged,
         U_min=u_min_full,
         U_max=u_max_full,
-        report_lower=rep_low,
-        report_upper=rep_up,
+        report=report,
         windows=window_summaries,
         worst_violation=worst_violation,
         continuation_defect=continuation_defect,
-        raw_terminals=(raw_star, raw_upper),
+        raw_terminals=(state_low, state_up),
         polish_moved=(moved_low, moved_up),
         newton_equilibria=found,
         extremal_violation=extremal_violation,

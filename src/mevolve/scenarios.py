@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -408,43 +409,55 @@ def build_scalar_nonunique(a: float, m_bound: float) -> ScenarioSpec:
 # -- registry ------------------------------------------------------------------
 
 
-def _generator_from_config(n: int, bc: str, beta=None) -> GeneratorSpec:
-    return generators.build_laplacian_1d(n, bc, beta)
+def is_number(value) -> bool:
+    """A finite int or float from a config; JSON booleans do not count."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and math.isfinite(value)
 
 
-def _weight_from_config(m_cfg, a_gen: GeneratorSpec) -> np.ndarray:
-    if isinstance(m_cfg, (int, float)):
-        return float(m_cfg) * np.ones(a_gen.dim)
-    if isinstance(m_cfg, list):
-        arr = np.asarray(m_cfg, dtype=float)
-        if arr.size != a_gen.dim:
-            raise ValidationError("params.m: list length must equal n")
-        return arr
-    if isinstance(m_cfg, dict) and m_cfg.get("profile") == "sin":
-        x = generators.mesh_nodes(a_gen)
-        amp = float(m_cfg.get("amplitude", 1.0))
-        freq = float(m_cfg.get("frequency", 1.0))
-        return amp * np.sin(2.0 * math.pi * freq * x)
-    raise ValidationError("params.m must be a number, a list, or a sin profile")
+def _build_fisher_config(a_gen: GeneratorSpec, alpha: float, m_cfg) -> ScenarioSpec:
+    """Fisher scenario; m is a number, a list of nodal values or a sin profile."""
+    if is_number(m_cfg):
+        m = float(m_cfg) * np.ones(a_gen.dim)
+    elif isinstance(m_cfg, list) and all(is_number(x) for x in m_cfg):
+        m = np.asarray(m_cfg, dtype=float)
+        if m.size != a_gen.dim:
+            raise ValidationError("config.params.m: list length must equal n")
+    elif isinstance(m_cfg, dict) and m_cfg.get("profile") == "sin":
+        amp, freq = m_cfg.get("amplitude", 1.0), m_cfg.get("frequency", 1.0)
+        if not (is_number(amp) and is_number(freq)):
+            raise ValidationError("config.params.m: amplitude and frequency must be numbers")
+        m = amp * np.sin(2.0 * math.pi * freq * generators.mesh_nodes(a_gen))
+    else:
+        raise ValidationError("config.params.m: must be a number, a list or a sin profile")
+    return build_fisher(a_gen, m, alpha)
+
+
+class ScenarioKind(NamedTuple):
+    """How a config of one scenario is checked and built: `build` takes `meshes`
+    Laplacians of the config's n, bc and beta, then the "params" entries named
+    in `params` (numbers) and `extra` (checked by `build` itself), in order."""
+
+    build: Callable[..., ScenarioSpec]
+    meshes: int
+    params: tuple
+    extra: tuple = ()
+
+
+SCENARIOS = {
+    "logistic": ScenarioKind(build_logistic, 1, ("a", "b")),
+    "competition": ScenarioKind(
+        build_competition, 2, ("a1", "a2", "b11", "b12", "b21", "b22")
+    ),
+    "fisher": ScenarioKind(_build_fisher_config, 1, ("alpha",), ("m",)),
+    "scalar-nonunique": ScenarioKind(build_scalar_nonunique, 0, ("a", "M")),
+}
 
 
 def build_from_config(name: str, params: dict, n: int, bc: str, beta=None) -> ScenarioSpec:
-    if name == "logistic":
-        gen = _generator_from_config(n, bc, beta)
-        return build_logistic(gen, params["a"], params["b"])
-    if name == "competition":
-        gen1 = _generator_from_config(n, bc, beta)
-        gen2 = _generator_from_config(n, bc, beta)
-        return build_competition(
-            gen1, gen2, params["a1"], params["a2"],
-            params["b11"], params["b12"], params["b21"], params["b22"],
-        )
-    if name == "fisher":
-        gen = _generator_from_config(n, bc, beta)
-        return build_fisher(gen, _weight_from_config(params["m"], gen), params["alpha"])
-    if name == "scalar-nonunique":
-        return build_scalar_nonunique(params["a"], params["M"])
-    raise ValidationError(f"unknown scenario {name!r}")
-
-
-SCENARIOS = ("logistic", "competition", "fisher", "scalar-nonunique")
+    if name not in SCENARIOS:
+        raise ValidationError(f"unknown scenario {name!r}")
+    kind = SCENARIOS[name]
+    meshes = [generators.build_laplacian_1d(n, bc, beta) for _ in range(kind.meshes)]
+    values = [params[key] for key in kind.params] + [params.get(key) for key in kind.extra]
+    return kind.build(*meshes, *values)

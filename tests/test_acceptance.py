@@ -33,9 +33,7 @@ def scalar_golden():
     t0 = time.perf_counter()
     prob = scen.problem(horizon=10.0, dt=1e-3)
     rpt = mv.iterate(prob, grid([0.0]), tol=1e-10)
-    u_min_env, u_max_env, rep_env_low, rep_env_up = mv.extremal_trajectories(
-        prob, tol=1e-10
-    )
+    u_min_env, u_max_env, rep_env = mv.extremal_trajectories(prob, tol=1e-10)
     elapsed = time.perf_counter() - t0
     eq = mv.asymptotic_equilibria(
         scen.problem(horizon=8.0, dt=0.01), tol=1e-10, tol_eq=1e-7, tol_res=1e-8
@@ -43,7 +41,7 @@ def scalar_golden():
     return {
         "scen": scen, "prob": prob, "rpt": rpt, "elapsed": elapsed,
         "U_min": u_min_env, "U_max": u_max_env,
-        "rep_env": (rep_env_low, rep_env_up), "eq": eq,
+        "rep_env": rep_env, "eq": eq,
     }
 
 
@@ -158,8 +156,7 @@ def test_criterion_4_sandwich_invariant(
     worst = {}
     worst["scalar"] = max(
         scalar_golden["rpt"].worst_violation,
-        scalar_golden["rep_env"][0].worst_violation,
-        scalar_golden["rep_env"][1].worst_violation,
+        scalar_golden["rep_env"].worst_violation,
         scalar_golden["eq"].worst_violation,
     )
     worst["logistic-neumann"] = neumann_golden["eq"].worst_violation
@@ -249,7 +246,7 @@ def test_criterion_8_competition_coexistence(competition_golden):
     star = eq.u_star.values
     err = np.max(np.abs(star - expected))
     below_w = np.max(star[:50]) <= 1.0 + 1e-9 and np.max(star[50:]) <= 1.0 + 1e-9
-    ok_sandwich, worst = mv.certify_sandwich(eq.report_lower)
+    ok_sandwich, worst = mv.certify_sandwich(eq.report)
     elapsed = competition_golden["elapsed"]
     ok = (
         err <= 1e-5 and below_w and ok_sandwich
@@ -266,7 +263,7 @@ def test_criterion_8_competition_coexistence(competition_golden):
 def test_criterion_9_comparison_principle():
     scen = mv.build_logistic(mv.build_laplacian_1d(30, "neumann"), 1.0, 2.0)
     prob = scen.problem(horizon=1.5, dt=0.02)
-    u_min_env, u_max_env, _, _ = mv.extremal_trajectories(prob, tol=1e-10)
+    u_min_env, u_max_env, _ = mv.extremal_trajectories(prob, tol=1e-10)
     lo, hi = prob.interval.standard_bounds()
     rng = np.random.default_rng(9)
     worst = -np.inf
@@ -304,7 +301,7 @@ def test_criterion_10_time_monotonicity(
         "fisher": (fisher_golden["scen"], 8.0, 0.05),
     }
     for scen, horizon, dt in cases.values():
-        u_min_env, u_max_env, _, _ = mv.extremal_trajectories(
+        u_min_env, u_max_env, _ = mv.extremal_trajectories(
             scen.problem(horizon=horizon, dt=dt), tol=1e-10
         )
         worst = max(

@@ -105,6 +105,54 @@ class TestRun:
         doc = json.loads((out / "report.json").read_text())
         assert isinstance(doc["iteration"]["sandwich_certified"], bool)
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"params": {"a": 1.0}}, "config.params.b"),
+        ({"params": {"a": "x", "b": 2.0}}, "config.params.a"),
+        ({"params": {"a": True, "b": 2.0}}, "config.params.a"),
+        ({"params": {"a": 1.0, "b": 2.0, "eps_override": "big"}},
+         "config.params.eps_override"),
+        ({"scenario": "competition", "params": {"a1": 1.0, "a2": 1.0}},
+         "config.params.b11"),
+        ({"scenario": "fisher", "params": {"alpha": 0.5}}, "config.params.m"),
+        ({"scenario": "fisher", "params": {"alpha": 0.5, "m": [1.0, "x"]}},
+         "config.params.m"),
+        ({"scenario": "scalar-nonunique", "params": {"a": 1.0, "M": None}},
+         "config.params.M"),
+        ({"T": True}, "config.T"),
+    ], ids=["missing", "string", "bool", "eps-override", "competition-missing",
+            "fisher-no-weight", "fisher-bad-weight", "scalar-null", "bool-horizon"])
+    @pytest.mark.parametrize("command", ["run", "eig"])
+    def test_bad_param_is_exit_1(self, tmp_path, capsys, overrides, key, command):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **overrides)
+        argv = [command, str(cfg)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    def test_crashing_config_does_not_abort_the_batch(self, tmp_path, monkeypatch, capsys):
+        from mevolve import cli
+
+        original = cli.cmd_run
+
+        def crash_on_one(cfg, out_dir):
+            if out_dir.name == "one":
+                raise RuntimeError("boom")
+            return original(cfg, out_dir)
+
+        monkeypatch.setattr(cli, "cmd_run", crash_on_one)
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        write_config(configs / "one.json")
+        write_config(configs / "two.json")
+        out = tmp_path / "batch"
+        assert main(["run", str(configs), "--out", str(out)]) == 2
+        assert (out / "two" / "report.json").exists()
+        err = capsys.readouterr().err
+        assert "one.json: internal error: RuntimeError: boom" in err
+
     def test_constant_u0_outside_interval_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, u0={"kind": "constant", "value": 50.0})

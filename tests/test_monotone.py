@@ -90,13 +90,10 @@ class TestScalarNonUnique:
 
     def test_tampered_report_fails_certification(self, scalar_run):
         _, _, rpt = scalar_run
-        broken = mv.IterationReport(**{**rpt.__dict__})
-        stored = dict(rpt.stored)
         bad = mv.Trajectory(
-            rpt.u_min.t_grid, rpt.stored["upper"].states - 1.0, rpt.u_min.components
+            rpt.u_min.t_grid, rpt.u_max.states - 1.0, rpt.u_min.components
         )
-        stored["upper"] = bad
-        broken.stored = stored
+        broken = mv.IterationReport(**{**rpt.__dict__, "u_max": bad})
         ok, worst = mv.certify_sandwich(broken)
         assert not ok and worst > 1e-6
 
@@ -117,6 +114,19 @@ class TestDegenerateInterval:
         rpt = mv.iterate(prob, v)
         assert rpt.converged and rpt.n_iters == 1
         assert np.all(rpt.u_min.states == 0.5)
+
+    def test_degenerate_report_certifies_its_chain(self):
+        gen = mv.build_laplacian_1d(6, "neumann")
+        v = grid(0.5 * np.ones(6))
+        prob = mv.ProblemSpec(
+            gen, mv.logistic(1.0, 2.0), mv.OrderInterval(v, v), horizon=1.0, dt=0.1
+        )
+        rpt = mv.iterate(prob, v)
+        ok, worst = mv.certify_sandwich(rpt)
+        assert ok and worst <= 0.0
+        raised = mv.Trajectory(rpt.u_min.t_grid, rpt.u_min.states + 1.0)
+        broken = mv.IterationReport(**{**rpt.__dict__, "u_min": raised})
+        assert not mv.certify_sandwich(broken)[0]
 
     def test_non_equilibrium_rejected(self):
         gen = mv.build_laplacian_1d(6, "neumann")
@@ -145,7 +155,7 @@ class TestComparison:
         self, neumann_logistic, rng
     ):
         prob = neumann_logistic.problem(horizon=1.5, dt=0.02)
-        u_min_env, u_max_env, _, _ = mv.extremal_trajectories(prob, tol=1e-10)
+        u_min_env, u_max_env, _ = mv.extremal_trajectories(prob, tol=1e-10)
         lo, hi = prob.interval.standard_bounds()
         for _ in range(5):
             u0 = lo + rng.uniform(size=16) * (hi - lo)
@@ -154,19 +164,85 @@ class TestComparison:
             assert np.max(rpt.u_max.states - u_max_env.states) <= 1e-12
 
 
+class TestSeparateInitialValues:
+    """One two-sided iteration against the two one-sided calls it replaces."""
+
+    @pytest.fixture(scope="class")
+    def dirichlet_logistic(self):
+        scen = mv.build_logistic(mv.build_laplacian_1d(20, "dirichlet"), 12.0, 2.0)
+        return scen.problem(horizon=2.0, dt=0.02)
+
+    @pytest.fixture(scope="class")
+    def flipped_competition(self):
+        scen = mv.build_competition(
+            mv.build_laplacian_1d(10, "neumann"), mv.build_laplacian_1d(10, "neumann"),
+            1.0, 1.0, 1.0, 0.1, 0.1, 1.0,
+        )
+        assert scen.cone == mv.FLIPPED_CONE
+        return scen.problem(horizon=2.0, dt=0.02)
+
+    @pytest.mark.parametrize("case", ["dirichlet_logistic", "flipped_competition"])
+    @pytest.mark.parametrize("upper_kind", ["upper", "midpoint"])
+    def test_matches_two_one_sided_runs(self, request, case, upper_kind):
+        prob = request.getfixturevalue(case)
+        itv = prob.interval
+        a = itv.lower
+        b = itv.upper if upper_kind == "upper" else grid(
+            0.5 * (itv.lower.values + itv.upper.values), itv.components
+        )
+        tol = 1e-9
+        both = mv.iterate(prob, a, tol=tol, u0_upper=b)
+        assert both.converged
+        from_a = mv.iterate(prob, a, tol=tol).u_min
+        from_b = mv.iterate(prob, b, tol=tol).u_max
+        assert np.max(np.abs(both.u_min.states - from_a.states)) <= 10 * tol
+        assert np.max(np.abs(both.u_max.states - from_b.states)) <= 10 * tol
+        assert not both.unique_flag
+        ok, worst = mv.certify_sandwich(both)
+        assert ok, worst
+
+    def test_upper_start_below_lower_start_rejected(self, dirichlet_logistic):
+        itv = dirichlet_logistic.interval
+        with pytest.raises(ValidationError, match="u0_upper"):
+            mv.iterate(dirichlet_logistic, itv.upper, u0_upper=itv.lower)
+
+    def test_one_iteration_per_window_and_per_extremal_pair(
+        self, dirichlet_logistic, monkeypatch
+    ):
+        calls = []
+        original = mv.monotone.iterate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mv.monotone, "iterate", counting)
+        prob = mv.ProblemSpec(
+            dirichlet_logistic.A, dirichlet_logistic.F, dirichlet_logistic.interval,
+            horizon=1.0, dt=0.02,
+        )
+        eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-8, tol_res=1e-8)
+        assert len(eq.windows) > 1
+        assert len(calls) == len(eq.windows)
+        assert all(isinstance(w["n_iters"], int) for w in eq.windows)
+        calls.clear()
+        mv.extremal_trajectories(prob)
+        assert len(calls) == 1
+
+
 class TestExtremalTrajectories:
     def test_equilibrium_endpoints_stay_constant(self):
         gen = mv.build_laplacian_1d(6, "neumann")
         v = grid(0.5 * np.ones(6))
         interval = mv.OrderInterval(v, v)
         prob = mv.ProblemSpec(gen, mv.logistic(1.0, 2.0), interval, horizon=1.0, dt=0.1)
-        u_min_env, u_max_env, _, _ = mv.extremal_trajectories(prob)
+        u_min_env, u_max_env, _ = mv.extremal_trajectories(prob)
         assert np.all(u_min_env.states == 0.5) and np.all(u_max_env.states == 0.5)
 
     def test_scalar_envelope_matches_ode_oracle(self):
         scen = mv.build_scalar_nonunique(1.0, 2.0)
         prob = scen.problem(horizon=6.0, dt=1e-3)
-        u_min_env, u_max_env, _, _ = mv.extremal_trajectories(prob, tol=1e-10)
+        u_min_env, u_max_env, _ = mv.extremal_trajectories(prob, tol=1e-10)
 
         sol = scipy.integrate.solve_ivp(
             lambda t, y: np.sign(y) * np.sqrt(np.abs(y)) - y,
@@ -183,7 +259,7 @@ class TestExtremalTrajectories:
 
     def test_time_monotonicity(self, neumann_logistic):
         prob = neumann_logistic.problem(horizon=2.0, dt=0.02)
-        u_min_env, u_max_env, _, _ = mv.extremal_trajectories(prob, tol=1e-10)
+        u_min_env, u_max_env, _ = mv.extremal_trajectories(prob, tol=1e-10)
         assert time_monotonicity_violation(u_min_env, prob.interval, "increasing") <= 1e-12
         assert time_monotonicity_violation(u_max_env, prob.interval, "decreasing") <= 1e-12
 
