@@ -18,7 +18,8 @@ print(f"scenario: {scen.name},  interval [{-M}, {M}],  equilibria predicted:",
 
 prob = scen.problem(horizon=10.0, dt=1e-3)
 rpt = mv.iterate(prob, mv.GridFunction(np.array([0.0])), tol=1e-10)
-print(f"\niteration from u0 = 0: {rpt.n_iters} sweeps, converged={rpt.converged}")
+print(f"\nmarch from u0 = 0: at most {rpt.n_iters} inner iterations per step, "
+      f"converged={rpt.converged}")
 print(f"unique solution? {rpt.unique_flag}  (the gap detects non-uniqueness)")
 
 t = rpt.u_max.t_grid

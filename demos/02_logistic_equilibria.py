@@ -34,4 +34,4 @@ eq = mv.asymptotic_equilibria(scen.problem(horizon=4.0, dt=0.02),
 print(f"\nNeumann a=1, b=2: equilibrium is the constant a/b = 0.5; engine gives "
       f"sup-error {np.max(np.abs(eq.u_star.values - 0.5)):.1e}")
 print("sandwich violations stayed below", f"{eq.worst_violation:.1e}",
-      "across all iterations and windows")
+      "across every inner iteration of the march")

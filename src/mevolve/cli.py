@@ -77,7 +77,12 @@ def load_config(path) -> dict:
         if not is_number(val) or val <= 0:
             _fail(key, "must be a positive number")
         cfg[key] = float(val)
-    cfg.setdefault("seed", DEFAULTS["seed"])
+    seed = cfg.setdefault("seed", DEFAULTS["seed"])
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        _fail("seed", "must be a non-negative integer")
+    emit = cfg.get("emit", {})
+    if not isinstance(emit, dict) or not isinstance(emit.get("trajectories", True), bool):
+        _fail("emit", "must be an object whose \"trajectories\" is true or false")
     u0_cfg = cfg.get("u0", {"kind": "lower"})
     if not isinstance(u0_cfg, dict) or u0_cfg.get("kind", "lower") not in (
         "lower", "upper", "midpoint", "constant",

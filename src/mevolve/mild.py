@@ -1,23 +1,28 @@
-"""Trajectories and the variation-of-constants fixed-point map.
+"""Trajectories, problem scaling and the variation-of-constants map.
 
-A trajectory holds states on a uniform time grid.  One Picard sweep maps a
-trajectory u to
+A trajectory holds states on a uniform time grid.  The discrete mild
+solutions are the trajectories with u(t_0) = u0 and, on every step,
+
+    u_{k+1} = P u_k + B G(u_{k+1}),     P = e^{-dt A},  B = A^{-1}(I - P),
+
+the implicit exponential-Euler relation (B is the exact one-step integral of
+the semigroup, with G = F + mu*id frozen at the step's right node).  Every
+factor (P, B and the shifted reaction term) is order-preserving, so the
+relation can be solved monotonically; `monotone.iterate` solves it step by
+step.  Freezing F at the right node keeps the extremal branches of
+non-Lipschitz problems (an explicit left-node rule would collapse them onto
+the equilibrium).
+
+`picard_step` applies the relation to a whole trajectory at once,
 
     t_k -> e^{-t_k A} u0 + sum_j e^{-(t_k - t_{j+1}) A} B F(u(t_{j+1})),
 
-with B = A^{-1}(I - e^{-dt A}) the exact one-step integral of the semigroup,
-i.e. the step integral is evaluated with F frozen at the step's right node.
-Every factor (the step propagator, B, and the shifted reaction term) is
-order-preserving, so the sweep is monotone in both the trajectory argument
-and the initial value at round-off level; the converged iteration therefore
-realizes the implicit exponential-Euler relation, which keeps the extremal
-branches of non-Lipschitz problems (an explicit left-node rule would collapse
-them onto the equilibrium).
+whose fixed points are exactly the discrete mild solutions; it backs
+`mild_residual` and serves as an independent oracle.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 
@@ -238,13 +243,19 @@ def csv_header(n_points: int, components: int) -> list[str]:
     ]
 
 
+CSV_BLOCK_VALUES = 4096  # bounds the Python floats alive at once while writing
+
+
 def trajectory_to_csv(traj: Trajectory, path) -> None:
+    """Write t and the states, one row per node, floats as repr, CRLF rows."""
     n = traj.states.shape[1] // traj.components
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(csv_header(n, traj.components))
-        for t, row in zip(traj.t_grid, traj.states):
-            writer.writerow([repr(float(t))] + [repr(float(x)) for x in row])
+        fh.write(",".join(csv_header(n, traj.components)) + "\r\n")
+        rows = max(1, CSV_BLOCK_VALUES // (traj.states.shape[1] + 1))
+        for start in range(0, traj.t_grid.size, rows):
+            stop = start + rows
+            block = np.column_stack([traj.t_grid[start:stop], traj.states[start:stop]])
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block.tolist())
 
 
 def trajectory_from_csv(path, components: int = 1) -> Trajectory:

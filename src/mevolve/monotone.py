@@ -1,23 +1,31 @@
-"""Monotone lower/upper iteration between sub- and super-solutions.
+"""Monotone lower/upper time-marching between sub- and super-solutions.
 
-Both sequences start from the constant trajectories at the interval bounds;
-the lower one runs the fixed-point map from the initial value u0, the upper
-one from its own initial value u0_upper >= u0 (default u0).  Positivity of
-every quadrature factor keeps the full ordering chain
+A march holds two rows, the lower one started from the initial value u0 and
+the upper one from u0_upper >= u0 (default u0), and advances them one time
+step at a time.  Step k solves the implicit exponential-Euler relation
 
-    lower bound <= w_n <= w_{n+1} <= W_{m+1} <= W_m <= upper bound
+    u_{k+1} = P u_k + B G(u_{k+1}),      G = F + mu*id increasing,
 
-valid at round-off level on every time node of every iteration; the engine
+by the monotone inner iteration z_{j+1} = P u_k + B G(z_j) started from the
+row's interval bound, or from u_k itself when u_k provably lies below the
+minimal (above the maximal) step solution.  Positivity of P and B keeps the
+ordering chain
+
+    lower bound <= z_j <= z_{j+1} <= Z_{j+1} <= Z_j <= upper bound
+
+valid at round-off level on every inner iteration of every step; the engine
 tracks the worst signed violation and aborts if it ever exceeds the
-floating-point-aware slack.  Limits are the minimal/maximal trajectories;
-extending the horizon window by window until the terminal increment stalls
-yields the extremal equilibria, which are Newton-polished and cross-checked
-for minimality/maximality against independently found equilibria.
+floating-point-aware slack.  The rows converge to the minimal/maximal
+trajectories; marching on from the interval bounds until the increment over
+a window stalls yields the extremal equilibria, which are Newton-polished
+and cross-checked for minimality/maximality against independently found
+equilibria.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -27,8 +35,7 @@ from .mild import (
     ProblemSpec,
     Trajectory,
     auto_scale,
-    constant_trajectory,
-    picard_step,
+    time_grid,
 )
 from .order import (
     GridFunction,
@@ -44,13 +51,14 @@ MAX_CLAMP_FRACTION = 1e-3  # > 0.1% genuinely clamped entries fails a run
 
 @dataclass
 class IterationReport:
-    n_iters: int
+    n_iters: int  # the most inner iterations any step needed
     converged: bool
     tol: float
     mu_applied: float
+    # entry j: the row's largest j-th inner increment over all steps
     distances_lower: np.ndarray
     distances_upper: np.ndarray
-    sandwich_violations: np.ndarray
+    sandwich_violations: np.ndarray  # one per step, over its inner iterations
     worst_violation: float
     u_min: Trajectory
     u_max: Trajectory
@@ -83,6 +91,286 @@ def _bound_deficit(problem: ProblemSpec, svec: np.ndarray) -> float:
     return max(0.0, -float(m_low), -float(m_up))
 
 
+class _March:
+    """The lower and upper rows of one time march, solved step by step.
+
+    Rows are held as one 2 x dim block in standard coordinates (each entry
+    multiplied by its cone sign), where the cone order is the entrywise one.
+    Step k solves z = P u_k + B G(z) by the monotone inner iteration
+    z_{j+1} = P u_k + B G(z_j), from the row's interval bound, or from u_k
+    when k >= 1 and the row moved in its own cone direction over step k-1:
+    then u_k is a sub-solution (super-solution) of step k lying below the
+    minimal (above the maximal) step solution, so the warm start converges
+    to the same solution.  Each row stops on its own inner increment.
+
+    `advance` appends a chunk of steps; `report` describes the last chunk
+    and `trajectories` joins all of them.
+    """
+
+    def __init__(self, problem, u0, u0_upper, tol, max_iter):
+        if max_iter < 1:
+            raise ValidationError("max_iter must be at least 1")
+        interval = problem.interval
+        scaled = auto_scale(problem)
+        svec = interval.cone.sign_vector(interval.lower.n_points)
+        base_slack = order_slack(interval.value_scale(), interval.dim)
+        # the breach guard additionally allows the bounds' own certificate deficit
+        slack = max(base_slack, 12.0 * _bound_deficit(scaled, svec))
+        if order_violation(u0, u0_upper, interval.cone) > slack:
+            raise ValidationError("u0_upper must lie above u0 in the cone order")
+        self.interval, self.mu = interval, scaled.mu
+        self.dt, self.tol, self.max_iter, self.slack = problem.dt, tol, max_iter, slack
+        self.svec = None if np.all(svec == 1.0) else svec
+        self.lo, self.hi = interval.standard_bounds()
+        start = np.vstack([u0.values, u0_upper.values])
+        clamped = clamp_values(start, interval)
+        if monotone_norm(clamped - start) > slack:
+            warnings.warn("initial value clamped to the order interval", stacklevel=3)
+        self.y = self._standard(clamped)
+        self.y_prev = None  # the rows one node back, once a step was taken
+        # the rows by node, one chunk per advance, each from its start node
+        self.states: list[np.ndarray] = []
+        self.worst_violation = -np.inf  # over every step of the march
+        # of the last chunk: penultimate inner iterates by node, the largest
+        # [lower, upper] increment per inner iteration, the worst violation
+        # per step, clamp counts and convergence
+        self.penultimate = None
+        self.distances: list[list[float]] = []
+        self.violations: list[float] = []
+        self.clamped = self.total = 0
+        self.converged = True
+
+        # degenerate interval: both bounds coincide and must be an equilibrium;
+        # the rows then stay constant and no inner iteration runs
+        self.degenerate = (
+            monotone_norm(interval.upper.values - interval.lower.values) <= base_slack
+        )
+        if self.degenerate:
+            res = problem.equilibrium_residual(interval.lower)
+            if res > max(100.0 * base_slack * monotone_norm(problem.A.matrix), 1e-8):
+                raise ValidationError(
+                    f"degenerate interval is not an equilibrium (residual {res:.3e})"
+                )
+            return
+        p_mat, b_mat = scaled.A.propagators(problem.dt)
+        if self.svec is not None:  # S P S and S B S, still entrywise nonnegative
+            outer = np.outer(svec, svec)
+            p_mat, b_mat = outer * p_mat, outer * b_mat
+        self.p_t, self.b_t = p_mat.T.copy(), b_mat.T.copy()
+        rhs = scaled.rhs
+        self.g = rhs if self.svec is None else (lambda y: svec * rhs(svec * y))
+
+    def _standard(self, values: np.ndarray) -> np.ndarray:
+        return values if self.svec is None else self.svec * values
+
+    def advance(self, n_steps: int) -> tuple[int, bool]:
+        """March n_steps steps; (most inner iterations of a step, all converged).
+
+        Raises NumericalError when more than MAX_CLAMP_FRACTION of the
+        chunk's evaluated entries needed clamping beyond the slack.
+        """
+        chunk = np.empty((n_steps + 1, 2, self.y.shape[1]))
+        pen = np.empty_like(chunk)
+        chunk[0] = pen[0] = self.y
+        self.distances, self.violations = [], []
+        self.clamped = self.total = 0
+        if self.degenerate:
+            chunk[1:], pen[1:] = self.y, self.y
+            self.distances, self.violations = [[0.0, 0.0]], [0.0] * n_steps
+            most, converged = 1, True
+        elif self.y.shape[1] == 1:
+            most, converged = self._advance_scalar(chunk[1:], pen[1:])
+        else:
+            most, converged = self._advance_block(chunk[1:], pen[1:])
+        if self.clamped > MAX_CLAMP_FRACTION * max(1, self.total):
+            raise NumericalError(
+                f"{100 * self.clamped / self.total:.3f}% of evaluations left the order interval"
+            )
+        self.states.append(chunk)
+        self.penultimate, self.converged = pen, converged
+        self.worst_violation = max(self.worst_violation, max(self.violations))
+        return most, converged
+
+    def _breach(self, worst: float) -> NumericalError:
+        return NumericalError(
+            f"sandwich invariant breached: violation {worst:.3e} > slack {self.slack:.3e}"
+        )
+
+    def _advance_block(self, out, pen) -> tuple[int, bool]:
+        lo, hi, slack, tol, max_iter = self.lo, self.hi, self.slack, self.tol, self.max_iter
+        p_t, b_t, g, dist = self.p_t, self.b_t, self.g, self.distances
+        y, y_prev = self.y, self.y_prev
+        # rows: lower bound, lower row z, upper row Z, upper bound; the five
+        # chain links are ext[:-1] <= ext[1:] plus z_j <= z_{j+1}, Z_{j+1} <= Z_j
+        ext = np.vstack([lo, lo, hi, hi])
+        z, links_lhs, links_rhs = ext[1:3], ext[:-1], ext[1:]
+        most, converged, clamped, total = 0, True, 0, 0
+        for k in range(out.shape[0]):
+            c = y @ p_t
+            z[0], z[1] = lo, hi
+            if y_prev is not None:
+                moved = y - y_prev
+                if moved[0].min() >= -slack:
+                    z[0] = y[0]
+                if moved[1].max() <= slack:
+                    z[1] = y[1]
+            last = pen[k]
+            last[:] = z
+            lower_on = upper_on = True
+            act = slice(0, 2)
+            worst = -np.inf
+            j = 0
+            while True:
+                zs = z[act]
+                zc = np.minimum(np.maximum(zs, lo), hi)
+                clamped += np.count_nonzero(np.abs(zc - zs) > slack)
+                total += zc.size
+                new = g(zc) @ b_t
+                new += c[act]
+                d = new - zs
+                last[act] = zs
+                z[act] = new
+                d_max, d_min = d.max(axis=1).tolist(), d.min(axis=1).tolist()
+                worst = max(worst, (links_lhs - links_rhs).max())
+                inc_low = inc_up = 0.0
+                if lower_on:
+                    inc_low = max(d_max[0], -d_min[0])
+                    worst = max(worst, -d_min[0])
+                if upper_on:
+                    inc_up = max(d_max[-1], -d_min[-1])
+                    worst = max(worst, d_max[-1])
+                if worst > slack:
+                    raise self._breach(worst)
+                if j < len(dist):
+                    row = dist[j]
+                    row[0], row[1] = max(row[0], inc_low), max(row[1], inc_up)
+                else:
+                    dist.append([inc_low, inc_up])
+                j += 1
+                lower_on = lower_on and inc_low >= tol
+                upper_on = upper_on and inc_up >= tol
+                if not (lower_on or upper_on):
+                    break
+                if j == max_iter:
+                    converged = False
+                    break
+                act = slice(0 if lower_on else 1, 2 if upper_on else 1)
+            most = max(most, j)
+            self.violations.append(float(worst))
+            out[k] = z
+            y_prev, y = y, out[k]
+        self.clamped += clamped
+        self.total += total
+        self.y, self.y_prev = y.copy(), y_prev.copy()
+        return most, converged
+
+    def _advance_scalar(self, out, pen) -> tuple[int, bool]:
+        """dim == 1: the same iteration on Python floats, with one rhs call
+        on both rows per inner iteration."""
+        lo, hi = float(self.lo[0]), float(self.hi[0])
+        slack, tol, max_iter, g = self.slack, self.tol, self.max_iter, self.g
+        p, b = float(self.p_t[0, 0]), float(self.b_t[0, 0])
+        dist = self.distances
+        (y0,), (y1,) = self.y.tolist()
+        warm = self.y_prev is not None
+        (p0,), (p1,) = self.y_prev.tolist() if warm else ((0.0,), (0.0,))
+        most, converged, clamped, total = 0, True, 0, 0
+        arg = np.empty((2, 1))
+        for k in range(out.shape[0]):
+            c0, c1 = p * y0, p * y1
+            z0 = y0 if warm and y0 - p0 >= -slack else lo
+            z1 = y1 if warm and y1 - p1 <= slack else hi
+            last0, last1 = z0, z1
+            on0 = on1 = True
+            worst = -np.inf
+            j = 0
+            while True:
+                zc0 = lo if z0 < lo else hi if z0 > hi else z0
+                zc1 = lo if z1 < lo else hi if z1 > hi else z1
+                arg[0, 0], arg[1, 0] = zc0, zc1
+                (f0,), (f1,) = g(arg).tolist()
+                inc0 = inc1 = 0.0
+                if on0:
+                    total += 1
+                    clamped += abs(zc0 - z0) > slack
+                    new = c0 + b * f0
+                    inc0 = abs(new - z0)
+                    if z0 - new > worst:
+                        worst = z0 - new
+                    last0, z0 = z0, new
+                if on1:
+                    total += 1
+                    clamped += abs(zc1 - z1) > slack
+                    new = c1 + b * f1
+                    inc1 = abs(new - z1)
+                    if new - z1 > worst:
+                        worst = new - z1
+                    last1, z1 = z1, new
+                worst = max(worst, lo - z0, z0 - z1, z1 - hi)
+                if worst > slack:
+                    raise self._breach(worst)
+                if j < len(dist):
+                    row = dist[j]
+                    if inc0 > row[0]:
+                        row[0] = inc0
+                    if inc1 > row[1]:
+                        row[1] = inc1
+                else:
+                    dist.append([inc0, inc1])
+                j += 1
+                on0 = on0 and inc0 >= tol
+                on1 = on1 and inc1 >= tol
+                if not (on0 or on1):
+                    break
+                if j == max_iter:
+                    converged = False
+                    break
+            most = max(most, j)
+            self.violations.append(worst)
+            out[k, 0, 0], out[k, 1, 0] = z0, z1
+            pen[k, 0, 0], pen[k, 1, 0] = last0, last1
+            p0, p1, y0, y1 = y0, y1, z0, z1
+            warm = True
+        self.clamped += clamped
+        self.total += total
+        self.y_prev, self.y = np.array([[p0], [p1]]), np.array([[y0], [y1]])
+        return most, converged
+
+    def _trajectory(self, block: np.ndarray, row: int) -> Trajectory:
+        t_grid = self.dt * np.arange(block.shape[0])
+        return Trajectory(t_grid, self._standard(block[:, row]), self.interval.components)
+
+    def report(self) -> IterationReport:
+        """The last chunk as an iteration report, on a grid from t = 0."""
+        chunk, pen = self.states[-1], self.penultimate
+        u_min, u_max = self._trajectory(chunk, 0), self._trajectory(chunk, 1)
+        dist = np.asarray(self.distances, dtype=float)
+        violations = np.asarray(self.violations, dtype=float)
+        gap = float(np.max(np.abs(chunk[:, 1] - chunk[:, 0])))
+        return IterationReport(
+            n_iters=len(dist), converged=self.converged, tol=self.tol,
+            mu_applied=self.mu,
+            distances_lower=dist[:, 0], distances_upper=dist[:, 1],
+            sandwich_violations=violations,
+            worst_violation=float(np.max(violations)),
+            u_min=u_min, u_max=u_max, unique_flag=bool(gap <= 10.0 * self.tol),
+            clamp_fraction=self.clamped / max(1, self.total),
+            stored={
+                "interval": self.interval, "slack": self.slack,
+                "lower_prev": self._trajectory(pen, 0),
+                "upper_prev": self._trajectory(pen, 1),
+            },
+        )
+
+    def trajectories(self) -> tuple[Trajectory, Trajectory]:
+        """The lower and upper rows over every chunk, from t = 0."""
+        if len(self.states) > 1:  # join once; later chunks repeat their start node
+            first, *rest = self.states
+            self.states[:] = [np.concatenate([first, *(c[1:] for c in rest)])]
+        block = self.states[0]
+        return self._trajectory(block, 0), self._trajectory(block, 1)
+
+
 def iterate(
     problem: ProblemSpec,
     u0: GridFunction,
@@ -90,96 +378,24 @@ def iterate(
     max_iter: int = 2000,
     u0_upper: GridFunction | None = None,
 ) -> IterationReport:
-    """Run both iteration sequences until consecutive sup-distances drop
-    below tol; returns the sandwiched minimal/maximal trajectories.
+    """March both rows over the problem's grid; returns the sandwiched
+    minimal/maximal trajectories.
 
     u_min is the minimal solution from u0, u_max the maximal one from
-    u0_upper (default u0; must lie above u0 in the cone order).  unique_flag
-    says they agree within 10*tol, so for distinct initial values it is set
-    only when those agree within 10*tol too.
+    u0_upper (default u0; must lie above u0 in the cone order).  Every step
+    is solved until each row's inner increment drops below tol, in at most
+    max_iter inner iterations.  unique_flag says the two agree within
+    10*tol, so for distinct initial values it is set only when those agree
+    within 10*tol too.
 
     The problem is scaled on entry (quasi-increasing shift plus stability
     floor); fixed points are unaffected.  Raises NumericalError on a sandwich
     breach or when more than MAX_CLAMP_FRACTION of evaluated entries needed
     clamping beyond round-off.
     """
-    if max_iter < 1:
-        raise ValidationError("max_iter must be at least 1")
-    if u0_upper is None:
-        u0_upper = u0
-    interval = problem.interval
-    scaled = auto_scale(problem)
-    svec = interval.cone.sign_vector(interval.lower.n_points)
-    base_slack = order_slack(interval.value_scale(), interval.dim)
-    # the breach guard additionally allows the bounds' own certificate deficit
-    slack = max(base_slack, 12.0 * _bound_deficit(scaled, svec))
-    if order_violation(u0, u0_upper, interval.cone) > slack:
-        raise ValidationError("u0_upper must lie above u0 in the cone order")
-
-    lower = constant_trajectory(interval.lower, problem.horizon, problem.dt)
-    upper = constant_trajectory(interval.upper, problem.horizon, problem.dt)
-    lower_prev, upper_prev = lower, upper
-    clamp_stats: dict = {}
-    dist_low, dist_up, violations = [], [], []
-    converged = False
-
-    # degenerate interval: both bounds coincide and must be an equilibrium;
-    # the constant trajectories are then both limits and no sweep runs
-    if monotone_norm(interval.upper.values - interval.lower.values) <= base_slack:
-        res = problem.equilibrium_residual(interval.lower)
-        if res > max(100.0 * base_slack * monotone_norm(problem.A.matrix), 1e-8):
-            raise ValidationError(
-                f"degenerate interval is not an equilibrium (residual {res:.3e})"
-            )
-        dist_low, dist_up, violations = [0.0], [0.0], [0.0]
-        converged, max_iter = True, 0
-
-    for _ in range(max_iter):
-        lower_next = picard_step(scaled, u0, lower, clamp_stats, slack=slack)
-        upper_next = picard_step(scaled, u0_upper, upper, clamp_stats, slack=slack)
-        d_low = float(np.max(np.abs(lower_next.states - lower.states)))
-        d_up = float(np.max(np.abs(upper_next.states - upper.states)))
-        worst = max(
-            _violation(interval.lower.values, lower_next.states, svec),
-            _violation(lower.states, lower_next.states, svec),
-            _violation(lower_next.states, upper_next.states, svec),
-            _violation(upper_next.states, upper.states, svec),
-            _violation(upper_next.states, interval.upper.values, svec),
-        )
-        if worst > slack:
-            raise NumericalError(
-                f"sandwich invariant breached: violation {worst:.3e} > slack {slack:.3e}"
-            )
-        dist_low.append(d_low)
-        dist_up.append(d_up)
-        violations.append(worst)
-        lower_prev, upper_prev = lower, upper
-        lower, upper = lower_next, upper_next
-        if d_low < tol and d_up < tol:
-            converged = True
-            break
-
-    clamped = clamp_stats.get("clamped", 0)
-    total = max(1, clamp_stats.get("total", 1))
-    clamp_fraction = clamped / total
-    if clamp_fraction > MAX_CLAMP_FRACTION:
-        raise NumericalError(
-            f"{100 * clamp_fraction:.3f}% of evaluations left the order interval"
-        )
-
-    gap = float(np.max(np.abs(upper.states - lower.states)))
-    return IterationReport(
-        n_iters=len(dist_low), converged=converged, tol=tol, mu_applied=scaled.mu,
-        distances_lower=np.asarray(dist_low), distances_upper=np.asarray(dist_up),
-        sandwich_violations=np.asarray(violations),
-        worst_violation=float(np.max(violations)),
-        u_min=lower, u_max=upper, unique_flag=bool(gap <= 10.0 * tol),
-        clamp_fraction=clamp_fraction,
-        stored={
-            "interval": interval, "slack": slack,
-            "lower_prev": lower_prev, "upper_prev": upper_prev,
-        },
-    )
+    march = _March(problem, u0, u0 if u0_upper is None else u0_upper, tol, max_iter)
+    march.advance(time_grid(problem.horizon, problem.dt).size - 1)
+    return march.report()
 
 
 def certify_sandwich(report: IterationReport) -> tuple[bool, float]:
@@ -277,28 +493,16 @@ class EquilibriaResult:
     horizon_converged: bool
     U_min: Trajectory
     U_max: Trajectory
-    report: IterationReport  # the last window's iteration
+    report: IterationReport  # the march's last window
     windows: list
     worst_violation: float
-    # node-to-node monotonicity defect of the concatenated trajectories;
-    # window seams inherit the iteration tolerance (restart states carry it),
-    # unlike single-grid extremal trajectories which are monotone at fp level
+    # node-to-node monotonicity defect of U_min/U_max, which come from one
+    # march and are monotone in time at round-off level
     continuation_defect: float
     raw_terminals: tuple
     polish_moved: tuple
     newton_equilibria: list
     extremal_violation: float
-
-
-def _concat(segments: list[Trajectory]) -> Trajectory:
-    grids = [segments[0].t_grid]
-    states = [segments[0].states]
-    offset = segments[0].t_grid[-1]
-    for seg in segments[1:]:
-        grids.append(offset + seg.t_grid[1:])
-        states.append(seg.states[1:])
-        offset += seg.t_grid[-1]
-    return Trajectory(np.concatenate(grids), np.vstack(states), segments[0].components)
 
 
 def asymptotic_equilibria(
@@ -315,51 +519,41 @@ def asymptotic_equilibria(
     trajectories, with Newton polish and a minimality/maximality cross-check
     from random interior Newton runs.
 
-    The horizon is extended window by window (the problem's horizon is the
-    window length): each window runs one iteration from the previous minimal
-    and maximal terminal states, which reproduces the extremal trajectories
-    because the problem is autonomous and minimal (maximal) solutions restart
-    from their own values.  Since U_min increases and U_max decreases, the
-    window increment of the terminal state is a valid stalling signal.
+    One march runs from the interval bounds and is advanced one window (the
+    problem's horizon) at a time.  Since U_min increases and U_max decreases,
+    the increment of the rows over a window is a valid stalling signal; the
+    march stops once it drops below tol_eq.
     """
     interval = problem.interval
     window = problem.horizon
-    state_low, state_up = interval.lower, interval.upper
-    seg_low, seg_up, window_summaries = [], [], []
-    report = None
+    steps_per_window = time_grid(window, problem.dt).size - 1
+    march = _March(problem, interval.lower, interval.upper, tol, max_iter)
+    window_summaries = []
     horizon_converged = False
-    worst_violation = -np.inf
     horizon = 0.0
     for _ in range(max_windows):
-        current = replace(problem, horizon=window)
-        report = iterate(current, state_low, tol=tol, max_iter=max_iter, u0_upper=state_up)
-        seg_low.append(report.u_min)
-        seg_up.append(report.u_max)
+        start = march.y
+        n_iters, converged = march.advance(steps_per_window)
         horizon += window
-        inc = max(
-            monotone_norm(report.u_min.states[-1] - report.u_min.states[0]),
-            monotone_norm(report.u_max.states[-1] - report.u_max.states[0]),
-        )
-        worst_violation = max(worst_violation, report.worst_violation)
+        inc = float(np.max(np.abs(march.y - start)))
         window_summaries.append(
             {
                 "t_end": horizon,
-                "n_iters": report.n_iters,
-                "converged": report.converged,
+                "n_iters": n_iters,
+                "converged": converged,
                 "increment": inc,
             }
         )
-        state_low = report.u_min.terminal()
-        state_up = report.u_max.terminal()
-        if inc < tol_eq and report.converged:
+        if inc < tol_eq and converged:
             horizon_converged = True
             break
-    assert report is not None
-    u_min_full, u_max_full = _concat(seg_low), _concat(seg_up)
+    report = march.report()
+    u_min_full, u_max_full = march.trajectories()
     continuation_defect = max(
         time_monotonicity_violation(u_min_full, interval, "increasing"),
         time_monotonicity_violation(u_max_full, interval, "decreasing"),
     )
+    state_low, state_up = u_min_full.terminal(), u_max_full.terminal()
 
     star_values, star_res, moved_low = _polish(problem, state_low, tol_res, tol_eq)
     upper_values, upper_res, moved_up = _polish(problem, state_up, tol_res, tol_eq)
@@ -405,7 +599,7 @@ def asymptotic_equilibria(
         U_max=u_max_full,
         report=report,
         windows=window_summaries,
-        worst_violation=worst_violation,
+        worst_violation=march.worst_violation,
         continuation_defect=continuation_defect,
         raw_terminals=(state_low, state_up),
         polish_moved=(moved_low, moved_up),

@@ -132,6 +132,33 @@ class TestRun:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"seed": "x"}, "config.seed"),
+        ({"seed": True}, "config.seed"),
+        ({"seed": 1.5}, "config.seed"),
+        ({"seed": -1}, "config.seed"),
+        ({"emit": []}, "config.emit"),
+        ({"emit": {"trajectories": "no"}}, "config.emit"),
+        ({"emit": {"trajectories": 0}}, "config.emit"),
+    ], ids=["seed-string", "seed-bool", "seed-float", "seed-negative",
+            "emit-list", "emit-string-flag", "emit-int-flag"])
+    def test_bad_seed_or_emit_is_exit_1(self, tmp_path, capsys, overrides, key):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **overrides)
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_emit_trajectories_false_writes_no_csv(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, emit={"trajectories": False}, seed=7)
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert (out / "report.json").exists()
+        assert not list(out.glob("*.csv"))
+
     def test_crashing_config_does_not_abort_the_batch(self, tmp_path, monkeypatch, capsys):
         from mevolve import cli
 

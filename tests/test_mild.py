@@ -266,3 +266,30 @@ class TestSerialization:
         mv.trajectory_to_csv(traj, path)
         header = path.read_text().splitlines()[0]
         assert header == "t,node_0_c0,node_1_c0,node_0_c1,node_1_c1"
+
+    def test_csv_bytes_match_the_csv_module(self, tmp_path, rng):
+        """The writer's bytes equal csv.writer rows of repr(float(x)),
+        across block boundaries, for signed zeros, subnormal-scale values
+        and a strided two-component state array."""
+        import csv
+
+        tg = time_grid(6.01, 0.01)
+        shape = (tg.size, 2, 4)
+        block = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        block[0, 0, :2] = [-0.0, 1e-300]
+        block[-1, 0, 2:] = [-1e-300, 0.0]
+        traj = mv.Trajectory(tg, block[:, 0], components=2)  # a strided view
+        assert not traj.states.flags["C_CONTIGUOUS"]
+        path = tmp_path / "new.csv"
+        mv.trajectory_to_csv(traj, path)
+
+        reference = tmp_path / "csv_module.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(mv.mild.csv_header(2, 2))
+            for t, row in zip(traj.t_grid, traj.states):
+                writer.writerow([repr(float(t))] + [repr(float(x)) for x in row])
+        assert path.read_bytes() == reference.read_bytes()
+        text = path.read_text()
+        assert text.splitlines()[0] == "t,node_0_c0,node_1_c0,node_0_c1,node_1_c1"
+        assert "-0.0," in text and "1e-300" in text

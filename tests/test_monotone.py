@@ -209,21 +209,34 @@ class TestSeparateInitialValues:
     def test_one_iteration_per_window_and_per_extremal_pair(
         self, dirichlet_logistic, monkeypatch
     ):
-        calls = []
+        # asymptotic_equilibria advances one march once per window and calls
+        # no iterate; extremal_trajectories makes one iterate call
+        calls, marches, advances = [], [], []
         original = mv.monotone.iterate
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
+        class CountingMarch(mv.monotone._March):
+            def __init__(self, *args, **kwargs):
+                marches.append(1)
+                super().__init__(*args, **kwargs)
+
+            def advance(self, n_steps):
+                advances.append(n_steps)
+                return super().advance(n_steps)
+
         monkeypatch.setattr(mv.monotone, "iterate", counting)
+        monkeypatch.setattr(mv.monotone, "_March", CountingMarch)
         prob = mv.ProblemSpec(
             dirichlet_logistic.A, dirichlet_logistic.F, dirichlet_logistic.interval,
             horizon=1.0, dt=0.02,
         )
         eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-8, tol_res=1e-8)
         assert len(eq.windows) > 1
-        assert len(calls) == len(eq.windows)
+        assert calls == [] and len(marches) == 1
+        assert advances == [50] * len(eq.windows)
         assert all(isinstance(w["n_iters"], int) for w in eq.windows)
         calls.clear()
         mv.extremal_trajectories(prob)
@@ -375,3 +388,91 @@ def test_stalled_polish_kept_when_it_lowers_the_residual():
     )
     assert max(eq.residuals) <= 1e-8
     assert min(eq.polish_moved) > 0.0
+
+
+def sweep_oracle(prob, u0, u0_upper, tol, max_iter=2000):
+    """The global two-sided Picard iteration the march replaced: every sweep
+    maps whole trajectories through mv.picard_step, from the constant
+    trajectories at the interval bounds, until both sup-distances drop
+    below tol.  Returns the (lower, upper) limits."""
+    scaled = mv.auto_scale(prob)
+    itv = prob.interval
+    lower = mv.constant_trajectory(itv.lower, prob.horizon, prob.dt)
+    upper = mv.constant_trajectory(itv.upper, prob.horizon, prob.dt)
+    for _ in range(max_iter):
+        lower_next = mv.picard_step(scaled, u0, lower)
+        upper_next = mv.picard_step(scaled, u0_upper, upper)
+        d_low = np.max(np.abs(lower_next.states - lower.states))
+        d_up = np.max(np.abs(upper_next.states - upper.states))
+        lower, upper = lower_next, upper_next
+        if d_low < tol and d_up < tol:
+            return lower, upper
+    raise AssertionError("sweep oracle did not converge")
+
+
+class TestMarchAgainstSweepOracle:
+    """The step-by-step march reaches the fixed point of the global sweeps."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        logistic = mv.build_logistic(mv.build_laplacian_1d(20, "dirichlet"), 12.0, 2.0)
+        competition = mv.build_competition(
+            mv.build_laplacian_1d(10, "neumann"), mv.build_laplacian_1d(10, "neumann"),
+            1.0, 1.0, 1.0, 0.1, 0.1, 1.0,
+        )
+        assert competition.cone == mv.FLIPPED_CONE
+        gen = mv.build_laplacian_1d(24, "neumann")
+        fisher = mv.build_fisher(gen, 8.0 * np.sin(2 * np.pi * mv.mesh_nodes(gen)), 0.5)
+        return {
+            "dirichlet_logistic": logistic.problem(horizon=2.0, dt=0.02),
+            "flipped_competition": competition.problem(horizon=2.0, dt=0.02),
+            "fisher_neumann": fisher.problem(horizon=2.0, dt=0.05),
+        }
+
+    @pytest.mark.parametrize("case", [
+        "dirichlet_logistic", "flipped_competition", "fisher_neumann",
+    ])
+    @pytest.mark.parametrize("start", ["lower", "midpoint", "upper"])
+    def test_matches_the_sweep_fixed_point(self, problems, case, start):
+        prob = problems[case]
+        itv = prob.interval
+        u0 = {
+            "lower": itv.lower,
+            "midpoint": grid(0.5 * (itv.lower.values + itv.upper.values), itv.components),
+            "upper": itv.upper,
+        }[start]
+        tol = 1e-9
+        rpt = mv.iterate(prob, u0, tol=tol)
+        assert rpt.converged
+        lower, upper = sweep_oracle(prob, u0, u0, tol)
+        # every step stops on its own increment and keeps an error of about
+        # tol*q/(1-q), q ~ dt*Lip(G), which the flow damps only at its decay
+        # rate: ~17*tol on the slowly decaying Dirichlet logistic, <= 4*tol
+        # on the other cases
+        assert np.max(np.abs(rpt.u_min.states - lower.states)) <= 20 * tol
+        assert np.max(np.abs(rpt.u_max.states - upper.states)) <= 20 * tol
+        assert mv.certify_sandwich(rpt)[0]
+        if start == "upper":
+            # the lower row falls from the upper bound, so its steps start cold
+            slack = mv.order.order_slack(itv.value_scale(), itv.dim)
+            assert time_monotonicity_violation(rpt.u_min, itv, "increasing") > slack
+
+    def test_scalar_branches_from_zero(self):
+        # the step map fixes 0, yet the minimal step solution is negative:
+        # both branches must leave the equilibrium
+        scen = mv.build_scalar_nonunique(1.0, 2.0)
+        rpt = mv.iterate(scen.problem(horizon=3.0, dt=0.01), grid([0.0]), tol=1e-9)
+        assert rpt.u_min.states[-1, 0] == pytest.approx(-0.6103, abs=1e-4)
+        assert rpt.u_max.states[-1, 0] == pytest.approx(0.6103, abs=1e-4)
+
+    def test_equilibria_march_is_monotone_in_time(self, problems):
+        prob = mv.ProblemSpec(
+            problems["dirichlet_logistic"].A, problems["dirichlet_logistic"].F,
+            problems["dirichlet_logistic"].interval, horizon=1.0, dt=0.02,
+        )
+        itv = prob.interval
+        eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-8, tol_res=1e-8)
+        assert len(eq.windows) > 1
+        assert eq.continuation_defect <= mv.order.order_slack(itv.value_scale(), itv.dim)
+        assert eq.U_min.n_steps == 50 * len(eq.windows)
+        assert mv.certify_sandwich(eq.report)[0]
