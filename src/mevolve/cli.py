@@ -2,7 +2,8 @@
 emit report.json and CSV trajectories.
 
 Exit codes: 0 converged and certified, 1 validation/config error,
-2 flagged (non-convergence or breached invariant).
+2 flagged (non-convergence or breached invariant); report.json lists the
+reasons for a 2 under "status_reasons".
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import NumericalError, ValidationError
 from .mild import trajectory_to_csv
 from .monotone import asymptotic_equilibria, certify_sandwich, iterate
 from .nonlin import quasi_increasing_shift
-from .order import GridFunction, contains
+from .order import GridFunction, contains, order_slack
 from .scenarios import (
     SCENARIOS,
     build_from_config,
@@ -132,16 +133,29 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
     problem = scen.problem(horizon=t0, dt=float(cfg["dt"]))
     u0 = _initial_value(cfg, scen)
 
-    status = 0
     report = iterate(problem, u0, tol=cfg["tol"])
     eq = asymptotic_equilibria(
         problem, tol=cfg["tol"], tol_eq=cfg["tol_eq"], tol_res=cfg["tol_res"],
         seed=int(cfg["seed"]),
     )
     sandwich_ok, worst = certify_sandwich(report)
-    residual_ok = max(eq.residuals) <= cfg["tol_res"]
-    if not (report.converged and eq.horizon_converged and sandwich_ok and residual_ok):
-        status = 2
+    slack = order_slack(scen.interval.value_scale(), scen.interval.dim)
+    checks = [
+        (report.converged, "iteration did not converge"),
+        (eq.horizon_converged, "horizon extension did not converge"),
+        (sandwich_ok, "sandwich certificate failed"),
+        (max(eq.residuals) <= cfg["tol_res"], "equilibrium residual above tol_res"),
+        # a Newton-found equilibrium outside [u_*, u^*], beyond the slack
+        # asymptotic_equilibria allows its extremal pair
+        (eq.extremal_violation <= 10 * cfg["tol_eq"],
+         "extremal violation above 10*tol_eq"),
+        # U_min/U_max are one march, monotone in time up to round-off and
+        # the iteration tolerance
+        (eq.continuation_defect <= max(slack, 10 * cfg["tol"]),
+         "continuation defect above max(order slack, 10*tol)"),
+    ]
+    reasons = [reason for ok, reason in checks if not ok]
+    status = 2 if reasons else 0
 
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -178,6 +192,7 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
             "newton_equilibria_found": len(eq.newton_equilibria),
         },
         "status": status,
+        "status_reasons": reasons,
     }
     (out_dir / "report.json").write_text(
         json.dumps(_jsonable(doc), indent=2, sort_keys=True)

@@ -115,10 +115,7 @@ class ProblemSpec:
 
     def rhs(self, values: np.ndarray) -> np.ndarray:
         """Shifted reaction term F(u) + mu*u, vectorized over rows."""
-        out = self.F.eval_values(values)
-        if self.mu != 0.0:
-            out = out + self.mu * values
-        return out
+        return self.F.eval_shifted(values, self.mu)
 
     def equilibrium_residual(self, u: GridFunction) -> float:
         """Sup norm of A u - F(u); shift-independent."""

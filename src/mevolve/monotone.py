@@ -200,69 +200,88 @@ class _March:
         lo, hi, slack, tol, max_iter = self.lo, self.hi, self.slack, self.tol, self.max_iter
         p_t, b_t, g, dist = self.p_t, self.b_t, self.g, self.distances
         y, y_prev = self.y, self.y_prev
-        # rows: lower bound, lower row z, upper row Z, upper bound; the five
-        # chain links are ext[:-1] <= ext[1:] plus z_j <= z_{j+1}, Z_{j+1} <= Z_j
-        ext = np.vstack([lo, lo, hi, hi])
-        z, links_lhs, links_rhs = ext[1:3], ext[:-1], ext[1:]
+        # two [lower bound, lower row z, upper row Z, upper bound] buffers: cur
+        # holds z_j, nxt receives z_{j+1}; a stopped row is kept in both
+        cur, nxt = np.vstack([lo, lo, hi, hi]), np.vstack([lo, lo, hi, hi])
+        # rows z'-z, Z'-Z, -(z'-z), -(Z'-Z) and the chain links lo-z', z'-Z', Z'-hi
+        # of the new iterate: one max per row gives both increments, both
+        # monotonicity violations and the links; a stopped row's rows read -inf
+        chk = np.empty((7, y.shape[1]))
         most, converged, clamped, total = 0, True, 0, 0
         for k in range(out.shape[0]):
             c = y @ p_t
-            z[0], z[1] = lo, hi
-            if y_prev is not None:
+            warm = y_prev is not None
+            if warm:
                 moved = y - y_prev
-                if moved[0].min() >= -slack:
-                    z[0] = y[0]
-                if moved[1].max() <= slack:
-                    z[1] = y[1]
-            last = pen[k]
-            last[:] = z
+            cur[1] = y[0] if warm and moved[0].min() >= -slack else lo
+            cur[2] = y[1] if warm and moved[1].max() <= slack else hi
+            # while the links hold without any violation, lo <= z <= Z <= hi
+            # and the clamp is the identity
+            inside = (cur[:-1] - cur[1:]).max() <= 0.0
             lower_on = upper_on = True
-            act = slice(0, 2)
+            a, b = 0, 2  # the active rows
             worst = -np.inf
             j = 0
             while True:
-                zs = z[act]
-                zc = np.minimum(np.maximum(zs, lo), hi)
-                clamped += np.count_nonzero(np.abs(zc - zs) > slack)
+                zs, new = cur[1 + a:1 + b], nxt[1 + a:1 + b]
+                if inside:
+                    zc = zs
+                else:
+                    zc = np.minimum(np.maximum(zs, lo), hi)
+                    clamped += np.count_nonzero(np.abs(zc - zs) > slack)
                 total += zc.size
-                new = g(zc) @ b_t
-                new += c[act]
-                d = new - zs
-                last[act] = zs
-                z[act] = new
-                d_max, d_min = d.max(axis=1).tolist(), d.min(axis=1).tolist()
-                worst = max(worst, (links_lhs - links_rhs).max())
-                inc_low = inc_up = 0.0
-                if lower_on:
-                    inc_low = max(d_max[0], -d_min[0])
-                    worst = max(worst, -d_min[0])
-                if upper_on:
-                    inc_up = max(d_max[-1], -d_min[-1])
-                    worst = max(worst, d_max[-1])
+                np.matmul(g(zc), b_t, out=new)
+                new += c[a:b]
+                np.subtract(new, zs, out=chk[a:b])
+                np.negative(chk[a:b], out=chk[2 + a:2 + b])
+                np.subtract(nxt[:-1], nxt[1:], out=chk[4:])
+                rise_low, rise_up, fall_low, fall_up, *links = chk.max(axis=1).tolist()
+                link = max(links)
+                inside = link <= 0.0
+                worst = max(worst, link, fall_low, rise_up)
                 if worst > slack:
                     raise self._breach(worst)
+                inc_low = max(rise_low, fall_low) if lower_on else 0.0
+                inc_up = max(rise_up, fall_up) if upper_on else 0.0
                 if j < len(dist):
                     row = dist[j]
-                    row[0], row[1] = max(row[0], inc_low), max(row[1], inc_up)
+                    if inc_low > row[0]:
+                        row[0] = inc_low
+                    if inc_up > row[1]:
+                        row[1] = inc_up
                 else:
                     dist.append([inc_low, inc_up])
                 j += 1
-                lower_on = lower_on and inc_low >= tol
-                upper_on = upper_on and inc_up >= tol
-                if not (lower_on or upper_on):
+                lower_next = lower_on and inc_low >= tol
+                upper_next = upper_on and inc_up >= tol
+                if j == max_iter and (lower_next or upper_next):
+                    converged = lower_next = upper_next = False
+                if not (lower_next or upper_next):
+                    # the step is solved: store the active rows' last two iterates
+                    pen[k, a:b], out[k, a:b] = zs, new
                     break
-                if j == max_iter:
-                    converged = False
-                    break
-                act = slice(0 if lower_on else 1, 2 if upper_on else 1)
+                if lower_on and not lower_next:
+                    self._stop_row(0, cur, nxt, chk, out[k], pen[k])
+                if upper_on and not upper_next:
+                    self._stop_row(1, cur, nxt, chk, out[k], pen[k])
+                lower_on, upper_on = lower_next, upper_next
+                cur, nxt = nxt, cur
+                a, b = (0 if lower_on else 1), (2 if upper_on else 1)
             most = max(most, j)
             self.violations.append(float(worst))
-            out[k] = z
             y_prev, y = y, out[k]
         self.clamped += clamped
         self.total += total
         self.y, self.y_prev = y.copy(), y_prev.copy()
         return most, converged
+
+    @staticmethod
+    def _stop_row(row, cur, nxt, chk, out, pen):
+        """The row stopped while the other runs on: store its last two
+        iterates, hold its final one in both buffers and mask its check rows."""
+        pen[row] = cur[1 + row]
+        out[row] = cur[1 + row] = nxt[1 + row]
+        chk[row] = chk[2 + row] = -np.inf
 
     def _advance_scalar(self, out, pen) -> tuple[int, bool]:
         """dim == 1: the same iteration on Python floats, with one rhs call

@@ -28,6 +28,15 @@ class Nonlinearity:
         """Apply pointwise to (..., dim) arrays in blocked component layout."""
         raise NotImplementedError
 
+    def eval_shifted(self, values: np.ndarray, shift: float) -> np.ndarray:
+        """The shifted term F(values) + shift*values.
+
+        The solver evaluates F in this form (ProblemSpec.rhs); a subclass may
+        override it with one fused expression, as the presets do (they define
+        eval_values as eval_shifted(values, 0.0)).
+        """
+        return self.eval_values(values) + shift * values
+
     def jacobian_matrix(self, values: np.ndarray) -> np.ndarray:
         """Dense Jacobian at a single state, for Newton cross-checks."""
         raise NotImplementedError
@@ -72,7 +81,10 @@ class _Logistic(Nonlinearity):
         self.name = "logistic"
 
     def eval_values(self, values):
-        return self.a * values - self.b * values * values
+        return self.eval_shifted(values, 0.0)
+
+    def eval_shifted(self, values, shift):
+        return values * ((self.a + shift) - self.b * values)
 
     def jacobian_matrix(self, values):
         return np.diag(self.a - 2.0 * self.b * values)
@@ -127,11 +139,17 @@ class _Fisher(Nonlinearity):
         self.m = np.asarray(m.values if isinstance(m, GridFunction) else m, dtype=float)
         self.alpha = float(alpha)
         self.name = "fisher"
+        # h(xi) = xi (1 - xi) (alpha + (1 - 2 alpha) xi), weighted by m
+        self._m_alpha = self.m * self.alpha
+        self._m_slope = self.m * (1.0 - 2.0 * self.alpha)
 
     def eval_values(self, values):
+        return self.eval_shifted(values, 0.0)
+
+    def eval_shifted(self, values, shift):
         if values.shape[-1] != self.m.size:
             raise DimensionMismatchError("state length does not match the weight m")
-        return self.m * _fisher_h(self.alpha, values)
+        return values * ((1.0 - values) * (self._m_alpha + self._m_slope * values) + shift)
 
     def jacobian_matrix(self, values):
         return np.diag(self.m * _fisher_h_prime(self.alpha, values))
@@ -176,16 +194,24 @@ class _Competition(Nonlinearity):
             raise ValidationError("competition needs all rates > 0")
         self.__dict__.update({k: float(v) for k, v in params.items()})
         self.name = "competition"
+        # per-component coefficient columns, against states viewed as (..., 2, n)
+        self._growth = np.array([[self.a1], [self.a2]])
+        self._own = np.array([[self.b11], [self.b22]])
+        self._cross = np.array([[self.b12], [self.b21]])
 
     def _split(self, values):
         n = values.shape[-1] // 2
         return values[..., :n], values[..., n:]
 
     def eval_values(self, values):
-        u1, u2 = self._split(values)
-        f1 = self.a1 * u1 - self.b11 * u1 * u1 - self.b12 * u1 * u2
-        f2 = self.a2 * u2 - self.b21 * u1 * u2 - self.b22 * u2 * u2
-        return np.concatenate([f1, f2], axis=-1)
+        return self.eval_shifted(values, 0.0)
+
+    def eval_shifted(self, values, shift):
+        # f_i + shift*u_i = u_i ((a_i + shift) - b_ii u_i - b_ij u_j); the
+        # reversed component axis pairs each u_i with the other species
+        u = values.reshape(values.shape[:-1] + (2, -1))
+        out = u * ((self._growth + shift) - self._own * u - self._cross * u[..., ::-1, :])
+        return out.reshape(values.shape)
 
     def jacobian_matrix(self, values):
         u1, u2 = self._split(values)
@@ -250,7 +276,15 @@ class _SignedSqrt(Nonlinearity):
     name = "signed_sqrt"
 
     def eval_values(self, values):
-        return np.sign(values) * np.sqrt(np.abs(values))
+        return self.eval_shifted(values, 0.0)
+
+    def eval_shifted(self, values, shift):
+        out = np.copysign(np.sqrt(np.abs(values)), values)
+        # adding 0*values changes no finite value; skipping it saves two of
+        # the few numpy calls per scalar inner iteration
+        if shift:
+            out += shift * values
+        return out
 
     def jacobian_matrix(self, values):
         with np.errstate(divide="ignore"):

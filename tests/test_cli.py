@@ -1,13 +1,24 @@
 """CLI contract: config schema, exit codes, artifacts, determinism."""
 
+import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mevolve import cli
 from mevolve.cli import main
+
+# the benchmark's workload definitions (bench/workloads.py)
+_spec = importlib.util.spec_from_file_location(
+    "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+)
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def write_config(path, **overrides):
@@ -186,6 +197,72 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "u0" in capsys.readouterr().err
 
+
+
+def _patched(monkeypatch, name, **fields):
+    """Make cli.<name> return its usual result with some fields replaced."""
+    original = getattr(cli, name)
+    monkeypatch.setattr(
+        cli, name, lambda *a, **k: dataclasses.replace(original(*a, **k), **fields)
+    )
+
+
+class TestStatusReasons:
+    """report.json names every check that turned the exit code to 2."""
+
+    def run(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)  # tol 1e-9, tol_eq 1e-8
+        code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["status"] == code
+        return code, doc["status_reasons"]
+
+    def test_clean_run_has_no_reasons(self, tmp_path):
+        assert self.run(tmp_path) == (0, [])
+
+    @pytest.mark.parametrize("target, fields, reason", [
+        ("iterate", {"converged": False}, "iteration did not converge"),
+        ("asymptotic_equilibria", {"horizon_converged": False},
+         "horizon extension did not converge"),
+        ("asymptotic_equilibria", {"residuals": (1e-7, 0.0)},
+         "equilibrium residual above tol_res"),
+    ], ids=["iteration", "horizon", "residual"])
+    def test_existing_checks_are_named(self, tmp_path, monkeypatch, target, fields, reason):
+        _patched(monkeypatch, target, **fields)
+        assert self.run(tmp_path) == (2, [reason])
+
+    def test_failed_sandwich_is_named(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "certify_sandwich", lambda report: (False, 1.0))
+        assert self.run(tmp_path) == (2, ["sandwich certificate failed"])
+
+    @pytest.mark.parametrize("field, limit, reason", [
+        ("extremal_violation", 1e-7, "extremal violation above 10*tol_eq"),
+        ("continuation_defect", 1e-8,
+         "continuation defect above max(order slack, 10*tol)"),
+    ], ids=["extremal", "continuation"])
+    @pytest.mark.parametrize("factor", [0.5, 1.5])
+    def test_gated_checks(self, tmp_path, monkeypatch, field, limit, reason, factor):
+        # limits are the benchmark's: 10*tol_eq and max(order slack, 10*tol)
+        _patched(monkeypatch, "asymptotic_equilibria", **{field: factor * limit})
+        expected = (2, [reason]) if factor > 1 else (0, [])
+        assert self.run(tmp_path) == expected
+
+    def test_every_failed_check_is_named(self, tmp_path, monkeypatch):
+        _patched(monkeypatch, "iterate", converged=False)
+        _patched(monkeypatch, "asymptotic_equilibria", horizon_converged=False,
+                 extremal_violation=1.0, continuation_defect=1.0)
+        code, reasons = self.run(tmp_path)
+        assert code == 2 and len(reasons) == 4
+
+    @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+    def test_benchmark_configs_exit_0(self, tmp_path, workload):
+        for i, cfg in enumerate(workloads.configs(workload, workloads.DEFAULT_SEED)):
+            cfg["emit"] = {"trajectories": False}
+            path, out = tmp_path / f"{i}.json", tmp_path / f"out{i}"
+            path.write_text(json.dumps(cfg))
+            assert main(["run", str(path), "--out", str(out)]) == 0, workloads.label(cfg)
+            assert json.loads((out / "report.json").read_text())["status_reasons"] == []
 
 class TestEigVerify:
     def test_eig_prints_closed_form(self, tmp_path, capsys):

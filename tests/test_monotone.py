@@ -1,8 +1,13 @@
 """The iteration engine: sandwich, convergence, extremal objects."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mevolve as mv
 from mevolve.errors import NumericalError, ValidationError
@@ -476,3 +481,114 @@ class TestMarchAgainstSweepOracle:
         assert eq.continuation_defect <= mv.order.order_slack(itv.value_scale(), itv.dim)
         assert eq.U_min.n_steps == 50 * len(eq.windows)
         assert mv.certify_sandwich(eq.report)[0]
+
+
+class InsideOnly(mv.Nonlinearity):
+    """Wraps a preset and records how far any block of states the march
+    evaluates strays outside the order interval, in standard coordinates.
+
+    Single states come from the bound certificates and the Newton
+    cross-check, which may leave the interval; they are not recorded.
+    """
+
+    def __init__(self, inner, interval):
+        self.inner, self.name, self.components = inner, inner.name, inner.components
+        self.svec = interval.cone.sign_vector(interval.lower.n_points)
+        self.lo, self.hi = interval.standard_bounds()
+        self.blocks, self.excursion = 0, -np.inf
+
+    def eval_shifted(self, values, shift):
+        if values.ndim == 2:
+            y = self.svec * values
+            self.blocks += 1
+            self.excursion = max(
+                self.excursion, np.max(self.lo - y), np.max(y - self.hi)
+            )
+        return self.inner.eval_shifted(values, shift)
+
+    def eval_values(self, values):
+        return self.eval_shifted(values, 0.0)
+
+    def jacobian_matrix(self, values):
+        return self.inner.jacobian_matrix(values)
+
+    def shift_on(self, interval):
+        return self.inner.shift_on(interval)
+
+
+class TestMarchKernel:
+    @pytest.fixture(scope="class")
+    def problems(self):
+        logistic = mv.build_logistic(mv.build_laplacian_1d(20, "dirichlet"), 12.0, 2.0)
+        competition = mv.build_competition(
+            mv.build_laplacian_1d(10, "neumann"), mv.build_laplacian_1d(10, "neumann"),
+            1.0, 1.0, 1.0, 0.1, 0.1, 1.0,
+        )
+        assert competition.cone == mv.FLIPPED_CONE
+        # the upper bound sits 1e-6 below the equilibrium 1: it misses its
+        # super-solution inequality by a deficit the breach guard allows, and
+        # the upper row leaves the interval within a step; only the clamp
+        # keeps the reaction term inside
+        gen = mv.build_laplacian_1d(8, "neumann")
+        near = mv.OrderInterval(grid(0.5 * np.ones(8)), grid((1.0 - 1e-6) * np.ones(8)))
+        return {
+            "dirichlet_logistic": logistic.problem(horizon=1.0, dt=0.02),
+            "flipped_competition": competition.problem(horizon=1.0, dt=0.02),
+            "bound_with_deficit": mv.ProblemSpec(
+                gen, mv.logistic(1.0, 1.0), near, horizon=1.0, dt=0.02
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "case", ["dirichlet_logistic", "flipped_competition", "bound_with_deficit"]
+    )
+    @pytest.mark.parametrize("run", ["from_lower", "from_upper", "equilibria"])
+    def test_reaction_term_only_sees_states_in_the_interval(self, problems, case, run):
+        # the march skips the clamp while its last check proved
+        # lo <= z <= Z <= hi; the reaction term must never see a state outside
+        prob = problems[case]
+        itv = prob.interval
+        recorder = InsideOnly(prob.F, itv)
+        watched = mv.ProblemSpec(prob.A, recorder, itv, horizon=prob.horizon, dt=prob.dt)
+        if run == "equilibria":
+            eq = mv.asymptotic_equilibria(watched, tol=1e-9, tol_eq=1e-8, tol_res=1e-8)
+            assert eq.horizon_converged
+        else:
+            start = itv.lower if run == "from_lower" else itv.upper
+            assert mv.iterate(watched, start, tol=1e-9).converged
+        assert recorder.blocks > 0
+        assert recorder.excursion <= 0.0
+
+    def test_start_outside_the_interval_is_clamped(self, problems):
+        prob = problems["dirichlet_logistic"]
+        itv = prob.interval
+        slack = mv.order.order_slack(itv.value_scale(), itv.dim)
+        with pytest.warns(UserWarning, match="initial value clamped to the order interval"):
+            rpt = mv.iterate(
+                prob, grid(itv.lower.values - 0.5), u0_upper=grid(itv.upper.values + 0.5)
+            )
+        ref = mv.iterate(prob, itv.lower, u0_upper=itv.upper)
+        assert np.array_equal(rpt.u_min.states[0], itv.lower.values)
+        assert np.array_equal(rpt.u_max.states[0], itv.upper.values)
+        assert np.array_equal(rpt.u_min.states, ref.u_min.states)
+        assert np.array_equal(rpt.u_max.states, ref.u_max.states)
+        with warnings.catch_warnings():  # within the slack: no warning
+            warnings.simplefilter("error")
+            mv.iterate(prob, grid(itv.lower.values - 0.5 * slack))
+
+
+@given(
+    arrays(float, st.integers(2, 8), elements=st.floats(-1e6, 1e6)),
+    st.floats(0.0, 1e3),
+    st.floats(-10.0, -0.01),
+)
+@settings(max_examples=100, deadline=None)
+def test_default_eval_shifted_is_exact_for_a_custom_term(values, shift, c):
+    # the base class adds the shift to eval_values, and ProblemSpec.rhs uses it
+    f = LinearDecay(c)
+    expected = c * values + shift * values
+    assert np.array_equal(f.eval_shifted(values, shift), expected)
+    n = values.size
+    box = mv.OrderInterval(grid(-1e6 * np.ones(n)), grid(1e6 * np.ones(n)))
+    prob = mv.ProblemSpec(mv.build_laplacian_1d(n, "neumann"), f, box, mu=shift)
+    assert np.array_equal(prob.rhs(values), expected)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mevolve as mv
 from mevolve.errors import ValidationError
@@ -166,3 +169,49 @@ def test_lipschitz_bound_not_falsified(rng):
         b = lo + rng.uniform(size=5) * (hi - lo)
         lhs = np.max(np.abs(f.eval_values(a) - f.eval_values(b)))
         assert lhs <= lip * np.max(np.abs(a - b)) + 1e-12
+
+
+def _states(n, lo, hi):
+    return arrays(float, n, elements=st.floats(lo, hi, allow_subnormal=False))
+
+
+RATES = st.floats(0.01, 50.0)
+
+
+@st.composite
+def preset_states(draw):
+    """(preset, state, entrywise magnitude of the terms F sums) for every preset."""
+    kind = draw(st.sampled_from(["logistic", "fisher", "competition", "signed_sqrt"]))
+    n = draw(st.integers(1, 6))
+    if kind == "logistic":
+        a, b = draw(RATES), draw(RATES)
+        v = draw(_states(n, -100.0, 100.0))
+        return mv.logistic(a, b), v, np.abs(v) * (a + b * np.abs(v))
+    if kind == "fisher":
+        m = draw(_states(n, -10.0, 10.0))
+        alpha = draw(st.floats(0.01, 0.99))
+        v = draw(_states(n, -2.0, 3.0))
+        slope = np.abs(1.0 - 2.0 * alpha) * np.abs(v)
+        return mv.fisher(m, alpha), v, np.abs(v * (1.0 - v)) * np.abs(m) * (alpha + slope)
+    if kind == "competition":
+        a1, a2, b11, b12, b21, b22 = (draw(RATES) for _ in range(6))
+        v = draw(_states(2 * n, -100.0, 100.0))
+        u1, u2 = np.abs(v[:n]), np.abs(v[n:])
+        terms = np.concatenate([
+            u1 * (a1 + b11 * u1 + b12 * u2), u2 * (a2 + b21 * u1 + b22 * u2),
+        ])
+        return mv.competition(a1, a2, b11, b12, b21, b22), v, terms
+    v = draw(_states(n, -100.0, 100.0))
+    return mv.signed_sqrt(), v, np.sqrt(np.abs(v))
+
+
+@given(preset_states(), st.floats(0.0, 1e3))
+@settings(max_examples=400, deadline=None)
+def test_fused_shift_matches_the_shifted_values(case, shift):
+    """Each preset's one-expression eval_shifted agrees with F + shift*id to
+    round-off of the terms it sums."""
+    f, v, terms = case
+    fused = f.eval_shifted(v, shift)
+    plain = f.eval_values(v) + shift * v
+    bound = 4 * np.finfo(float).eps * (terms + shift * np.abs(v)) + np.finfo(float).tiny
+    assert np.all(np.abs(fused - plain) <= bound)
