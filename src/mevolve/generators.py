@@ -14,11 +14,17 @@ spectral-exact; a generator that admits no such scaling is rejected with a
 ValidationError on its first spectral use.  A shift A + mu*I keeps the
 eigenvectors and the scaling of A, so every shifted copy reuses the base
 factorization and shares one cache of step propagators.
+
+Linear solves with A minus a node-local term (Newton's matrix) run on A's
+band once the components are interleaved node by node (`node_band`): one
+banded LU, tridiagonal for a scalar Laplacian and pentadiagonal for a pair
+of species.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -37,7 +43,8 @@ class GeneratorSpec:
     computed once on first use (single assignment) and shared by all
     apply-style operations; `shifted` hands it on to A + mu*I.  The step
     propagators are cached by (shift, dt) in a dict that A and all its
-    shifted copies share.
+    shifted copies share.  The node-major band holds matrix values, so each
+    copy builds its own.
     """
 
     matrix: np.ndarray
@@ -48,6 +55,7 @@ class GeneratorSpec:
     shift: float = 0.0
     _eig: tuple | None = field(default=None, repr=False, compare=False)
     _prop_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _band_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
@@ -104,6 +112,50 @@ class GeneratorSpec:
         if key not in self._prop_cache:
             self._prop_cache[key] = propagator_matrices(self, dt)
         return self._prop_cache[key]
+
+    def node_band(self, components: int) -> NodeBand:
+        """The matrix in node-major order, built once per component count."""
+        if components not in self._band_cache:
+            self._band_cache[components] = _node_band(self.matrix, components)
+        return self._band_cache[components]
+
+
+class NodeBand(NamedTuple):
+    """A generator with its c components interleaved node by node, in the
+    band storage of scipy.linalg.solve_banded.
+
+    Node-major entry k is blocked entry perm[k] (component k % c at node
+    k // c); `inverse` maps back.  `band[upper + i - j, j]` holds entry
+    (i, j) of the permuted matrix; the bandwidths are read from its nonzero
+    pattern and widened to at least c - 1, so that the node-local c x c
+    blocks fit.  `blocks` indexes entry [i, j, k] of those blocks in `band`.
+    """
+
+    perm: np.ndarray
+    inverse: np.ndarray
+    lower_upper: tuple[int, int]
+    band: np.ndarray
+    blocks: tuple[np.ndarray, np.ndarray]
+
+
+def _node_band(matrix: np.ndarray, c: int) -> NodeBand:
+    dim = matrix.shape[0]
+    n = dim // c
+    perm = np.arange(dim).reshape(c, n).T.ravel()
+    inverse = np.arange(dim).reshape(n, c).T.ravel()
+    m = matrix[np.ix_(perm, perm)]
+    rows, cols = np.nonzero(m)
+    lower = max(c - 1, int(np.max(rows - cols, initial=0)))
+    upper = max(c - 1, int(np.max(cols - rows, initial=0)))
+    band = np.zeros((lower + upper + 1, dim))
+    for d in range(-upper, lower + 1):  # the diagonal of entries (j + d, j)
+        band[upper + d, max(0, -d):dim - max(0, d)] = np.diagonal(m, -d)
+    comp = np.arange(c)
+    blocks = (
+        (upper + comp[:, None] - comp[None, :])[:, :, None],
+        c * np.arange(n) + comp[None, :, None],
+    )
+    return NodeBand(perm, inverse, (lower, upper), band, blocks)
 
 
 def _symmetrizer(m: np.ndarray) -> np.ndarray | None:

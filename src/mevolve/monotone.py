@@ -465,6 +465,38 @@ def extremal_trajectories(
     return u_min, u_max, report
 
 
+def linearized_solve(problem: ProblemSpec, v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (A - F'(v) - mu) x = rhs, Newton's matrix at v, by one banded LU.
+
+    F' is node-local (`Nonlinearity.jacobian_blocks`), so with the
+    components interleaved node by node the matrix has A's band, widened to
+    the c x c blocks (`GeneratorSpec.node_band`).  Raises NumericalError
+    when the matrix or the solution is not finite, or the matrix is
+    singular.
+    """
+    c = problem.F.components
+    nb = problem.A.node_band(c)
+    jac = problem.F.jacobian_blocks(v)
+    if problem.mu:
+        jac = jac + problem.mu * np.eye(c)[:, :, None]
+    ab = nb.band.copy()
+    ab[nb.blocks] -= jac
+    if not np.all(np.isfinite(ab)):
+        raise NumericalError("Newton matrix is not finite")
+    try:
+        # a 1 x 1 system is one division, which may hit a zero pivot
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = scipy.linalg.solve_banded(
+                nb.lower_upper, ab, rhs[nb.perm],
+                overwrite_ab=True, overwrite_b=True, check_finite=False,
+            )
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError("Newton matrix is singular") from exc
+    if not np.all(np.isfinite(x)):
+        raise NumericalError("Newton step is not finite")
+    return x[nb.inverse]
+
+
 def newton_equilibrium(
     problem: ProblemSpec,
     start: np.ndarray,
@@ -483,12 +515,9 @@ def newton_equilibrium(
         norm_r = monotone_norm(r)
         if norm_r <= tol_res:
             return v, norm_r, True
-        jac_f = problem.F.jacobian_matrix(v) + problem.mu * np.eye(v.size)
         try:
-            step = scipy.linalg.solve(a - jac_f, -r)
-        except scipy.linalg.LinAlgError:
-            return v, norm_r, False
-        if not np.all(np.isfinite(step)):
+            step = linearized_solve(problem, v, -r)
+        except NumericalError:
             return v, norm_r, False
         t = 1.0
         while t >= 1e-4:
@@ -500,7 +529,8 @@ def newton_equilibrium(
             t *= 0.5
         else:
             return v, norm_r, False
-    return v, monotone_norm(residual(v)), monotone_norm(residual(v)) <= tol_res
+    norm_r = monotone_norm(r)
+    return v, norm_r, norm_r <= tol_res
 
 
 @dataclass

@@ -6,6 +6,13 @@ bound, a sup bound of its image, and the smallest shift mu >= 0 making
 F + mu*id order-increasing on the interval.  All three come from closed-form
 derivatives of the presets; random sampling only ever falsifies them in the
 test suite.
+
+Node-locality is the contract: F_i at a node depends only on the components
+at that node.  So the Jacobian is c x c per node, and `jacobian_blocks`
+returns it as a (c, c, n) array whose entry [i, j, k] is dF_i/du_j at node
+k; Newton's solver reads only those blocks.  The presets state their
+Jacobians as blocks, and their dense `jacobian_matrix` is assembled from
+them.
 """
 
 from __future__ import annotations
@@ -38,8 +45,19 @@ class Nonlinearity:
         return self.eval_values(values) + shift * values
 
     def jacobian_matrix(self, values: np.ndarray) -> np.ndarray:
-        """Dense Jacobian at a single state, for Newton cross-checks."""
+        """Dense Jacobian at a single state, in blocked component layout."""
         raise NotImplementedError
+
+    def jacobian_blocks(self, values: np.ndarray) -> np.ndarray:
+        """Node-local Jacobian at a single state, shape (c, c, n): entry
+        [i, j, k] is dF_i/du_j at node k.
+
+        The default gathers the blocks from jacobian_matrix, so a subclass
+        that defines only that keeps working; the presets state their blocks
+        and assemble jacobian_matrix from them.
+        """
+        c = self.components
+        return self.jacobian_matrix(values)[_node_local_index(c, values.size // c)]
 
     def lipschitz_on(self, interval: OrderInterval) -> float:
         raise NotImplementedError
@@ -57,6 +75,23 @@ class Nonlinearity:
                 f"{self.name} expects {self.components} components, got {u.components}"
             )
         return GridFunction(self.eval_values(u.values), self.components)
+
+
+def _node_local_index(c: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols), each (c, c, n): where entry [i, j, k] of the node-local
+    blocks sits in the dense matrix, u_j at node k being entry j*n + k."""
+    comp = n * np.arange(c)
+    node = np.arange(n)
+    return comp[:, None, None] + node, comp[None, :, None] + node
+
+
+def _assembled_jacobian(self: Nonlinearity, values: np.ndarray) -> np.ndarray:
+    """Dense jacobian_matrix of a term that states jacobian_blocks."""
+    blocks = self.jacobian_blocks(values)
+    c, _, n = blocks.shape
+    out = np.zeros((c * n, c * n))
+    out[_node_local_index(c, n)] = blocks
+    return out
 
 
 def quasi_increasing_shift(f: Nonlinearity, interval: OrderInterval) -> float:
@@ -86,8 +121,10 @@ class _Logistic(Nonlinearity):
     def eval_shifted(self, values, shift):
         return values * ((self.a + shift) - self.b * values)
 
-    def jacobian_matrix(self, values):
-        return np.diag(self.a - 2.0 * self.b * values)
+    def jacobian_blocks(self, values):
+        return (self.a - 2.0 * self.b * values)[None, None]
+
+    jacobian_matrix = _assembled_jacobian
 
     def lipschitz_on(self, interval):
         lo, hi = interval.component_range(0)
@@ -151,8 +188,10 @@ class _Fisher(Nonlinearity):
             raise DimensionMismatchError("state length does not match the weight m")
         return values * ((1.0 - values) * (self._m_alpha + self._m_slope * values) + shift)
 
-    def jacobian_matrix(self, values):
-        return np.diag(self.m * _fisher_h_prime(self.alpha, values))
+    def jacobian_blocks(self, values):
+        return (self.m * _fisher_h_prime(self.alpha, values))[None, None]
+
+    jacobian_matrix = _assembled_jacobian
 
     def lipschitz_on(self, interval):
         lo, hi = interval.component_range(0)
@@ -199,10 +238,6 @@ class _Competition(Nonlinearity):
         self._own = np.array([[self.b11], [self.b22]])
         self._cross = np.array([[self.b12], [self.b21]])
 
-    def _split(self, values):
-        n = values.shape[-1] // 2
-        return values[..., :n], values[..., n:]
-
     def eval_values(self, values):
         return self.eval_shifted(values, 0.0)
 
@@ -213,15 +248,15 @@ class _Competition(Nonlinearity):
         out = u * ((self._growth + shift) - self._own * u - self._cross * u[..., ::-1, :])
         return out.reshape(values.shape)
 
-    def jacobian_matrix(self, values):
-        u1, u2 = self._split(values)
+    def jacobian_blocks(self, values):
+        u1, u2 = values.reshape(2, -1)
         d11 = self.a1 - 2 * self.b11 * u1 - self.b12 * u2
         d12 = -self.b12 * u1
         d21 = -self.b21 * u2
         d22 = self.a2 - self.b21 * u1 - 2 * self.b22 * u2
-        return np.block(
-            [[np.diag(d11), np.diag(d12)], [np.diag(d21), np.diag(d22)]]
-        )
+        return np.array([[d11, d12], [d21, d22]])
+
+    jacobian_matrix = _assembled_jacobian
 
     def _box(self, interval):
         return interval.component_range(0), interval.component_range(1)
@@ -286,9 +321,11 @@ class _SignedSqrt(Nonlinearity):
             out += shift * values
         return out
 
-    def jacobian_matrix(self, values):
+    def jacobian_blocks(self, values):
         with np.errstate(divide="ignore"):
-            return np.diag(0.5 / np.sqrt(np.abs(values)))
+            return (0.5 / np.sqrt(np.abs(values)))[None, None]
+
+    jacobian_matrix = _assembled_jacobian
 
     def lipschitz_on(self, interval):
         lo, hi = interval.component_range(0)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mevolve import cli
 from mevolve.cli import main
@@ -316,3 +318,81 @@ def test_console_entry_point_works(tmp_path):
     )
     assert proc.returncode == 0
     assert "lambda_1" in proc.stdout
+
+
+MATRIX_PARAMS = {
+    "logistic": {"a": 15.0, "b": 1.0},
+    "competition": {"a1": 30.0, "a2": 30.0, "b11": 1.0, "b12": 0.3, "b21": 0.3, "b22": 1.0},
+    "fisher": {"alpha": 0.5, "m": {"profile": "sin", "amplitude": 8.0, "frequency": 1.0}},
+}
+
+
+def run_matrix_config(directory, capsys, **overrides):
+    """Run one config; it must end in a documented exit code, with a report
+    naming its status on 0 and 2, and never in a traceback."""
+    cfg = directory / "cfg.json"
+    write_config(cfg, beta=0.5, **overrides)
+    out = directory / "out"
+    code = main(["run", str(cfg), "--out", str(out)])
+    assert code in (0, 1, 2)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "internal error" not in err
+    if code != 1:
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["status"] == code
+        assert (doc["status_reasons"] == []) == (code == 0)
+    return code
+
+
+class TestScenarioMatrix:
+    """Every scenario under every boundary condition, and the edge cases of
+    the scenario gates, through `mevolve run`."""
+
+    @pytest.mark.parametrize("n", [8, 2])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin"])
+    @pytest.mark.parametrize("scenario", sorted(MATRIX_PARAMS))
+    def test_scenario_and_boundary_condition(self, tmp_path, capsys, scenario, bc, n):
+        params = MATRIX_PARAMS[scenario]
+        assert run_matrix_config(tmp_path, capsys, scenario=scenario, params=params,
+                                 n=n, bc=bc) == 0
+
+    def test_scalar(self, tmp_path, capsys):
+        assert run_matrix_config(tmp_path, capsys, scenario="scalar-nonunique",
+                                 params={"a": 1.0, "M": 2.0}) == 0
+
+    @pytest.mark.parametrize("scenario, params, bc", [
+        # lambda_1 of the 8-node Dirichlet Laplacian is about 9.8
+        ("logistic", {"a": 5.0, "b": 1.0}, "dirichlet"),
+        ("competition", {**MATRIX_PARAMS["competition"], "a1": 5.0}, "dirichlet"),
+        ("competition", {**MATRIX_PARAMS["competition"], "b12": 2.0, "b21": 2.0},
+         "dirichlet"),
+        ("competition", {**MATRIX_PARAMS["competition"], "b12": 2.0, "b21": 2.0},
+         "neumann"),
+    ], ids=["logistic-a-below-lambda1", "competition-a1-below-lambda1",
+            "strong-competition-dirichlet", "strong-competition-neumann"])
+    def test_gate_edge_cases(self, tmp_path, capsys, scenario, params, bc):
+        assert run_matrix_config(tmp_path, capsys, scenario=scenario, params=params,
+                                 n=8, bc=bc) == 0
+
+    @given(
+        st.sampled_from(sorted(MATRIX_PARAMS)),
+        st.sampled_from(["dirichlet", "neumann", "robin"]),
+        st.integers(2, 8),
+        st.data(),
+    )
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_drawn_params(self, tmp_path_factory, capsys, scenario, bc, n, data):
+        rate = st.floats(0.5, 40.0)
+        if scenario == "logistic":
+            params = {"a": data.draw(rate), "b": data.draw(st.floats(0.5, 5.0))}
+        elif scenario == "competition":
+            params = {key: data.draw(rate) for key in ("a1", "a2")}
+            params.update({key: data.draw(st.floats(0.5, 2.5))
+                           for key in ("b11", "b12", "b21", "b22")})
+        else:
+            params = {"alpha": data.draw(st.floats(0.1, 0.9)),
+                      "m": {"profile": "sin", "amplitude": data.draw(st.floats(0.5, 12.0)),
+                            "frequency": data.draw(st.floats(0.2, 2.0))}}
+        run_matrix_config(tmp_path_factory.mktemp("drawn"), capsys, scenario=scenario,
+                          params=params, n=n, bc=bc)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -592,3 +593,122 @@ def test_default_eval_shifted_is_exact_for_a_custom_term(values, shift, c):
     box = mv.OrderInterval(grid(-1e6 * np.ones(n)), grid(1e6 * np.ones(n)))
     prob = mv.ProblemSpec(mv.build_laplacian_1d(n, "neumann"), f, box, mu=shift)
     assert np.array_equal(prob.rhs(values), expected)
+
+
+def _dense_newton_matrix(prob, v):
+    return prob.A.matrix - prob.F.jacobian_matrix(v) - prob.mu * np.eye(v.size)
+
+
+NEWTON_CASES = [
+    "logistic_dirichlet", "logistic_neumann", "logistic_robin", "fisher",
+    "competition_flipped", "scalar", "dense_generator", "dense_jacobian_only",
+]
+
+
+@pytest.fixture(scope="module")
+def newton_problems():
+    """Problems whose Newton matrix is tridiagonal, pentadiagonal once
+    interleaved (competition), 1 x 1, or dense."""
+    cases = {}
+    for bc, beta in (("dirichlet", None), ("neumann", None), ("robin", 0.7)):
+        scen = mv.build_logistic(mv.build_laplacian_1d(12, bc, beta), 15.0, 2.0)
+        cases[f"logistic_{bc}"] = scen.problem()
+    weight = 8.0 * np.sin(2 * np.pi * mv.generators.mesh_nodes(mv.build_laplacian_1d(10, "neumann")))
+    cases["fisher"] = mv.build_fisher(mv.build_laplacian_1d(10, "neumann"), weight, 0.5).problem()
+    competition = mv.build_competition(
+        mv.build_laplacian_1d(9, "dirichlet"), mv.build_laplacian_1d(9, "dirichlet"),
+        30.0, 30.0, 1.0, 0.3, 0.3, 1.0,
+    )
+    assert competition.cone == mv.FLIPPED_CONE
+    cases["competition_flipped"] = competition.problem()
+    cases["scalar"] = mv.build_scalar_nonunique(1.0, 2.0).problem()
+    rng = np.random.default_rng(3)
+    off = -rng.uniform(0.1, 1.0, size=(7, 7))
+    dense = off - np.diag(np.diag(off)) + np.diag(np.sum(np.abs(off), axis=1) + 1.0)
+    box = mv.OrderInterval(grid(np.zeros(7)), grid(4.0 * np.ones(7)))
+    cases["dense_generator"] = mv.ProblemSpec(
+        mv.GeneratorSpec(dense, 1.0, "dense"), mv.logistic(2.0, 1.0), box
+    )
+    box = mv.OrderInterval(grid(-2.0 * np.ones(10)), grid(2.0 * np.ones(10)))
+    cases["dense_jacobian_only"] = mv.ProblemSpec(
+        mv.build_laplacian_1d(10, "neumann"), LinearDecay(-1.5), box
+    )
+    assert sorted(cases) == sorted(NEWTON_CASES)
+    return cases
+
+
+class TestNewtonLinearAlgebra:
+    """Each Newton step is one banded LU on the node-major ordering; the
+    dense solve of the same matrix is its oracle."""
+
+    @staticmethod
+    def check_against_dense(prob, v, rhs):
+        x = mv.monotone.linearized_solve(prob, v, rhs)
+        matrix = _dense_newton_matrix(prob, v)
+        oracle = scipy.linalg.solve(matrix, rhs)
+        # backward-stable solves of one matrix agree to eps * cond relative
+        bound = 64 * v.size * np.finfo(float).eps * np.linalg.cond(matrix)
+        assert np.max(np.abs(x - oracle)) <= bound * np.max(np.abs(oracle))
+        return x
+
+    @pytest.mark.parametrize("case", NEWTON_CASES)
+    def test_step_matches_the_dense_solve(self, newton_problems, case):
+        prob = newton_problems[case]
+        lo, hi = prob.interval.lower.values, prob.interval.upper.values
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            v = lo + rng.uniform(0.1, 0.9, size=lo.size) * (hi - lo)
+            r = prob.A.matrix @ v - prob.rhs(v)
+            self.check_against_dense(prob, v, -r)
+
+    @pytest.mark.parametrize("case", ["logistic_dirichlet", "competition_flipped"])
+    def test_shifted_copy_after_its_parent(self, newton_problems, case):
+        # a shifted generator shares its parent's propagator cache; its band
+        # must still carry its own diagonal
+        parent = newton_problems[case]
+        v = 0.5 * (parent.interval.lower.values + parent.interval.upper.values)
+        rhs = np.linspace(-1.0, 1.0, v.size)
+        x_parent = self.check_against_dense(parent, v, rhs)
+        scaled = mv.scale_problem(parent, 40.0)
+        assert scaled.A._prop_cache is parent.A._prop_cache
+        x_scaled = self.check_against_dense(scaled, v, rhs)
+        # A + mu - F' - mu is A - F': the same system up to round-off
+        bound = 1e-10 * np.max(np.abs(x_parent))
+        assert np.max(np.abs(x_scaled - x_parent)) <= bound
+
+    @pytest.mark.parametrize("case", NEWTON_CASES)
+    def test_newton_converges_on_each_structure(self, newton_problems, case):
+        prob = newton_problems[case]
+        lo, hi = prob.interval.lower.values, prob.interval.upper.values
+        v, res, ok = mv.newton_equilibrium(prob, lo + 0.7 * (hi - lo))
+        assert ok and res <= 1e-10
+        assert res == mv.monotone_norm(prob.A.matrix @ v - prob.rhs(v))
+
+    @pytest.mark.parametrize("matrix, a, b, start", [
+        # 1 x 1: A - F' = 1 - (3 - 2*1) = 0, a zero pivot
+        ([[1.0]], 3.0, 1.0, [1.0]),
+        # F' = 1 - 2*0.5 = 0 leaves the singular A itself, an exact zero pivot
+        ([[1.0, -1.0], [-1.0, 1.0]], 1.0, 1.0, [0.5, 0.5]),
+    ], ids=["scalar", "two_nodes"])
+    def test_singular_matrix_is_reported(self, matrix, a, b, start):
+        n = len(start)
+        prob = mv.ProblemSpec(
+            mv.GeneratorSpec(np.array(matrix), 1.0, "neumann"), mv.logistic(a, b),
+            mv.OrderInterval(grid(np.zeros(n)), grid(4.0 * np.ones(n))),
+        )
+        start = np.array(start)
+        with pytest.raises(NumericalError, match="singular|not finite"):
+            mv.monotone.linearized_solve(prob, start, np.ones(n))
+        v, res, ok = mv.newton_equilibrium(prob, start)
+        assert not ok and np.array_equal(v, start)
+        assert res == mv.monotone_norm(prob.A.matrix @ start - prob.rhs(start))
+
+    def test_infinite_jacobian_is_reported(self):
+        # signed sqrt has an infinite derivative at 0: the Newton matrix is
+        # not finite, which is a reported failure and not a ValueError
+        box = mv.OrderInterval(grid([-2.0, -2.0]), grid([2.0, 2.0]))
+        prob = mv.ProblemSpec(mv.GeneratorSpec(np.eye(2), 1.0, "neumann"), mv.signed_sqrt(), box)
+        start = np.array([0.0, 0.5])
+        v, res, ok = mv.newton_equilibrium(prob, start)
+        assert not ok and np.array_equal(v, start)
+        assert res == pytest.approx(abs(0.5 - np.sqrt(0.5)))

@@ -215,3 +215,68 @@ def test_fused_shift_matches_the_shifted_values(case, shift):
     plain = f.eval_values(v) + shift * v
     bound = 4 * np.finfo(float).eps * (terms + shift * np.abs(v)) + np.finfo(float).tiny
     assert np.all(np.abs(fused - plain) <= bound)
+
+
+@st.composite
+def jacobian_states(draw):
+    """(preset, state) for every preset; signed sqrt kept 0.1 away from its
+    kink at 0, where the Jacobian blows up."""
+    kind = draw(st.sampled_from(["logistic", "fisher", "competition", "signed_sqrt"]))
+    n = draw(st.integers(1, 6))
+    if kind == "logistic":
+        return mv.logistic(draw(RATES), draw(RATES)), draw(_states(n, -100.0, 100.0))
+    if kind == "fisher":
+        f = mv.fisher(draw(_states(n, -10.0, 10.0)), draw(st.floats(0.01, 0.99)))
+        return f, draw(_states(n, -2.0, 3.0))
+    if kind == "competition":
+        f = mv.competition(*(draw(RATES) for _ in range(6)))
+        return f, draw(_states(2 * n, -100.0, 100.0))
+    size = draw(_states(n, 0.1, 100.0))
+    signs = draw(arrays(bool, n))
+    return mv.signed_sqrt(), np.where(signs, -size, size)
+
+
+class _DenseOnly(mv.Nonlinearity):
+    """A term that states only jacobian_matrix: blocks come from the base class."""
+
+    def __init__(self, inner):
+        self.inner, self.components = inner, inner.components
+
+    def jacobian_matrix(self, values):
+        return self.inner.jacobian_matrix(values)
+
+
+@given(jacobian_states())
+@settings(max_examples=200, deadline=None)
+def test_jacobian_blocks_assemble_to_the_dense_jacobian(case):
+    f, v = case
+    c, n = f.components, v.size // f.components
+    blocks = f.jacobian_blocks(v)
+    assert blocks.shape == (c, c, n)
+    dense = np.block([[np.diag(blocks[i, j]) for j in range(c)] for i in range(c)])
+    assert np.array_equal(f.jacobian_matrix(v), dense)
+    assert np.array_equal(_DenseOnly(f).jacobian_blocks(v), blocks)
+
+
+@given(jacobian_states())
+@settings(max_examples=200, deadline=None)
+def test_jacobian_matches_central_differences(case):
+    """Central differences with h_j = 1e-4 max(1, |v_j|) agree with the
+    Jacobian to 1e-6 relative to 1 + max|J|, entrywise.  The presets are
+    polynomials of degree <= 3, or sqrt at least 0.1 from 0, so the
+    truncation error is below 1e-7 of that scale and the round-off
+    eps |F| / h is smaller still; entries off the node-local blocks must
+    come out exactly 0."""
+    f, v = case
+    jac = f.jacobian_matrix(v)
+    fd = np.empty_like(jac)
+    for j in range(v.size):
+        h = 1e-4 * max(1.0, abs(v[j]))
+        up, down = v.copy(), v.copy()
+        up[j] += h
+        down[j] -= h
+        fd[:, j] = (f.eval_values(up) - f.eval_values(down)) / (up[j] - down[j])
+    assert np.all(np.abs(fd - jac) <= 1e-6 * (1.0 + np.max(np.abs(jac))))
+    c = f.components
+    off_blocks = np.kron(np.ones((c, c)), np.eye(v.size // c)) == 0
+    assert np.all(fd[off_blocks] == 0.0)

@@ -211,3 +211,35 @@ def test_every_emitted_scenario_passes_certificates():
         assert mv.verify_subsolution(scen.A, scen.F, scen.interval.lower, scen.cone)
         assert mv.verify_supersolution(scen.A, scen.F, scen.interval.upper, scen.cone)
         assert mv.leq(scen.interval.lower, scen.interval.upper, scen.cone)
+
+
+def test_competition_build_makes_no_random_start_newton_runs(monkeypatch):
+    # each semi-trivial state needs one engine run, whose two polish calls
+    # are its only Newton runs, and one final polish in the builder; the
+    # random-start cross-check would add n_newton_starts runs per engine run
+    from mevolve import monotone, scenarios
+
+    calls = {"engine": 0, "newton": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        scenarios, "asymptotic_equilibria",
+        counting("engine", scenarios.asymptotic_equilibria),
+    )
+    monkeypatch.setattr(
+        monotone, "newton_equilibrium", counting("newton", monotone.newton_equilibrium)
+    )
+    monkeypatch.setattr(
+        scenarios, "newton_equilibrium", counting("newton", scenarios.newton_equilibrium)
+    )
+    scen = mv.build_competition(
+        mv.build_laplacian_1d(10, "dirichlet"), mv.build_laplacian_1d(10, "dirichlet"),
+        30.0, 30.0, 1.0, 0.3, 0.3, 1.0,
+    )
+    assert scen.certificates["coexistence"]
+    assert calls == {"engine": 2, "newton": 2 * 2 + 2}
