@@ -297,6 +297,8 @@ def main(argv=None) -> int:
 
     try:
         if ns.command == "run":
+            if ns.jobs < 1:
+                raise ValidationError("--jobs must be at least 1")
             path = Path(ns.config)
             if path.is_dir():
                 tasks = [
@@ -305,8 +307,10 @@ def main(argv=None) -> int:
                 ]
                 if not tasks:
                     raise ValidationError(f"no *.json configs in {path}")
-                if ns.jobs > 1:
-                    with concurrent.futures.ProcessPoolExecutor(ns.jobs) as pool:
+                # the executor starts all its workers up front
+                workers = min(ns.jobs, len(tasks))
+                if workers > 1:
+                    with concurrent.futures.ProcessPoolExecutor(workers) as pool:
                         codes = list(pool.map(_run_single, tasks))
                 else:
                     codes = [_run_single(t) for t in tasks]
@@ -321,6 +325,9 @@ def main(argv=None) -> int:
         return 1
     except NumericalError as exc:
         print(f"flagged: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 2 with a message, as a batch config does
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

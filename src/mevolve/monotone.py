@@ -159,6 +159,7 @@ class _March:
         self.p_t, self.b_t = p_mat.T.copy(), b_mat.T.copy()
         rhs = scaled.rhs
         self.g = rhs if self.svec is None else (lambda y: svec * rhs(svec * y))
+        self.F = scaled.F
 
     def _standard(self, values: np.ndarray) -> np.ndarray:
         return values if self.svec is None else self.svec * values
@@ -284,17 +285,24 @@ class _March:
         chk[row] = chk[2 + row] = -np.inf
 
     def _advance_scalar(self, out, pen) -> tuple[int, bool]:
-        """dim == 1: the same iteration on Python floats, with one rhs call
-        on both rows per inner iteration."""
+        """dim == 1: the same iteration on Python floats, with one
+        eval_shifted_scalars call on both rows per inner iteration."""
         lo, hi = float(self.lo[0]), float(self.hi[0])
-        slack, tol, max_iter, g = self.slack, self.tol, self.max_iter, self.g
+        slack, tol, max_iter = self.slack, self.tol, self.max_iter
         p, b = float(self.p_t[0, 0]), float(self.b_t[0, 0])
         dist = self.distances
+        # ProblemSpec.rhs on two scalar states; a reversed cone marches
+        # g(y) = -rhs(-y), and sign flips are exact
+        f, mu = self.F.eval_shifted_scalars, float(self.mu)
+        if self.svec is not None:
+            def f(x0, x1, shift, rhs=f):
+                f0, f1 = rhs(-x0, -x1, shift)
+                return -f0, -f1
         (y0,), (y1,) = self.y.tolist()
         warm = self.y_prev is not None
         (p0,), (p1,) = self.y_prev.tolist() if warm else ((0.0,), (0.0,))
         most, converged, clamped, total = 0, True, 0, 0
-        arg = np.empty((2, 1))
+        violations = self.violations
         for k in range(out.shape[0]):
             c0, c1 = p * y0, p * y1
             z0 = y0 if warm and y0 - p0 >= -slack else lo
@@ -306,8 +314,7 @@ class _March:
             while True:
                 zc0 = lo if z0 < lo else hi if z0 > hi else z0
                 zc1 = lo if z1 < lo else hi if z1 > hi else z1
-                arg[0, 0], arg[1, 0] = zc0, zc1
-                (f0,), (f1,) = g(arg).tolist()
+                f0, f1 = f(zc0, zc1, mu)
                 inc0 = inc1 = 0.0
                 if on0:
                     total += 1
@@ -325,7 +332,13 @@ class _March:
                     if new - z1 > worst:
                         worst = new - z1
                     last1, z1 = z1, new
-                worst = max(worst, lo - z0, z0 - z1, z1 - hi)
+                # the chain links lo <= z <= Z <= hi, as max() would take them
+                if lo - z0 > worst:
+                    worst = lo - z0
+                if z0 - z1 > worst:
+                    worst = z0 - z1
+                if z1 - hi > worst:
+                    worst = z1 - hi
                 if worst > slack:
                     raise self._breach(worst)
                 if j < len(dist):
@@ -344,8 +357,9 @@ class _March:
                 if j == max_iter:
                     converged = False
                     break
-            most = max(most, j)
-            self.violations.append(worst)
+            if j > most:
+                most = j
+            violations.append(worst)
             out[k, 0, 0], out[k, 1, 0] = z0, z1
             pen[k, 0, 0], pen[k, 1, 0] = last0, last1
             p0, p1, y0, y1 = y0, y1, z0, z1

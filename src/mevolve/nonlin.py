@@ -44,6 +44,17 @@ class Nonlinearity:
         """
         return self.eval_values(values) + shift * values
 
+    def eval_shifted_scalars(self, x0: float, x1: float, shift: float) -> tuple[float, float]:
+        """eval_shifted at the states x0 and x1 of a one-node, one-component
+        problem, as two Python floats.
+
+        The dim == 1 march calls it once per inner iteration.  The default
+        makes one eval_shifted call on a (2, 1) array; an override must equal
+        that bit for bit.
+        """
+        (f0,), (f1,) = self.eval_shifted(np.array([[x0], [x1]]), shift).tolist()
+        return f0, f1
+
     def jacobian_matrix(self, values: np.ndarray) -> np.ndarray:
         """Dense Jacobian at a single state, in blocked component layout."""
         raise NotImplementedError
@@ -320,6 +331,15 @@ class _SignedSqrt(Nonlinearity):
         if shift:
             out += shift * values
         return out
+
+    def eval_shifted_scalars(self, x0, x1, shift):
+        # sqrt is correctly rounded and abs/copysign are exact in both math
+        # and numpy, so this matches eval_shifted bit for bit
+        f0 = math.copysign(math.sqrt(abs(x0)), x0)
+        f1 = math.copysign(math.sqrt(abs(x1)), x1)
+        if shift:
+            return f0 + shift * x0, f1 + shift * x1
+        return f0, f1
 
     def jacobian_blocks(self, values):
         with np.errstate(divide="ignore"):

@@ -101,6 +101,66 @@ class TestRun:
         assert (out / "one" / "report.json").exists()
         assert (out / "two" / "report.json").exists()
 
+    @pytest.mark.parametrize("jobs, n_configs, workers", [
+        (5000, 2, 2), (5000, 1, None), (2, 3, 2), (1, 3, None),
+    ])
+    def test_jobs_are_capped_at_the_config_count(
+        self, tmp_path, monkeypatch, jobs, n_configs, workers
+    ):
+        # an executor that records its size and runs the tasks in-process:
+        # no process is started, whatever --jobs says
+        sizes, ran = [], []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(cli, "cmd_run", lambda cfg, out_dir: ran.append(out_dir.name) or 0)
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        for i in range(n_configs):
+            write_config(configs / f"c{i}.json")
+        argv = ["run", str(configs), "--out", str(tmp_path / "o"), "--jobs", str(jobs)]
+        assert main(argv) == 0
+        assert sizes == ([] if workers is None else [workers])
+        assert ran == [f"c{i}" for i in range(n_configs)]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, monkeypatch, capsys, jobs):
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", None)
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        write_config(configs / "one.json")
+        out = tmp_path / "o"
+        for target in (configs, configs / "one.json"):
+            assert main(["run", str(target), "--out", str(out), "--jobs", jobs]) == 1
+            assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "eig", "verify"])
+    def test_single_config_internal_error_exits_2(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, f"cmd_{command}", boom)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "internal error: RuntimeError: boom" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("overrides", [
         {"params": {"a": 15.0, "b": 1.0}, "n": 99, "bc": "dirichlet",
          "dt": 0.02, "T": 1.0},

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 import mevolve as mv
 from mevolve.errors import NumericalError, ValidationError
 from mevolve.monotone import time_monotonicity_violation
+from mevolve.nonlin import _SignedSqrt
 
 from conftest import grid
 
@@ -578,6 +579,75 @@ class TestMarchKernel:
             mv.iterate(prob, grid(itv.lower.values - 0.5 * slack))
 
 
+class NumpySignedSqrt(_SignedSqrt):
+    """The signed sqrt through the base class's numpy eval_shifted_scalars."""
+
+    eval_shifted_scalars = mv.Nonlinearity.eval_shifted_scalars
+
+
+def _scalar_march_outputs(prob, run):
+    """Every array the dim == 1 march produces, and its counts."""
+    extra = []
+    if run == "equilibria":
+        eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-8, tol_res=1e-8)
+        rpt = eq.report
+        extra = [eq.U_min.states, eq.U_max.states, eq.u_star.values, eq.u_upper_star.values]
+    elif run == "from_zero":
+        rpt = mv.iterate(prob, grid([0.0]), tol=1e-9)
+    else:
+        rpt = mv.iterate(prob, prob.interval.lower, tol=1e-9, u0_upper=prob.interval.upper)
+    out = [
+        rpt.u_min.states, rpt.u_max.states, rpt.stored["lower_prev"].states,
+        rpt.stored["upper_prev"].states, rpt.distances_lower, rpt.distances_upper,
+        rpt.sandwich_violations, *extra,
+    ]
+    return out, (rpt.n_iters, rpt.clamp_fraction, rpt.converged)
+
+
+class BlockMarch(mv.monotone._March):
+    """A march whose dim == 1 rows take the block (numpy) path."""
+
+    _advance_scalar = mv.monotone._March._advance_block
+
+
+@pytest.mark.parametrize("cone", ["standard", "reversed"])
+@pytest.mark.parametrize("run", ["from_zero", "from_bounds", "equilibria"])
+class TestScalarMarch:
+    """The dim == 1 march on Python floats against the numpy evaluations."""
+
+    def test_float_path_matches_the_numpy_path(self, cone, run):
+        # bit for bit, bytes compared so that the sign of a zero counts
+        scen = mv.build_scalar_nonunique(1.0, 2.0)
+        itv = scen.interval
+        if cone == "reversed":  # one component ordered backwards: g(y) = -F(-y)
+            itv = mv.OrderInterval(itv.upper, itv.lower, mv.ConeSpec((-1,)))
+        (floats, counts), (numpy, numpy_counts) = (
+            _scalar_march_outputs(mv.ProblemSpec(scen.A, f, itv, horizon=1.0, dt=5e-3), run)
+            for f in (mv.signed_sqrt(), NumpySignedSqrt())
+        )
+        assert counts[2] and counts == numpy_counts
+        assert [a.tobytes() for a in floats] == [a.tobytes() for a in numpy]
+
+    def test_float_path_matches_the_block_path(self, cone, run, monkeypatch):
+        # the signed sqrt is odd and cannot show a wrong cone sign, logistic
+        # can; the block path adds p*y to 0.0 in a matmul, so its zeros may
+        # carry the other sign, which array_equal ignores
+        lower, upper = grid([0.0]), grid([4.0])
+        itv = (
+            mv.OrderInterval(lower, upper) if cone == "standard"
+            else mv.OrderInterval(upper, lower, mv.ConeSpec((-1,)))
+        )
+        prob = mv.ProblemSpec(
+            mv.generators.scalar_generator(1.0), mv.logistic(3.0, 1.0), itv,
+            horizon=1.0, dt=5e-3,
+        )
+        floats, counts = _scalar_march_outputs(prob, run)
+        monkeypatch.setattr(mv.monotone, "_March", BlockMarch)
+        block, block_counts = _scalar_march_outputs(prob, run)
+        assert counts[2] and counts == block_counts
+        assert all(np.array_equal(a, b) for a, b in zip(floats, block))
+
+
 @given(
     arrays(float, st.integers(2, 8), elements=st.floats(-1e6, 1e6)),
     st.floats(0.0, 1e3),
@@ -589,6 +659,9 @@ def test_default_eval_shifted_is_exact_for_a_custom_term(values, shift, c):
     f = LinearDecay(c)
     expected = c * values + shift * values
     assert np.array_equal(f.eval_shifted(values, shift), expected)
+    # the base class's eval_shifted_scalars goes through eval_shifted
+    scalars = f.eval_shifted_scalars(values[0], values[1], shift)
+    assert np.array(scalars).tobytes() == expected[:2].tobytes()
     n = values.size
     box = mv.OrderInterval(grid(-1e6 * np.ones(n)), grid(1e6 * np.ones(n)))
     prob = mv.ProblemSpec(mv.build_laplacian_1d(n, "neumann"), f, box, mu=shift)

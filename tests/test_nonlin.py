@@ -280,3 +280,33 @@ def test_jacobian_matches_central_differences(case):
     c = f.components
     off_blocks = np.kron(np.ones((c, c)), np.eye(v.size // c)) == 0
     assert np.all(fd[off_blocks] == 0.0)
+
+
+def _scalars(bound):
+    """Ordinary floats, subnormals and magnitudes up to bound, plus the edges."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -4.0, bound, -bound]
+    return st.one_of(st.sampled_from(edges), st.floats(-bound, bound))
+
+
+SHIFTS = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+
+
+def _assert_scalars_match_eval_shifted(f, x0, x1, shift):
+    # bytes, so that -0.0 and 0.0 count as different
+    f0, f1 = f.eval_shifted_scalars(x0, x1, shift)
+    assert type(f0) is float and type(f1) is float
+    expected = f.eval_shifted(np.array([[x0], [x1]]), shift)
+    assert np.array([[f0], [f1]]).tobytes() == expected.tobytes()
+
+
+@given(_scalars(1e300), _scalars(1e300), SHIFTS)
+@settings(max_examples=500, deadline=None)
+def test_signed_sqrt_scalars_match_eval_shifted_bit_for_bit(x0, x1, shift):
+    _assert_scalars_match_eval_shifted(mv.signed_sqrt(), x0, x1, shift)
+
+
+@given(_scalars(1e6), _scalars(1e6), SHIFTS)
+@settings(max_examples=100, deadline=None)
+def test_default_scalars_match_eval_shifted(x0, x1, shift):
+    # the logistic preset keeps the base class's eval_shifted_scalars
+    _assert_scalars_match_eval_shifted(mv.logistic(1.5, 0.5), x0, x1, shift)
