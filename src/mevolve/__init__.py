@@ -14,7 +14,6 @@ from .order import (
     GridFunction,
     OrderInterval,
     STANDARD_CONE,
-    clamp_to_interval,
     leq,
     monotone_norm,
     order_violation,
@@ -28,7 +27,6 @@ from .generators import (
     check_submarkovian,
     mesh_nodes,
     principal_eig,
-    resolvent_apply,
     scalar_generator,
     semigroup_apply,
 )
@@ -44,15 +42,12 @@ from .mild import (
     ProblemSpec,
     Trajectory,
     auto_scale,
-    constant_trajectory,
     mild_residual,
     picard_step,
     scale_problem,
     time_grid,
     trajectory_from_csv,
     trajectory_to_csv,
-    translate,
-    weak_form_defect,
 )
 from .monotone import (
     EquilibriaResult,

@@ -239,6 +239,9 @@ def cmd_eig(cfg: dict) -> int:
 
 def cmd_verify(cfg: dict) -> int:
     scen = _build_scenario(cfg)
+    eps_override = cfg["params"].get("eps_override")
+    if eps_override is not None and "phi0" not in scen.eig_data:
+        _fail("params.eps_override", f"{scen.name} has no eps*phi0 lower bound to override")
     interval = scen.interval
     sub_m = subsolution_margin(scen.A, scen.F, interval.lower, scen.cone)
     super_m = supersolution_margin(scen.A, scen.F, interval.upper, scen.cone)
@@ -250,8 +253,7 @@ def cmd_verify(cfg: dict) -> int:
     print(f"quasi-increasing shift mu = {mu:.6g}")
     if scen.A.bc != "system":
         print(f"sub-markovian: {generators.check_submarkovian(scen.A)}")
-    eps_override = cfg["params"].get("eps_override")
-    if eps_override is not None and "phi0" in scen.eig_data:
+    if eps_override is not None:
         cand = GridFunction(
             float(eps_override) * np.asarray(scen.eig_data["phi0"]),
             interval.components,

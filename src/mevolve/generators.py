@@ -50,8 +50,6 @@ class GeneratorSpec:
     matrix: np.ndarray
     mesh_h: float
     bc: str
-    beta: float | None = None
-    potential: np.ndarray | None = None
     shift: float = 0.0
     _eig: tuple | None = field(default=None, repr=False, compare=False)
     _prop_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -221,7 +219,7 @@ def build_laplacian_1d(n: int, bc: str, beta: float | None = None) -> GeneratorS
         m[0, 1] = -2.0 / h**2
         m[-1, -1] = (2.0 + 2.0 * h * beta) / h**2
         m[-1, -2] = -2.0 / h**2
-        return GeneratorSpec(m, h, bc, beta=beta if bc == "robin" else None)
+        return GeneratorSpec(m, h, bc)
     raise ValidationError(f"unknown boundary condition {bc!r}")
 
 
@@ -262,11 +260,7 @@ def add_potential(a: GeneratorSpec, m: GridFunction | np.ndarray) -> GeneratorSp
     values = m.values if isinstance(m, GridFunction) else np.asarray(m, dtype=float)
     if values.size != a.dim:
         raise DimensionMismatchError("potential length does not match generator")
-    pot = values if a.potential is None else a.potential + values
-    return GeneratorSpec(
-        a.matrix + np.diag(values), a.mesh_h, a.bc, beta=a.beta,
-        potential=pot, shift=a.shift,
-    )
+    return GeneratorSpec(a.matrix + np.diag(values), a.mesh_h, a.bc, shift=a.shift)
 
 
 def shifted(a: GeneratorSpec, mu: float) -> GeneratorSpec:
@@ -278,8 +272,7 @@ def shifted(a: GeneratorSpec, mu: float) -> GeneratorSpec:
     """
     d, w, q = a._eig_factors()
     return GeneratorSpec(
-        a.matrix + mu * np.eye(a.dim), a.mesh_h, a.bc, beta=a.beta,
-        potential=a.potential, shift=a.shift + mu,
+        a.matrix + mu * np.eye(a.dim), a.mesh_h, a.bc, shift=a.shift + mu,
         _eig=(d, w + mu, q), _prop_cache=a._prop_cache,
     )
 
@@ -320,22 +313,6 @@ def propagator_matrices(a: GeneratorSpec, dt: float) -> tuple[np.ndarray, np.nda
     np.maximum(p, 0.0, out=p)
     np.maximum(b, 0.0, out=b)
     return p, b
-
-
-def resolvent_apply(a: GeneratorSpec, lam: float, v: GridFunction | np.ndarray) -> np.ndarray:
-    """Solve (lambda I + A) x = v; x >= 0 for v >= 0 and lambda > -lambda_1."""
-    values = v.values if isinstance(v, GridFunction) else np.asarray(v, dtype=float)
-    if values.shape[-1] != a.dim:
-        raise DimensionMismatchError("vector length does not match generator")
-    system = lam * np.eye(a.dim) + a.matrix
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = scipy.linalg.solve(system, values)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"resolvent singular at lambda = {lam!r}") from exc
-    if not np.all(np.isfinite(x)):
-        raise NumericalError(f"resolvent produced non-finite values at lambda = {lam!r}")
-    return x
 
 
 # -- principal eigenpair -----------------------------------------------------

@@ -86,11 +86,6 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
     return dt * np.arange(k + 1)
 
 
-def constant_trajectory(u: GridFunction, horizon: float, dt: float) -> Trajectory:
-    grid = time_grid(horizon, dt)
-    return Trajectory(grid, np.tile(u.values, (grid.size, 1)), u.components)
-
-
 @dataclass
 class ProblemSpec:
     """Data of the evolution problem du/dt + A u = F(u) on an order interval.
@@ -146,54 +141,32 @@ def auto_scale(problem: ProblemSpec, floor: float = STABILITY_FLOOR) -> ProblemS
     return scale_problem(problem, delta)
 
 
-def picard_step(
-    problem: ProblemSpec,
-    u0: GridFunction,
-    traj: Trajectory,
-    clamp_stats: dict | None = None,
-    slack: float | None = None,
-) -> Trajectory:
+def picard_step(problem: ProblemSpec, u0: GridFunction, traj: Trajectory) -> Trajectory:
     """One application of the integral fixed-point map to a trajectory.
 
     The argument trajectory is clamped to the order interval before the
-    reaction term is evaluated (its certificates are interval-local); clamp
-    magnitudes beyond `slack` (round-off scale by default) are counted in
-    `clamp_stats`.
+    reaction term is evaluated (its certificates are interval-local); an
+    initial value that needs clamping beyond round-off draws a warning.
     """
     interval = problem.interval
     if traj.states.shape[1] != problem.A.dim:
         raise DimensionMismatchError("trajectory dimension does not match problem")
-    if slack is None:
-        slack = order_slack(interval.value_scale(), interval.dim)
+    slack = order_slack(interval.value_scale(), interval.dim)
     u0_values = clamp_values(u0.values, interval)
     if monotone_norm(u0_values - u0.values) > slack:
         warnings.warn("initial value clamped to the order interval", stacklevel=2)
-    clamped = clamp_values(traj.states, interval)
-    if clamp_stats is not None:
-        moved = np.abs(clamped - traj.states) > slack
-        clamp_stats["clamped"] = clamp_stats.get("clamped", 0) + int(np.sum(moved))
-        clamp_stats["total"] = clamp_stats.get("total", 0) + int(clamped.size)
     p_mat, b_mat = problem.A.propagators(traj.dt)
-    f_vals = problem.rhs(clamped)
+    # B F(u(t_{k+1})) for every step at once
+    source = problem.rhs(clamp_values(traj.states, interval)) @ b_mat.T
     out = np.empty_like(traj.states)
     out[0] = u0_values
-    if problem.A.dim == 1:
-        p, b = float(p_mat[0, 0]), float(b_mat[0, 0])
-        v = float(u0_values[0])
-        f_flat = f_vals[:, 0].tolist()
-        row = out[:, 0]
-        for k in range(traj.n_steps):
-            v = p * v + b * f_flat[k + 1]
-            row[k + 1] = v
-    else:
-        source = f_vals @ b_mat.T  # B F(u(t_{k+1})) for every step at once
-        v = u0_values
-        buf = np.empty_like(v)
-        for k in range(traj.n_steps):
-            np.dot(p_mat, v, out=buf)
-            buf += source[k + 1]
-            out[k + 1] = buf
-            v = out[k + 1]
+    v = u0_values
+    buf = np.empty_like(v)
+    for k in range(traj.n_steps):
+        np.dot(p_mat, v, out=buf)
+        buf += source[k + 1]
+        out[k + 1] = buf
+        v = out[k + 1]
     return Trajectory(traj.t_grid, out, traj.components)
 
 
@@ -201,32 +174,6 @@ def mild_residual(problem: ProblemSpec, traj: Trajectory) -> float:
     """Sup-over-grid defect of the integral equation, ||u - sweep(u)||."""
     image = picard_step(problem, traj.state(0), traj)
     return float(np.max(np.abs(traj.states - image.states)))
-
-
-def weak_form_defect(problem: ProblemSpec, traj: Trajectory) -> float:
-    """Worst defect of d/dt<e_i,u> + <A'e_i,u> - <e_i,F(u)> over the basis.
-
-    Time derivatives by central differences on interior nodes; a diagnostic
-    companion to `mild_residual`, not a convergence criterion.
-    """
-    if traj.t_grid.size < 3:
-        raise ValidationError("need at least 3 time nodes")
-    dudt = (traj.states[2:] - traj.states[:-2]) / (2.0 * traj.dt)
-    mid = traj.states[1:-1]
-    defect = dudt + mid @ problem.A.matrix.T - problem.rhs(mid)
-    return float(np.max(np.abs(defect)))
-
-
-def translate(traj: Trajectory, t0_index: int) -> Trajectory:
-    """Restart the trajectory at node t0_index (autonomous problem)."""
-    if not 0 <= t0_index <= traj.n_steps:
-        raise ValidationError(f"t0_index {t0_index} outside 0..{traj.n_steps}")
-    if t0_index == 0:
-        return Trajectory(traj.t_grid.copy(), traj.states.copy(), traj.components)
-    if t0_index == traj.n_steps:
-        raise ValidationError("translating to the last node leaves no grid")
-    grid = traj.t_grid[t0_index:] - traj.t_grid[t0_index]
-    return Trajectory(grid, traj.states[t0_index:].copy(), traj.components)
 
 
 # -- serialization -----------------------------------------------------------

@@ -432,7 +432,13 @@ def iterate(
 
 
 def certify_sandwich(report: IterationReport) -> tuple[bool, float]:
-    """Re-check the ordering chain on the final and previous iterates; (ok, worst)."""
+    """Re-check the ordering chain on the final and previous iterates; (ok, worst).
+
+    The march checks every link on every inner iteration.  This is an
+    independent re-check of its output, so the report keeps the penultimate
+    inner iterates (stored["lower_prev"], stored["upper_prev"], one copy of
+    the last chunk per row) as the data it reads; they stay as safety code.
+    """
     stored = report.stored
     interval = stored["interval"]
     svec = interval.cone.sign_vector(interval.lower.n_points)
@@ -562,7 +568,6 @@ class EquilibriaResult:
     # node-to-node monotonicity defect of U_min/U_max, which come from one
     # march and are monotone in time at round-off level
     continuation_defect: float
-    raw_terminals: tuple
     polish_moved: tuple
     newton_equilibria: list
     extremal_violation: float
@@ -664,7 +669,6 @@ def asymptotic_equilibria(
         windows=window_summaries,
         worst_violation=march.worst_violation,
         continuation_defect=continuation_defect,
-        raw_terminals=(state_low, state_up),
         polish_moved=(moved_low, moved_up),
         newton_equilibria=found,
         extremal_violation=extremal_violation,

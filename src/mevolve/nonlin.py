@@ -2,10 +2,9 @@
 
 Each nonlinearity acts entrywise (the Fisher weight adds x-dependence) on the
 block-wise component layout and reports, per order interval: a Lipschitz
-bound, a sup bound of its image, and the smallest shift mu >= 0 making
-F + mu*id order-increasing on the interval.  All three come from closed-form
-derivatives of the presets; random sampling only ever falsifies them in the
-test suite.
+bound and the smallest shift mu >= 0 making F + mu*id order-increasing on the
+interval.  Both come from closed-form derivatives of the presets; random
+sampling only ever falsifies them in the test suite.
 
 Node-locality is the contract: F_i at a node depends only on the components
 at that node.  So the Jacobian is c x c per node, and `jacobian_blocks`
@@ -77,16 +76,6 @@ class Nonlinearity:
         """Smallest mu >= 0 with F + mu*id increasing on the interval."""
         raise NotImplementedError
 
-    def sup_bound_on(self, interval: OrderInterval) -> float:
-        raise NotImplementedError
-
-    def __call__(self, u: GridFunction) -> GridFunction:
-        if u.components != self.components:
-            raise DimensionMismatchError(
-                f"{self.name} expects {self.components} components, got {u.components}"
-            )
-        return GridFunction(self.eval_values(u.values), self.components)
-
 
 def _node_local_index(c: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols), each (c, c, n): where entry [i, j, k] of the node-local
@@ -145,21 +134,9 @@ class _Logistic(Nonlinearity):
         _, hi = interval.component_range(0)
         return max(0.0, 2 * self.b * hi - self.a)
 
-    def sup_bound_on(self, interval):
-        lo, hi = interval.component_range(0)
-        cands = [lo, hi]
-        vertex = self.a / (2 * self.b)
-        if lo <= vertex <= hi:
-            cands.append(vertex)
-        return max(abs(self.a * x - self.b * x * x) for x in cands)
-
 
 def logistic(a: float, b: float) -> Nonlinearity:
     return _Logistic(a, b)
-
-
-def _fisher_h(alpha: float, xi):
-    return xi * (1.0 - xi) * (alpha * (1.0 - xi) + (1.0 - alpha) * xi)
 
 
 def _fisher_h_prime(alpha: float, xi):
@@ -214,18 +191,6 @@ class _Fisher(Nonlinearity):
         dmin, dmax = _quadratic_range(self.alpha, lo, hi)
         worst = np.where(self.m >= 0, self.m * dmin, self.m * dmax)
         return max(0.0, -float(np.min(worst)))
-
-    def sup_bound_on(self, interval):
-        lo, hi = interval.component_range(0)
-        cands = [lo, hi]
-        # critical points of h inside the range
-        a3 = -3.0 * (1.0 - 2.0 * self.alpha)
-        a2 = 2.0 * (1.0 - 3.0 * self.alpha)
-        for root in np.roots([a3, a2, self.alpha]) if a3 != 0 else np.roots([a2, self.alpha]):
-            if np.isreal(root) and lo <= root.real <= hi:
-                cands.append(float(root.real))
-        hmax = max(abs(_fisher_h(self.alpha, x)) for x in cands)
-        return float(np.max(np.abs(self.m))) * hmax
 
 
 def fisher(m, alpha: float) -> Nonlinearity:
@@ -288,29 +253,6 @@ class _Competition(Nonlinearity):
                 worst = max(worst, r1, r2)
         return worst
 
-    def sup_bound_on(self, interval):
-        (lo1, hi1), (lo2, hi2) = self._box(interval)
-        worst = 0.0
-        for u2 in (lo2, hi2):
-            cands = [lo1, hi1]
-            vertex = (self.a1 - self.b12 * u2) / (2 * self.b11)
-            if lo1 <= vertex <= hi1:
-                cands.append(vertex)
-            worst = max(
-                worst,
-                max(abs(u1 * (self.a1 - self.b11 * u1 - self.b12 * u2)) for u1 in cands),
-            )
-        for u1 in (lo1, hi1):
-            cands = [lo2, hi2]
-            vertex = (self.a2 - self.b21 * u1) / (2 * self.b22)
-            if lo2 <= vertex <= hi2:
-                cands.append(vertex)
-            worst = max(
-                worst,
-                max(abs(u2 * (self.a2 - self.b21 * u1 - self.b22 * u2)) for u2 in cands),
-            )
-        return worst
-
 
 def competition(a1, a2, b11, b12, b21, b22) -> Nonlinearity:
     return _Competition(a1, a2, b11, b12, b21, b22)
@@ -355,10 +297,6 @@ class _SignedSqrt(Nonlinearity):
 
     def shift_on(self, interval):
         return 0.0
-
-    def sup_bound_on(self, interval):
-        lo, hi = interval.component_range(0)
-        return math.sqrt(max(abs(lo), abs(hi)))
 
 
 def signed_sqrt() -> Nonlinearity:

@@ -58,10 +58,6 @@ class GridFunction:
     def n_points(self) -> int:
         return self.values.size // self.components
 
-    def component(self, k: int) -> np.ndarray:
-        n = self.n_points
-        return self.values[k * n : (k + 1) * n]
-
 
 @dataclass(frozen=True)
 class ConeSpec:
@@ -153,14 +149,9 @@ class OrderInterval:
         return max(monotone_norm(self.lower), monotone_norm(self.upper))
 
 
-def clamp_to_interval(u: GridFunction, interval: OrderInterval) -> GridFunction:
-    """Entrywise projection onto the interval in the cone's orientation."""
-    clipped = clamp_values(u.values, interval)
-    return GridFunction(clipped, u.components)
-
-
 def clamp_values(values: np.ndarray, interval: OrderInterval) -> np.ndarray:
-    """Array-level clamp; rows of a 2-D array are clamped independently."""
+    """Entrywise projection onto the interval in the cone's orientation; rows
+    of a 2-D array are clamped independently."""
     if values.shape[-1] != interval.dim:
         raise DimensionMismatchError("value length does not match interval")
     s = interval.cone.sign_vector(interval.lower.n_points)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mevolve as mv
+from mevolve.mild import time_grid
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +22,9 @@ def rng():
 
 def grid(values, components=1):
     return mv.GridFunction(np.asarray(values, dtype=float), components)
+
+
+def constant_trajectory(u, horizon, dt):
+    """The trajectory that stays at u on the uniform grid of (horizon, dt)."""
+    t_grid = time_grid(horizon, dt)
+    return mv.Trajectory(t_grid, np.tile(u.values, (t_grid.size, 1)), u.components)

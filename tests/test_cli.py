@@ -14,13 +14,20 @@ from hypothesis import strategies as st
 
 from mevolve import cli
 from mevolve.cli import main
+from mevolve.generators import GeneratorSpec
 
-# the benchmark's workload definitions (bench/workloads.py)
-_spec = importlib.util.spec_from_file_location(
-    "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-)
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+
+def bench_module(name):
+    """bench/<name>.py of the benchmark, imported without running it."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = bench_module("workloads")  # the benchmark's workload definitions
 
 
 def write_config(path, **overrides):
@@ -361,12 +368,61 @@ class TestEigVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out and "margin" in out
 
+    @pytest.mark.parametrize("scenario, params", [
+        ("competition", {"a1": 30.0, "a2": 30.0, "b11": 1.0, "b12": 0.3,
+                         "b21": 0.3, "b22": 1.0}),
+        ("scalar-nonunique", {"a": 1.0, "M": 2.0}),
+    ])
+    def test_verify_rejects_eps_override_without_phi0(
+        self, tmp_path, capsys, scenario, params
+    ):
+        # neither scenario has an eps*phi0 lower bound, so no check could read it
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scenario=scenario, params={**params, "eps_override": 1e6},
+                     bc="dirichlet")
+        assert main(["verify", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "config.params.eps_override" in captured.err
+        assert "PASS" not in captured.out
+
     def test_verify_equilibrium_as_both_bounds(self, tmp_path, capsys):
         # degenerate logistic interval via the scalar scenario: lower bound
         # margins are reported and certificates pass
         cfg = tmp_path / "cfg.json"
         write_config(cfg, scenario="scalar-nonunique", params={"a": 1.0, "M": 1.0})
         assert main(["verify", str(cfg)]) == 0
+
+
+class TestTracerSurface:
+    """bench/tracer.py patches mevolve's module attributes from outside, so a
+    renamed or deleted attribute breaks the benchmark's traced run."""
+
+    @staticmethod
+    def bindings() -> dict:
+        snapshot = {
+            (name, attr): value
+            for name, module in list(sys.modules.items())
+            if name == "mevolve" or name.startswith("mevolve.")
+            for attr, value in list(vars(module).items())
+        }
+        snapshot["GeneratorSpec", "_eig_factors"] = vars(GeneratorSpec)["_eig_factors"]
+        return snapshot
+
+    def test_install_and_uninstall_restore_every_binding(self):
+        tracer_module = bench_module("tracer")
+        before = self.bindings()
+        tracer = tracer_module.Tracer()
+        try:  # uninstall also reverts the bindings of a partial install
+            tracer.install()
+            for module, attr, _ in tracer_module.SPANNED:
+                assert getattr(module, attr) is not before[module.__name__, attr], attr
+            assert (vars(GeneratorSpec)["_eig_factors"]
+                    is not before["GeneratorSpec", "_eig_factors"])
+        finally:
+            tracer.uninstall()
+        after = self.bindings()
+        assert after.keys() == before.keys()
+        assert [key for key in before if after[key] is not before[key]] == []
 
 
 def test_console_entry_point_works(tmp_path):

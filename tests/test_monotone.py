@@ -15,7 +15,7 @@ from mevolve.errors import NumericalError, ValidationError
 from mevolve.monotone import time_monotonicity_violation
 from mevolve.nonlin import _SignedSqrt
 
-from conftest import grid
+from conftest import constant_trajectory, grid
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +50,6 @@ class LinearDecay(mv.Nonlinearity):
 
     def lipschitz_on(self, interval):
         return abs(self.c)
-
-    def sup_bound_on(self, interval):
-        return abs(self.c) * interval.value_scale()
 
 
 def test_linear_problem_matches_spectral_solution(rng):
@@ -404,8 +401,8 @@ def sweep_oracle(prob, u0, u0_upper, tol, max_iter=2000):
     below tol.  Returns the (lower, upper) limits."""
     scaled = mv.auto_scale(prob)
     itv = prob.interval
-    lower = mv.constant_trajectory(itv.lower, prob.horizon, prob.dt)
-    upper = mv.constant_trajectory(itv.upper, prob.horizon, prob.dt)
+    lower = constant_trajectory(itv.lower, prob.horizon, prob.dt)
+    upper = constant_trajectory(itv.upper, prob.horizon, prob.dt)
     for _ in range(max_iter):
         lower_next = mv.picard_step(scaled, u0, lower)
         upper_next = mv.picard_step(scaled, u0_upper, upper)
