@@ -7,13 +7,15 @@ Laplacians on the unit interval with Dirichlet, Neumann or Robin closures;
 potentials add a diagonal.  Systems are block-diagonal compositions.
 
 All matrix functions run through a cached eigendecomposition of a
-diagonally-symmetrized copy of the matrix.  Tridiagonal (and block-
-tridiagonal) sign patterns with matching off-diagonal signs are always
-symmetrizable by a positive diagonal scaling, which keeps every evaluation
-spectral-exact; a generator that admits no such scaling is rejected with a
-ValidationError on its first spectral use.  A shift A + mu*I keeps the
-eigenvectors and the scaling of A, so every shifted copy reuses the base
-factorization and shares one cache of step propagators.
+diagonally-symmetrized copy of the matrix.  The scaling is read off a
+breadth-first spanning forest of the off-diagonal pattern, and one entrywise
+test of the scaled matrix checks every other edge.  Tridiagonal patterns,
+and block-diagonal compositions of them, are forests, so they always pass,
+which keeps every evaluation spectral-exact; a generator that admits no such
+scaling (an asymmetric pattern, or a cycle whose ratios do not multiply to 1)
+is rejected with a ValidationError on its first spectral use.  A shift
+A + mu*I keeps the eigenvectors and the scaling of A, so every shifted copy
+reuses the base factorization and shares one cache of step propagators.
 
 Linear solves with A minus a node-local term (Newton's matrix) run on A's
 band once the components are interleaved node by node (`node_band`): one
@@ -33,6 +35,8 @@ from .errors import DimensionMismatchError, NumericalError, ValidationError
 from .order import TOL_ORDER, GridFunction, monotone_norm
 
 EIG_RESIDUAL_TOL = 1e-10
+EIG_MAX_ITER = 500  # inverse power iterations before principal_eig gives up
+SYMMETRY_RTOL = 1e-10  # entrywise |S - S^T| <= SYMMETRY_RTOL |S| for the scaled S
 
 
 @dataclass
@@ -77,17 +81,17 @@ class GeneratorSpec:
     def _eig_factors(self):
         """(d, w, Q) with matrix = diag(d) Q diag(w) Q^T diag(1/d)."""
         if self._eig is None:
-            # checked here rather than in __post_init__: the symmetrizer is
-            # a Python graph walk, too slow for every add_potential
+            # checked on first spectral use rather than in __post_init__, so
+            # a generator that is never factorized (add_potential's copies
+            # read by principal_eig) pays for no spectral work
             d = _symmetrizer(self.matrix)
-            if d is None:
+            sym = self.matrix * np.outer(1.0 / d, d)
+            # d is fixed by the forest's edges alone: this entrywise test
+            # checks all the others (a NaN fails it too)
+            if not np.all(np.abs(sym - sym.T) <= SYMMETRY_RTOL * np.abs(sym)):
                 raise ValidationError(
                     "generator is not symmetrizable by a positive diagonal scaling"
                 )
-            sym = self.matrix * np.outer(1.0 / d, d)
-            skew = float(np.max(np.abs(sym - sym.T)))
-            if skew > 1e-9 * max(1.0, float(np.max(np.abs(sym)))):
-                raise NumericalError("symmetrization failed; scaling inconsistent")
             w, q = scipy.linalg.eigh(sym, lower=True)
             self._eig = (d, w, q)
         return self._eig
@@ -156,37 +160,34 @@ def _node_band(matrix: np.ndarray, c: int) -> NodeBand:
     return NodeBand(perm, inverse, (lower, upper), band, blocks)
 
 
-def _symmetrizer(m: np.ndarray) -> np.ndarray | None:
-    """Positive diagonal d with diag(1/d) M diag(d) symmetric, or None.
+def _symmetrizer(m: np.ndarray) -> np.ndarray:
+    """Positive diagonal d with diag(1/d) M diag(d) symmetric if any exists.
 
-    Exists whenever the sparsity pattern is symmetric, paired off-diagonal
-    entries have equal signs, and scaling is consistent around cycles
-    (automatic for tridiagonal/forest patterns).
+    d is 1 at the first node of each connected component of the mutual
+    off-diagonal pattern (m[i, j] and m[j, i] both nonzero), and
+    d[j] = d[p] * sqrt(m[j, p] / m[p, j]) down the edges (p, j) of a
+    breadth-first tree from there.  Only the tree edges are read; the caller
+    checks the scaled matrix on every other one.
     """
-    n = m.shape[0]
-    if n == 1:
-        return np.ones(1)
-    mask = (m != 0.0) & ~np.eye(n, dtype=bool)
-    if not np.array_equal(mask, mask.T):
-        return None
-    if np.any((m * m.T)[mask] <= 0):
-        return None
-    d = np.zeros(n)
-    for root in range(n):
-        if d[root] != 0.0:
-            continue
-        d[root] = 1.0
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(mask[i])[0]:
-                ratio = np.sqrt(m[j, i] / m[i, j])
-                if d[j] == 0.0:
-                    d[j] = d[i] * ratio
-                    stack.append(j)
-                elif not np.isclose(d[j], d[i] * ratio, rtol=1e-10):
-                    return None  # inconsistent cycle
-    return d
+    if m.shape[0] == 1:
+        return np.ones(1)  # skips the scipy.sparse import for scalar problems
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
+    pattern = csr_matrix((m != 0.0) & (m.T != 0.0))
+    _, labels = connected_components(pattern, directed=False)
+    children, parents = [], []
+    for root in np.unique(labels, return_index=True)[1]:
+        # the pattern is symmetric, so the (faster) directed search suffices
+        order, pred = breadth_first_order(pattern, root)
+        children.append(order[1:])
+        parents.append(pred[order[1:]])
+    child, parent = np.concatenate(children), np.concatenate(parents)
+    ratios = np.sqrt(m[child, parent] / m[parent, child])
+    d = [1.0] * m.shape[0]
+    for j, p, r in zip(child.tolist(), parent.tolist(), ratios.tolist()):
+        d[j] = d[p] * r
+    return np.array(d)
 
 
 # -- constructors ------------------------------------------------------------
@@ -336,7 +337,7 @@ def _is_irreducible(m: np.ndarray) -> bool:
     return ncomp == 1
 
 
-def principal_eig(a: GeneratorSpec, max_iter: int = 500) -> EigPair:
+def principal_eig(a: GeneratorSpec) -> EigPair:
     """Smallest eigenvalue with its positive eigenvector, sup-norm 1.
 
     Inverse power iteration on sigma*I + A with a Gershgorin-based sigma
@@ -353,7 +354,7 @@ def principal_eig(a: GeneratorSpec, max_iter: int = 500) -> EigPair:
     lu, piv = scipy.linalg.lu_factor(sigma * np.eye(n) + m)
     x = np.ones(n)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(EIG_MAX_ITER):
         x = scipy.linalg.lu_solve((lu, piv), x)
         x /= np.max(np.abs(x))
         mx = m @ x

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import generators
 from .errors import NumericalError, ValidationError
-from .generators import GeneratorSpec, add_potential, block_generator, principal_eig
+from .generators import EigPair, GeneratorSpec, add_potential, block_generator, principal_eig
 from .mild import ProblemSpec
 from .monotone import asymptotic_equilibria, newton_equilibrium
 from .nonlin import Nonlinearity, competition, fisher, logistic, signed_sqrt
@@ -109,12 +109,14 @@ class ScenarioSpec:
         )
 
     def _certify(self):
-        lower_ok = verify_subsolution(self.A, self.F, self.interval.lower, self.cone)
-        upper_ok = verify_supersolution(self.A, self.F, self.interval.upper, self.cone)
-        self.certificates["sub_margin"] = subsolution_margin(
-            self.A, self.F, self.interval.lower, self.cone)
-        self.certificates["super_margin"] = supersolution_margin(
-            self.A, self.F, self.interval.upper, self.cone)
+        lower, upper = self.interval.lower, self.interval.upper
+        sub = subsolution_margin(self.A, self.F, lower, self.cone)
+        sup = supersolution_margin(self.A, self.F, upper, self.cone)
+        self.certificates["sub_margin"] = sub
+        self.certificates["super_margin"] = sup
+        # verify_subsolution / verify_supersolution at their default slack
+        lower_ok = sub >= -_cert_slack(self.A, lower, self.F.eval_values(lower.values))
+        upper_ok = sup >= -_cert_slack(self.A, upper, self.F.eval_values(upper.values))
         if not (lower_ok and upper_ok):
             raise ValidationError(
                 f"{self.name}: certificate failure "
@@ -144,9 +146,15 @@ def _dyadic_sweep(seed: float, accept, max_halvings: int = 60) -> float | None:
 def build_logistic(a_gen: GeneratorSpec, a: float, b: float) -> ScenarioSpec:
     """Interval [eps*phi0, M*1] when a > lambda_1, else the [0, M*1] box
     whose predicted extremal equilibrium is 0."""
+    return _logistic(a_gen, a, b, None)
+
+
+def _logistic(a_gen: GeneratorSpec, a: float, b: float, pair: EigPair | None) -> ScenarioSpec:
+    """build_logistic, reusing a_gen's principal eigenpair if the caller has it."""
     if a <= 0 or b <= 0:
         raise ValidationError("logistic scenario needs a, b > 0")
-    pair = principal_eig(a_gen)
+    if pair is None:
+        pair = principal_eig(a_gen)
     lam1, phi0 = pair.lambda1, pair.phi0
     f = logistic(a, b)
     n = a_gen.dim
@@ -196,9 +204,12 @@ def build_logistic(a_gen: GeneratorSpec, a: float, b: float) -> ScenarioSpec:
 FLIPPED_CONE = ConeSpec((1, -1))
 
 
-def _semi_trivial(a_gen: GeneratorSpec, a: float, b: float) -> tuple[GridFunction, float]:
-    """Single-species logistic steady state via the engine plus Newton polish."""
-    scen = build_logistic(a_gen, a, b)
+def _semi_trivial(
+    a_gen: GeneratorSpec, pair: EigPair, a: float, b: float
+) -> tuple[GridFunction, float]:
+    """Single-species logistic steady state via the engine plus Newton polish;
+    pair is a_gen's principal eigenpair."""
+    scen = _logistic(a_gen, a, b, pair)
     if "equilibrium" in scen.predicted:
         guess = scen.predicted["equilibrium"]
     else:
@@ -227,8 +238,8 @@ def build_competition(
     if a2_gen.dim != n:
         raise ValidationError("both species need the same mesh")
     sys_gen = block_generator([a1_gen, a2_gen])
-    lam_a1 = principal_eig(a1_gen).lambda1
-    lam_a2 = principal_eig(a2_gen).lambda1
+    pair_a1, pair_a2 = principal_eig(a1_gen), principal_eig(a2_gen)
+    lam_a1, lam_a2 = pair_a1.lambda1, pair_a2.lambda1
     eig_data = {"lambda1_A1": lam_a1, "lambda1_A2": lam_a2}
     necessary = a1 > lam_a1 and a2 > lam_a2
 
@@ -236,9 +247,9 @@ def build_competition(
     w2 = GridFunction(np.zeros(n))
     res1 = res2 = 0.0
     if a1 > lam_a1:
-        w1, res1 = _semi_trivial(a1_gen, a1, b11)
+        w1, res1 = _semi_trivial(a1_gen, pair_a1, a1, b11)
     if a2 > lam_a2:
-        w2, res2 = _semi_trivial(a2_gen, a2, b22)
+        w2, res2 = _semi_trivial(a2_gen, pair_a2, a2, b22)
     eig_data["w_residuals"] = (res1, res2)
 
     coexistence = False

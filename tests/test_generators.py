@@ -11,6 +11,11 @@ from mevolve.errors import DimensionMismatchError, ValidationError
 from mevolve.generators import _symmetrizer, propagator_matrices, scalar_generator, shifted
 
 
+def periodic_laplacian(n):
+    eye = np.eye(n)
+    return 2.0 * eye - np.roll(eye, 1, axis=1) - np.roll(eye, -1, axis=1)
+
+
 def closed_form_lambda1(n):
     h = 1.0 / (n + 1)
     return (4.0 / h**2) * np.sin(np.pi * h / 2.0) ** 2
@@ -53,6 +58,41 @@ class TestAssembly:
             mv.semigroup_apply(gen, 0.1, np.ones(3))
         with pytest.raises(ValidationError, match="symmetrizable"):
             gen.min_eigenvalue()
+
+    def test_inconsistent_cycle_rejected_on_first_spectral_use(self):
+        # a symmetric pattern whose cycle ratios multiply to 2, not 1
+        m = np.array([[3.0, -1.0, -1.0], [-2.0, 3.0, -1.0], [-1.0, -1.0, 3.0]])
+        with pytest.raises(ValidationError, match="symmetrizable"):
+            mv.GeneratorSpec(m, 1.0, "system").min_eigenvalue()
+
+    def test_consistent_cycle_accepted(self):
+        # diag(d) S diag(1/d): the pattern is one cycle whose ratios multiply to 1
+        s = periodic_laplacian(8)
+        d = np.arange(1.0, 9.0)
+        gen = mv.GeneratorSpec(d[:, None] * s / d[None, :], 1.0, "system")
+        assert gen.min_eigenvalue() == pytest.approx(
+            scipy.linalg.eigvalsh(s)[0], abs=1e-12)
+
+    def test_band_scaling_is_the_running_product_of_ratios(self):
+        # on a path the forest multiplies the ratios in band order, so the
+        # scaling (and every spectral result) is the same to the last bit
+        robin = mv.build_laplacian_1d(99, "robin", beta=1.0)
+        neumann = mv.build_laplacian_1d(12, "neumann")
+        for gen, starts in ((robin, {0}), (mv.block_generator([neumann, neumann]), {0, 12})):
+            m = gen.matrix
+            expected = [1.0]
+            for i in range(1, gen.dim):
+                if i in starts:
+                    expected.append(1.0)
+                else:
+                    expected.append(expected[-1] * np.sqrt(m[i, i - 1] / m[i - 1, i]))
+            assert np.array_equal(_symmetrizer(m), expected)
+
+    def test_cycle_inconsistent_beyond_round_off_rejected(self):
+        s = periodic_laplacian(8)
+        s[0, -1] *= 1.0 + 1e-9  # the edge closing the cycle
+        with pytest.raises(ValidationError, match="symmetrizable"):
+            mv.GeneratorSpec(s, 1.0, "system").min_eigenvalue()
 
 
 class TestSemigroup:

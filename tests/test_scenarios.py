@@ -243,3 +243,22 @@ def test_competition_build_makes_no_random_start_newton_runs(monkeypatch):
     )
     assert scen.certificates["coexistence"]
     assert calls == {"engine": 2, "newton": 2 * 2 + 2}
+
+
+def test_competition_build_computes_each_principal_pair_once(monkeypatch):
+    # one pair per species, reused by its semi-trivial state, and one per
+    # shifted generator of the coexistence gate
+    from mevolve import scenarios
+
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return mv.principal_eig(a)
+
+    monkeypatch.setattr(scenarios, "principal_eig", counting)
+    g1, g2 = mv.build_laplacian_1d(10, "dirichlet"), mv.build_laplacian_1d(10, "dirichlet")
+    scen = mv.build_competition(g1, g2, 30.0, 30.0, 1.0, 0.3, 0.3, 1.0)
+    assert scen.certificates["coexistence"]
+    assert len(calls) == 4
+    assert calls[0] is g1 and calls[1] is g2
