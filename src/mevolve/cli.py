@@ -186,6 +186,8 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
             "horizon": eq.horizon,
             "horizon_converged": eq.horizon_converged,
             "windows": eq.windows,
+            "certified": eq.certified,
+            "certified_radius": eq.certified_radius,
             "worst_violation": eq.worst_violation,
             "continuation_defect": eq.continuation_defect,
             "extremal_violation": eq.extremal_violation,

@@ -33,6 +33,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .generators import GeneratorSpec
 from .nonlin import Nonlinearity, quasi_increasing_shift
 from .order import (
+    TOL_ORDER,
     GridFunction,
     OrderInterval,
     clamp_values,
@@ -41,6 +42,7 @@ from .order import (
 )
 
 STABILITY_FLOOR = 0.1  # scaled problems keep min eigenvalue >= this
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -115,6 +117,13 @@ class ProblemSpec:
     def equilibrium_residual(self, u: GridFunction) -> float:
         """Sup norm of A u - F(u); shift-independent."""
         return monotone_norm(self.A.matrix @ u.values - self.rhs(u.values))
+
+
+def defect_slack(a: GeneratorSpec, u: GridFunction, f_values: np.ndarray) -> float:
+    """Round-off floor for evaluating A u - F(u) entrywise."""
+    scale = float(np.max(np.sum(np.abs(a.matrix), axis=1))) * monotone_norm(u)
+    scale = max(scale, float(np.max(np.abs(f_values))), 1.0)
+    return max(TOL_ORDER, 32.0 * _EPS * scale)
 
 
 def scale_problem(problem: ProblemSpec, mu: float) -> ProblemSpec:
@@ -199,7 +208,10 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
         for start in range(0, traj.t_grid.size, rows):
             stop = start + rows
             block = np.column_stack([traj.t_grid[start:stop], traj.states[start:stop]])
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block.tolist())
+            # one flat list of reprs, cut into rows by zipping one iterator
+            # width times: no Python generator step per row
+            values = map(repr, block.ravel().tolist())
+            fh.write("\r\n".join(map(",".join, zip(*[values] * block.shape[1]))) + "\r\n")
 
 
 def trajectory_from_csv(path, components: int = 1) -> Trajectory:

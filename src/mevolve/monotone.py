@@ -16,10 +16,12 @@ ordering chain
 valid at round-off level on every inner iteration of every step; the engine
 tracks the worst signed violation and aborts if it ever exceeds the
 floating-point-aware slack.  The rows converge to the minimal/maximal
-trajectories; marching on from the interval bounds until the increment over
-a window stalls yields the extremal equilibria, which are Newton-polished
-and cross-checked for minimality/maximality against independently found
-equilibria.
+trajectories.  Marching on from the interval bounds yields the extremal
+equilibria: the march stops once Newton's point next to each row is proven
+to be the extremal equilibrium on its side (an M-matrix bound on the box
+between the row and that point), or else once the increment over a window
+stalls, and a stalled state is Newton-polished.  Both are cross-checked for
+minimality/maximality against independently found equilibria.
 """
 
 from __future__ import annotations
@@ -31,10 +33,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, ValidationError
+from .generators import GeneratorSpec
 from .mild import (
     ProblemSpec,
     Trajectory,
     auto_scale,
+    defect_slack,
     time_grid,
 )
 from .order import (
@@ -157,8 +161,8 @@ class _March:
             outer = np.outer(svec, svec)
             p_mat, b_mat = outer * p_mat, outer * b_mat
         self.p_t, self.b_t = p_mat.T.copy(), b_mat.T.copy()
-        rhs = scaled.rhs
-        self.g = rhs if self.svec is None else (lambda y: svec * rhs(svec * y))
+        # the shifted reaction term in standard coordinates
+        self.g = scaled.rhs if self.svec is None else scaled.F.shifted_in_cone(svec, scaled.mu)
         self.F = scaled.F
 
     def _standard(self, values: np.ndarray) -> np.ndarray:
@@ -488,19 +492,27 @@ def extremal_trajectories(
 def linearized_solve(problem: ProblemSpec, v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (A - F'(v) - mu) x = rhs, Newton's matrix at v, by one banded LU.
 
-    F' is node-local (`Nonlinearity.jacobian_blocks`), so with the
-    components interleaved node by node the matrix has A's band, widened to
-    the c x c blocks (`GeneratorSpec.node_band`).  Raises NumericalError
-    when the matrix or the solution is not finite, or the matrix is
-    singular.
+    F' is node-local (`Nonlinearity.jacobian_blocks`); see `_banded_solve`.
+    Raises NumericalError when the matrix or the solution is not finite, or
+    the matrix is singular.
     """
-    c = problem.F.components
-    nb = problem.A.node_band(c)
     jac = problem.F.jacobian_blocks(v)
     if problem.mu:
-        jac = jac + problem.mu * np.eye(c)[:, :, None]
+        jac = jac + problem.mu * np.eye(problem.F.components)[:, :, None]
+    return _banded_solve(problem.A, jac, rhs)
+
+
+def _banded_solve(a: GeneratorSpec, blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (A - J) x = rhs for node-local c x c blocks J, shape (c, c, n).
+
+    With the components interleaved node by node the matrix has A's band,
+    widened to the blocks (`GeneratorSpec.node_band`), and one banded LU
+    solves it.  Raises NumericalError when the matrix or the solution is not
+    finite, or the matrix is singular.
+    """
+    nb = a.node_band(blocks.shape[0])
     ab = nb.band.copy()
-    ab[nb.blocks] -= jac
+    ab[nb.blocks] -= blocks
     if not np.all(np.isfinite(ab)):
         raise NumericalError("Newton matrix is not finite")
     try:
@@ -553,6 +565,89 @@ def newton_equilibrium(
     return v, norm_r, norm_r <= tol_res
 
 
+def _jacobian_bound(f, lo: np.ndarray, hi: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """Entrywise upper bound of T F'(u) T over the box lo <= u <= hi, with
+    T = diag(sides), as (c, c, n) blocks; off-diagonal entries are clipped
+    at 0, which keeps them upper bounds."""
+    c = f.components
+    low, high = f.jacobian_range(lo, hi)
+    signs = sides.reshape(c, -1)[:, 0]
+    jac = np.where(np.outer(signs, signs)[:, :, None] > 0, high, -low)
+    off = ~np.eye(c, dtype=bool)
+    jac[off] = np.maximum(jac[off], 0.0)
+    return jac
+
+
+def _certify_extremal(problem: ProblemSpec, state: np.ndarray, side: int, tol_eq: float,
+                      slack: float) -> tuple[np.ndarray, float] | None:
+    """Prove Newton's point p next to a terminal state of the march to be
+    the minimal (side = 1, state U_min(T)) or the maximal (side = -1, state
+    U_max(T)) equilibrium of the interval: (p, radius), or None when the
+    proof fails.
+
+    Work in the coordinates y = side * S u (S the cone signs), where the
+    wanted equilibrium u* is the minimal one and the Jacobian of the
+    reaction term is S F' S.  With l the state and p Newton's point from l,
+    run down to its residual floor rho:
+
+    - J+ bounds S F' S + mu from above entrywise over the box
+      [min(l, p) - slack, p + tol_eq] (`Nonlinearity.jacobian_range`), its
+      off-diagonal entries clipped at 0, so M+ = A - J+ is a Z-matrix;
+    - psi solves M+ psi = 1 by one banded LU, and the proof needs psi > 0
+      and kappa = min(M+ psi) >= 1/2, recomputed: then M+ is a nonsingular
+      M-matrix, M+^-1 >= 0;
+    - v = p + eps psi, with eps the first of 4 rho, 8 rho, ... for which v
+      is a super-solution (A v >= F(v) up to `defect_slack`, the slack of
+      `verify_supersolution`), lies in the interval and has eps psi <= tol_eq.
+
+    Then l <= u* <= v: U_min rises to u*, and u* lies below every
+    super-solution in the interval.  e = v - u* >= 0 has M+ e <= d+, the
+    positive part of d = A v - F(v), so e <= |d+| psi / kappa and
+    |u* - p| <= |psi| (|d+| / kappa + eps), the radius.  If p were not the
+    extremal equilibrium, the box would hold u* <= p, u* != p, with
+    M+ (p - u*) <= 0, which no M-matrix allows; an unstable or degenerate
+    equilibrium fails the M-matrix test as well.
+    """
+    interval, f = problem.interval, problem.F
+    c = f.components
+    sides = side * interval.cone.sign_vector(interval.lower.n_points)
+    a, b = sides * interval.lower.values, sides * interval.upper.values
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    p, rho, _ = newton_equilibrium(problem, state, tol_res=0.0)
+    y_p = sides * p
+    corners = sides * (np.minimum(sides * state, y_p) - slack), sides * (y_p + tol_eq)
+    jac = _jacobian_bound(f, np.minimum(*corners), np.maximum(*corners), sides)
+    jac += problem.mu * np.eye(c)[:, :, None]
+    signs = sides.reshape(c, -1)[:, 0]
+    blocks = np.outer(signs, signs)[:, :, None] * jac  # the bound, back in u
+    try:
+        x = _banded_solve(problem.A, blocks, sides.copy())
+    except NumericalError:
+        return None
+    psi = sides * x
+    if not np.all(psi > 0.0):
+        return None
+    m_psi = problem.A.matrix @ x - np.einsum("ijk,jk->ik", blocks, x.reshape(c, -1)).ravel()
+    kappa = float(np.min(sides * m_psi))
+    if not kappa >= 0.5:
+        return None
+    psi_max = float(np.max(psi))
+    eps = 4.0 * rho
+    while eps * psi_max <= tol_eq:
+        y = y_p + eps * psi
+        if np.all(lo <= y) and np.all(y <= hi):
+            v = sides * y
+            f_v = problem.rhs(v)
+            d = sides * (problem.A.matrix @ v - f_v)
+            if float(np.min(d)) >= -defect_slack(problem.A, GridFunction(v, c), f_v):
+                radius = psi_max * (max(float(np.max(d)), 0.0) / kappa + eps)
+                return p, radius
+        if eps == 0.0:
+            break
+        eps *= 2.0
+    return None
+
+
 @dataclass
 class EquilibriaResult:
     u_star: GridFunction
@@ -571,6 +666,10 @@ class EquilibriaResult:
     polish_moved: tuple
     newton_equilibria: list
     extremal_violation: float
+    # per end (minimal, maximal): whether the equilibrium is Newton's point
+    # proven extremal by _certify_extremal, and the proven radius (or None)
+    certified: tuple
+    certified_radius: tuple
 
 
 def asymptotic_equilibria(
@@ -584,13 +683,20 @@ def asymptotic_equilibria(
     seed: int = 20240901,
 ) -> EquilibriaResult:
     """Extremal equilibria as the t -> infinity limits of the extremal
-    trajectories, with Newton polish and a minimality/maximality cross-check
-    from random interior Newton runs.
+    trajectories, with a minimality/maximality cross-check from random
+    interior Newton runs.
 
     One march runs from the interval bounds and is advanced one window (the
-    problem's horizon) at a time.  Since U_min increases and U_max decreases,
-    the increment of the rows over a window is a valid stalling signal; the
-    march stops once it drops below tol_eq.
+    problem's horizon) at a time.  After windows 1, 2, 4, 8, ... and at the
+    stall stop, each end not yet certified tries `_certify_extremal` on its
+    row's terminal state; an end is certified when the proof holds with a
+    radius <= tol_eq, and then reports Newton's point p.  The march stops
+    once both ends are certified, so U_min and U_max end at that horizon.
+    Otherwise it stops once the increment of the rows over a window drops
+    below tol_eq (a valid stalling signal, since U_min increases and U_max
+    decreases), and an uncertified end reports its stalled state,
+    Newton-polished.  An unstable or degenerate extremal equilibrium, or a
+    reaction term without `jacobian_range` bounds, never certifies.
     """
     interval = problem.interval
     window = problem.horizon
@@ -599,7 +705,8 @@ def asymptotic_equilibria(
     window_summaries = []
     horizon_converged = False
     horizon = 0.0
-    for _ in range(max_windows):
+    certified = [None, None]  # per end: (p, radius) once proven
+    for count in range(1, max_windows + 1):
         start = march.y
         n_iters, converged = march.advance(steps_per_window)
         horizon += window
@@ -612,7 +719,16 @@ def asymptotic_equilibria(
                 "increment": inc,
             }
         )
-        if inc < tol_eq and converged:
+        stalled = inc < tol_eq and converged
+        if converged and (stalled or count & (count - 1) == 0):
+            for end, side in ((0, 1), (1, -1)):
+                if certified[end] is None:
+                    cert = _certify_extremal(
+                        problem, march._standard(march.y[end]), side, tol_eq, march.slack
+                    )
+                    if cert is not None and cert[1] <= tol_eq:
+                        certified[end] = cert
+        if stalled or all(c is not None for c in certified):
             horizon_converged = True
             break
     report = march.report()
@@ -621,10 +737,15 @@ def asymptotic_equilibria(
         time_monotonicity_violation(u_min_full, interval, "increasing"),
         time_monotonicity_violation(u_max_full, interval, "decreasing"),
     )
-    state_low, state_up = u_min_full.terminal(), u_max_full.terminal()
-
-    star_values, star_res, moved_low = _polish(problem, state_low, tol_res, tol_eq)
-    upper_values, upper_res, moved_up = _polish(problem, state_up, tol_res, tol_eq)
+    ends = []
+    for cert, traj in zip(certified, (u_min_full, u_max_full)):
+        if cert is None:  # the stalled state, Newton-polished
+            ends.append(_polish(problem, traj.terminal(), tol_res, tol_eq))
+        else:  # the clamp moves p only toward the equilibrium, inside the interval
+            values = clamp_values(cert[0], interval)
+            res = problem.equilibrium_residual(GridFunction(values, interval.components))
+            ends.append((values, res, 0.0))
+    (star_values, star_res, moved_low), (upper_values, upper_res, moved_up) = ends
     u_star = GridFunction(star_values, interval.components)
     u_upper_star = GridFunction(upper_values, interval.components)
 
@@ -672,6 +793,8 @@ def asymptotic_equilibria(
         polish_moved=(moved_low, moved_up),
         newton_equilibria=found,
         extremal_violation=extremal_violation,
+        certified=tuple(c is not None for c in certified),
+        certified_radius=tuple(None if c is None else c[1] for c in certified),
     )
 
 

@@ -11,7 +11,8 @@ at that node.  So the Jacobian is c x c per node, and `jacobian_blocks`
 returns it as a (c, c, n) array whose entry [i, j, k] is dF_i/du_j at node
 k; Newton's solver reads only those blocks.  The presets state their
 Jacobians as blocks, and their dense `jacobian_matrix` is assembled from
-them.
+them.  `jacobian_range` bounds the blocks entrywise over a box, in closed
+form per preset, for the certificate of the extremal equilibria.
 """
 
 from __future__ import annotations
@@ -43,6 +44,17 @@ class Nonlinearity:
         """
         return self.eval_values(values) + shift * values
 
+    def shifted_in_cone(self, svec: np.ndarray, shift: float):
+        """The shifted term in cone coordinates, y -> S (F(S y) + shift*S y)
+        with S = diag(svec), as one callable on (..., dim) arrays.
+
+        The march evaluates a flipped-cone term this way.  The default wraps
+        eval_shifted in the two sign flips; sign flips are exact, so an
+        override that folds the signs into its coefficients must equal the
+        wrapper bit for bit.
+        """
+        return lambda values: svec * self.eval_shifted(svec * values, shift)
+
     def eval_shifted_scalars(self, x0: float, x1: float, shift: float) -> tuple[float, float]:
         """eval_shifted at the states x0 and x1 of a one-node, one-component
         problem, as two Python floats.
@@ -68,6 +80,17 @@ class Nonlinearity:
         """
         c = self.components
         return self.jacobian_matrix(values)[_node_local_index(c, values.size // c)]
+
+    def jacobian_range(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Entrywise (lower, upper) bounds of jacobian_blocks over the box
+        lo <= u <= hi (entrywise, blocked layout), each of shape (c, c, n).
+
+        The presets give them in closed form, as they do shift_on; the
+        default knows nothing and returns -inf and +inf.
+        """
+        c = self.components
+        shape = (c, c, lo.size // c)
+        return np.full(shape, -np.inf), np.full(shape, np.inf)
 
     def lipschitz_on(self, interval: OrderInterval) -> float:
         raise NotImplementedError
@@ -126,6 +149,9 @@ class _Logistic(Nonlinearity):
 
     jacobian_matrix = _assembled_jacobian
 
+    def jacobian_range(self, lo, hi):
+        return (self.a - 2.0 * self.b * hi)[None, None], (self.a - 2.0 * self.b * lo)[None, None]
+
     def lipschitz_on(self, interval):
         lo, hi = interval.component_range(0)
         return max(abs(self.a - 2 * self.b * lo), abs(self.a - 2 * self.b * hi))
@@ -144,15 +170,17 @@ def _fisher_h_prime(alpha: float, xi):
     return alpha + 2.0 * (1.0 - 3.0 * alpha) * xi - 3.0 * (1.0 - 2.0 * alpha) * xi * xi
 
 
-def _quadratic_range(alpha: float, lo: float, hi: float) -> tuple[float, float]:
-    """Range of h' over [lo, hi]."""
-    cands = [lo, hi]
+def _quadratic_range(alpha: float, lo, hi):
+    """Range of h' over [lo, hi]; entrywise for arrays."""
+    at_lo, at_hi = _fisher_h_prime(alpha, lo), _fisher_h_prime(alpha, hi)
+    dmin, dmax = np.minimum(at_lo, at_hi), np.maximum(at_lo, at_hi)
     if alpha != 0.5:  # h'' root
         xi = (1.0 - 3.0 * alpha) / (3.0 * (1.0 - 2.0 * alpha))
-        if lo <= xi <= hi:
-            cands.append(xi)
-    vals = [_fisher_h_prime(alpha, x) for x in cands]
-    return min(vals), max(vals)
+        inside = (lo <= xi) & (xi <= hi)
+        at_xi = _fisher_h_prime(alpha, xi)
+        dmin = np.where(inside, np.minimum(dmin, at_xi), dmin)
+        dmax = np.where(inside, np.maximum(dmax, at_xi), dmax)
+    return dmin, dmax
 
 
 class _Fisher(Nonlinearity):
@@ -181,10 +209,17 @@ class _Fisher(Nonlinearity):
 
     jacobian_matrix = _assembled_jacobian
 
+    def jacobian_range(self, lo, hi):
+        dmin, dmax = _quadratic_range(self.alpha, lo, hi)
+        up = self.m >= 0
+        low = np.where(up, self.m * dmin, self.m * dmax)
+        high = np.where(up, self.m * dmax, self.m * dmin)
+        return low[None, None], high[None, None]
+
     def lipschitz_on(self, interval):
         lo, hi = interval.component_range(0)
         dmin, dmax = _quadratic_range(self.alpha, lo, hi)
-        return float(np.max(np.abs(self.m))) * max(abs(dmin), abs(dmax))
+        return float(np.max(np.abs(self.m))) * float(max(abs(dmin), abs(dmax)))
 
     def shift_on(self, interval):
         lo, hi = interval.component_range(0)
@@ -224,6 +259,18 @@ class _Competition(Nonlinearity):
         out = u * ((self._growth + shift) - self._own * u - self._cross * u[..., ::-1, :])
         return out.reshape(values.shape)
 
+    def shifted_in_cone(self, svec, shift):
+        # with u_i = s_i y_i, s_i f_i = y_i ((a_i + shift) - b_ii s_i y_i - b_ij s_j y_j):
+        # the signs fold into the coefficient columns
+        signs = svec.reshape(2, -1)[:, :1]
+        growth, own, cross = self._growth + shift, self._own * signs, self._cross * signs[::-1]
+
+        def term(values):
+            y = values.reshape(values.shape[:-1] + (2, -1))
+            return (y * (growth - own * y - cross * y[..., ::-1, :])).reshape(values.shape)
+
+        return term
+
     def jacobian_blocks(self, values):
         u1, u2 = values.reshape(2, -1)
         d11 = self.a1 - 2 * self.b11 * u1 - self.b12 * u2
@@ -233,6 +280,13 @@ class _Competition(Nonlinearity):
         return np.array([[d11, d12], [d21, d22]])
 
     jacobian_matrix = _assembled_jacobian
+
+    def jacobian_range(self, lo, hi):
+        # every entry decreases in every component: its range runs from the
+        # upper corner of the box to the lower one
+        (l1, l2), (h1, h2) = lo.reshape(2, -1), hi.reshape(2, -1)
+        return self.jacobian_blocks(np.concatenate([h1, h2])), \
+            self.jacobian_blocks(np.concatenate([l1, l2]))
 
     def _box(self, interval):
         return interval.component_range(0), interval.component_range(1)
@@ -288,6 +342,13 @@ class _SignedSqrt(Nonlinearity):
             return (0.5 / np.sqrt(np.abs(values)))[None, None]
 
     jacobian_matrix = _assembled_jacobian
+
+    def jacobian_range(self, lo, hi):
+        # f' = 1 / (2 sqrt|u|) falls in |u|; unbounded where the box holds 0
+        far = np.maximum(np.abs(lo), np.abs(hi))
+        near = np.where((lo <= 0.0) & (hi >= 0.0), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+        with np.errstate(divide="ignore"):
+            return (0.5 / np.sqrt(far))[None, None], (0.5 / np.sqrt(near))[None, None]
 
     def lipschitz_on(self, interval):
         lo, hi = interval.component_range(0)

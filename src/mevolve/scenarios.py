@@ -18,7 +18,7 @@ import numpy as np
 from . import generators
 from .errors import NumericalError, ValidationError
 from .generators import EigPair, GeneratorSpec, add_potential, block_generator, principal_eig
-from .mild import ProblemSpec
+from .mild import ProblemSpec, defect_slack
 from .monotone import asymptotic_equilibria, newton_equilibrium
 from .nonlin import Nonlinearity, competition, fisher, logistic, signed_sqrt
 from .order import (
@@ -30,16 +30,6 @@ from .order import (
     leq,
     monotone_norm,
 )
-
-_EPS = np.finfo(float).eps
-
-
-def _cert_slack(a: GeneratorSpec, u: GridFunction, f_values: np.ndarray) -> float:
-    """Round-off floor for evaluating A u - F(u) entrywise."""
-    scale = float(np.max(np.sum(np.abs(a.matrix), axis=1))) * monotone_norm(u)
-    scale = max(scale, float(np.max(np.abs(f_values))), 1.0)
-    return max(TOL_ORDER, 32.0 * _EPS * scale)
-
 
 def subsolution_margin(
     a: GeneratorSpec, f: Nonlinearity, u: GridFunction, cone: ConeSpec
@@ -67,7 +57,7 @@ def verify_subsolution(
 ) -> bool:
     """Entrywise strong form of the weak sub-solution inequality."""
     if tol is None:
-        tol = _cert_slack(a, u, f.eval_values(u.values))
+        tol = defect_slack(a, u, f.eval_values(u.values))
     return subsolution_margin(a, f, u, cone) >= -tol
 
 
@@ -79,7 +69,7 @@ def verify_supersolution(
     tol: float | None = None,
 ) -> bool:
     if tol is None:
-        tol = _cert_slack(a, u, f.eval_values(u.values))
+        tol = defect_slack(a, u, f.eval_values(u.values))
     return supersolution_margin(a, f, u, cone) >= -tol
 
 
@@ -115,8 +105,8 @@ class ScenarioSpec:
         self.certificates["sub_margin"] = sub
         self.certificates["super_margin"] = sup
         # verify_subsolution / verify_supersolution at their default slack
-        lower_ok = sub >= -_cert_slack(self.A, lower, self.F.eval_values(lower.values))
-        upper_ok = sup >= -_cert_slack(self.A, upper, self.F.eval_values(upper.values))
+        lower_ok = sub >= -defect_slack(self.A, lower, self.F.eval_values(lower.values))
+        upper_ok = sup >= -defect_slack(self.A, upper, self.F.eval_values(upper.values))
         if not (lower_ok and upper_ok):
             raise ValidationError(
                 f"{self.name}: certificate failure "

@@ -74,6 +74,33 @@ class TestRun:
         assert abs(doc["equilibria"]["u_upper_star"][0] - 1.0) <= 5e-3
         assert not doc["iteration"]["unique_flag"]
 
+    def test_certified_stop_in_the_report(self, tmp_path):
+        # the console-script smoke config of the scalar case
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scenario="scalar-nonunique", params={"a": 1.0, "M": 2.0}, dt=0.01)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        eq = json.loads((out / "report.json").read_text())["equilibria"]
+        assert eq["certified"] == [True, True]
+        assert all(r <= 1e-8 for r in eq["certified_radius"])
+        assert len(eq["windows"]) == 1 and eq["horizon_converged"]
+        # U_min.csv and U_max.csv end at the certified horizon
+        for name in ("U_min.csv", "U_max.csv"):
+            last = (out / name).read_text().splitlines()[-1]
+            assert float(last.split(",")[0]) == pytest.approx(eq["horizon"])
+
+    def test_unstable_extremal_equilibrium_keeps_its_exit_code(self, tmp_path):
+        # a constant Fisher weight gives the [0, 1] interval, whose lower
+        # bound 0 is an unstable equilibrium: that end stays uncertified
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scenario="fisher", params={"alpha": 0.5, "m": 4.0})
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        eq = json.loads((out / "report.json").read_text())["equilibria"]
+        assert eq["certified"] == [False, True]
+        assert eq["certified_radius"][0] is None
+        assert eq["u_star"] == [0.0] * 12
+
     def test_negative_dt_is_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, dt=-1e-3)
@@ -457,6 +484,9 @@ def run_matrix_config(directory, capsys, **overrides):
         doc = json.loads((out / "report.json").read_text())
         assert doc["status"] == code
         assert (doc["status_reasons"] == []) == (code == 0)
+        eq = doc["equilibria"]
+        for certified, radius in zip(eq["certified"], eq["certified_radius"]):
+            assert radius <= doc["config"]["tol_eq"] if certified else radius is None
     return code
 
 

@@ -250,3 +250,24 @@ class TestSerialization:
         text = path.read_text()
         assert text.splitlines()[0] == "t,node_0_c0,node_1_c0,node_0_c1,node_1_c1"
         assert "-0.0," in text and "1e-300" in text
+
+    @pytest.mark.parametrize("width, components", [(1, 1), (2, 2), (61, 1)])
+    def test_csv_bytes_match_the_row_by_row_writer(self, tmp_path, rng, width, components):
+        """The flat-list assembly writes the bytes of the row-by-row writer
+        it replaced, over full blocks and a partial last one."""
+        rows_per_block = max(1, mv.mild.CSV_BLOCK_VALUES // (width + 1))
+        n_rows = 2 * rows_per_block + 7  # two full blocks, then a partial one
+        states = rng.standard_normal((n_rows, width)) * 10.0 ** rng.integers(-8, 8, (n_rows, width))
+        states[0, 0], states[-1, -1] = -0.0, 1e-300
+        traj = mv.Trajectory(0.01 * np.arange(n_rows), states, components)
+        path = tmp_path / "new.csv"
+        mv.trajectory_to_csv(traj, path)
+
+        reference = tmp_path / "rows.csv"
+        with open(reference, "w", newline="") as fh:
+            fh.write(",".join(mv.mild.csv_header(width // components, components)) + "\r\n")
+            for start in range(0, n_rows, rows_per_block):
+                stop = start + rows_per_block
+                block = np.column_stack([traj.t_grid[start:stop], traj.states[start:stop]])
+                fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block.tolist())
+        assert path.read_bytes() == reference.read_bytes()

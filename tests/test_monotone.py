@@ -1,11 +1,14 @@
 """The iteration engine: sandwich, convergence, extremal objects."""
 
+import copy
+import types
 import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -29,6 +32,24 @@ def scalar_run():
 def neumann_logistic():
     gen = mv.build_laplacian_1d(16, "neumann")
     return mv.build_logistic(gen, 1.0, 1.0)
+
+
+def without_jacobian_bounds(f):
+    """A copy of a reaction term whose jacobian_range is the base class's
+    -inf/+inf: no end of the march certifies, so asymptotic_equilibria runs
+    to its stall stop and polishes, as it did before the certified stop."""
+    g = copy.copy(f)
+    g.jacobian_range = types.MethodType(mv.Nonlinearity.jacobian_range, g)
+    return g
+
+
+def stall_problem(source, horizon, dt):
+    """The problem of a scenario (or problem) on its interval, with the
+    reaction term stripped of Jacobian bounds."""
+    return mv.ProblemSpec(
+        source.A, without_jacobian_bounds(source.F), source.interval,
+        horizon=horizon, dt=dt,
+    )
 
 
 class LinearDecay(mv.Nonlinearity):
@@ -233,9 +254,10 @@ class TestSeparateInitialValues:
 
         monkeypatch.setattr(mv.monotone, "iterate", counting)
         monkeypatch.setattr(mv.monotone, "_March", CountingMarch)
+        # without Jacobian bounds the march runs to its stall, window by window
         prob = mv.ProblemSpec(
-            dirichlet_logistic.A, dirichlet_logistic.F, dirichlet_logistic.interval,
-            horizon=1.0, dt=0.02,
+            dirichlet_logistic.A, without_jacobian_bounds(dirichlet_logistic.F),
+            dirichlet_logistic.interval, horizon=1.0, dt=0.02,
         )
         eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-8, tol_res=1e-8)
         assert len(eq.windows) > 1
@@ -305,7 +327,8 @@ class TestAsymptotics:
         # minimal solutions started inside [lower, u_*] end up at u_*
         gen = mv.build_laplacian_1d(20, "dirichlet")
         scen = mv.build_logistic(gen, 12.0, 2.0)
-        prob = scen.problem(horizon=2.0, dt=0.02)
+        # eq.horizon is the time the march from the lower bound takes to stall
+        prob = stall_problem(scen, horizon=2.0, dt=0.02)
         eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-8, tol_res=1e-8)
         u0 = grid(0.5 * (prob.interval.lower.values + eq.u_star.values))
         final = mv.iterate(
@@ -316,7 +339,7 @@ class TestAsymptotics:
 
     def test_horizon_cap_flags(self):
         scen = mv.build_scalar_nonunique(1.0, 2.0)
-        prob = scen.problem(horizon=0.5, dt=0.01)
+        prob = stall_problem(scen, horizon=0.5, dt=0.01)
         eq = mv.asymptotic_equilibria(
             prob, tol=1e-9, tol_eq=1e-12, tol_res=1e-8, max_windows=1
         )
@@ -324,7 +347,7 @@ class TestAsymptotics:
 
     def test_continuation_seams_inherit_iteration_tolerance(self):
         scen = mv.build_logistic(mv.build_laplacian_1d(20, "dirichlet"), 12.0, 2.0)
-        prob = scen.problem(horizon=1.0, dt=0.02)
+        prob = stall_problem(scen, horizon=1.0, dt=0.02)
         eq = mv.asymptotic_equilibria(prob, tol=1e-10, tol_eq=1e-8, tol_res=1e-8)
         assert len(eq.windows) > 1
         assert eq.continuation_defect <= 1e-7  # bounded by ~tol, not exact
@@ -387,7 +410,7 @@ def test_stalled_polish_kept_when_it_lowers_the_residual():
         99, "robin", 1.0,
     )
     eq = mv.asymptotic_equilibria(
-        scen.problem(horizon=1.0, dt=0.02), tol=1e-9, tol_eq=1e-9, tol_res=1e-8,
+        stall_problem(scen, horizon=1.0, dt=0.02), tol=1e-9, tol_eq=1e-9, tol_res=1e-8,
         seed=1330254769,
     )
     assert max(eq.residuals) <= 1e-8
@@ -470,10 +493,7 @@ class TestMarchAgainstSweepOracle:
         assert rpt.u_max.states[-1, 0] == pytest.approx(0.6103, abs=1e-4)
 
     def test_equilibria_march_is_monotone_in_time(self, problems):
-        prob = mv.ProblemSpec(
-            problems["dirichlet_logistic"].A, problems["dirichlet_logistic"].F,
-            problems["dirichlet_logistic"].interval, horizon=1.0, dt=0.02,
-        )
+        prob = stall_problem(problems["dirichlet_logistic"], horizon=1.0, dt=0.02)
         itv = prob.interval
         eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-8, tol_res=1e-8)
         assert len(eq.windows) > 1
@@ -782,3 +802,170 @@ class TestNewtonLinearAlgebra:
         v, res, ok = mv.newton_equilibrium(prob, start)
         assert not ok and np.array_equal(v, start)
         assert res == pytest.approx(abs(0.5 - np.sqrt(0.5)))
+
+
+def test_flipped_cone_term_matches_the_sign_flip_wrapper(monkeypatch):
+    """The competition preset folds the cone signs into its coefficients;
+    sign flips are exact, so the march is the base class wrapper's, bit for
+    bit (== also holds for signed zeros, which the tobytes check pins)."""
+    scen = mv.build_competition(
+        mv.build_laplacian_1d(10, "neumann"), mv.build_laplacian_1d(10, "neumann"),
+        1.0, 1.0, 1.0, 0.1, 0.1, 1.0,
+    )
+    assert scen.cone == mv.FLIPPED_CONE
+    svec = scen.cone.sign_vector(10)
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal((3, 20))
+    y[0, :4] = [0.0, -0.0, 0.0, -0.0]
+    folded = scen.F.shifted_in_cone(svec, 2.5)(y)
+    wrapped = svec * scen.F.eval_shifted(svec * y, 2.5)
+    assert folded.tobytes() == wrapped.tobytes()
+
+    prob = stall_problem(scen, horizon=0.5, dt=0.02)
+    itv = prob.interval
+
+    def runs():
+        rpt = mv.iterate(prob, itv.lower, u0_upper=itv.upper)
+        eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-8, n_newton_starts=0)
+        return rpt.u_min, rpt.u_max, eq.U_min, eq.U_max
+
+    ours = runs()
+    monkeypatch.setattr(type(scen.F), "shifted_in_cone", mv.Nonlinearity.shifted_in_cone)
+    theirs = runs()
+    for a, b in zip(ours, theirs):
+        assert a.states.shape == b.states.shape
+        assert np.all(a.states == b.states)
+        assert a.states.tobytes() == b.states.tobytes()
+
+
+def steady_state(a_mat, f, start):
+    """Equilibrium reached from `start` by the semi-discrete flow
+    du/dt = F(u) - A u (BDF), polished by a root solve: a reference that
+    shares the model with the engine but none of its solver."""
+
+    def rhs(_t, u):
+        return f.eval_values(u) - a_mat @ u
+
+    def jac(_t, u):
+        return f.jacobian_matrix(u) - a_mat
+
+    sol = scipy.integrate.solve_ivp(
+        rhs, (0.0, 100.0), start, method="BDF", jac=jac, rtol=1e-6, atol=1e-9
+    )
+    assert sol.success
+    root = scipy.optimize.root(lambda u: rhs(0.0, u), sol.y[:, -1], jac=lambda u: jac(0.0, u))
+    assert np.max(np.abs(rhs(0.0, root.x))) <= 1e-9
+    return root.x
+
+
+class TestCertifiedStop:
+    """The march ends once Newton's points are proven to be the extremal
+    equilibria (monotone._certify_extremal); ends that never certify keep
+    the stall stop and the polish."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        logistic = mv.build_logistic(mv.build_laplacian_1d(20, "dirichlet"), 12.0, 2.0)
+        competition = mv.build_competition(
+            mv.build_laplacian_1d(12, "dirichlet"), mv.build_laplacian_1d(12, "dirichlet"),
+            30.0, 30.0, 1.0, 0.3, 0.3, 1.0,
+        )
+        gen = mv.build_laplacian_1d(24, "neumann")
+        fisher = mv.build_fisher(gen, 8.0 * np.sin(2 * np.pi * mv.mesh_nodes(gen)), 0.5)
+        return {
+            "dirichlet_logistic": (logistic, 1.0, 0.02),
+            "dirichlet_competition": (competition, 1.0, 0.02),
+            "fisher_neumann": (fisher, 1.0, 0.05),
+        }
+
+    @pytest.mark.parametrize("case", [
+        "dirichlet_logistic", "dirichlet_competition", "fisher_neumann",
+    ])
+    def test_certified_equilibria_match_an_independent_reference(self, cases, case):
+        scen, horizon, dt = cases[case]
+        eq = mv.asymptotic_equilibria(
+            scen.problem(horizon=horizon, dt=dt), tol=1e-9, tol_eq=1e-9, tol_res=1e-8,
+        )
+        assert eq.certified == (True, True) and eq.horizon_converged
+        assert all(r <= 1e-9 for r in eq.certified_radius)
+        assert eq.polish_moved == (0.0, 0.0)
+        itv = scen.interval
+        # in a cooperative system the flow from each bound ends at the
+        # extremal equilibrium on its side
+        lower = steady_state(scen.A.matrix, scen.F, itv.lower.values)
+        upper = steady_state(scen.A.matrix, scen.F, itv.upper.values)
+        assert np.max(np.abs(eq.u_star.values - lower)) <= 1e-8
+        assert np.max(np.abs(eq.u_upper_star.values - upper)) <= 1e-8
+
+    def test_certified_stop_shortens_the_march_only(self, cases):
+        scen, horizon, dt = cases["dirichlet_logistic"]
+        stalled = mv.asymptotic_equilibria(
+            stall_problem(scen, horizon, dt), tol=1e-9, tol_eq=1e-9, tol_res=1e-8,
+        )
+        eq = mv.asymptotic_equilibria(
+            scen.problem(horizon=horizon, dt=dt), tol=1e-9, tol_eq=1e-9, tol_res=1e-8,
+        )
+        assert stalled.certified == (False, False)
+        assert stalled.certified_radius == (None, None)
+        assert len(eq.windows) < len(stalled.windows)
+        # the certified march is the first part of the stalled one
+        n = eq.U_min.states.shape[0]
+        assert np.array_equal(eq.U_min.states, stalled.U_min.states[:n])
+        assert np.array_equal(eq.U_max.states, stalled.U_max.states[:n])
+        assert np.max(np.abs(eq.u_star.values - stalled.u_star.values)) <= 1e-9
+        assert np.max(np.abs(eq.u_upper_star.values - stalled.u_upper_star.values)) <= 1e-9
+
+    @staticmethod
+    def _reversed_logistic():
+        # in the reversed cone the lower bound 1 lies below the stable
+        # equilibrium 1/2 and the upper bound 0 is the unstable one, so the
+        # minimal equilibrium is 1/2 and 0 is a non-minimal one
+        gen = mv.build_laplacian_1d(12, "neumann")
+        itv = mv.OrderInterval(grid(np.ones(12)), grid(np.zeros(12)), mv.ConeSpec((-1,)))
+        return mv.ProblemSpec(gen, mv.logistic(1.0, 2.0), itv, horizon=1.0, dt=0.05), 0.5, 0.0
+
+    @staticmethod
+    def _scalar():
+        # equilibria -1 < 0 < 1 in [-2, 2]; +1 is a non-minimal one
+        scen = mv.build_scalar_nonunique(1.0, 2.0)
+        return scen.problem(horizon=1.0, dt=0.01), -1.0, 1.0
+
+    @pytest.mark.parametrize("build", ["_reversed_logistic", "_scalar"])
+    def test_non_minimal_newton_point_is_rejected(self, monkeypatch, build):
+        prob, minimal, other = getattr(self, build)()
+        eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-9, tol_res=1e-8)
+        assert eq.certified[0]
+        assert np.max(np.abs(eq.u_star.values - minimal)) <= 1e-9
+        state = eq.U_min.terminal().values
+        slack = mv.order.order_slack(prob.interval.value_scale(), prob.interval.dim)
+        assert mv.monotone._certify_extremal(prob, state, 1, 1e-9, slack) is not None
+
+        original = mv.monotone.newton_equilibrium
+
+        def wrong_root(problem, start, tol_res=1e-10, max_iter=80):
+            if tol_res == 0.0 and np.max(np.abs(start - minimal)) < 0.5 * abs(other - minimal):
+                # the certificate's run from the lower row: a genuine
+                # equilibrium, but not the minimal one
+                v = np.full_like(start, other)
+                return v, mv.monotone.monotone_norm(problem.A.matrix @ v - problem.rhs(v)), True
+            return original(problem, start, tol_res, max_iter)
+
+        monkeypatch.setattr(mv.monotone, "newton_equilibrium", wrong_root)
+        assert mv.monotone._certify_extremal(prob, state, 1, 1e-9, slack) is None
+        mutated = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-9, tol_res=1e-8)
+        assert not mutated.certified[0]
+        # the lower end falls back to the stall stop and the polish
+        assert np.max(np.abs(mutated.u_star.values - minimal)) <= 1e-8
+
+    def test_unstable_extremal_equilibrium_stays_uncertified(self):
+        # logistic on [0, M] with a > lambda_1: the lower bound 0 is itself
+        # the minimal equilibrium, and it is unstable
+        gen = mv.build_laplacian_1d(20, "dirichlet")
+        itv = mv.OrderInterval(grid(np.zeros(20)), grid(12.0 * np.ones(20)))
+        prob = mv.ProblemSpec(gen, mv.logistic(12.0, 2.0), itv, horizon=1.0, dt=0.02)
+        eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-9, tol_res=1e-8)
+        assert eq.certified == (False, True)
+        assert eq.certified_radius[0] is None and eq.certified_radius[1] <= 1e-9
+        assert eq.horizon_converged
+        assert np.all(eq.u_star.values == 0.0)
+        assert np.min(eq.u_upper_star.values) > 0.1

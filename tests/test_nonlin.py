@@ -303,3 +303,56 @@ def test_signed_sqrt_scalars_match_eval_shifted_bit_for_bit(x0, x1, shift):
 def test_default_scalars_match_eval_shifted(x0, x1, shift):
     # the logistic preset keeps the base class's eval_shifted_scalars
     _assert_scalars_match_eval_shifted(mv.logistic(1.5, 0.5), x0, x1, shift)
+
+
+# -- Jacobian bounds ------------------------------------------------------------
+
+JACOBIAN_PRESETS = {
+    "logistic": lambda n: mv.logistic(1.5, 0.7),
+    # a sign-changing weight takes both branches of the bound
+    "fisher": lambda n: mv.fisher(np.linspace(-3.0, 5.0, n), 0.3),
+    "competition": lambda n: mv.competition(2.0, 1.5, 1.0, 0.4, 0.6, 1.2),
+    "signed_sqrt": lambda n: mv.signed_sqrt(),
+}
+
+
+def _below(a, b):
+    """a <= b entrywise up to round-off in the closed forms."""
+    with np.errstate(invalid="ignore"):
+        return bool(np.all((a <= b) | (a - b <= 1e-12 * (1.0 + np.abs(b)))))
+
+
+@given(st.sampled_from(sorted(JACOBIAN_PRESETS)), st.integers(1, 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sampled_jacobians_lie_in_jacobian_range(name, n, data):
+    """jacobian_blocks anywhere in a box lies within jacobian_range of the
+    box, and T F' T within the certificate's bound for the plain (T = I)
+    and the flipped cone (T = -I for one component, diag(1, -1) for two)."""
+    f = JACOBIAN_PRESETS[name](n)
+    c = f.components
+    values = st.floats(-3.0, 3.0)
+    lo = data.draw(arrays(float, c * n, elements=values))
+    hi = lo + data.draw(arrays(float, c * n, elements=st.floats(0.0, 3.0)))
+    t = data.draw(arrays(float, c * n, elements=st.floats(0.0, 1.0)))
+    u = np.clip(lo + t * (hi - lo), lo, hi)
+    with np.errstate(divide="ignore"):
+        jac = f.jacobian_blocks(u)
+    low, high = f.jacobian_range(lo, hi)
+    assert low.shape == high.shape == (c, c, n)
+    assert _below(low, jac) and _below(jac, high)
+    for signs in ((1,) * c, (1, -1) if c == 2 else (-1,)):
+        sides = np.repeat(np.asarray(signs, dtype=float), n)
+        outer = np.outer(signs, signs)[:, :, None]
+        bound = mv.monotone._jacobian_bound(f, lo, hi, sides)
+        assert _below(outer * jac, bound)
+        off = ~np.eye(c, dtype=bool)
+        assert np.all(bound[off] >= 0.0)
+
+
+def test_base_jacobian_range_is_unbounded():
+    class Opaque(mv.Nonlinearity):
+        components = 2
+
+    low, high = Opaque().jacobian_range(np.zeros(6), np.ones(6))
+    assert low.shape == high.shape == (2, 2, 3)
+    assert np.all(low == -np.inf) and np.all(high == np.inf)
