@@ -588,7 +588,8 @@ def _certify_extremal(problem: ProblemSpec, state: np.ndarray, side: int, tol_eq
     Work in the coordinates y = side * S u (S the cone signs), where the
     wanted equilibrium u* is the minimal one and the Jacobian of the
     reaction term is S F' S.  With l the state and p Newton's point from l,
-    run down to its residual floor rho:
+    run down to its residual floor rho and clamped into the interval (the
+    clamp moves p only toward u*, and lets an end on a bound certify):
 
     - J+ bounds S F' S + mu from above entrywise over the box
       [min(l, p) - slack, p + tol_eq] (`Nonlinearity.jacobian_range`), its
@@ -614,7 +615,8 @@ def _certify_extremal(problem: ProblemSpec, state: np.ndarray, side: int, tol_eq
     a, b = sides * interval.lower.values, sides * interval.upper.values
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     p, rho, _ = newton_equilibrium(problem, state, tol_res=0.0)
-    y_p = sides * p
+    y_p = np.clip(sides * p, lo, hi)  # moves p only toward u*, which lies inside
+    p = sides * y_p
     corners = sides * (np.minimum(sides * state, y_p) - slack), sides * (y_p + tol_eq)
     jac = _jacobian_bound(f, np.minimum(*corners), np.maximum(*corners), sides)
     jac += problem.mu * np.eye(c)[:, :, None]
@@ -741,8 +743,8 @@ def asymptotic_equilibria(
     for cert, traj in zip(certified, (u_min_full, u_max_full)):
         if cert is None:  # the stalled state, Newton-polished
             ends.append(_polish(problem, traj.terminal(), tol_res, tol_eq))
-        else:  # the clamp moves p only toward the equilibrium, inside the interval
-            values = clamp_values(cert[0], interval)
+        else:  # Newton's point, clamped into the interval by the certificate
+            values = cert[0]
             res = problem.equilibrium_residual(GridFunction(values, interval.components))
             ends.append((values, res, 0.0))
     (star_values, star_res, moved_low), (upper_values, upper_res, moved_up) = ends

@@ -5,6 +5,11 @@ sub/super-solutions, verifies the defining inequalities numerically
 (certificate-driven: the closed-form epsilon arguments only seed a dyadic
 sweep), and records margins and eigenvalue data.  A scenario that reaches
 the engine has already passed its certificates.
+
+No builder runs a time march.  The competition builder's semi-trivial
+states (the single-species logistic steady states) come from Newton started
+at a super-solution, proven maximal with a radius by the M-matrix enclosure
+of `monotone._certify_extremal`.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from . import generators
 from .errors import NumericalError, ValidationError
 from .generators import EigPair, GeneratorSpec, add_potential, block_generator, principal_eig
 from .mild import ProblemSpec, defect_slack
-from .monotone import asymptotic_equilibria, newton_equilibrium
+from .monotone import _certify_extremal
 from .nonlin import Nonlinearity, competition, fisher, logistic, signed_sqrt
 from .order import (
     TOL_ORDER,
@@ -29,6 +34,7 @@ from .order import (
     STANDARD_CONE,
     leq,
     monotone_norm,
+    order_slack,
 )
 
 def subsolution_margin(
@@ -194,27 +200,32 @@ def _logistic(a_gen: GeneratorSpec, a: float, b: float, pair: EigPair | None) ->
 FLIPPED_CONE = ConeSpec((1, -1))
 
 
+SEMI_TRIVIAL_TOL = 1e-7  # largest proven radius of a semi-trivial state
+
+
 def _semi_trivial(
     a_gen: GeneratorSpec, pair: EigPair, a: float, b: float
-) -> tuple[GridFunction, float]:
-    """Single-species logistic steady state via the engine plus Newton polish;
-    pair is a_gen's principal eigenpair."""
+) -> tuple[GridFunction, float, float]:
+    """Single-species logistic steady state w, its residual and its proven
+    radius; pair is a_gen's principal eigenpair and a > lambda_1.
+
+    w is the maximal equilibrium of the logistic interval [eps*phi0, M*1]:
+    Newton runs from the super-solution M*1 and `_certify_extremal` proves
+    its point maximal (an M-matrix enclosure), with no time march.  Raises
+    NumericalError when the proof fails or its radius exceeds
+    SEMI_TRIVIAL_TOL.
+    """
     scen = _logistic(a_gen, a, b, pair)
-    if "equilibrium" in scen.predicted:
-        guess = scen.predicted["equilibrium"]
-    else:
-        # only u^* is read, so the random-start cross-check is skipped
-        result = asymptotic_equilibria(
-            scen.problem(horizon=2.0, dt=0.05),
-            tol=1e-8, tol_eq=1e-7, tol_res=1e-9, n_newton_starts=0,
-        )
-        guess = result.u_upper_star.values
-    v, res, ok = newton_equilibrium(
-        ProblemSpec(a_gen, scen.F, scen.interval), guess, tol_res=1e-10
+    interval = scen.interval
+    problem = ProblemSpec(a_gen, scen.F, interval)
+    cert = _certify_extremal(
+        problem, interval.upper.values, -1, SEMI_TRIVIAL_TOL,
+        order_slack(interval.value_scale(), interval.dim),
     )
-    if not ok:
-        raise NumericalError("semi-trivial logistic state did not polish")
-    return GridFunction(np.maximum(v, 0.0)), res
+    if cert is None or cert[1] > SEMI_TRIVIAL_TOL:
+        raise NumericalError("semi-trivial logistic state is not certified")
+    w = GridFunction(np.maximum(cert[0], 0.0))
+    return w, problem.equilibrium_residual(w), cert[1]
 
 
 def build_competition(
@@ -236,11 +247,13 @@ def build_competition(
     w1 = GridFunction(np.zeros(n))
     w2 = GridFunction(np.zeros(n))
     res1 = res2 = 0.0
+    rad1 = rad2 = None  # no proven state for an absent species
     if a1 > lam_a1:
-        w1, res1 = _semi_trivial(a1_gen, pair_a1, a1, b11)
+        w1, res1, rad1 = _semi_trivial(a1_gen, pair_a1, a1, b11)
     if a2 > lam_a2:
-        w2, res2 = _semi_trivial(a2_gen, pair_a2, a2, b22)
+        w2, res2, rad2 = _semi_trivial(a2_gen, pair_a2, a2, b22)
     eig_data["w_residuals"] = (res1, res2)
+    eig_data["w_radii"] = (rad1, rad2)
 
     coexistence = False
     if necessary and monotone_norm(w1) > 0 and monotone_norm(w2) > 0:

@@ -46,6 +46,13 @@ def write_config(path, **overrides):
     path.write_text(json.dumps(cfg))
     return cfg
 
+# the competition config of the benchmark's setup workload, without its mesh size
+SETUP_COMPETITION = {
+    "scenario": "competition",
+    "params": {"a1": 30.0, "a2": 30.0, "b11": 1.0, "b12": 0.3, "b21": 0.3, "b22": 1.0},
+    "bc": "dirichlet", "dt": 0.02, "T": 1.0,
+}
+
 
 class TestRun:
     def test_logistic_neumann_report(self, tmp_path, capsys):
@@ -198,10 +205,7 @@ class TestRun:
     @pytest.mark.parametrize("overrides", [
         {"params": {"a": 15.0, "b": 1.0}, "n": 99, "bc": "dirichlet",
          "dt": 0.02, "T": 1.0},
-        {"scenario": "competition",
-         "params": {"a1": 30.0, "a2": 30.0, "b11": 1.0, "b12": 0.3,
-                    "b21": 0.3, "b22": 1.0},
-         "n": 60, "bc": "dirichlet", "dt": 0.02, "T": 1.0},
+        {**SETUP_COMPETITION, "n": 60},
     ], ids=["logistic-dirichlet", "competition-dirichlet"])
     def test_report_is_valid_json(self, tmp_path, overrides):
         # their sandwich slack comes out of numpy as np.float64/np.bool_
@@ -211,6 +215,18 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(out)]) in (0, 2)
         doc = json.loads((out / "report.json").read_text())
         assert isinstance(doc["iteration"]["sandwich_certified"], bool)
+
+    def test_competition_dirichlet_n99_exits_0(self, tmp_path):
+        # the benchmark's setup competition at n = 99: the residual floor of
+        # its semi-trivial states lies above an absolute target of 1e-10
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **SETUP_COMPETITION, n=99)
+        for out in ("a", "b"):
+            assert main(["run", str(cfg), "--out", str(tmp_path / out)]) == 0
+        report = (tmp_path / "a/report.json").read_bytes()
+        assert report == (tmp_path / "b/report.json").read_bytes()
+        radii = json.loads(report)["scenario"]["eig_data"]["w_radii"]
+        assert len(radii) == 2 and all(r <= 1e-7 for r in radii)
 
     @pytest.mark.parametrize("overrides, key", [
         ({"params": {"a": 1.0}}, "config.params.b"),

@@ -969,3 +969,16 @@ class TestCertifiedStop:
         assert eq.horizon_converged
         assert np.all(eq.u_star.values == 0.0)
         assert np.min(eq.u_upper_star.values) > 0.1
+
+    def test_stable_end_on_a_bound_certifies(self):
+        # the lower bound [6, 6] is the minimal equilibrium; the march leaves
+        # its row one ulp below it and Newton returns that start, so only the
+        # clamp into the interval lets the certificate's v = p + eps*psi
+        # (eps = 0 at residual 0) lie inside
+        scen = mv.build_logistic(mv.build_laplacian_1d(2, "dirichlet"), 15.0, 1.0)
+        assert np.all(scen.interval.lower.values == 6.0)
+        eq = mv.asymptotic_equilibria(scen.problem(horizon=1.0, dt=0.05))
+        assert eq.certified == (True, True)
+        assert eq.certified_radius[0] == 0.0
+        assert len(eq.windows) == 1
+        assert np.all(eq.u_star.values == 6.0)

@@ -213,36 +213,77 @@ def test_every_emitted_scenario_passes_certificates():
         assert mv.leq(scen.interval.lower, scen.interval.upper, scen.cone)
 
 
-def test_competition_build_makes_no_random_start_newton_runs(monkeypatch):
-    # each semi-trivial state needs one engine run, whose two polish calls
-    # are its only Newton runs, and one final polish in the builder; the
-    # random-start cross-check would add n_newton_starts runs per engine run
-    from mevolve import monotone, scenarios
+def test_competition_build_runs_no_time_march(monkeypatch):
+    # each semi-trivial state is one Newton run from M*1 and its
+    # certificate: no march is built and no other Newton run is made
+    from mevolve import monotone
 
-    calls = {"engine": 0, "newton": 0}
+    newton, newton_runs = monotone.newton_equilibrium, []
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def no_march(*args, **kwargs):
+        raise AssertionError("the scenario build constructed a time march")
 
-    monkeypatch.setattr(
-        scenarios, "asymptotic_equilibria",
-        counting("engine", scenarios.asymptotic_equilibria),
-    )
-    monkeypatch.setattr(
-        monotone, "newton_equilibrium", counting("newton", monotone.newton_equilibrium)
-    )
-    monkeypatch.setattr(
-        scenarios, "newton_equilibrium", counting("newton", scenarios.newton_equilibrium)
-    )
+    def counting(problem, *args, **kwargs):
+        newton_runs.append(problem.F.components)
+        return newton(problem, *args, **kwargs)
+
+    monkeypatch.setattr(monotone, "_March", no_march)
+    monkeypatch.setattr(monotone, "newton_equilibrium", counting)
     scen = mv.build_competition(
         mv.build_laplacian_1d(10, "dirichlet"), mv.build_laplacian_1d(10, "dirichlet"),
         30.0, 30.0, 1.0, 0.3, 0.3, 1.0,
     )
     assert scen.certificates["coexistence"]
-    assert calls == {"engine": 2, "newton": 2 * 2 + 2}
+    assert newton_runs == [1, 1]  # one single-species run per species
+
+
+def _engine_route(a_gen, pair, a, b):
+    """The semi-trivial state by the engine, an independent route: the
+    equilibria march on the logistic interval, then a Newton polish to an
+    absolute residual of 1e-10.  (march state, its proven radius, polished
+    state or None where the polish fails)."""
+    from mevolve import scenarios
+
+    scen = scenarios._logistic(a_gen, a, b, pair)
+    eq = mv.asymptotic_equilibria(
+        scen.problem(horizon=2.0, dt=0.05),
+        tol=1e-8, tol_eq=1e-7, tol_res=1e-9, n_newton_starts=0,
+    )
+    state = eq.u_upper_star.values
+    v, _, ok = mv.newton_equilibrium(
+        mv.ProblemSpec(a_gen, scen.F, scen.interval), state, tol_res=1e-10
+    )
+    return state, eq.certified_radius[1], np.maximum(v, 0.0) if ok else None
+
+
+@pytest.mark.parametrize("bc, n, a", [
+    *[(bc, n, a) for bc in ("dirichlet", "robin") for n in (99, 160, 300)
+      for a in (30.0, 100.0)],
+    ("neumann", 99, 100.0),
+    ("dirichlet", 60, "near-lambda1"),
+    ("robin", 60, "near-lambda1"),
+])
+def test_semi_trivial_state_is_certified(bc, n, a):
+    # n >= 99 puts the residual floor above the polish target 1e-10; a just
+    # above lambda_1 gives a small state and a nearly singular linearization
+    from mevolve import scenarios
+
+    gen = mv.build_laplacian_1d(n, bc, 1.0)
+    pair = mv.principal_eig(gen)
+    if a == "near-lambda1":
+        a = pair.lambda1 * 1.0001
+    b = 1.0
+    w, _, radius = scenarios._semi_trivial(gen, pair, a, b)
+    assert radius <= scenarios.SEMI_TRIVIAL_TOL
+    if bc == "neumann":  # the constant a/b is the equilibrium
+        assert np.max(np.abs(w.values - a / b)) <= 1e-11 * (a / b)
+        return
+    state, state_radius, polished = _engine_route(gen, pair, a, b)
+    # two proven enclosures of the same maximal equilibrium
+    assert state_radius is not None
+    assert np.max(np.abs(w.values - state)) <= radius + state_radius
+    if polished is not None:
+        assert np.max(np.abs(w.values - polished)) <= 1e-12
 
 
 def test_competition_build_computes_each_principal_pair_once(monkeypatch):
