@@ -18,10 +18,11 @@ tracks the worst signed violation and aborts if it ever exceeds the
 floating-point-aware slack.  The rows converge to the minimal/maximal
 trajectories.  Marching on from the interval bounds yields the extremal
 equilibria: the march stops once Newton's point next to each row is proven
-to be the extremal equilibrium on its side (an M-matrix bound on the box
-between the row and that point), or else once the increment over a window
-stalls, and a stalled state is Newton-polished.  Both are cross-checked for
-minimality/maximality against independently found equilibria.
+to be the extremal equilibrium on its side (an M-matrix bound on the mean
+of F' over segments between the row and that point), or else once the
+increment over a window stalls, and a stalled state is Newton-polished.
+Both are cross-checked for minimality/maximality against independently
+found equilibria.
 """
 
 from __future__ import annotations
@@ -535,7 +536,12 @@ def newton_equilibrium(
     tol_res: float = 1e-10,
     max_iter: int = 80,
 ) -> tuple[np.ndarray, float, bool]:
-    """Damped Newton on A v = F(v); an oracle, failures are reported not raised."""
+    """Damped Newton on A v = F(v); an oracle, failures are reported not raised.
+
+    A run whose full step fails to lower a residual already within the
+    round-off floor `defect_slack` stops there, without damped trials that
+    would only trade round-off; a run with tol_res = 0 ends that way.
+    """
     a = problem.A.matrix
     v = np.asarray(start, dtype=float).copy()
 
@@ -558,6 +564,10 @@ def newton_equilibrium(
             if np.all(np.isfinite(r_trial)) and monotone_norm(r_trial) <= (1 - 0.25 * t) * norm_r:
                 v, r = trial, r_trial
                 break
+            if t == 1.0 and norm_r <= defect_slack(
+                problem.A, GridFunction(v, problem.F.components), a @ v - r
+            ):
+                return v, norm_r, False
             t *= 0.5
         else:
             return v, norm_r, False
@@ -578,47 +588,38 @@ def _jacobian_bound(f, lo: np.ndarray, hi: np.ndarray, sides: np.ndarray) -> np.
     return jac
 
 
-def _certify_extremal(problem: ProblemSpec, state: np.ndarray, side: int, tol_eq: float,
-                      slack: float) -> tuple[np.ndarray, float] | None:
-    """Prove Newton's point p next to a terminal state of the march to be
-    the minimal (side = 1, state U_min(T)) or the maximal (side = -1, state
-    U_max(T)) equilibrium of the interval: (p, radius), or None when the
-    proof fails.
+def _mean_jacobian_bound(f, sides: np.ndarray, x_lo: np.ndarray, y_p: np.ndarray,
+                         top: np.ndarray) -> np.ndarray:
+    """Entrywise upper bound of the mean-value Jacobian
+    int_0^1 T F'(u + s (v - u)) T ds over every u in [x_lo, top] and v in
+    [y_p, top], the boxes given in side coordinates y = T u.
 
-    Work in the coordinates y = side * S u (S the cone signs), where the
-    wanted equilibrium u* is the minimal one and the Jacobian of the
-    reaction term is S F' S.  With l the state and p Newton's point from l,
-    run down to its residual floor rho and clamped into the interval (the
-    clamp moves p only toward u*, and lets an end on a bound certify):
-
-    - J+ bounds S F' S + mu from above entrywise over the box
-      [min(l, p) - slack, p + tol_eq] (`Nonlinearity.jacobian_range`), its
-      off-diagonal entries clipped at 0, so M+ = A - J+ is a Z-matrix;
-    - psi solves M+ psi = 1 by one banded LU, and the proof needs psi > 0
-      and kappa = min(M+ psi) >= 1/2, recomputed: then M+ is a nonsingular
-      M-matrix, M+^-1 >= 0;
-    - v = p + eps psi, with eps the first of 4 rho, 8 rho, ... for which v
-      is a super-solution (A v >= F(v) up to `defect_slack`, the slack of
-      `verify_supersolution`), lies in the interval and has eps psi <= tol_eq.
-
-    Then l <= u* <= v: U_min rises to u*, and u* lies below every
-    super-solution in the interval.  e = v - u* >= 0 has M+ e <= d+, the
-    positive part of d = A v - F(v), so e <= |d+| psi / kappa and
-    |u* - p| <= |psi| (|d+| / kappa + eps), the radius.  If p were not the
-    extremal equilibrium, the box would hold u* <= p, u* != p, with
-    M+ (p - u*) <= 0, which no M-matrix allows; an unstable or degenerate
-    equilibrium fails the M-matrix test as well.
+    Where every entry of F' is a polynomial of degree <= 2 along segments
+    (`Nonlinearity.quadratic_jacobian`), Simpson's rule is exact, the mean
+    is (J(u) + 4 J(m) + J(v)) / 6 with m = (u + v) / 2 in
+    [(x_lo + y_p) / 2, top], and each term is bounded on its own box.
+    Otherwise the bound is the one over the box [x_lo, top] holding the
+    whole segment.
     """
-    interval, f = problem.interval, problem.F
+    if f.quadratic_jacobian:
+        boxes = ((x_lo, 1.0), (0.5 * (x_lo + y_p), 4.0), (y_p, 1.0))
+    else:
+        boxes = ((x_lo, 1.0),)
+    total = 0.0
+    for low, weight in boxes:
+        a, b = sides * low, sides * top
+        total += weight * _jacobian_bound(f, np.minimum(a, b), np.maximum(a, b), sides)
+    return total / sum(weight for _, weight in boxes)
+
+
+def _enclose(problem: ProblemSpec, sides: np.ndarray, y_p: np.ndarray, x_lo: np.ndarray,
+             hi: np.ndarray, rho: float, tol_eq: float) -> tuple[float, np.ndarray] | None:
+    """One pass of the M-matrix proof of `_certify_extremal` in side
+    coordinates, for u* in [x_lo, y_p + tol_eq]: (radius, a proven lower
+    end of u*), or None when a test fails."""
+    f = problem.F
     c = f.components
-    sides = side * interval.cone.sign_vector(interval.lower.n_points)
-    a, b = sides * interval.lower.values, sides * interval.upper.values
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    p, rho, _ = newton_equilibrium(problem, state, tol_res=0.0)
-    y_p = np.clip(sides * p, lo, hi)  # moves p only toward u*, which lies inside
-    p = sides * y_p
-    corners = sides * (np.minimum(sides * state, y_p) - slack), sides * (y_p + tol_eq)
-    jac = _jacobian_bound(f, np.minimum(*corners), np.maximum(*corners), sides)
+    jac = _mean_jacobian_bound(f, sides, x_lo, y_p, y_p + tol_eq)
     jac += problem.mu * np.eye(c)[:, :, None]
     signs = sides.reshape(c, -1)[:, 0]
     blocks = np.outer(signs, signs)[:, :, None] * jac  # the bound, back in u
@@ -636,18 +637,75 @@ def _certify_extremal(problem: ProblemSpec, state: np.ndarray, side: int, tol_eq
     psi_max = float(np.max(psi))
     eps = 4.0 * rho
     while eps * psi_max <= tol_eq:
-        y = y_p + eps * psi
-        if np.all(lo <= y) and np.all(y <= hi):
-            v = sides * y
-            f_v = problem.rhs(v)
-            d = sides * (problem.A.matrix @ v - f_v)
-            if float(np.min(d)) >= -defect_slack(problem.A, GridFunction(v, c), f_v):
-                radius = psi_max * (max(float(np.max(d)), 0.0) / kappa + eps)
-                return p, radius
+        # clipped to the far bound hi, a super-solution: where p + eps psi is
+        # one too, so is their minimum
+        y = np.minimum(y_p + eps * psi, hi)
+        v = sides * y
+        f_v = problem.rhs(v)
+        d = sides * (problem.A.matrix @ v - f_v)
+        if float(np.min(d)) >= -defect_slack(problem.A, GridFunction(v, c), f_v):
+            reach = max(float(np.max(d)), 0.0) / kappa
+            return psi_max * (reach + eps), y - reach * psi
         if eps == 0.0:
             break
         eps *= 2.0
     return None
+
+
+def _certify_extremal(problem: ProblemSpec, state: np.ndarray, side: int, tol_eq: float,
+                      slack: float) -> tuple[np.ndarray, float] | None:
+    """Prove Newton's point p next to a terminal state of the march to be
+    the minimal (side = 1, state U_min(T)) or the maximal (side = -1, state
+    U_max(T)) equilibrium of the interval: (p, radius), or None when the
+    proof fails.
+
+    Work in the coordinates y = side * S u (S the cone signs), where the
+    wanted equilibrium u* is the minimal one and the Jacobian of the
+    reaction term is S F' S.  With l the state and p Newton's point from l,
+    run down to its residual floor rho and clamped into the interval (the
+    clamp moves p only toward u*, and lets an end on a bound certify), one
+    pass of the proof (`_enclose`) takes the box [x_lo, top], x_lo =
+    min(l, p) - slack and top = p + tol_eq, which holds u*:
+
+    - J+ bounds the mean-value Jacobian int_0^1 S F'(u* + s (v - u*)) S ds
+      + mu from above entrywise (`_mean_jacobian_bound`: Simpson's rule on
+      three boxes where F' is quadratic along segments, else the one box),
+      its off-diagonal entries clipped at 0, so M+ = A - J+ is a Z-matrix;
+    - psi solves M+ psi = 1 by one banded LU, and the proof needs psi > 0
+      and kappa = min(M+ psi) >= 1/2, recomputed: then M+ is a nonsingular
+      M-matrix, M+^-1 >= 0;
+    - v = min(p + eps psi, h), with h the interval's far bound (a
+      super-solution, and the minimum of two super-solutions is one) and
+      eps the first of 4 rho, 8 rho, ... for which v is a super-solution
+      (A v >= F(v) up to `defect_slack`, the slack of `verify_supersolution`)
+      and eps psi <= tol_eq.
+
+    Then l <= u* <= v: U_min rises to u*, and u* lies below every
+    super-solution in the interval.  e = v - u* >= 0 has
+    M+ e = d + (J_mean - J+) e <= d+, the positive part of d = A v - F(v),
+    so e <= |d+| psi / kappa and |u* - p| <= |psi| (|d+| / kappa + eps),
+    the radius.  If p were not the extremal equilibrium, the box would hold
+    u* <= p, u* != p, with M+ (p - u*) <= 0, which no M-matrix allows; an
+    unstable or degenerate equilibrium fails the M-matrix test as well.
+
+    A pass also proves u* >= v - (|d+| / kappa) psi.  When its radius
+    exceeds tol_eq, the proof runs once more with that lower end (less
+    slack) raising x_lo, a narrower box, and keeps the smaller radius.
+    """
+    interval = problem.interval
+    sides = side * interval.cone.sign_vector(interval.lower.n_points)
+    a, b = sides * interval.lower.values, sides * interval.upper.values
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    p, rho, _ = newton_equilibrium(problem, state, tol_res=0.0)
+    y_p = np.clip(sides * p, lo, hi)  # moves p only toward u*, which lies inside
+    p = sides * y_p
+    x_lo = np.minimum(sides * state, y_p) - slack
+    cert = _enclose(problem, sides, y_p, x_lo, hi, rho, tol_eq)
+    if cert is not None and cert[0] > tol_eq:
+        narrow = _enclose(problem, sides, y_p, np.maximum(x_lo, cert[1] - slack), hi, rho, tol_eq)
+        if narrow is not None and narrow[0] < cert[0]:
+            cert = narrow
+    return None if cert is None else (p, cert[0])
 
 
 @dataclass

@@ -13,6 +13,10 @@ k; Newton's solver reads only those blocks.  The presets state their
 Jacobians as blocks, and their dense `jacobian_matrix` is assembled from
 them.  `jacobian_range` bounds the blocks entrywise over a box, in closed
 form per preset, for the certificate of the extremal equilibria.
+`quadratic_jacobian` (default False) states that every entry of the blocks
+is a polynomial of degree <= 2 along any segment, as for the three
+polynomial presets; the certificate then bounds the mean of F' over a
+segment by Simpson's rule on three boxes instead of one box.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ class Nonlinearity:
 
     name: str = "abstract"
     components: int = 1
+    # every entry of jacobian_blocks is a polynomial of degree <= 2 along any
+    # segment, so Simpson's rule gives its mean over a segment exactly
+    quadratic_jacobian: bool = False
 
     def eval_values(self, values: np.ndarray) -> np.ndarray:
         """Apply pointwise to (..., dim) arrays in blocked component layout."""
@@ -132,6 +139,8 @@ def quasi_increasing_shift(f: Nonlinearity, interval: OrderInterval) -> float:
 class _Logistic(Nonlinearity):
     """f(xi) = a*xi - b*xi^2."""
 
+    quadratic_jacobian = True
+
     def __init__(self, a: float, b: float):
         if a <= 0 or b <= 0:
             raise ValidationError("logistic needs a > 0 and b > 0")
@@ -186,6 +195,8 @@ def _quadratic_range(alpha: float, lo, hi):
 class _Fisher(Nonlinearity):
     """F(u) = m(x) * h(u) with h(xi) = xi(1-xi)(alpha(1-xi) + (1-alpha)xi)."""
 
+    quadratic_jacobian = True
+
     def __init__(self, m: np.ndarray, alpha: float):
         if not 0.0 < alpha < 1.0:
             raise ValidationError("fisher needs alpha in (0, 1)")
@@ -237,6 +248,7 @@ class _Competition(Nonlinearity):
     cone once shifted."""
 
     components = 2
+    quadratic_jacobian = True
 
     def __init__(self, a1, a2, b11, b12, b21, b22):
         params = dict(a1=a1, a2=a2, b11=b11, b12=b12, b21=b21, b22=b22)

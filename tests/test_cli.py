@@ -360,6 +360,29 @@ class TestStatusReasons:
         expected = (2, [reason]) if factor > 1 else (0, [])
         assert self.run(tmp_path) == expected
 
+    def test_wrong_certificate_is_caught_by_the_cross_check(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # a certificate that claims the genuine but non-minimal equilibrium
+        # 0 of the scalar case (equilibria -1 < 0 < 1) with radius 0: the
+        # random-start cross-check still finds -1 below it and fails the run
+        from mevolve import monotone
+
+        original = monotone._certify_extremal
+
+        def wrong(problem, state, side, tol_eq, slack):
+            if side == 1:
+                return np.zeros_like(state), 0.0
+            return original(problem, state, side, tol_eq, slack)
+
+        monkeypatch.setattr(monotone, "_certify_extremal", wrong)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scenario="scalar-nonunique", params={"a": 1.0, "M": 2.0}, dt=0.01)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["equilibria"]["certified"] == [True, True]
+        assert doc["equilibria"]["u_star"] == [0.0]
+        assert doc["status_reasons"] == ["extremal violation above 10*tol_eq"]
+
     def test_every_failed_check_is_named(self, tmp_path, monkeypatch):
         _patched(monkeypatch, "iterate", converged=False)
         _patched(monkeypatch, "asymptotic_equilibria", horizon_converged=False,
@@ -535,6 +558,22 @@ class TestScenarioMatrix:
     def test_gate_edge_cases(self, tmp_path, capsys, scenario, params, bc):
         assert run_matrix_config(tmp_path, capsys, scenario=scenario, params=params,
                                  n=8, bc=bc) == 0
+
+    def test_semi_trivial_state_on_an_interval_bound(self, tmp_path, capsys):
+        # a draw of test_drawn_params: species 2's logistic state 1 is the
+        # lower bound of its interval (lambda_1 = 1), and Newton ends at
+        # residual 1.1e-16, so p + eps*psi leaves the interval for every eps
+        # unless clipped to the far bound; the build used to exit 2 with no
+        # report.  a1 = lambda_1 is critical: species 1 dies out like 1/t,
+        # so that end neither certifies nor stalls within max_windows
+        params = {"a1": 1.0, "a2": 2.0, "b11": 1.0, "b12": 1.0, "b21": 1.0, "b22": 1.0}
+        code = run_matrix_config(tmp_path, capsys, scenario="competition", params=params,
+                                 n=2, bc="robin")
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["scenario"]["eig_data"]["w_radii"][0] is None
+        assert doc["scenario"]["eig_data"]["w_radii"][1] <= 1e-15
+        assert code == 2
+        assert "horizon extension did not converge" in doc["status_reasons"]
 
     @given(
         st.sampled_from(sorted(MATRIX_PARAMS)),

@@ -793,6 +793,30 @@ class TestNewtonLinearAlgebra:
         assert not ok and np.array_equal(v, start)
         assert res == mv.monotone_norm(prob.A.matrix @ start - prob.rhs(start))
 
+    def test_run_to_the_floor_stops_at_the_first_failed_full_step(self):
+        # tol_res = 0 is a run to the residual floor; once a full step no
+        # longer lowers a residual within defect_slack, the run ends
+        # without the 13 damped trials that could follow
+        gen = mv.build_laplacian_1d(60, "dirichlet")
+        scen = mv.build_logistic(gen, 30.0, 1.0)
+        prob = mv.ProblemSpec(gen, scen.F, scen.interval)
+        rhs, residuals = prob.rhs, []
+
+        def counting(x):
+            out = rhs(x)
+            residuals.append(mv.monotone_norm(prob.A.matrix @ x - out))
+            return out
+
+        prob.rhs = counting
+        v, res, ok = mv.newton_equilibrium(prob, scen.interval.upper.values, tol_res=0.0)
+        assert not ok and res > 0.0
+        assert res <= mv.mild.defect_slack(prob.A, grid(v), rhs(v))
+        # every evaluation but the last is an accepted step's, and the last
+        # is the one failed full step
+        accepted, failed = residuals[:-1], residuals[-1]
+        assert all(b < a for a, b in zip(accepted, accepted[1:]))
+        assert accepted[-1] == res and failed > 0.75 * res
+
     def test_infinite_jacobian_is_reported(self):
         # signed sqrt has an infinite derivative at 0: the Newton matrix is
         # not finite, which is a reported failure and not a ValueError
@@ -982,3 +1006,23 @@ class TestCertifiedStop:
         assert eq.certified_radius[0] == 0.0
         assert len(eq.windows) == 1
         assert np.all(eq.u_star.values == 6.0)
+
+    def test_benchmark_configs_certify_early(self):
+        # the bound of the mean-value Jacobian (Simpson's rule on three
+        # boxes) and the second pass on the narrowed box; a bound of F' over
+        # the one box [x_lo, top] certifies these at windows 8 (Fisher) and
+        # 2 (mesh)
+        gen = mv.build_laplacian_1d(60, "neumann")
+        fisher = mv.build_fisher(gen, 8.0 * np.sin(2 * np.pi * mv.mesh_nodes(gen)), 0.5)
+        eq = mv.asymptotic_equilibria(
+            fisher.problem(horizon=1.0, dt=0.02), tol=1e-9, tol_eq=1e-9, tol_res=1e-8,
+        )
+        assert eq.certified == (True, True) and len(eq.windows) <= 4
+        mesh = mv.build_logistic(mv.build_laplacian_1d(160, "neumann"), 1.0, 2.0)
+        eq = mv.asymptotic_equilibria(
+            mesh.problem(horizon=0.2, dt=0.02), tol=1e-9, tol_eq=1e-9, tol_res=1e-8,
+        )
+        assert eq.certified == (True, True) and len(eq.windows) == 1
+        # the Neumann logistic's extremal equilibria are both a/b
+        assert np.max(np.abs(eq.u_star.values - 0.5)) <= 1e-9
+        assert np.max(np.abs(eq.u_upper_star.values - 0.5)) <= 1e-9

@@ -356,3 +356,43 @@ def test_base_jacobian_range_is_unbounded():
     low, high = Opaque().jacobian_range(np.zeros(6), np.ones(6))
     assert low.shape == high.shape == (2, 2, 3)
     assert np.all(low == -np.inf) and np.all(high == np.inf)
+
+
+@given(st.sampled_from(["logistic", "fisher", "competition"]), st.integers(1, 5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_simpson_bound_dominates_the_mean_value_jacobian(name, n, data):
+    """The certificate's bound of the mean-value Jacobian
+    int_0^1 T F'(u + s (v - u)) T ds, for u in [x_lo, top] and v in
+    [y_p, top] (side coordinates y = T u), dominates it entrywise on both
+    cone sides; the reference mean is 8-point Gauss-Legendre quadrature,
+    exact for the polynomial entries."""
+    values = st.floats(-3.0, 3.0)
+    if name == "logistic":
+        f = mv.logistic(data.draw(st.floats(0.1, 20.0)), data.draw(st.floats(0.1, 5.0)))
+    elif name == "fisher":
+        # a sign-changing weight takes both branches of the bound
+        m = data.draw(arrays(float, n, elements=st.floats(-12.0, 12.0)))
+        m[0] = -abs(m[0]) - 0.5
+        f = mv.fisher(m, data.draw(st.floats(0.01, 0.99)))
+    else:
+        rates = [data.draw(st.floats(0.1, 40.0)) for _ in range(2)]
+        f = mv.competition(*rates, *(data.draw(st.floats(0.1, 2.5)) for _ in range(4)))
+    assert f.quadratic_jacobian
+    c = f.components
+    signs = data.draw(st.sampled_from([(1,), (-1,)] if c == 1 else
+                                      [(1, -1), (-1, 1), (1, 1), (-1, -1)]))
+    sides = np.repeat(np.asarray(signs, dtype=float), n)
+    widths = st.floats(0.0, 3.0)
+    y_p = data.draw(arrays(float, c * n, elements=values))
+    top = y_p + data.draw(arrays(float, c * n, elements=widths))
+    x_lo = top - data.draw(arrays(float, c * n, elements=widths))
+    s_u, s_v = (data.draw(arrays(float, c * n, elements=st.floats(0.0, 1.0))) for _ in range(2))
+    u = sides * np.clip(x_lo + s_u * (top - x_lo), x_lo, top)
+    v = sides * np.clip(y_p + s_v * (top - y_p), y_p, top)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    outer = np.outer(signs, signs)[:, :, None]
+    mean = sum(0.5 * w * outer * f.jacobian_blocks(u + 0.5 * (1.0 + s) * (v - u))
+               for s, w in zip(nodes, weights))
+    bound = mv.monotone._mean_jacobian_bound(f, sides, x_lo, y_p, top)
+    assert bound.shape == (c, c, n)
+    assert _below(mean, bound)

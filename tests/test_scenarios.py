@@ -286,6 +286,20 @@ def test_semi_trivial_state_is_certified(bc, n, a):
         assert np.max(np.abs(w.values - polished)) <= 1e-12
 
 
+def test_semi_trivial_state_on_its_interval_bound():
+    # Robin beta = 0.5, n = 2 has lambda_1 = 1 and a constant phi_0, so the
+    # state (a - lambda_1) / b = 1 is the interval's lower bound; the
+    # certificate clips p + eps*psi to that bound, a super-solution
+    from mevolve import scenarios
+
+    gen = mv.build_laplacian_1d(2, "robin", 0.5)
+    pair = mv.principal_eig(gen)
+    w, res, radius = scenarios._semi_trivial(gen, pair, 2.0, 1.0)
+    assert np.all(scenarios._logistic(gen, 2.0, 1.0, pair).interval.lower.values == 1.0)
+    assert np.all(w.values == 1.0) and res == 0.0
+    assert radius <= 1e-15
+
+
 def test_competition_build_computes_each_principal_pair_once(monkeypatch):
     # one pair per species, reused by its semi-trivial state, and one per
     # shifted generator of the coexistence gate
