@@ -42,6 +42,7 @@ from .mild import (
     defect_slack,
     time_grid,
 )
+from .nonlin import cone_jacobian_range
 from .order import (
     GridFunction,
     OrderInterval,
@@ -580,9 +581,7 @@ def _jacobian_bound(f, lo: np.ndarray, hi: np.ndarray, sides: np.ndarray) -> np.
     T = diag(sides), as (c, c, n) blocks; off-diagonal entries are clipped
     at 0, which keeps them upper bounds."""
     c = f.components
-    low, high = f.jacobian_range(lo, hi)
-    signs = sides.reshape(c, -1)[:, 0]
-    jac = np.where(np.outer(signs, signs)[:, :, None] > 0, high, -low)
+    _, jac = cone_jacobian_range(f, lo, hi, sides.reshape(c, -1)[:, 0])
     off = ~np.eye(c, dtype=bool)
     jac[off] = np.maximum(jac[off], 0.0)
     return jac
@@ -756,7 +755,8 @@ def asymptotic_equilibria(
     below tol_eq (a valid stalling signal, since U_min increases and U_max
     decreases), and an uncertified end reports its stalled state,
     Newton-polished.  An unstable or degenerate extremal equilibrium, or a
-    reaction term without `jacobian_range` bounds, never certifies.
+    reaction term whose `jacobian_range` has no finite upper bound, never
+    certifies.
     """
     interval = problem.interval
     window = problem.horizon

@@ -1,22 +1,23 @@
 """Reaction terms as substitution operators on grid vectors.
 
 Each nonlinearity acts entrywise (the Fisher weight adds x-dependence) on the
-block-wise component layout and reports, per order interval: a Lipschitz
-bound and the smallest shift mu >= 0 making F + mu*id order-increasing on the
-interval.  Both come from closed-form derivatives of the presets; random
-sampling only ever falsifies them in the test suite.
+block-wise component layout.  Node-locality is the contract: F_i at a node
+depends only on the components at that node.  So the Jacobian is c x c per
+node, and `jacobian_blocks` returns it as a (c, c, n) array whose entry
+[i, j, k] is dF_i/du_j at node k; Newton's solver reads only those blocks,
+and the dense `jacobian_matrix` is assembled from them.
 
-Node-locality is the contract: F_i at a node depends only on the components
-at that node.  So the Jacobian is c x c per node, and `jacobian_blocks`
-returns it as a (c, c, n) array whose entry [i, j, k] is dF_i/du_j at node
-k; Newton's solver reads only those blocks.  The presets state their
-Jacobians as blocks, and their dense `jacobian_matrix` is assembled from
-them.  `jacobian_range` bounds the blocks entrywise over a box, in closed
-form per preset, for the certificate of the extremal equilibria.
-`quadratic_jacobian` (default False) states that every entry of the blocks
-is a polynomial of degree <= 2 along any segment, as for the three
-polynomial presets; the certificate then bounds the mean of F' over a
-segment by Simpson's rule on three boxes instead of one box.
+`jacobian_range` bounds the blocks entrywise over a box, in closed form per
+preset; it is the only statement a term makes about its derivative over a
+region.  The certificate of the extremal equilibria reads it, and
+`quasi_increasing_shift` derives from it the smallest shift mu >= 0 making
+F + mu*id order-increasing on an interval, once the bound proves the term
+cooperative in the interval's cone.  Random sampling only ever falsifies
+the bounds, in the test suite.  `quadratic_jacobian` (default False) states
+that every entry of the blocks is a polynomial of degree <= 2 along any
+segment, as for the three polynomial presets; the certificate then bounds
+the mean of F' over a segment by Simpson's rule on three boxes instead of
+one box.
 """
 
 from __future__ import annotations
@@ -73,67 +74,71 @@ class Nonlinearity:
         (f0,), (f1,) = self.eval_shifted(np.array([[x0], [x1]]), shift).tolist()
         return f0, f1
 
-    def jacobian_matrix(self, values: np.ndarray) -> np.ndarray:
-        """Dense Jacobian at a single state, in blocked component layout."""
-        raise NotImplementedError
-
     def jacobian_blocks(self, values: np.ndarray) -> np.ndarray:
         """Node-local Jacobian at a single state, shape (c, c, n): entry
-        [i, j, k] is dF_i/du_j at node k.
+        [i, j, k] is dF_i/du_j at node k."""
+        raise NotImplementedError
 
-        The default gathers the blocks from jacobian_matrix, so a subclass
-        that defines only that keeps working; the presets state their blocks
-        and assemble jacobian_matrix from them.
-        """
-        c = self.components
-        return self.jacobian_matrix(values)[_node_local_index(c, values.size // c)]
+    def jacobian_matrix(self, values: np.ndarray) -> np.ndarray:
+        """Dense Jacobian at a single state, in blocked component layout,
+        assembled from jacobian_blocks (u_j at node k is entry j*n + k)."""
+        blocks = self.jacobian_blocks(values)
+        c, _, n = blocks.shape
+        comp, node = n * np.arange(c), np.arange(n)
+        out = np.zeros((c * n, c * n))
+        out[comp[:, None, None] + node, comp[None, :, None] + node] = blocks
+        return out
 
     def jacobian_range(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Entrywise (lower, upper) bounds of jacobian_blocks over the box
         lo <= u <= hi (entrywise, blocked layout), each of shape (c, c, n).
 
-        The presets give them in closed form, as they do shift_on; the
-        default knows nothing and returns -inf and +inf.
+        The presets give them in closed form.  The default knows nothing and
+        returns -inf and +inf: quasi_increasing_shift then rejects the term,
+        and the certificate never passes.
         """
         c = self.components
         shape = (c, c, lo.size // c)
         return np.full(shape, -np.inf), np.full(shape, np.inf)
 
-    def lipschitz_on(self, interval: OrderInterval) -> float:
-        raise NotImplementedError
 
-    def shift_on(self, interval: OrderInterval) -> float:
-        """Smallest mu >= 0 with F + mu*id increasing on the interval."""
-        raise NotImplementedError
-
-
-def _node_local_index(c: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols), each (c, c, n): where entry [i, j, k] of the node-local
-    blocks sits in the dense matrix, u_j at node k being entry j*n + k."""
-    comp = n * np.arange(c)
-    node = np.arange(n)
-    return comp[:, None, None] + node, comp[None, :, None] + node
-
-
-def _assembled_jacobian(self: Nonlinearity, values: np.ndarray) -> np.ndarray:
-    """Dense jacobian_matrix of a term that states jacobian_blocks."""
-    blocks = self.jacobian_blocks(values)
-    c, _, n = blocks.shape
-    out = np.zeros((c * n, c * n))
-    out[_node_local_index(c, n)] = blocks
-    return out
+def cone_jacobian_range(f: Nonlinearity, lo: np.ndarray, hi: np.ndarray,
+                        signs) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise (lower, upper) bounds of S F' S over the box lo <= u <= hi,
+    S the per-component cone signs, from f.jacobian_range: entry (i, j) is
+    F' itself where s_i s_j > 0 and -F' otherwise."""
+    low, high = f.jacobian_range(lo, hi)
+    same = np.outer(signs, signs)[:, :, None] > 0
+    return np.where(same, low, -high), np.where(same, high, -low)
 
 
 def quasi_increasing_shift(f: Nonlinearity, interval: OrderInterval) -> float:
-    """Shift certificate for the interval; raises if none can be certified."""
-    if interval.components != f.components:
+    """Smallest mu >= 0 with F + mu*id increasing on the interval in its cone
+    order; raises ValidationError if none can be certified.
+
+    The bound is cone_jacobian_range over the box of per-component ranges of
+    the interval.  Its off-diagonal lower bounds must be >= 0 (F is
+    cooperative in the cone), and mu lifts its diagonal lower bounds to >= 0.
+    """
+    c = f.components
+    if interval.components != c:
         raise DimensionMismatchError("interval and nonlinearity component mismatch")
-    mu = f.shift_on(interval)
-    if not np.isfinite(mu) or mu < 0:
+    ranges = np.array([interval.component_range(k) for k in range(c)])
+    n = interval.lower.n_points
+    low, _ = cone_jacobian_range(
+        f, np.repeat(ranges[:, 0], n), np.repeat(ranges[:, 1], n), interval.cone.signs
+    )
+    diag = np.eye(c, dtype=bool)
+    worst = -float(np.min(low[diag]))
+    if not worst < math.inf:  # +inf or NaN
         raise ValidationError(
             f"{f.name}: no finite quasi-increasing shift on this interval"
         )
-    return mu
+    if not np.all(low[~diag] >= 0.0):
+        raise ValidationError(
+            f"{f.name}: not cooperative in the cone order on this interval"
+        )
+    return max(0.0, worst)
 
 
 class _Logistic(Nonlinearity):
@@ -156,18 +161,8 @@ class _Logistic(Nonlinearity):
     def jacobian_blocks(self, values):
         return (self.a - 2.0 * self.b * values)[None, None]
 
-    jacobian_matrix = _assembled_jacobian
-
     def jacobian_range(self, lo, hi):
         return (self.a - 2.0 * self.b * hi)[None, None], (self.a - 2.0 * self.b * lo)[None, None]
-
-    def lipschitz_on(self, interval):
-        lo, hi = interval.component_range(0)
-        return max(abs(self.a - 2 * self.b * lo), abs(self.a - 2 * self.b * hi))
-
-    def shift_on(self, interval):
-        _, hi = interval.component_range(0)
-        return max(0.0, 2 * self.b * hi - self.a)
 
 
 def logistic(a: float, b: float) -> Nonlinearity:
@@ -218,25 +213,12 @@ class _Fisher(Nonlinearity):
     def jacobian_blocks(self, values):
         return (self.m * _fisher_h_prime(self.alpha, values))[None, None]
 
-    jacobian_matrix = _assembled_jacobian
-
     def jacobian_range(self, lo, hi):
         dmin, dmax = _quadratic_range(self.alpha, lo, hi)
         up = self.m >= 0
         low = np.where(up, self.m * dmin, self.m * dmax)
         high = np.where(up, self.m * dmax, self.m * dmin)
         return low[None, None], high[None, None]
-
-    def lipschitz_on(self, interval):
-        lo, hi = interval.component_range(0)
-        dmin, dmax = _quadratic_range(self.alpha, lo, hi)
-        return float(np.max(np.abs(self.m))) * float(max(abs(dmin), abs(dmax)))
-
-    def shift_on(self, interval):
-        lo, hi = interval.component_range(0)
-        dmin, dmax = _quadratic_range(self.alpha, lo, hi)
-        worst = np.where(self.m >= 0, self.m * dmin, self.m * dmax)
-        return max(0.0, -float(np.min(worst)))
 
 
 def fisher(m, alpha: float) -> Nonlinearity:
@@ -291,33 +273,12 @@ class _Competition(Nonlinearity):
         d22 = self.a2 - self.b21 * u1 - 2 * self.b22 * u2
         return np.array([[d11, d12], [d21, d22]])
 
-    jacobian_matrix = _assembled_jacobian
-
     def jacobian_range(self, lo, hi):
         # every entry decreases in every component: its range runs from the
         # upper corner of the box to the lower one
         (l1, l2), (h1, h2) = lo.reshape(2, -1), hi.reshape(2, -1)
         return self.jacobian_blocks(np.concatenate([h1, h2])), \
             self.jacobian_blocks(np.concatenate([l1, l2]))
-
-    def _box(self, interval):
-        return interval.component_range(0), interval.component_range(1)
-
-    def shift_on(self, interval):
-        (_, hi1), (_, hi2) = self._box(interval)
-        mu1 = 2 * self.b11 * hi1 + self.b12 * hi2 - self.a1
-        mu2 = self.b21 * hi1 + 2 * self.b22 * hi2 - self.a2
-        return max(0.0, mu1, mu2)
-
-    def lipschitz_on(self, interval):
-        (lo1, hi1), (lo2, hi2) = self._box(interval)
-        worst = 0.0
-        for u1 in (lo1, hi1):
-            for u2 in (lo2, hi2):
-                r1 = abs(self.a1 - 2 * self.b11 * u1 - self.b12 * u2) + self.b12 * abs(u1)
-                r2 = self.b21 * abs(u2) + abs(self.a2 - self.b21 * u1 - 2 * self.b22 * u2)
-                worst = max(worst, r1, r2)
-        return worst
 
 
 def competition(a1, a2, b11, b12, b21, b22) -> Nonlinearity:
@@ -353,23 +314,12 @@ class _SignedSqrt(Nonlinearity):
         with np.errstate(divide="ignore"):
             return (0.5 / np.sqrt(np.abs(values)))[None, None]
 
-    jacobian_matrix = _assembled_jacobian
-
     def jacobian_range(self, lo, hi):
         # f' = 1 / (2 sqrt|u|) falls in |u|; unbounded where the box holds 0
         far = np.maximum(np.abs(lo), np.abs(hi))
         near = np.where((lo <= 0.0) & (hi >= 0.0), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
         with np.errstate(divide="ignore"):
             return (0.5 / np.sqrt(far))[None, None], (0.5 / np.sqrt(near))[None, None]
-
-    def lipschitz_on(self, interval):
-        lo, hi = interval.component_range(0)
-        if lo <= 0.0 <= hi:
-            return math.inf
-        return 0.5 / math.sqrt(min(abs(lo), abs(hi)))
-
-    def shift_on(self, interval):
-        return 0.0
 
 
 def signed_sqrt() -> Nonlinearity:

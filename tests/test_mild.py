@@ -97,8 +97,9 @@ class TestPicardSweep:
             def eval_values(self, values):
                 return np.zeros_like(values)
 
-            def shift_on(self, interval):
-                return 0.0
+            def jacobian_range(self, lo, hi):
+                zero = np.zeros((1, 1, lo.size))
+                return zero, zero
 
         prob = mv.ProblemSpec(gen, Zero(), interval, horizon=1.0, dt=0.01)
         u0 = grid(np.linspace(0.1, 0.9, 6))

@@ -1,7 +1,6 @@
 """The iteration engine: sandwich, convergence, extremal objects."""
 
 import copy
-import types
 import warnings
 
 import numpy as np
@@ -35,11 +34,21 @@ def neumann_logistic():
 
 
 def without_jacobian_bounds(f):
-    """A copy of a reaction term whose jacobian_range is the base class's
-    -inf/+inf: no end of the march certifies, so asymptotic_equilibria runs
-    to its stall stop and polishes, as it did before the certified stop."""
+    """A copy of a reaction term whose jacobian_range has no upper bound on
+    its diagonal: no end of the march certifies, so asymptotic_equilibria
+    runs to its stall stop and polishes, as it did before the certified stop.
+    The lower bounds, and with them the quasi-increasing shift and the
+    cooperativity check, stay those of the term."""
     g = copy.copy(f)
-    g.jacobian_range = types.MethodType(mv.Nonlinearity.jacobian_range, g)
+
+    def jacobian_range(lo, hi):
+        low, high = f.jacobian_range(lo, hi)
+        high = high.copy()
+        diag = np.arange(f.components)
+        high[diag, diag] = np.inf
+        return low, high
+
+    g.jacobian_range = jacobian_range
     return g
 
 
@@ -63,14 +72,11 @@ class LinearDecay(mv.Nonlinearity):
     def eval_values(self, values):
         return self.c * values
 
-    def jacobian_matrix(self, values):
-        return self.c * np.eye(values.size)
+    def jacobian_blocks(self, values):
+        return np.full((1, 1, values.size), float(self.c))
 
-    def shift_on(self, interval):
-        return max(0.0, -self.c)
-
-    def lipschitz_on(self, interval):
-        return abs(self.c)
+    def jacobian_range(self, lo, hi):
+        return self.jacobian_blocks(lo), self.jacobian_blocks(hi)
 
 
 def test_linear_problem_matches_spectral_solution(rng):
@@ -390,16 +396,55 @@ def test_sandwich_breach_raises():
         name = "lying"
 
         def eval_values(self, values):
-            return -3.0 * values  # decreasing, yet claims shift 0
+            return -3.0 * values  # decreasing, yet claims F' = 0, so shift 0
 
-        def shift_on(self, interval):
-            return 0.0
+        def jacobian_range(self, lo, hi):
+            zero = np.zeros((1, 1, lo.size))
+            return zero, zero
 
     gen = mv.generators.shifted(mv.build_laplacian_1d(5, "neumann"), 1.0)
     interval = mv.OrderInterval(grid(-np.ones(5)), grid(np.ones(5)))
     prob = mv.ProblemSpec(gen, Lying(), interval, horizon=1.0, dt=0.05)
     with pytest.raises(NumericalError, match="sandwich"):
         mv.iterate(prob, grid(np.zeros(5)))
+
+
+class Unbounded(mv.Nonlinearity):
+    """A custom term that states no jacobian_range."""
+
+    name = "unbounded"
+
+    def eval_values(self, values):
+        return -values
+
+
+def _rejected_problem(case):
+    if case == "no_jacobian_range":
+        gen = mv.generators.shifted(mv.build_laplacian_1d(5, "neumann"), 1.0)
+        interval = mv.OrderInterval(grid(-np.ones(5)), grid(np.ones(5)))
+        return mv.ProblemSpec(gen, Unbounded(), interval, horizon=1.0, dt=0.05)
+    # competition is cooperative only in a flipped cone
+    lap = mv.build_laplacian_1d(6, "neumann")
+    interval = mv.OrderInterval(
+        grid(np.zeros(12), 2), grid(np.ones(12), 2), mv.ConeSpec((1, 1))
+    )
+    return mv.ProblemSpec(
+        mv.generators.block_generator([lap, lap]),
+        mv.competition(1.0, 1.0, 1.0, 0.1, 0.1, 1.0), interval, horizon=1.0, dt=0.05,
+    )
+
+
+@pytest.mark.parametrize("case, message", [
+    ("no_jacobian_range", "no finite quasi-increasing shift"),
+    ("competition_standard_cone", "not cooperative"),
+])
+def test_march_rejects_a_term_with_no_certified_shift(case, message):
+    """A term whose jacobian_range certifies no shift is rejected before the
+    march starts, not caught later by a sandwich breach."""
+    prob = _rejected_problem(case)
+    itv = prob.interval
+    with pytest.raises(ValidationError, match=message):
+        mv.iterate(prob, itv.lower, u0_upper=itv.upper)
 
 
 def test_stalled_polish_kept_when_it_lowers_the_residual():
@@ -528,11 +573,11 @@ class InsideOnly(mv.Nonlinearity):
     def eval_values(self, values):
         return self.eval_shifted(values, 0.0)
 
-    def jacobian_matrix(self, values):
-        return self.inner.jacobian_matrix(values)
+    def jacobian_blocks(self, values):
+        return self.inner.jacobian_blocks(values)
 
-    def shift_on(self, interval):
-        return self.inner.shift_on(interval)
+    def jacobian_range(self, lo, hi):
+        return self.inner.jacobian_range(lo, hi)
 
 
 class TestMarchKernel:
@@ -719,6 +764,7 @@ def newton_problems():
     cases["dense_generator"] = mv.ProblemSpec(
         mv.GeneratorSpec(dense, 1.0, "dense"), mv.logistic(2.0, 1.0), box
     )
+    # a custom term: the base class assembles its dense oracle from its blocks
     box = mv.OrderInterval(grid(-2.0 * np.ones(10)), grid(2.0 * np.ones(10)))
     cases["dense_jacobian_only"] = mv.ProblemSpec(
         mv.build_laplacian_1d(10, "neumann"), LinearDecay(-1.5), box

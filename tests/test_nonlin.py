@@ -1,6 +1,4 @@
-"""Reaction-term presets, shifts and Lipschitz bounds."""
-
-import math
+"""Reaction-term presets, their Jacobian bounds and the shift derived from them."""
 
 import numpy as np
 import pytest
@@ -10,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import mevolve as mv
 from mevolve.errors import ValidationError
-from mevolve.nonlin import _fisher_h_prime
+from mevolve.nonlin import _fisher_h_prime, _quadratic_range
 
 from conftest import grid
 
@@ -35,10 +33,6 @@ class TestLogistic:
         # a = b = 1 on [0, 2]: mu = 2 b M - a = 3
         f = mv.logistic(1.0, 1.0)
         assert mv.quasi_increasing_shift(f, interval_1d(0.0, 2.0)) == pytest.approx(3.0)
-
-    def test_lipschitz_bound(self):
-        f = mv.logistic(1.0, 1.0)
-        assert f.lipschitz_on(interval_1d(0.0, 2.0)) == pytest.approx(3.0)  # a + 2bM
 
     def test_rejects_nonpositive_rates(self):
         with pytest.raises(ValidationError):
@@ -97,22 +91,18 @@ class TestCompetition:
         mu = mv.quasi_increasing_shift(f, interval)
         assert mu == pytest.approx(max(2 * 1 + 0.1 - 1, 0.1 + 2 * 1 - 1))
 
-    def test_shifted_map_preserves_flipped_order(self, rng):
-        f = mv.competition(1.0, 1.2, 1.0, 0.4, 0.3, 0.9)
-        cone = mv.ConeSpec((1, -1))
-        interval = mv.OrderInterval(grid([0, 2], 2), grid([2, 0], 2), cone)
-        mu = mv.quasi_increasing_shift(f, interval)
-        svec = cone.sign_vector(1)
-        worst = 0.0
-        for _ in range(10000):
-            a = rng.uniform(0, 2, size=2)
-            b = rng.uniform(0, 2, size=2)
-            lo = svec * np.minimum(svec * a, svec * b)
-            hi = svec * np.maximum(svec * a, svec * b)
-            flo = f.eval_values(lo) + mu * lo
-            fhi = f.eval_values(hi) + mu * hi
-            worst = max(worst, np.max(-(svec * (fhi - flo))))
-        assert worst <= 1e-12
+    @pytest.mark.parametrize("lower, upper, signs", [
+        # the standard cone: dF_1/du_2 = -b12 u1 < 0 wherever u1 > 0, though
+        # the diagonal alone would ask for mu = 2 b11 + b12 - a1 = 1.1
+        ([0, 0], [1, 1], (1, 1)),
+        # the flipped cone: the off-diagonal entries b12 u1, b21 u2 need u >= 0
+        ([-0.5, 1], [1, 0], (1, -1)),
+    ], ids=["standard_cone", "negative_density"])
+    def test_not_cooperative_interval_is_rejected(self, lower, upper, signs):
+        f = mv.competition(1.0, 1.0, 1.0, 0.1, 0.1, 1.0)
+        interval = mv.OrderInterval(grid(lower, 2), grid(upper, 2), mv.ConeSpec(signs))
+        with pytest.raises(ValidationError, match="not cooperative"):
+            mv.quasi_increasing_shift(f, interval)
 
 
 class TestSignedSqrt:
@@ -122,46 +112,104 @@ class TestSignedSqrt:
         assert f.eval_values(np.array([1.0]))[0] == 1.0
         assert f.eval_values(np.array([-4.0]))[0] == -2.0
 
-    def test_unbounded_lipschitz_through_zero(self):
-        f = mv.signed_sqrt()
-        assert f.lipschitz_on(interval_1d(-2.0, 2.0)) == math.inf
-        assert f.lipschitz_on(interval_1d(1.0, 4.0)) == pytest.approx(0.5)
-
     def test_zero_shift(self):
-        assert mv.signed_sqrt().shift_on(interval_1d(-2.0, 2.0)) == 0.0
+        assert mv.quasi_increasing_shift(mv.signed_sqrt(), interval_1d(-2.0, 2.0)) == 0.0
 
 
 def test_shifted_maps_increasing_randomized(rng):
-    """After the certified shift, F + mu*id is increasing on the interval."""
+    """After the certified shift, F + mu*id is increasing on the interval in
+    its cone order: u <= v in the cone gives S (G(v) - G(u)) >= 0."""
+    flipped = mv.ConeSpec((1, -1))
     cases = [
         (mv.logistic(1.0, 1.0), interval_1d(0.0, 2.0, 4)),
         (mv.signed_sqrt(), interval_1d(-2.0, 2.0, 4)),
         (mv.fisher(rng.uniform(-3, 3, size=4), 0.3), interval_1d(0.0, 1.0, 4)),
+        (mv.competition(1.0, 1.2, 1.0, 0.4, 0.3, 0.9),
+         mv.OrderInterval(grid([0, 2], 2), grid([2, 0], 2), flipped)),
     ]
     for f, interval in cases:
         mu = mv.quasi_increasing_shift(f, interval)
-        lo, hi = interval.standard_bounds()
+        svec = interval.cone.sign_vector(interval.lower.n_points)
+        lo, hi = interval.standard_bounds()  # in cone coordinates
         worst = 0.0
-        for _ in range(10000 // 4):
-            a = lo + rng.uniform(size=4) * (hi - lo)
-            b = lo + rng.uniform(size=4) * (hi - lo)
-            u, v = np.minimum(a, b), np.maximum(a, b)
+        for _ in range(10000 // lo.size):
+            a = lo + rng.uniform(size=lo.size) * (hi - lo)
+            b = lo + rng.uniform(size=lo.size) * (hi - lo)
+            u, v = svec * np.minimum(a, b), svec * np.maximum(a, b)
             fu = f.eval_values(u) + mu * u
             fv = f.eval_values(v) + mu * v
-            worst = max(worst, np.max(fu - fv))
+            worst = max(worst, np.max(svec * (fu - fv)))
         assert worst <= 1e-12, f.name
 
 
-def test_lipschitz_bound_not_falsified(rng):
-    interval = interval_1d(0.0, 1.5, 5)
-    f = mv.logistic(2.0, 1.0)
-    lip = f.lipschitz_on(interval)
-    lo, hi = interval.standard_bounds()
-    for _ in range(500):
-        a = lo + rng.uniform(size=5) * (hi - lo)
-        b = lo + rng.uniform(size=5) * (hi - lo)
-        lhs = np.max(np.abs(f.eval_values(a) - f.eval_values(b)))
-        assert lhs <= lip * np.max(np.abs(a - b)) + 1e-12
+def _closed_form_shift(f, interval):
+    """Each preset's quasi-increasing shift in closed form, over the box of
+    the interval's per-component ranges (competition: nonnegative densities
+    in a flipped cone)."""
+    if f.name == "logistic":
+        _, hi = interval.component_range(0)
+        return max(0.0, 2 * f.b * hi - f.a)
+    if f.name == "fisher":
+        lo, hi = interval.component_range(0)
+        dmin, dmax = _quadratic_range(f.alpha, lo, hi)
+        worst = np.where(f.m >= 0, f.m * dmin, f.m * dmax)
+        return max(0.0, -float(np.min(worst)))
+    if f.name == "competition":
+        (_, hi1), (_, hi2) = interval.component_range(0), interval.component_range(1)
+        mu1 = 2 * f.b11 * hi1 + f.b12 * hi2 - f.a1
+        mu2 = f.b21 * hi1 + 2 * f.b22 * hi2 - f.a2
+        return max(0.0, mu1, mu2)
+    return 0.0  # signed sqrt is increasing
+
+
+@st.composite
+def preset_intervals(draw):
+    """(preset, interval) for every preset, in either cone of its component
+    count; competition's densities are nonnegative, in either flipped cone."""
+    kind = draw(st.sampled_from(["logistic", "fisher", "competition", "signed_sqrt"]))
+    n = draw(st.integers(1, 6))
+    if kind == "competition":
+        f = mv.competition(*(draw(RATES) for _ in range(6)))
+        cone = mv.ConeSpec(draw(st.sampled_from([(1, -1), (-1, 1)])))
+        a, b = draw(_states(2 * n, 0.0, 50.0)), draw(_states(2 * n, 0.0, 50.0))
+    else:
+        cone = mv.ConeSpec(draw(st.sampled_from([(1,), (-1,)])))
+        if kind == "logistic":
+            f = mv.logistic(draw(RATES), draw(RATES))
+            a, b = draw(_states(n, -100.0, 100.0)), draw(_states(n, -100.0, 100.0))
+        elif kind == "fisher":
+            # a sign-changing weight takes both branches of the bound
+            f = mv.fisher(draw(_states(n, -10.0, 10.0)), draw(st.floats(0.01, 0.99)))
+            a, b = draw(_states(n, -2.0, 3.0)), draw(_states(n, -2.0, 3.0))
+        else:
+            f = mv.signed_sqrt()
+            a, b = draw(_states(n, -100.0, 100.0)), draw(_states(n, -100.0, 100.0))
+    # the entrywise smaller state is the lower bound in the cone's order
+    svec = cone.sign_vector(n)
+    lower = svec * np.minimum(svec * a, svec * b)
+    upper = svec * np.maximum(svec * a, svec * b)
+    interval = mv.OrderInterval(
+        mv.GridFunction(lower, f.components), mv.GridFunction(upper, f.components), cone
+    )
+    return f, interval
+
+
+@given(preset_intervals())
+@settings(max_examples=400, deadline=None)
+def test_derived_shift_matches_the_closed_forms(case):
+    """The shift derived from jacobian_range equals each preset's closed form:
+    bit for bit for the scalar presets.  Competition's diagonal entries sum
+    the same rounded products in another order; each order lands within one
+    ulp of the largest term it sums from the exact sum, so the two agree to
+    two such ulps (one in nearly every draw)."""
+    f, interval = case
+    mu, oracle = mv.quasi_increasing_shift(f, interval), _closed_form_shift(f, interval)
+    if f.name != "competition":
+        assert mu == oracle
+        return
+    (_, hi1), (_, hi2) = interval.component_range(0), interval.component_range(1)
+    scale = max(f.a1, f.a2, 2 * f.b11 * hi1 + f.b12 * hi2, f.b21 * hi1 + 2 * f.b22 * hi2)
+    assert abs(mu - oracle) <= 2 * np.spacing(scale)
 
 
 def _states(n, lo, hi):
@@ -229,16 +277,6 @@ def jacobian_states(draw):
     return mv.signed_sqrt(), np.where(signs, -size, size)
 
 
-class _DenseOnly(mv.Nonlinearity):
-    """A term that states only jacobian_matrix: blocks come from the base class."""
-
-    def __init__(self, inner):
-        self.inner, self.components = inner, inner.components
-
-    def jacobian_matrix(self, values):
-        return self.inner.jacobian_matrix(values)
-
-
 @given(jacobian_states())
 @settings(max_examples=200, deadline=None)
 def test_jacobian_blocks_assemble_to_the_dense_jacobian(case):
@@ -248,7 +286,6 @@ def test_jacobian_blocks_assemble_to_the_dense_jacobian(case):
     assert blocks.shape == (c, c, n)
     dense = np.block([[np.diag(blocks[i, j]) for j in range(c)] for i in range(c)])
     assert np.array_equal(f.jacobian_matrix(v), dense)
-    assert np.array_equal(_DenseOnly(f).jacobian_blocks(v), blocks)
 
 
 @given(jacobian_states())
