@@ -47,8 +47,8 @@ class GeneratorSpec:
     computed once on first use (single assignment) and shared by all
     apply-style operations; `shifted` hands it on to A + mu*I.  The step
     propagators are cached by (shift, dt) in a dict that A and all its
-    shifted copies share.  The node-major band holds matrix values, so each
-    copy builds its own.
+    shifted copies share.  The node-major band and the infinity norm depend
+    on the matrix values, so each copy computes its own.
     """
 
     matrix: np.ndarray
@@ -58,6 +58,7 @@ class GeneratorSpec:
     _eig: tuple | None = field(default=None, repr=False, compare=False)
     _prop_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _band_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _inf_norm: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
@@ -120,6 +121,12 @@ class GeneratorSpec:
         if components not in self._band_cache:
             self._band_cache[components] = _node_band(self.matrix, components)
         return self._band_cache[components]
+
+    def inf_norm(self) -> float:
+        """The largest absolute row sum of the matrix, computed once."""
+        if self._inf_norm is None:
+            self._inf_norm = float(np.max(np.sum(np.abs(self.matrix), axis=1)))
+        return self._inf_norm
 
 
 class NodeBand(NamedTuple):

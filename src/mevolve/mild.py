@@ -121,7 +121,7 @@ class ProblemSpec:
 
 def defect_slack(a: GeneratorSpec, u: GridFunction, f_values: np.ndarray) -> float:
     """Round-off floor for evaluating A u - F(u) entrywise."""
-    scale = float(np.max(np.sum(np.abs(a.matrix), axis=1))) * monotone_norm(u)
+    scale = a.inf_norm() * monotone_norm(u)
     scale = max(scale, float(np.max(np.abs(f_values))), 1.0)
     return max(TOL_ORDER, 32.0 * _EPS * scale)
 

@@ -491,44 +491,143 @@ def extremal_trajectories(
     return u_min, u_max, report
 
 
-def linearized_solve(problem: ProblemSpec, v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A - F'(v) - mu) x = rhs, Newton's matrix at v, by one banded LU.
+def linearized_solve(problem: ProblemSpec, states: np.ndarray,
+                     rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (A - F'(v) - mu) x = rhs, Newton's matrix at v, for each row v
+    of states and its row of rhs, both of shape (m, dim): (x, ok).
 
-    F' is node-local (`Nonlinearity.jacobian_blocks`); see `_banded_solve`.
-    Raises NumericalError when the matrix or the solution is not finite, or
-    the matrix is singular.
+    F' is node-local (`Nonlinearity.jacobian_blocks`, one call per state);
+    see `_banded_solve`, which also says when ok[k] is False.
     """
-    jac = problem.F.jacobian_blocks(v)
+    jac = np.array([problem.F.jacobian_blocks(v) for v in states])
     if problem.mu:
-        jac = jac + problem.mu * np.eye(problem.F.components)[:, :, None]
+        jac += problem.mu * np.eye(problem.F.components)[:, :, None]
     return _banded_solve(problem.A, jac, rhs)
 
 
-def _banded_solve(a: GeneratorSpec, blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A - J) x = rhs for node-local c x c blocks J, shape (c, c, n).
+_GTSV, _GBSV = scipy.linalg.get_lapack_funcs(("gtsv", "gbsv"), dtype=np.float64)
 
-    With the components interleaved node by node the matrix has A's band,
-    widened to the blocks (`GeneratorSpec.node_band`), and one banded LU
-    solves it.  Raises NumericalError when the matrix or the solution is not
-    finite, or the matrix is singular.
+
+def _banded_solve(a: GeneratorSpec, blocks: np.ndarray,
+                  rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (A - J_k) x_k = rhs_k for every row k of rhs, shape (m, dim),
+    with node-local c x c blocks J_k, blocks of shape (m, c, c, n): (x, ok).
+
+    With the components interleaved node by node each matrix has A's band,
+    widened to the blocks (`GeneratorSpec.node_band`).  The m matrices,
+    tiled along the diagonal, form one banded matrix, and one banded LU
+    (LAPACK gtsv when it is tridiagonal, else gbsv, called as
+    scipy.linalg.solve_banded calls them) solves all rows.  The matrix is
+    block-diagonal, so the LU pivots inside each block and every row gets
+    the solution of its own solve, bit for bit.  ok[k] is False, and x[k]
+    meaningless, when row k's matrix, right-hand side or solution is not
+    finite, or its matrix is singular; the other rows are then solved
+    without it, since its values would spill into its neighbours.
     """
-    nb = a.node_band(blocks.shape[0])
-    ab = nb.band.copy()
-    ab[nb.blocks] -= blocks
-    if not np.all(np.isfinite(ab)):
-        raise NumericalError("Newton matrix is not finite")
-    try:
-        # a 1 x 1 system is one division, which may hit a zero pivot
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = scipy.linalg.solve_banded(
-                nb.lower_upper, ab, rhs[nb.perm],
-                overwrite_ab=True, overwrite_b=True, check_finite=False,
-            )
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError("Newton matrix is singular") from exc
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("Newton step is not finite")
-    return x[nb.inverse]
+    m, c = blocks.shape[:2]
+    nb = a.node_band(c)
+    (lower, upper), dim = nb.lower_upper, rhs.shape[1]
+    ab = np.empty((nb.band.shape[0], m, dim))
+    ab[:] = nb.band[:, None]
+    for i in range(c):
+        for j in range(c):  # block entry [i, j] of node k is column c k + j
+            ab[upper + i - j, :, j::c] -= blocks[:, i, j]
+    ok = np.isfinite(ab).all(axis=(0, 2)) & np.isfinite(rhs).all(axis=1)
+    if ok.all():
+        ab = ab.reshape(ab.shape[0], -1)
+        b = rhs[:, nb.perm].ravel()
+        if lower == upper == 1:
+            *_, x, info = _GTSV(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_dl=True,
+                                overwrite_d=True, overwrite_du=True, overwrite_b=True)
+        else:
+            a2 = np.zeros((2 * lower + upper + 1, ab.shape[1]))
+            a2[lower:] = ab
+            *_, x, info = _GBSV(lower, upper, a2, b, overwrite_ab=True, overwrite_b=True)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK gtsv/gbsv")
+        if info == 0:
+            x = x.reshape(m, dim)[:, nb.inverse]
+            return x, np.isfinite(x).all(axis=1)
+        ok[(info - 1) // dim] = False  # the row of the first zero pivot
+    x = np.full(rhs.shape, np.nan)
+    if ok.any():
+        x[ok], ok[ok] = _banded_solve(a, blocks[ok], rhs[ok])
+    return x, ok
+
+
+def _newton_batch(
+    problem: ProblemSpec,
+    starts: np.ndarray,
+    tol_res: float = 1e-10,
+    max_iter: int = 80,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton on A v = F(v) from each row of starts, shape (m, dim):
+    per row, the final state, its residual norm and whether it converged.
+
+    The rows go in lock-step but never mix: each ends bit for bit where
+    its start alone would (`newton_equilibrium`).  A round takes the steps
+    of all running rows from one stacked banded solve (`linearized_solve`),
+    then tries the damped steps t = 1, 1/2, ... >= 1e-4 of the rows still
+    pending together, with one evaluation of the reaction term on the
+    stack.  A trial is accepted when its residual is finite and at most
+    (1 - t/4) times the current one.  A failed solve, a failed line search
+    or the round-off floor ends only its own row.
+    """
+    a = problem.A.matrix
+    c = problem.F.components
+    v = np.array(starts, dtype=float)
+    m = v.shape[0]
+    res = np.empty(m)
+    ok = np.zeros(m, dtype=bool)
+    if m == 0:
+        return v, res, ok
+
+    def residuals(x):
+        # A x per row: one GEMM would sum in another order
+        out = problem.rhs(x)
+        for i, row in enumerate(x):
+            out[i] = a @ row - out[i]
+        return out
+
+    # the running rows: their indices, states, residuals and residual norms
+    rows, x, r = np.arange(m), v.copy(), residuals(v)
+    for _ in range(max_iter):
+        norms = np.abs(r).max(axis=1)
+        done = norms <= tol_res
+        if done.any():
+            ok[rows[done]], v[rows[done]], res[rows[done]] = True, x[done], norms[done]
+            run = ~done
+            rows, x, r, norms = rows[run], x[run], r[run], norms[run]
+        if not rows.size:
+            break
+        step, solved = linearized_solve(problem, x, -r)
+        moved = np.zeros(rows.size, dtype=bool)
+        pending = solved.nonzero()[0]  # into x and r
+        t = 1.0
+        while pending.size and t >= 1e-4:
+            trial = x[pending] + t * step[pending]
+            r_trial = residuals(trial)
+            # a non-finite residual has the norm inf or nan and fails the test
+            better = np.abs(r_trial).max(axis=1) <= (1 - 0.25 * t) * norms[pending]
+            taken = pending[better]
+            x[taken], r[taken], moved[taken] = trial[better], r_trial[better], True
+            pending = pending[~better]
+            if t == 1.0 and pending.size:
+                # a residual already within the round-off floor ends its run
+                floor = np.array([
+                    norms[i] <= defect_slack(problem.A, GridFunction(x[i], c), a @ x[i] - r[i])
+                    for i in pending
+                ])
+                pending = pending[~floor]
+            t *= 0.5
+        if not moved.all():  # the rows that took no step end here
+            stop = ~moved
+            v[rows[stop]], res[rows[stop]] = x[stop], norms[stop]
+            rows, x, r = rows[moved], x[moved], r[moved]
+    v[rows] = x
+    norms = np.abs(r).max(axis=1)
+    res[rows], ok[rows] = norms, norms <= tol_res
+    return v, res, ok
 
 
 def newton_equilibrium(
@@ -541,39 +640,11 @@ def newton_equilibrium(
 
     A run whose full step fails to lower a residual already within the
     round-off floor `defect_slack` stops there, without damped trials that
-    would only trade round-off; a run with tol_res = 0 ends that way.
+    would only trade round-off; a run with tol_res = 0 ends that way.  This
+    is `_newton_batch` on the one start.
     """
-    a = problem.A.matrix
-    v = np.asarray(start, dtype=float).copy()
-
-    def residual(x):
-        return a @ x - problem.rhs(x)
-
-    r = residual(v)
-    for _ in range(max_iter):
-        norm_r = monotone_norm(r)
-        if norm_r <= tol_res:
-            return v, norm_r, True
-        try:
-            step = linearized_solve(problem, v, -r)
-        except NumericalError:
-            return v, norm_r, False
-        t = 1.0
-        while t >= 1e-4:
-            trial = v + t * step
-            r_trial = residual(trial)
-            if np.all(np.isfinite(r_trial)) and monotone_norm(r_trial) <= (1 - 0.25 * t) * norm_r:
-                v, r = trial, r_trial
-                break
-            if t == 1.0 and norm_r <= defect_slack(
-                problem.A, GridFunction(v, problem.F.components), a @ v - r
-            ):
-                return v, norm_r, False
-            t *= 0.5
-        else:
-            return v, norm_r, False
-    norm_r = monotone_norm(r)
-    return v, norm_r, norm_r <= tol_res
+    v, res, ok = _newton_batch(problem, np.asarray(start, dtype=float)[None], tol_res, max_iter)
+    return v[0], float(res[0]), bool(ok[0])
 
 
 def _jacobian_bound(f, lo: np.ndarray, hi: np.ndarray, sides: np.ndarray) -> np.ndarray:
@@ -622,10 +693,10 @@ def _enclose(problem: ProblemSpec, sides: np.ndarray, y_p: np.ndarray, x_lo: np.
     jac += problem.mu * np.eye(c)[:, :, None]
     signs = sides.reshape(c, -1)[:, 0]
     blocks = np.outer(signs, signs)[:, :, None] * jac  # the bound, back in u
-    try:
-        x = _banded_solve(problem.A, blocks, sides.copy())
-    except NumericalError:
+    x, solved = _banded_solve(problem.A, blocks[None], sides[None])
+    if not solved[0]:
         return None
+    x = x[0]
     psi = sides * x
     if not np.all(psi > 0.0):
         return None
@@ -813,17 +884,17 @@ def asymptotic_equilibria(
     if order_violation(u_star, u_upper_star, interval.cone) > max(slack, 10 * tol_eq):
         raise NumericalError("extremal equilibria are not ordered")
 
-    # independent equilibria from random interior starts; every one inside the
-    # interval must be sandwiched by the extremal pair
+    # independent equilibria from random interior starts, run as one batch;
+    # every one inside the interval must be sandwiched by the extremal pair
     rng = np.random.default_rng(seed)
     svec = interval.cone.sign_vector(interval.lower.n_points)
     lo, hi = interval.standard_bounds()
+    starts = lo + rng.uniform(size=(n_newton_starts, interval.dim)) * (hi - lo)
     found = []
     extremal_violation = 0.0
     check_slack = max(100.0 * tol_res, slack)
-    for _ in range(n_newton_starts):
-        y = lo + rng.uniform(size=interval.dim) * (hi - lo)
-        v, _, ok = newton_equilibrium(problem, svec * y)
+    equilibria, _, converged = _newton_batch(problem, svec * starts)
+    for v, ok in zip(equilibria, converged):
         if not ok:
             continue
         g = GridFunction(v, interval.components)

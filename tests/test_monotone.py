@@ -551,8 +551,10 @@ class InsideOnly(mv.Nonlinearity):
     """Wraps a preset and records how far any block of states the march
     evaluates strays outside the order interval, in standard coordinates.
 
-    Single states come from the bound certificates and the Newton
-    cross-check, which may leave the interval; they are not recorded.
+    Only evaluations made while `marching` is set are recorded; `watch`
+    sets it around `_March.advance`.  The bound certificates and the Newton
+    runs evaluate states that may leave the interval; the cross-check
+    evaluates its random starts as one stacked 2-D block.
     """
 
     def __init__(self, inner, interval):
@@ -560,9 +562,22 @@ class InsideOnly(mv.Nonlinearity):
         self.svec = interval.cone.sign_vector(interval.lower.n_points)
         self.lo, self.hi = interval.standard_bounds()
         self.blocks, self.excursion = 0, -np.inf
+        self.marching = False
+
+    def watch(self, monkeypatch):
+        advance = mv.monotone._March.advance
+
+        def marking(march, n_steps):
+            self.marching = True
+            try:
+                return advance(march, n_steps)
+            finally:
+                self.marching = False
+
+        monkeypatch.setattr(mv.monotone._March, "advance", marking)
 
     def eval_shifted(self, values, shift):
-        if values.ndim == 2:
+        if self.marching:
             y = self.svec * values
             self.blocks += 1
             self.excursion = max(
@@ -607,12 +622,14 @@ class TestMarchKernel:
         "case", ["dirichlet_logistic", "flipped_competition", "bound_with_deficit"]
     )
     @pytest.mark.parametrize("run", ["from_lower", "from_upper", "equilibria"])
-    def test_reaction_term_only_sees_states_in_the_interval(self, problems, case, run):
+    def test_reaction_term_only_sees_states_in_the_interval(self, problems, case, run,
+                                                            monkeypatch):
         # the march skips the clamp while its last check proved
         # lo <= z <= Z <= hi; the reaction term must never see a state outside
         prob = problems[case]
         itv = prob.interval
         recorder = InsideOnly(prob.F, itv)
+        recorder.watch(monkeypatch)
         watched = mv.ProblemSpec(prob.A, recorder, itv, horizon=prob.horizon, dt=prob.dt)
         if run == "equilibria":
             eq = mv.asymptotic_equilibria(watched, tol=1e-9, tol_eq=1e-8, tol_res=1e-8)
@@ -736,7 +753,7 @@ def _dense_newton_matrix(prob, v):
 
 NEWTON_CASES = [
     "logistic_dirichlet", "logistic_neumann", "logistic_robin", "fisher",
-    "competition_flipped", "scalar", "dense_generator", "dense_jacobian_only",
+    "competition_flipped", "scalar", "dense_generator", "custom_term",
 ]
 
 
@@ -766,7 +783,7 @@ def newton_problems():
     )
     # a custom term: the base class assembles its dense oracle from its blocks
     box = mv.OrderInterval(grid(-2.0 * np.ones(10)), grid(2.0 * np.ones(10)))
-    cases["dense_jacobian_only"] = mv.ProblemSpec(
+    cases["custom_term"] = mv.ProblemSpec(
         mv.build_laplacian_1d(10, "neumann"), LinearDecay(-1.5), box
     )
     assert sorted(cases) == sorted(NEWTON_CASES)
@@ -779,7 +796,8 @@ class TestNewtonLinearAlgebra:
 
     @staticmethod
     def check_against_dense(prob, v, rhs):
-        x = mv.monotone.linearized_solve(prob, v, rhs)
+        (x,), (ok,) = mv.monotone.linearized_solve(prob, v[None], rhs[None])
+        assert ok
         matrix = _dense_newton_matrix(prob, v)
         oracle = scipy.linalg.solve(matrix, rhs)
         # backward-stable solves of one matrix agree to eps * cond relative
@@ -833,8 +851,8 @@ class TestNewtonLinearAlgebra:
             mv.OrderInterval(grid(np.zeros(n)), grid(4.0 * np.ones(n))),
         )
         start = np.array(start)
-        with pytest.raises(NumericalError, match="singular|not finite"):
-            mv.monotone.linearized_solve(prob, start, np.ones(n))
+        (_,), (ok,) = mv.monotone.linearized_solve(prob, start[None], np.ones((1, n)))
+        assert not ok
         v, res, ok = mv.newton_equilibrium(prob, start)
         assert not ok and np.array_equal(v, start)
         assert res == mv.monotone_norm(prob.A.matrix @ start - prob.rhs(start))
@@ -848,9 +866,10 @@ class TestNewtonLinearAlgebra:
         prob = mv.ProblemSpec(gen, scen.F, scen.interval)
         rhs, residuals = prob.rhs, []
 
-        def counting(x):
+        def counting(x):  # Newton evaluates a stack of states, one row here
             out = rhs(x)
-            residuals.append(mv.monotone_norm(prob.A.matrix @ x - out))
+            (state,), (f,) = x, out
+            residuals.append(mv.monotone_norm(prob.A.matrix @ state - f))
             return out
 
         prob.rhs = counting
@@ -872,6 +891,129 @@ class TestNewtonLinearAlgebra:
         v, res, ok = mv.newton_equilibrium(prob, start)
         assert not ok and np.array_equal(v, start)
         assert res == pytest.approx(abs(0.5 - np.sqrt(0.5)))
+
+
+def _reference_newton(prob, start, tol_res=1e-10, max_iter=80):
+    """Damped Newton from one start, each step one scipy.linalg.solve_banded
+    call of its own: the oracle of the lock-step `_newton_batch`."""
+    a, c = prob.A.matrix, prob.F.components
+    nb = prob.A.node_band(c)
+
+    def residual(x):
+        return a @ x - prob.rhs(x)
+
+    def newton_step(x, rhs):
+        jac = prob.F.jacobian_blocks(x)
+        if prob.mu:
+            jac = jac + prob.mu * np.eye(c)[:, :, None]
+        ab = nb.band.copy()
+        ab[nb.blocks] -= jac
+        if not np.all(np.isfinite(ab)):
+            return None
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = scipy.linalg.solve_banded(nb.lower_upper, ab, rhs[nb.perm],
+                                                 check_finite=False)
+        except scipy.linalg.LinAlgError:
+            return None
+        return step[nb.inverse] if np.all(np.isfinite(step)) else None
+
+    v = np.array(start, dtype=float)
+    r = residual(v)
+    for _ in range(max_iter):
+        norm_r = mv.monotone_norm(r)
+        if norm_r <= tol_res:
+            return v, norm_r, True
+        step = newton_step(v, -r)
+        if step is None:
+            return v, norm_r, False
+        t = 1.0
+        while t >= 1e-4:
+            trial = v + t * step
+            r_trial = residual(trial)
+            if np.all(np.isfinite(r_trial)) and mv.monotone_norm(r_trial) <= (1 - 0.25 * t) * norm_r:
+                v, r = trial, r_trial
+                break
+            if t == 1.0 and norm_r <= mv.mild.defect_slack(prob.A, mv.GridFunction(v, c), a @ v - r):
+                return v, norm_r, False
+            t *= 0.5
+        else:
+            return v, norm_r, False
+    norm_r = mv.monotone_norm(r)
+    return v, norm_r, norm_r <= tol_res
+
+
+def _assert_rows_are_their_own_runs(prob, starts, tol_res=1e-10, max_iter=80):
+    vs, res, ok = mv.monotone._newton_batch(prob, starts, tol_res, max_iter)
+    assert vs.shape == starts.shape and res.shape == ok.shape == (len(starts),)
+    for start, v, r, o in zip(starts, vs, res, ok):
+        alone = mv.newton_equilibrium(prob, start, tol_res, max_iter)
+        assert type(alone[1]) is float and type(alone[2]) is bool
+        for run in (alone, _reference_newton(prob, start, tol_res, max_iter)):
+            assert np.array_equal(v, run[0]) and r == run[1] and o == run[2]
+    return ok
+
+
+class TestNewtonBatch:
+    """The cross-check's random starts run as one lock-step batch; every row
+    is bit for bit the run its start gets alone."""
+
+    @pytest.mark.parametrize("tol_res", [1e-10, 0.0], ids=["converge", "to_the_floor"])
+    @pytest.mark.parametrize("case", NEWTON_CASES)
+    def test_rows_match_runs_alone(self, newton_problems, case, tol_res):
+        prob = newton_problems[case]
+        lo, hi = prob.interval.lower.values, prob.interval.upper.values
+        rng = np.random.default_rng(11)
+        starts = lo + rng.uniform(size=(12, lo.size)) * (hi - lo)
+        ok = _assert_rows_are_their_own_runs(prob, starts, tol_res)
+        # a run to the floor converges only where a residual reaches 0
+        assert ok.all() or not tol_res
+
+    def test_rows_stopped_by_max_iter(self, newton_problems):
+        prob = newton_problems["logistic_dirichlet"]
+        lo, hi = prob.interval.lower.values, prob.interval.upper.values
+        starts = lo + np.random.default_rng(5).uniform(size=(8, lo.size)) * (hi - lo)
+        for max_iter in (0, 1, 3):
+            _assert_rows_are_their_own_runs(prob, starts, max_iter=max_iter)
+
+    def test_infinite_jacobian_fails_only_its_row(self):
+        # signed sqrt has an infinite derivative at 0: the start with an
+        # entry exactly 0 fails, and every other row runs on unchanged
+        n = 6
+        box = mv.OrderInterval(grid(-2.0 * np.ones(n)), grid(2.0 * np.ones(n)))
+        prob = mv.ProblemSpec(mv.build_laplacian_1d(n, "neumann"), mv.signed_sqrt(), box)
+        starts = np.random.default_rng(2).uniform(0.2, 1.8, size=(9, n))
+        starts[4, 2] = 0.0
+        ok = _assert_rows_are_their_own_runs(prob, starts)
+        assert not ok[4] and ok.sum() >= 6
+
+    @pytest.mark.parametrize("matrix, singular", [
+        # F' = 3 - 2*1 = 1 = A: a 1 x 1 zero pivot
+        ([[1.0]], [1.0]),
+        # F' = 0 leaves the singular A itself: tridiagonal, LAPACK gtsv
+        ([[1.0, -1.0], [-1.0, 1.0]], [0.5, 0.5]),
+        # the same on a full 3 x 3 band, LAPACK gbsv
+        ([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]], [0.5, 0.5, 0.5]),
+    ], ids=["scalar", "tridiagonal", "full_band"])
+    def test_singular_block_fails_only_its_row(self, matrix, singular):
+        n = len(singular)
+        a = 3.0 if n == 1 else 1.0
+        prob = mv.ProblemSpec(
+            mv.GeneratorSpec(np.array(matrix), 1.0, "neumann"), mv.logistic(a, 1.0),
+            mv.OrderInterval(grid(np.zeros(n)), grid(4.0 * np.ones(n))),
+        )
+        starts = np.random.default_rng(4).uniform(0.1, 3.9, size=(7, n))
+        for row in (0, 3, 6):  # the first, a middle and the last block
+            stack = starts.copy()
+            stack[row] = singular
+            ok = _assert_rows_are_their_own_runs(prob, stack)
+            assert not ok[row] and np.delete(ok, row).all()
+
+    @pytest.mark.parametrize("case", NEWTON_CASES)
+    def test_empty_stack(self, newton_problems, case):
+        prob = newton_problems[case]
+        vs, res, ok = mv.monotone._newton_batch(prob, np.empty((0, prob.A.dim)))
+        assert vs.shape == (0, prob.A.dim) and res.shape == ok.shape == (0,)
 
 
 def test_flipped_cone_term_matches_the_sign_flip_wrapper(monkeypatch):
