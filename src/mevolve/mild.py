@@ -119,7 +119,7 @@ class ProblemSpec:
         return monotone_norm(self.A.matrix @ u.values - self.rhs(u.values))
 
 
-def defect_slack(a: GeneratorSpec, u: GridFunction, f_values: np.ndarray) -> float:
+def defect_slack(a: GeneratorSpec, u: GridFunction | np.ndarray, f_values: np.ndarray) -> float:
     """Round-off floor for evaluating A u - F(u) entrywise."""
     scale = a.inf_norm() * monotone_norm(u)
     scale = max(scale, float(np.max(np.abs(f_values))), 1.0)

@@ -21,8 +21,12 @@ equilibria: the march stops once Newton's point next to each row is proven
 to be the extremal equilibrium on its side (an M-matrix bound on the mean
 of F' over segments between the row and that point), or else once the
 increment over a window stalls, and a stalled state is Newton-polished.
-Both are cross-checked for minimality/maximality against independently
-found equilibria.
+Where Newton from the row misses the extremal equilibrium, the proof is
+retried once from a state swept toward it by the elliptic monotone
+iteration u <- (A + mu)^-1 (F(u) + mu u), which preserves the order and
+fixes every equilibrium, so from a row below the minimal equilibrium it
+never passes it.  Both ends are cross-checked for minimality/maximality
+against independently found equilibria.
 """
 
 from __future__ import annotations
@@ -722,6 +726,61 @@ def _enclose(problem: ProblemSpec, sides: np.ndarray, y_p: np.ndarray, x_lo: np.
     return None
 
 
+# elliptic sweeps of one certificate retry: they converge only linearly, and
+# Newton needs no more than its basin (the Fisher benchmark config at n = 60
+# needs 10, and runs to tol_eq = 1e-9 in about 200)
+SWEEP_MAX_ITER = 100
+
+
+def _sweep(problem: ProblemSpec, sides: np.ndarray, start: np.ndarray, lo: np.ndarray,
+           hi: np.ndarray, tol_eq: float) -> np.ndarray | None:
+    """Elliptic monotone sweeps toward the minimal equilibrium u* of the box
+    [lo, hi] in side coordinates y = T u (T = diag(sides)), from a start
+    proven to lie below u*: the last iterate, which lies below u* too, or
+    None when the proof's premises fail or a value is not finite.
+
+    With mu the march's shift (`auto_scale`), G = F + mu id is increasing
+    on the interval in side coordinates, and M = T (A + mu) T is a Z-matrix
+    when A couples no components of opposite cone sign.  psi = M^-1 1 > 0
+    then makes M a nonsingular M-matrix, M^-1 >= 0, so the sweep
+    y <- M^-1 T G(T y) preserves the order and fixes u*: from y <= u* it
+    never passes u*.  Each solve x of (A + mu) x = g (`_banded_solve`, the
+    shift as node-local blocks) is lowered by its residual bound
+    (|(A + mu) x - g| + defect_slack) psi, which covers its round-off, and
+    clamped into [lo, hi], which holds u*.  The sweeps stop once the
+    increment is at most tol_eq, or after SWEEP_MAX_ITER sweeps.
+    """
+    scaled = auto_scale(problem)
+    a = scaled.A
+    coupling = sides[:, None] * a.matrix * sides
+    np.fill_diagonal(coupling, 0.0)
+    if np.any(coupling > 0.0):
+        return None
+    c = problem.F.components
+    shift = np.zeros((1, c, c, sides.size // c))
+    shift[0, range(c), range(c)] = -(scaled.mu - problem.mu)  # A - shift = A + mu
+    x, ok = _banded_solve(problem.A, shift, sides[None])
+    psi = sides * x[0]
+    if not (ok[0] and np.all(psi > 0.0)):
+        return None
+    y = start
+    for _ in range(SWEEP_MAX_ITER):
+        g = scaled.rhs(sides * y)
+        x, ok = _banded_solve(problem.A, shift, g[None])
+        if not ok[0]:
+            return None
+        x = x[0]
+        bound = float(np.abs(a.matrix @ x - g).max()) + defect_slack(a, x, g)
+        if not np.isfinite(bound):  # an overflow
+            return None
+        y_next = np.clip(sides * x - bound * psi, lo, hi)
+        inc = float(np.max(np.abs(y_next - y)))
+        y = y_next
+        if inc <= tol_eq:
+            break
+    return y
+
+
 def _certify_extremal(problem: ProblemSpec, state: np.ndarray, side: int, tol_eq: float,
                       slack: float) -> tuple[np.ndarray, float] | None:
     """Prove Newton's point p next to a terminal state of the march to be
@@ -761,21 +820,43 @@ def _certify_extremal(problem: ProblemSpec, state: np.ndarray, side: int, tol_eq
     A pass also proves u* >= v - (|d+| / kappa) psi.  When its radius
     exceeds tol_eq, the proof runs once more with that lower end (less
     slack) raising x_lo, a narrower box, and keeps the smaller radius.
+
+    When this first pass fails, or its radius exceeds tol_eq, the proof is
+    retried once from a swept state: `_sweep` runs elliptic monotone sweeps
+    from l - slack, clamped into the interval (the row lies below u* up to
+    the march's slack).  Every sweep stays below u*: the sweep map is
+    order-preserving and fixes u*, and each iterate is lowered by its own
+    solve-residual bound.  So the swept state is an l as above, and the
+    retry is the same pass with Newton started from it.  The smaller
+    radius is kept.
     """
     interval = problem.interval
     sides = side * interval.cone.sign_vector(interval.lower.n_points)
     a, b = sides * interval.lower.values, sides * interval.upper.values
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    p, rho, _ = newton_equilibrium(problem, state, tol_res=0.0)
-    y_p = np.clip(sides * p, lo, hi)  # moves p only toward u*, which lies inside
-    p = sides * y_p
-    x_lo = np.minimum(sides * state, y_p) - slack
-    cert = _enclose(problem, sides, y_p, x_lo, hi, rho, tol_eq)
-    if cert is not None and cert[0] > tol_eq:
-        narrow = _enclose(problem, sides, y_p, np.maximum(x_lo, cert[1] - slack), hi, rho, tol_eq)
-        if narrow is not None and narrow[0] < cert[0]:
-            cert = narrow
-    return None if cert is None else (p, cert[0])
+    best, start = None, state
+    for retry in (False, True):
+        if retry:
+            # the row lies below u* up to the march's slack
+            begin = _sweep(problem, sides, np.clip(sides * state - slack, lo, hi), lo, hi, tol_eq)
+            if begin is None:
+                break
+            start = sides * begin
+        p, rho, _ = newton_equilibrium(problem, start, tol_res=0.0)
+        y_p = np.clip(sides * p, lo, hi)  # moves p only toward u*, which lies inside
+        p = sides * y_p
+        x_lo = np.minimum(sides * start, y_p) - slack
+        cert = _enclose(problem, sides, y_p, x_lo, hi, rho, tol_eq)
+        if cert is not None and cert[0] > tol_eq:
+            narrow = _enclose(problem, sides, y_p, np.maximum(x_lo, cert[1] - slack), hi,
+                              rho, tol_eq)
+            if narrow is not None and narrow[0] < cert[0]:
+                cert = narrow
+        if cert is not None and (best is None or cert[0] < best[1]):
+            best = (p, cert[0])
+        if best is not None and best[1] <= tol_eq:
+            break
+    return best
 
 
 @dataclass
@@ -825,9 +906,16 @@ def asymptotic_equilibria(
     Otherwise it stops once the increment of the rows over a window drops
     below tol_eq (a valid stalling signal, since U_min increases and U_max
     decreases), and an uncertified end reports its stalled state,
-    Newton-polished.  An unstable or degenerate extremal equilibrium, or a
-    reaction term whose `jacobian_range` has no finite upper bound, never
-    certifies.
+    Newton-polished.  An interval bound that is 0 in every entry, where
+    F(0) is 0.0 in every entry, is an equilibrium by construction (A 0 = 0
+    exactly, and F(0) is taken as computed, which is exact for terms built
+    of sums and products of u).  As the least (greatest) point of the
+    interval it is the extremal equilibrium on its side, and certifies
+    with radius 0 before the march, with no Newton run.  A nonzero bound
+    whose computed residual is 0.0 is not taken: rounding or underflow can
+    give 0.0 where the exact residual is not.  An unstable or degenerate
+    extremal equilibrium that is not such a bound, or a reaction term whose
+    `jacobian_range` has no finite upper bound, never certifies.
     """
     interval = problem.interval
     window = problem.horizon
@@ -837,6 +925,11 @@ def asymptotic_equilibria(
     horizon_converged = False
     horizon = 0.0
     certified = [None, None]  # per end: (p, radius) once proven
+    # a zero bound with F(0) = 0 is the extremal equilibrium on its side, as
+    # the least (greatest) point of the interval
+    for end, bound in enumerate((interval.lower.values, interval.upper.values)):
+        if not np.any(bound) and not np.any(problem.rhs(bound)):
+            certified[end] = (bound, 0.0)
     for count in range(1, max_windows + 1):
         start = march.y
         n_iters, converged = march.advance(steps_per_window)

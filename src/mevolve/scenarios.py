@@ -211,7 +211,8 @@ def _semi_trivial(
 
     w is the maximal equilibrium of the logistic interval [eps*phi0, M*1]:
     Newton runs from the super-solution M*1 and `_certify_extremal` proves
-    its point maximal (an M-matrix enclosure), with no time march.  Raises
+    its point maximal (an M-matrix enclosure; a failed first pass is
+    retried from M*1 swept toward w), with no time march.  Raises
     NumericalError when the proof fails or its radius exceeds
     SEMI_TRIVIAL_TOL.
     """

@@ -98,14 +98,16 @@ class TestRun:
 
     def test_unstable_extremal_equilibrium_keeps_its_exit_code(self, tmp_path):
         # a constant Fisher weight gives the [0, 1] interval, whose lower
-        # bound 0 is an unstable equilibrium: that end stays uncertified
+        # bound 0 is an unstable equilibrium; 0 with F(0) = 0 is one by
+        # construction, so as the least point of the interval it certifies
+        # with radius 0
         cfg = tmp_path / "cfg.json"
         write_config(cfg, scenario="fisher", params={"alpha": 0.5, "m": 4.0})
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         eq = json.loads((out / "report.json").read_text())["equilibria"]
-        assert eq["certified"] == [False, True]
-        assert eq["certified_radius"][0] is None
+        assert eq["certified"] == [True, True]
+        assert eq["certified_radius"][0] == 0.0
         assert eq["u_star"] == [0.0] * 12
 
     def test_negative_dt_is_exit_1(self, tmp_path, capsys):

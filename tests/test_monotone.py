@@ -1170,17 +1170,67 @@ class TestCertifiedStop:
         assert np.max(np.abs(mutated.u_star.values - minimal)) <= 1e-8
 
     def test_unstable_extremal_equilibrium_stays_uncertified(self):
-        # logistic on [0, M] with a > lambda_1: the lower bound 0 is itself
-        # the minimal equilibrium, and it is unstable
+        # competition with a1 below lambda_1 (about 9.8) on the box
+        # [(0, M), (M, 0)]: the maximal end (0, 0) is unstable and is not an
+        # interval bound, so neither Newton's run from the row nor the one
+        # from the swept state certifies it
+        gen = mv.build_laplacian_1d(8, "dirichlet")
+        scen = mv.build_competition(gen, gen, 5.0, 30.0, 1.0, 0.3, 0.3, 1.0)
+        prob = scen.problem(horizon=1.0, dt=0.05)
+        for bound in (scen.interval.lower.values, scen.interval.upper.values):
+            assert np.any(prob.A.matrix @ bound - prob.rhs(bound))
+        eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-9, tol_res=1e-8)
+        assert eq.certified == (True, False)
+        assert eq.certified_radius[0] <= 1e-9 and eq.certified_radius[1] is None
+        assert eq.horizon_converged
+        assert np.max(np.abs(eq.u_upper_star.values)) <= 1e-12
+        assert np.min(eq.u_star.values[8:]) > 1.0
+
+    def test_zero_bound_certifies_with_radius_0(self, monkeypatch):
+        # logistic on [0, M] with a > lambda_1: the lower bound 0 is the
+        # minimal equilibrium, unstable; 0 with F(0) = 0 is an equilibrium by
+        # construction, so as the least point of the interval it certifies
+        # with no Newton run
         gen = mv.build_laplacian_1d(20, "dirichlet")
         itv = mv.OrderInterval(grid(np.zeros(20)), grid(12.0 * np.ones(20)))
         prob = mv.ProblemSpec(gen, mv.logistic(12.0, 2.0), itv, horizon=1.0, dt=0.02)
+        sides = []
+        original = mv.monotone._certify_extremal
+
+        def recorded(problem, state, side, *args):
+            sides.append(side)
+            return original(problem, state, side, *args)
+
+        monkeypatch.setattr(mv.monotone, "_certify_extremal", recorded)
         eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-9, tol_res=1e-8)
-        assert eq.certified == (False, True)
-        assert eq.certified_radius[0] is None and eq.certified_radius[1] <= 1e-9
-        assert eq.horizon_converged
-        assert np.all(eq.u_star.values == 0.0)
+        assert eq.certified == (True, True)
+        assert eq.certified_radius[0] == 0.0 and eq.certified_radius[1] <= 1e-9
+        assert eq.polish_moved == (0.0, 0.0)
+        assert np.all(eq.u_star.values == 0.0) and eq.residuals[0] == 0.0
         assert np.min(eq.u_upper_star.values) > 0.1
+        assert 1 not in sides  # only the upper end tried the proof
+        assert len(eq.windows) == 1
+
+    def test_nonzero_bound_with_residual_zero_runs_the_proof(self, monkeypatch):
+        # constant Fisher weight on Neumann: the upper bound 1 has A 1 - F(1)
+        # computed as 0.0, but only a zero bound is taken on construction,
+        # so the upper end runs the proof; the lower bound 0 needs none
+        gen = mv.build_laplacian_1d(12, "neumann")
+        prob = mv.build_fisher(gen, 4.0 * np.ones(12), 0.5).problem(horizon=1.0, dt=0.05)
+        upper = prob.interval.upper.values
+        assert np.all(upper == 1.0)
+        assert not np.any(prob.A.matrix @ upper - prob.rhs(upper))
+        sides = []
+        original = mv.monotone._certify_extremal
+
+        def recorded(problem, state, side, *args):
+            sides.append(side)
+            return original(problem, state, side, *args)
+
+        monkeypatch.setattr(mv.monotone, "_certify_extremal", recorded)
+        eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-9, tol_res=1e-8)
+        assert sides and set(sides) == {-1}
+        assert eq.certified == (True, True) and eq.certified_radius[0] == 0.0
 
     def test_stable_end_on_a_bound_certifies(self):
         # the lower bound [6, 6] is the minimal equilibrium; the march leaves
@@ -1197,15 +1247,16 @@ class TestCertifiedStop:
 
     def test_benchmark_configs_certify_early(self):
         # the bound of the mean-value Jacobian (Simpson's rule on three
-        # boxes) and the second pass on the narrowed box; a bound of F' over
-        # the one box [x_lo, top] certifies these at windows 8 (Fisher) and
-        # 2 (mesh)
+        # boxes), the second pass on the narrowed box and, for Fisher, the
+        # retry from the swept state; a bound of F' over the one box
+        # [x_lo, top] certifies these at windows 8 (Fisher) and 2 (mesh),
+        # the mean-value bound Fisher at window 4, and the sweeps at window 1
         gen = mv.build_laplacian_1d(60, "neumann")
         fisher = mv.build_fisher(gen, 8.0 * np.sin(2 * np.pi * mv.mesh_nodes(gen)), 0.5)
         eq = mv.asymptotic_equilibria(
             fisher.problem(horizon=1.0, dt=0.02), tol=1e-9, tol_eq=1e-9, tol_res=1e-8,
         )
-        assert eq.certified == (True, True) and len(eq.windows) <= 4
+        assert eq.certified == (True, True) and len(eq.windows) == 1
         mesh = mv.build_logistic(mv.build_laplacian_1d(160, "neumann"), 1.0, 2.0)
         eq = mv.asymptotic_equilibria(
             mesh.problem(horizon=0.2, dt=0.02), tol=1e-9, tol_eq=1e-9, tol_res=1e-8,
@@ -1214,3 +1265,173 @@ class TestCertifiedStop:
         # the Neumann logistic's extremal equilibria are both a/b
         assert np.max(np.abs(eq.u_star.values - 0.5)) <= 1e-9
         assert np.max(np.abs(eq.u_upper_star.values - 0.5)) <= 1e-9
+
+
+def _first_pass(problem, state, side, tol_eq, slack):
+    """The certificate's first pass alone, Newton from the row and the two
+    `_enclose` passes, as `_certify_extremal` ran before it had a retry."""
+    interval = problem.interval
+    sides = side * interval.cone.sign_vector(interval.lower.n_points)
+    a, b = sides * interval.lower.values, sides * interval.upper.values
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    p, rho, _ = mv.newton_equilibrium(problem, state, tol_res=0.0)
+    y_p = np.clip(sides * p, lo, hi)
+    p = sides * y_p
+    x_lo = np.minimum(sides * state, y_p) - slack
+    cert = mv.monotone._enclose(problem, sides, y_p, x_lo, hi, rho, tol_eq)
+    if cert is not None and cert[0] > tol_eq:
+        narrow = mv.monotone._enclose(
+            problem, sides, y_p, np.maximum(x_lo, cert[1] - slack), hi, rho, tol_eq
+        )
+        if narrow is not None and narrow[0] < cert[0]:
+            cert = narrow
+    return None if cert is None else (p, cert[0])
+
+
+class TestSweptEnd:
+    """The certificate's retry: elliptic monotone sweeps from the march's
+    row (monotone._sweep), then Newton from the swept state."""
+
+    @staticmethod
+    def _fisher(n):
+        gen = mv.build_laplacian_1d(n, "neumann")
+        return mv.build_fisher(gen, 8.0 * np.sin(2 * np.pi * mv.mesh_nodes(gen)), 0.5)
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        competition = mv.build_competition(
+            mv.build_laplacian_1d(12, "dirichlet"), mv.build_laplacian_1d(12, "dirichlet"),
+            30.0, 30.0, 1.0, 0.3, 0.3, 1.0,
+        )
+        return {
+            "scalar": TestCertifiedStop._scalar()[0],
+            "reversed_logistic": TestCertifiedStop._reversed_logistic()[0],
+            "fisher_neumann": self._fisher(24).problem(horizon=1.0, dt=0.05),
+            "flipped_competition": competition.problem(horizon=1.0, dt=0.02),
+        }
+
+    @pytest.mark.parametrize("case", [
+        "scalar", "reversed_logistic", "fisher_neumann", "flipped_competition",
+    ])
+    def test_every_sweep_stays_on_its_side(self, problems, case, monkeypatch):
+        monkeypatch.setattr(mv.monotone, "SWEEP_MAX_ITER", 1)  # one sweep per call
+        prob = problems[case]
+        itv = prob.interval
+        eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-9, tol_res=1e-8)
+        assert eq.certified == (True, True)
+        march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9, 2000)
+        steps = mv.time_grid(prob.horizon, prob.dt).size - 1
+        for window in (1, 2):
+            march.advance(steps)
+            for end, side, star, radius in (
+                (0, 1, eq.u_star, eq.certified_radius[0]),
+                (1, -1, eq.u_upper_star, eq.certified_radius[1]),
+            ):
+                sides = side * itv.cone.sign_vector(itv.lower.n_points)
+                a, b = sides * itv.lower.values, sides * itv.upper.values
+                lo, hi = np.minimum(a, b), np.maximum(a, b)
+                # the extremal equilibrium lies within radius of the reported one
+                top = sides * star.values + radius
+                y = np.clip(sides * march._standard(march.y[end]) - march.slack, lo, hi)
+                assert np.all(y <= top)
+                for _ in range(30):  # every iterate
+                    y = mv.monotone._sweep(prob, sides, y, lo, hi, 0.0)
+                    assert y is not None
+                    assert np.all(y <= top), (window, end)
+                    assert np.all((lo <= y) & (y <= hi))
+
+    @pytest.mark.parametrize("case", [
+        "scalar", "neumann_logistic_2", "dirichlet_competition_2", "fisher_neumann",
+    ])
+    def test_sweep_matches_a_dense_solve(self, problems, case, monkeypatch):
+        # one banded-LU sweep against the same sweep by a dense solve, on
+        # 1 x 1, 2 x 2 tridiagonal, interleaved two-species and n = 24 bands
+        monkeypatch.setattr(mv.monotone, "SWEEP_MAX_ITER", 1)
+        if case == "neumann_logistic_2":
+            prob = mv.build_logistic(mv.build_laplacian_1d(2, "neumann"), 1.0, 2.0).problem()
+        elif case == "dirichlet_competition_2":
+            gen = mv.build_laplacian_1d(2, "dirichlet")
+            prob = mv.build_competition(gen, gen, 30.0, 30.0, 1.0, 0.3, 0.3, 1.0).problem()
+        else:
+            prob = problems[case]
+        itv = prob.interval
+        scaled = mv.auto_scale(prob)
+        for side in (1, -1):
+            sides = side * itv.cone.sign_vector(itv.lower.n_points)
+            a, b = sides * itv.lower.values, sides * itv.upper.values
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            y = lo + 0.25 * (hi - lo)
+            ours = mv.monotone._sweep(prob, sides, y, lo, hi, 0.0)
+            x = np.linalg.solve(scaled.A.matrix, scaled.rhs(sides * y))
+            psi = sides * np.linalg.solve(scaled.A.matrix, sides)
+            assert np.all(psi > 0.0)
+            dense = np.clip(sides * x, lo, hi)
+            # the banded sweep lies below the dense one by its residual bound,
+            # about defect_slack (>= 1e-12) times psi, unless clamped at lo
+            assert np.all((ours < dense) | (ours == lo))
+            scale = max(1.0, np.max(np.abs(hi))) * max(1.0, np.max(psi))
+            assert np.max(np.abs(ours - dense)) <= 1e-11 * scale
+
+    def test_fisher_benchmark_config_certifies_at_window_1_through_the_retry(
+        self, monkeypatch
+    ):
+        scen = self._fisher(60)
+        prob = scen.problem(horizon=1.0, dt=0.02)
+        swept = []
+        original = mv.monotone._sweep
+
+        def recorded(problem, sides, *args, **kwargs):
+            y = original(problem, sides, *args, **kwargs)
+            swept.append(int(sides[0]))
+            return y
+
+        monkeypatch.setattr(mv.monotone, "_sweep", recorded)
+        eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-9, tol_res=1e-8)
+        assert eq.certified == (True, True) and len(eq.windows) == 1
+        assert all(r <= 1e-9 for r in eq.certified_radius)
+        assert sorted(swept) == [-1, 1]  # each end retried once
+        itv = scen.interval
+        lower = steady_state(scen.A.matrix, scen.F, itv.lower.values)
+        upper = steady_state(scen.A.matrix, scen.F, itv.upper.values)
+        assert np.max(np.abs(eq.u_star.values - lower)) <= 1e-8
+        assert np.max(np.abs(eq.u_upper_star.values - upper)) <= 1e-8
+
+    def test_first_pass_result_is_unchanged_where_it_certifies(self, monkeypatch):
+        # the mesh benchmark config: the retry never runs, and (p, radius)
+        # is bit for bit what the first pass alone gives
+        mesh = mv.build_logistic(mv.build_laplacian_1d(160, "neumann"), 1.0, 2.0)
+        prob = mesh.problem(horizon=0.2, dt=0.02)
+        itv = prob.interval
+        march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9, 2000)
+        march.advance(mv.time_grid(prob.horizon, prob.dt).size - 1)
+
+        def never(*args, **kwargs):
+            raise AssertionError("the retry ran")
+
+        monkeypatch.setattr(mv.monotone, "_sweep", never)
+        for end, side in ((0, 1), (1, -1)):
+            state = march._standard(march.y[end])
+            cert = mv.monotone._certify_extremal(prob, state, side, 1e-9, march.slack)
+            ref = _first_pass(prob, state, side, 1e-9, march.slack)
+            assert cert is not None and cert[1] <= 1e-9
+            assert cert[0].tobytes() == ref[0].tobytes() and cert[1] == ref[1]
+
+    def test_sweep_refuses_a_coupling_against_the_cone(self):
+        # A couples the two components, whose cone signs differ: T A T has
+        # positive off-diagonal entries, so the sweep does not preserve the
+        # order and gives up
+        gen = mv.build_laplacian_1d(4, "dirichlet")
+        a = scipy.linalg.block_diag(gen.matrix, gen.matrix)
+        a[0, 4] = a[4, 0] = -1.0
+        coupled = mv.GeneratorSpec(a, gen.mesh_h, gen.bc)
+        f = mv.competition(30.0, 30.0, 1.0, 0.3, 0.3, 1.0)
+        lower = grid(np.concatenate([np.zeros(4), 60.0 * np.ones(4)]), 2)
+        upper = grid(np.concatenate([60.0 * np.ones(4), np.zeros(4)]), 2)
+        itv = mv.OrderInterval(lower, upper, mv.ConeSpec((1, -1)))
+        prob = mv.ProblemSpec(coupled, f, itv)
+        sides = itv.cone.sign_vector(4).astype(float)
+        lo = np.minimum(sides * lower.values, sides * upper.values)
+        hi = np.maximum(sides * lower.values, sides * upper.values)
+        assert mv.monotone._sweep(prob, sides, lo, lo, hi, 1e-9) is None
+        ok = mv.ProblemSpec(mv.block_generator([gen, gen]), f, itv)
+        assert mv.monotone._sweep(ok, sides, lo, lo, hi, 1e-9) is not None
