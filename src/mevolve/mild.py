@@ -94,7 +94,8 @@ class ProblemSpec:
 
     `mu` is the accumulated quasi-increasing shift: the generator already
     contains +mu*I and the effective reaction term is F + mu*id, so fixed
-    points and equilibria coincide with the unshifted problem.
+    points and equilibria coincide with the unshifted problem.  A must not
+    couple components of opposite cone sign.
     """
 
     A: GeneratorSpec
@@ -109,6 +110,11 @@ class ProblemSpec:
             raise DimensionMismatchError("interval and generator dimensions differ")
         if self.F.components != self.interval.components:
             raise DimensionMismatchError("nonlinearity/interval component mismatch")
+        # S A S (S the cone signs) must keep A's nonpositive off-diagonal, so
+        # that the propagators and (A + mu)^-1 stay positive in the cone
+        svec = self.interval.cone.sign_vector(self.interval.lower.n_points)
+        if np.any(self.A.matrix[np.not_equal.outer(svec, svec)]):
+            raise ValidationError("generator couples components of opposite cone sign")
 
     def rhs(self, values: np.ndarray) -> np.ndarray:
         """Shifted reaction term F(u) + mu*u, vectorized over rows."""

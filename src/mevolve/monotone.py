@@ -687,10 +687,10 @@ def _mean_jacobian_bound(f, sides: np.ndarray, x_lo: np.ndarray, y_p: np.ndarray
 
 
 def _enclose(problem: ProblemSpec, sides: np.ndarray, y_p: np.ndarray, x_lo: np.ndarray,
-             hi: np.ndarray, rho: float, tol_eq: float) -> tuple[float, np.ndarray] | None:
-    """One pass of the M-matrix proof of `_certify_extremal` in side
-    coordinates, for u* in [x_lo, y_p + tol_eq]: (radius, a proven lower
-    end of u*), or None when a test fails."""
+             hi: np.ndarray, rho: float, tol_eq: float) -> float | None:
+    """The M-matrix proof of `_certify_extremal` in side coordinates, for
+    u* in [x_lo, y_p + tol_eq]: the proven radius, or None when a test
+    fails or the radius exceeds tol_eq."""
     f = problem.F
     c = f.components
     jac = _mean_jacobian_bound(f, sides, x_lo, y_p, y_p + tol_eq)
@@ -708,22 +708,16 @@ def _enclose(problem: ProblemSpec, sides: np.ndarray, y_p: np.ndarray, x_lo: np.
     kappa = float(np.min(sides * m_psi))
     if not kappa >= 0.5:
         return None
-    psi_max = float(np.max(psi))
     eps = 4.0 * rho
-    while eps * psi_max <= tol_eq:
-        # clipped to the far bound hi, a super-solution: where p + eps psi is
-        # one too, so is their minimum
-        y = np.minimum(y_p + eps * psi, hi)
-        v = sides * y
-        f_v = problem.rhs(v)
-        d = sides * (problem.A.matrix @ v - f_v)
-        if float(np.min(d)) >= -defect_slack(problem.A, GridFunction(v, c), f_v):
-            reach = max(float(np.max(d)), 0.0) / kappa
-            return psi_max * (reach + eps), y - reach * psi
-        if eps == 0.0:
-            break
-        eps *= 2.0
-    return None
+    # clipped to the far bound hi, a super-solution: where p + eps psi is one
+    # too, so is their minimum
+    v = sides * np.minimum(y_p + eps * psi, hi)
+    f_v = problem.rhs(v)
+    d = sides * (problem.A.matrix @ v - f_v)
+    if not float(np.min(d)) >= -defect_slack(problem.A, GridFunction(v, c), f_v):
+        return None
+    radius = float(np.max(psi)) * (max(float(np.max(d)), 0.0) / kappa + eps)
+    return radius if radius <= tol_eq else None
 
 
 # elliptic sweeps of one certificate retry: they converge only linearly, and
@@ -740,22 +734,18 @@ def _sweep(problem: ProblemSpec, sides: np.ndarray, start: np.ndarray, lo: np.nd
     None when the proof's premises fail or a value is not finite.
 
     With mu the march's shift (`auto_scale`), G = F + mu id is increasing
-    on the interval in side coordinates, and M = T (A + mu) T is a Z-matrix
-    when A couples no components of opposite cone sign.  psi = M^-1 1 > 0
-    then makes M a nonsingular M-matrix, M^-1 >= 0, so the sweep
-    y <- M^-1 T G(T y) preserves the order and fixes u*: from y <= u* it
-    never passes u*.  Each solve x of (A + mu) x = g (`_banded_solve`, the
-    shift as node-local blocks) is lowered by its residual bound
-    (|(A + mu) x - g| + defect_slack) psi, which covers its round-off, and
-    clamped into [lo, hi], which holds u*.  The sweeps stop once the
+    on the interval in side coordinates, and M = T (A + mu) T is a Z-matrix,
+    since `ProblemSpec` refuses an A that couples components of opposite
+    cone sign.  psi = M^-1 1 > 0 then makes M a nonsingular M-matrix,
+    M^-1 >= 0, so the sweep y <- M^-1 T G(T y) preserves the order and
+    fixes u*: from y <= u* it never passes u*.  Each solve x of
+    (A + mu) x = g (`_banded_solve`, the shift as node-local blocks) is
+    lowered by its residual bound (|(A + mu) x - g| + defect_slack) psi,
+    which covers its round-off, and clamped into [lo, hi], which holds u*.  The sweeps stop once the
     increment is at most tol_eq, or after SWEEP_MAX_ITER sweeps.
     """
     scaled = auto_scale(problem)
     a = scaled.A
-    coupling = sides[:, None] * a.matrix * sides
-    np.fill_diagonal(coupling, 0.0)
-    if np.any(coupling > 0.0):
-        return None
     c = problem.F.components
     shift = np.zeros((1, c, c, sides.size // c))
     shift[0, range(c), range(c)] = -(scaled.mu - problem.mu)  # A - shift = A + mu
@@ -803,60 +793,49 @@ def _certify_extremal(problem: ProblemSpec, state: np.ndarray, side: int, tol_eq
     - psi solves M+ psi = 1 by one banded LU, and the proof needs psi > 0
       and kappa = min(M+ psi) >= 1/2, recomputed: then M+ is a nonsingular
       M-matrix, M+^-1 >= 0;
-    - v = min(p + eps psi, h), with h the interval's far bound (a
-      super-solution, and the minimum of two super-solutions is one) and
-      eps the first of 4 rho, 8 rho, ... for which v is a super-solution
-      (A v >= F(v) up to `defect_slack`, the slack of `verify_supersolution`)
-      and eps psi <= tol_eq.
+    - v = min(p + eps psi, h), with eps = 4 rho and h the interval's far
+      bound (a super-solution, and the minimum of two super-solutions is
+      one), must be a super-solution (A v >= F(v) up to `defect_slack`, the
+      slack of `verify_supersolution`).  In exact arithmetic, where the
+      clamp did not move p, it is one: with kappa >= 1/2 and J_mean <= J+
+      on the box, A v - F(v) >= -rho + eps kappa >= rho.
 
     Then l <= u* <= v: U_min rises to u*, and u* lies below every
     super-solution in the interval.  e = v - u* >= 0 has
     M+ e = d + (J_mean - J+) e <= d+, the positive part of d = A v - F(v),
     so e <= |d+| psi / kappa and |u* - p| <= |psi| (|d+| / kappa + eps),
-    the radius.  If p were not the extremal equilibrium, the box would hold
-    u* <= p, u* != p, with M+ (p - u*) <= 0, which no M-matrix allows; an
-    unstable or degenerate equilibrium fails the M-matrix test as well.
+    the radius, which must be <= tol_eq.  If p were not the extremal
+    equilibrium, the box would hold u* <= p, u* != p, with
+    M+ (p - u*) <= 0, which no M-matrix allows; an unstable or degenerate
+    equilibrium fails the M-matrix test as well.
 
-    A pass also proves u* >= v - (|d+| / kappa) psi.  When its radius
-    exceeds tol_eq, the proof runs once more with that lower end (less
-    slack) raising x_lo, a narrower box, and keeps the smaller radius.
-
-    When this first pass fails, or its radius exceeds tol_eq, the proof is
-    retried once from a swept state: `_sweep` runs elliptic monotone sweeps
-    from l - slack, clamped into the interval (the row lies below u* up to
-    the march's slack).  Every sweep stays below u*: the sweep map is
-    order-preserving and fixes u*, and each iterate is lowered by its own
-    solve-residual bound.  So the swept state is an l as above, and the
-    retry is the same pass with Newton started from it.  The smaller
-    radius is kept.
+    When this pass fails, the proof is retried once from a swept state:
+    `_sweep` runs elliptic monotone sweeps from l - slack, clamped into the
+    interval (the row lies below u* up to the march's slack).  Every sweep
+    stays below u*: the sweep map is order-preserving and fixes u*, and
+    each iterate is lowered by its own solve-residual bound.  So the swept
+    state is an l as above, and the retry is the same pass with Newton
+    started from it.
     """
     interval = problem.interval
     sides = side * interval.cone.sign_vector(interval.lower.n_points)
     a, b = sides * interval.lower.values, sides * interval.upper.values
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    best, start = None, state
+    start = state
     for retry in (False, True):
         if retry:
             # the row lies below u* up to the march's slack
-            begin = _sweep(problem, sides, np.clip(sides * state - slack, lo, hi), lo, hi, tol_eq)
-            if begin is None:
-                break
-            start = sides * begin
+            swept = _sweep(problem, sides, np.clip(sides * state - slack, lo, hi), lo, hi, tol_eq)
+            if swept is None:
+                return None
+            start = sides * swept
         p, rho, _ = newton_equilibrium(problem, start, tol_res=0.0)
         y_p = np.clip(sides * p, lo, hi)  # moves p only toward u*, which lies inside
-        p = sides * y_p
         x_lo = np.minimum(sides * start, y_p) - slack
-        cert = _enclose(problem, sides, y_p, x_lo, hi, rho, tol_eq)
-        if cert is not None and cert[0] > tol_eq:
-            narrow = _enclose(problem, sides, y_p, np.maximum(x_lo, cert[1] - slack), hi,
-                              rho, tol_eq)
-            if narrow is not None and narrow[0] < cert[0]:
-                cert = narrow
-        if cert is not None and (best is None or cert[0] < best[1]):
-            best = (p, cert[0])
-        if best is not None and best[1] <= tol_eq:
-            break
-    return best
+        radius = _enclose(problem, sides, y_p, x_lo, hi, rho, tol_eq)
+        if radius is not None:
+            return sides * y_p, radius
+    return None
 
 
 @dataclass
@@ -947,11 +926,9 @@ def asymptotic_equilibria(
         if converged and (stalled or count & (count - 1) == 0):
             for end, side in ((0, 1), (1, -1)):
                 if certified[end] is None:
-                    cert = _certify_extremal(
+                    certified[end] = _certify_extremal(
                         problem, march._standard(march.y[end]), side, tol_eq, march.slack
                     )
-                    if cert is not None and cert[1] <= tol_eq:
-                        certified[end] = cert
         if stalled or all(c is not None for c in certified):
             horizon_converged = True
             break

@@ -223,7 +223,7 @@ def _semi_trivial(
         problem, interval.upper.values, -1, SEMI_TRIVIAL_TOL,
         order_slack(interval.value_scale(), interval.dim),
     )
-    if cert is None or cert[1] > SEMI_TRIVIAL_TOL:
+    if cert is None:
         raise NumericalError("semi-trivial logistic state is not certified")
     w = GridFunction(np.maximum(cert[0], 0.0))
     return w, problem.equilibrium_residual(w), cert[1]

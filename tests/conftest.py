@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,3 +31,13 @@ def constant_trajectory(u, horizon, dt):
     """The trajectory that stays at u on the uniform grid of (horizon, dt)."""
     t_grid = time_grid(horizon, dt)
     return mv.Trajectory(t_grid, np.tile(u.values, (t_grid.size, 1)), u.components)
+
+
+def bench_module(name):
+    """bench/<name>.py of the benchmark, imported without running it."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

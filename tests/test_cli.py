@@ -1,11 +1,9 @@
 """CLI contract: config schema, exit codes, artifacts, determinism."""
 
 import dataclasses
-import importlib.util
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,16 +14,7 @@ from mevolve import cli
 from mevolve.cli import main
 from mevolve.generators import GeneratorSpec
 
-
-def bench_module(name):
-    """bench/<name>.py of the benchmark, imported without running it."""
-    spec = importlib.util.spec_from_file_location(
-        f"bench_{name}", Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from conftest import bench_module
 
 workloads = bench_module("workloads")  # the benchmark's workload definitions
 

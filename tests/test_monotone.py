@@ -17,7 +17,9 @@ from mevolve.errors import NumericalError, ValidationError
 from mevolve.monotone import time_monotonicity_violation
 from mevolve.nonlin import _SignedSqrt
 
-from conftest import constant_trajectory, grid
+from conftest import bench_module, constant_trajectory, grid
+
+workloads = bench_module("workloads")  # the benchmark's workload definitions
 
 
 @pytest.fixture(scope="module")
@@ -1232,6 +1234,21 @@ class TestCertifiedStop:
         assert sides and set(sides) == {-1}
         assert eq.certified == (True, True) and eq.certified_radius[0] == 0.0
 
+    def test_radius_above_tol_eq_is_refused(self, cases):
+        # the proof holds only with a radius <= tol_eq: below the radius the
+        # same row proves nothing, neither from the row nor after the sweeps
+        scen, horizon, dt = cases["dirichlet_logistic"]
+        prob = scen.problem(horizon=horizon, dt=dt)
+        itv = prob.interval
+        march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9, 2000)
+        march.advance(mv.time_grid(prob.horizon, prob.dt).size - 1)
+        for end, side in ((0, 1), (1, -1)):
+            state = march._standard(march.y[end])
+            cert = mv.monotone._certify_extremal(prob, state, side, 1e-9, march.slack)
+            assert cert is not None and 0.0 < cert[1] <= 1e-9
+            tight = 0.25 * cert[1]
+            assert mv.monotone._certify_extremal(prob, state, side, tight, march.slack) is None
+
     def test_stable_end_on_a_bound_certifies(self):
         # the lower bound [6, 6] is the minimal equilibrium; the march leaves
         # its row one ulp below it and Newton returns that start, so only the
@@ -1246,46 +1263,58 @@ class TestCertifiedStop:
         assert np.all(eq.u_star.values == 6.0)
 
     def test_benchmark_configs_certify_early(self):
-        # the bound of the mean-value Jacobian (Simpson's rule on three
-        # boxes), the second pass on the narrowed box and, for Fisher, the
-        # retry from the swept state; a bound of F' over the one box
-        # [x_lo, top] certifies these at windows 8 (Fisher) and 2 (mesh),
-        # the mean-value bound Fisher at window 4, and the sweeps at window 1
-        gen = mv.build_laplacian_1d(60, "neumann")
-        fisher = mv.build_fisher(gen, 8.0 * np.sin(2 * np.pi * mv.mesh_nodes(gen)), 0.5)
-        eq = mv.asymptotic_equilibria(
-            fisher.problem(horizon=1.0, dt=0.02), tol=1e-9, tol_eq=1e-9, tol_res=1e-8,
-        )
-        assert eq.certified == (True, True) and len(eq.windows) == 1
-        mesh = mv.build_logistic(mv.build_laplacian_1d(160, "neumann"), 1.0, 2.0)
-        eq = mv.asymptotic_equilibria(
-            mesh.problem(horizon=0.2, dt=0.02), tol=1e-9, tol_eq=1e-9, tol_res=1e-8,
-        )
-        assert eq.certified == (True, True) and len(eq.windows) == 1
-        # the Neumann logistic's extremal equilibria are both a/b
-        assert np.max(np.abs(eq.u_star.values - 0.5)) <= 1e-9
-        assert np.max(np.abs(eq.u_upper_star.values - 0.5)) <= 1e-9
+        # every seed-1 and seed-2 benchmark config certifies both ends at
+        # window 1: through the bound of the mean-value Jacobian (Simpson's
+        # rule on three boxes) and, for Fisher, the retry from the swept
+        # state; a bound of F' over the one box [x_lo, top] certifies
+        # Fisher at window 8 and mesh at window 2, the mean-value bound
+        # Fisher at window 4
+        for workload in sorted(workloads.WORKLOADS):
+            for seed in (workloads.DEFAULT_SEED, workloads.RECHECK_SEED):
+                for cfg in workloads.configs(workload, seed):
+                    eq = self._run_config(cfg)
+                    assert eq.certified == (True, True), (workload, seed)
+                    assert len(eq.windows) == 1, (workload, seed)
+                    exact = workloads.closed_form(cfg, eq.u_star.values.size)
+                    if exact is not None:
+                        assert np.max(np.abs(eq.u_star.values - exact[0])) <= 1e-9
+                        assert np.max(np.abs(eq.u_upper_star.values - exact[1])) <= 1e-9
+        # two configs whose maximal end stays uncertified: competition's
+        # (0, 0), unstable and not an interval bound, and Fisher's Neumann
+        # bound 1, whose computed residual 0.0 is not taken as a proof
+        fisher = {"alpha": 0.5, "m": {"profile": "sin", "amplitude": 8.0, "frequency": 1.0}}
+        for cfg in (
+            {"scenario": "competition", "bc": "dirichlet", "n": 8,
+             "params": {"a1": 5.0, "a2": 30.0, "b11": 1.0, "b12": 0.3, "b21": 0.3,
+                        "b22": 1.0}},
+            {"scenario": "fisher", "bc": "neumann", "n": 3, "params": fisher},
+        ):
+            eq = self._run_config(dict(cfg, dt=0.05, T=1.0, seed=1, **workloads.TOL))
+            assert eq.certified == (True, False), cfg["scenario"]
+            assert eq.certified_radius[1] is None and eq.horizon_converged
+
+    @staticmethod
+    def _run_config(cfg):
+        """asymptotic_equilibria on a `mevolve run` config, as the CLI calls it."""
+        scen = mv.build_from_config(cfg["scenario"], cfg["params"], cfg.get("n", 1),
+                                    cfg.get("bc", "scalar"), cfg.get("beta"))
+        prob = scen.problem(horizon=cfg["T"], dt=cfg["dt"])
+        return mv.asymptotic_equilibria(prob, tol=cfg["tol"], tol_eq=cfg["tol_eq"],
+                                        tol_res=cfg["tol_res"], seed=cfg["seed"])
 
 
 def _first_pass(problem, state, side, tol_eq, slack):
-    """The certificate's first pass alone, Newton from the row and the two
-    `_enclose` passes, as `_certify_extremal` ran before it had a retry."""
+    """The certificate's first pass alone, Newton from the row and one
+    `_enclose`, as `_certify_extremal` ran before it had a retry."""
     interval = problem.interval
     sides = side * interval.cone.sign_vector(interval.lower.n_points)
     a, b = sides * interval.lower.values, sides * interval.upper.values
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     p, rho, _ = mv.newton_equilibrium(problem, state, tol_res=0.0)
     y_p = np.clip(sides * p, lo, hi)
-    p = sides * y_p
     x_lo = np.minimum(sides * state, y_p) - slack
-    cert = mv.monotone._enclose(problem, sides, y_p, x_lo, hi, rho, tol_eq)
-    if cert is not None and cert[0] > tol_eq:
-        narrow = mv.monotone._enclose(
-            problem, sides, y_p, np.maximum(x_lo, cert[1] - slack), hi, rho, tol_eq
-        )
-        if narrow is not None and narrow[0] < cert[0]:
-            cert = narrow
-    return None if cert is None else (p, cert[0])
+    radius = mv.monotone._enclose(problem, sides, y_p, x_lo, hi, rho, tol_eq)
+    return None if radius is None else (sides * y_p, radius)
 
 
 class TestSweptEnd:
@@ -1416,10 +1445,10 @@ class TestSweptEnd:
             assert cert is not None and cert[1] <= 1e-9
             assert cert[0].tobytes() == ref[0].tobytes() and cert[1] == ref[1]
 
-    def test_sweep_refuses_a_coupling_against_the_cone(self):
+    def test_problem_refuses_a_coupling_against_the_cone(self):
         # A couples the two components, whose cone signs differ: T A T has
-        # positive off-diagonal entries, so the sweep does not preserve the
-        # order and gives up
+        # positive off-diagonal entries, so neither the propagators nor the
+        # sweep would preserve the order, and the problem is refused
         gen = mv.build_laplacian_1d(4, "dirichlet")
         a = scipy.linalg.block_diag(gen.matrix, gen.matrix)
         a[0, 4] = a[4, 0] = -1.0
@@ -1428,10 +1457,14 @@ class TestSweptEnd:
         lower = grid(np.concatenate([np.zeros(4), 60.0 * np.ones(4)]), 2)
         upper = grid(np.concatenate([60.0 * np.ones(4), np.zeros(4)]), 2)
         itv = mv.OrderInterval(lower, upper, mv.ConeSpec((1, -1)))
-        prob = mv.ProblemSpec(coupled, f, itv)
+        with pytest.raises(ValidationError, match="opposite cone sign"):
+            mv.ProblemSpec(coupled, f, itv)
+        # the same coupling between components of one cone sign is allowed
+        same = mv.OrderInterval(grid(np.zeros(8), 2), upper, mv.ConeSpec((1, 1)))
+        mv.ProblemSpec(coupled, f, same)
+        # block-diagonal A: the sweep runs
+        ok = mv.ProblemSpec(mv.block_generator([gen, gen]), f, itv)
         sides = itv.cone.sign_vector(4).astype(float)
         lo = np.minimum(sides * lower.values, sides * upper.values)
         hi = np.maximum(sides * lower.values, sides * upper.values)
-        assert mv.monotone._sweep(prob, sides, lo, lo, hi, 1e-9) is None
-        ok = mv.ProblemSpec(mv.block_generator([gen, gen]), f, itv)
         assert mv.monotone._sweep(ok, sides, lo, lo, hi, 1e-9) is not None
