@@ -37,6 +37,7 @@ from .order import TOL_ORDER, GridFunction, monotone_norm
 EIG_RESIDUAL_TOL = 1e-10
 EIG_MAX_ITER = 500  # inverse power iterations before principal_eig gives up
 SYMMETRY_RTOL = 1e-10  # entrywise |S - S^T| <= SYMMETRY_RTOL |S| for the scaled S
+SUBMARKOV_PROBE_T = 0.1  # time of check_submarkovian's semigroup probe
 
 
 @dataclass
@@ -389,22 +390,21 @@ def principal_eig(a: GeneratorSpec) -> EigPair:
 # -- admissibility certificates ----------------------------------------------
 
 
-def check_submarkovian(a: GeneratorSpec, t_probe: float = 0.1) -> bool:
-    """Certify e^{-tA} 1 <= 1: dual test A*1 >= 0 and a semigroup probe.
+def check_submarkovian(a: GeneratorSpec) -> bool:
+    """Certify e^{-tA} 1 <= 1: dual test A*1 >= 0 and a semigroup probe at
+    t = SUBMARKOV_PROBE_T.
 
     Both tests must agree; a disagreement flags a broken discretization
     (the dual test characterizes the property, the probe witnesses it).
     """
-    if t_probe <= 0:
-        raise ValidationError("t_probe must be positive")
     ones = np.ones(a.dim)
     dual_ok = bool(np.min(a.matrix @ ones) >= -TOL_ORDER * max(1.0, monotone_norm(a.matrix @ ones)))
-    probe = semigroup_apply(a, t_probe, ones)
+    probe = semigroup_apply(a, SUBMARKOV_PROBE_T, ones)
     probe_ok = bool(np.max(probe) <= 1.0 + TOL_ORDER)
     if dual_ok != probe_ok:
         raise NumericalError(
             "sub-markovian tests disagree: dual row-sum test "
-            f"{dual_ok}, semigroup probe at t={t_probe} gives max "
+            f"{dual_ok}, semigroup probe at t={SUBMARKOV_PROBE_T} gives max "
             f"{np.max(probe):.15g}"
         )
     return dual_ok

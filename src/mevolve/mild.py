@@ -141,17 +141,17 @@ def scale_problem(problem: ProblemSpec, mu: float) -> ProblemSpec:
     return replace(problem, A=generators.shifted(problem.A, mu), mu=problem.mu + mu)
 
 
-def auto_scale(problem: ProblemSpec, floor: float = STABILITY_FLOOR) -> ProblemSpec:
+def auto_scale(problem: ProblemSpec) -> ProblemSpec:
     """Apply the engine's scaling policy.
 
     The total shift must certify F + mu*id increasing on the interval and
-    push the generator's smallest eigenvalue to at least `floor` so that the
-    one-step integral B exists and the scaled semigroup is exponentially
-    stable.
+    push the generator's smallest eigenvalue to at least STABILITY_FLOOR so
+    that the one-step integral B exists and the scaled semigroup is
+    exponentially stable.
     """
     mu_qi = quasi_increasing_shift(problem.F, problem.interval)
     need_monotone = mu_qi - problem.mu
-    need_stable = floor - problem.A.min_eigenvalue()
+    need_stable = STABILITY_FLOOR - problem.A.min_eigenvalue()
     delta = max(0.0, need_monotone, need_stable)
     return scale_problem(problem, delta)
 

@@ -57,6 +57,7 @@ from .order import (
 )
 
 MAX_CLAMP_FRACTION = 1e-3  # > 0.1% genuinely clamped entries fails a run
+MAX_INNER_ITER = 2000  # inner iterations of one step before the march gives up
 
 
 @dataclass
@@ -117,9 +118,7 @@ class _March:
     and `trajectories` joins all of them.
     """
 
-    def __init__(self, problem, u0, u0_upper, tol, max_iter):
-        if max_iter < 1:
-            raise ValidationError("max_iter must be at least 1")
+    def __init__(self, problem, u0, u0_upper, tol):
         interval = problem.interval
         scaled = auto_scale(problem)
         svec = interval.cone.sign_vector(interval.lower.n_points)
@@ -129,7 +128,7 @@ class _March:
         if order_violation(u0, u0_upper, interval.cone) > slack:
             raise ValidationError("u0_upper must lie above u0 in the cone order")
         self.interval, self.mu = interval, scaled.mu
-        self.dt, self.tol, self.max_iter, self.slack = problem.dt, tol, max_iter, slack
+        self.dt, self.tol, self.slack = problem.dt, tol, slack
         self.svec = None if np.all(svec == 1.0) else svec
         self.lo, self.hi = interval.standard_bounds()
         start = np.vstack([u0.values, u0_upper.values])
@@ -162,10 +161,8 @@ class _March:
                     f"degenerate interval is not an equilibrium (residual {res:.3e})"
                 )
             return
+        # S P S = P and S B S = B: A couples no components of opposite sign
         p_mat, b_mat = scaled.A.propagators(problem.dt)
-        if self.svec is not None:  # S P S and S B S, still entrywise nonnegative
-            outer = np.outer(svec, svec)
-            p_mat, b_mat = outer * p_mat, outer * b_mat
         self.p_t, self.b_t = p_mat.T.copy(), b_mat.T.copy()
         # the shifted reaction term in standard coordinates
         self.g = scaled.rhs if self.svec is None else scaled.F.shifted_in_cone(svec, scaled.mu)
@@ -174,8 +171,8 @@ class _March:
     def _standard(self, values: np.ndarray) -> np.ndarray:
         return values if self.svec is None else self.svec * values
 
-    def advance(self, n_steps: int) -> tuple[int, bool]:
-        """March n_steps steps; (most inner iterations of a step, all converged).
+    def advance(self, n_steps: int) -> None:
+        """March n_steps steps.
 
         Raises NumericalError when more than MAX_CLAMP_FRACTION of the
         chunk's evaluated entries needed clamping beyond the slack.
@@ -188,11 +185,11 @@ class _March:
         if self.degenerate:
             chunk[1:], pen[1:] = self.y, self.y
             self.distances, self.violations = [[0.0, 0.0]], [0.0] * n_steps
-            most, converged = 1, True
+            converged = True
         elif self.y.shape[1] == 1:
-            most, converged = self._advance_scalar(chunk[1:], pen[1:])
+            converged = self._advance_scalar(chunk[1:], pen[1:])
         else:
-            most, converged = self._advance_block(chunk[1:], pen[1:])
+            converged = self._advance_block(chunk[1:], pen[1:])
         if self.clamped > MAX_CLAMP_FRACTION * max(1, self.total):
             raise NumericalError(
                 f"{100 * self.clamped / self.total:.3f}% of evaluations left the order interval"
@@ -200,15 +197,14 @@ class _March:
         self.states.append(chunk)
         self.penultimate, self.converged = pen, converged
         self.worst_violation = max(self.worst_violation, max(self.violations))
-        return most, converged
 
     def _breach(self, worst: float) -> NumericalError:
         return NumericalError(
             f"sandwich invariant breached: violation {worst:.3e} > slack {self.slack:.3e}"
         )
 
-    def _advance_block(self, out, pen) -> tuple[int, bool]:
-        lo, hi, slack, tol, max_iter = self.lo, self.hi, self.slack, self.tol, self.max_iter
+    def _advance_block(self, out, pen) -> bool:
+        lo, hi, slack, tol, max_iter = self.lo, self.hi, self.slack, self.tol, MAX_INNER_ITER
         p_t, b_t, g, dist = self.p_t, self.b_t, self.g, self.distances
         y, y_prev = self.y, self.y_prev
         # two [lower bound, lower row z, upper row Z, upper bound] buffers: cur
@@ -218,7 +214,7 @@ class _March:
         # of the new iterate: one max per row gives both increments, both
         # monotonicity violations and the links; a stopped row's rows read -inf
         chk = np.empty((7, y.shape[1]))
-        most, converged, clamped, total = 0, True, 0, 0
+        converged, clamped, total = True, 0, 0
         for k in range(out.shape[0]):
             c = y @ p_t
             warm = y_prev is not None
@@ -278,13 +274,12 @@ class _March:
                 lower_on, upper_on = lower_next, upper_next
                 cur, nxt = nxt, cur
                 a, b = (0 if lower_on else 1), (2 if upper_on else 1)
-            most = max(most, j)
             self.violations.append(float(worst))
             y_prev, y = y, out[k]
         self.clamped += clamped
         self.total += total
         self.y, self.y_prev = y.copy(), y_prev.copy()
-        return most, converged
+        return converged
 
     @staticmethod
     def _stop_row(row, cur, nxt, chk, out, pen):
@@ -294,11 +289,11 @@ class _March:
         out[row] = cur[1 + row] = nxt[1 + row]
         chk[row] = chk[2 + row] = -np.inf
 
-    def _advance_scalar(self, out, pen) -> tuple[int, bool]:
+    def _advance_scalar(self, out, pen) -> bool:
         """dim == 1: the same iteration on Python floats, with one
         eval_shifted_scalars call on both rows per inner iteration."""
         lo, hi = float(self.lo[0]), float(self.hi[0])
-        slack, tol, max_iter = self.slack, self.tol, self.max_iter
+        slack, tol, max_iter = self.slack, self.tol, MAX_INNER_ITER
         p, b = float(self.p_t[0, 0]), float(self.b_t[0, 0])
         dist = self.distances
         # ProblemSpec.rhs on two scalar states; a reversed cone marches
@@ -311,7 +306,7 @@ class _March:
         (y0,), (y1,) = self.y.tolist()
         warm = self.y_prev is not None
         (p0,), (p1,) = self.y_prev.tolist() if warm else ((0.0,), (0.0,))
-        most, converged, clamped, total = 0, True, 0, 0
+        converged, clamped, total = True, 0, 0
         violations = self.violations
         for k in range(out.shape[0]):
             c0, c1 = p * y0, p * y1
@@ -367,8 +362,6 @@ class _March:
                 if j == max_iter:
                     converged = False
                     break
-            if j > most:
-                most = j
             violations.append(worst)
             out[k, 0, 0], out[k, 1, 0] = z0, z1
             pen[k, 0, 0], pen[k, 1, 0] = last0, last1
@@ -377,7 +370,7 @@ class _March:
         self.clamped += clamped
         self.total += total
         self.y_prev, self.y = np.array([[p0], [p1]]), np.array([[y0], [y1]])
-        return most, converged
+        return converged
 
     def _trajectory(self, block: np.ndarray, row: int) -> Trajectory:
         t_grid = self.dt * np.arange(block.shape[0])
@@ -418,7 +411,6 @@ def iterate(
     problem: ProblemSpec,
     u0: GridFunction,
     tol: float = 1e-9,
-    max_iter: int = 2000,
     u0_upper: GridFunction | None = None,
 ) -> IterationReport:
     """March both rows over the problem's grid; returns the sandwiched
@@ -427,16 +419,16 @@ def iterate(
     u_min is the minimal solution from u0, u_max the maximal one from
     u0_upper (default u0; must lie above u0 in the cone order).  Every step
     is solved until each row's inner increment drops below tol, in at most
-    max_iter inner iterations.  unique_flag says the two agree within
-    10*tol, so for distinct initial values it is set only when those agree
-    within 10*tol too.
+    MAX_INNER_ITER inner iterations; a step that needs more leaves converged
+    False.  unique_flag says the two agree within 10*tol, so for distinct
+    initial values it is set only when those agree within 10*tol too.
 
     The problem is scaled on entry (quasi-increasing shift plus stability
     floor); fixed points are unaffected.  Raises NumericalError on a sandwich
     breach or when more than MAX_CLAMP_FRACTION of evaluated entries needed
     clamping beyond round-off.
     """
-    march = _March(problem, u0, u0 if u0_upper is None else u0_upper, tol, max_iter)
+    march = _March(problem, u0, u0 if u0_upper is None else u0_upper, tol)
     march.advance(time_grid(problem.horizon, problem.dt).size - 1)
     return march.report()
 
@@ -475,15 +467,16 @@ def time_monotonicity_violation(traj: Trajectory, interval: OrderInterval, direc
 
 
 def extremal_trajectories(
-    problem: ProblemSpec, tol: float = 1e-9, max_iter: int = 2000
+    problem: ProblemSpec, tol: float = 1e-9
 ) -> tuple[Trajectory, Trajectory, IterationReport]:
-    """Minimal trajectory from the lower bound and maximal from the upper.
+    """Minimal trajectory from the lower bound and maximal from the upper,
+    by `iterate` (at most MAX_INNER_ITER inner iterations per step).
 
     Certifies the time-monotonicity of both (the minimal one increases, the
     maximal one decreases in the cone order).
     """
     interval = problem.interval
-    report = iterate(problem, interval.lower, tol, max_iter, u0_upper=interval.upper)
+    report = iterate(problem, interval.lower, tol, u0_upper=interval.upper)
     u_min, u_max = report.u_min, report.u_max
     slack = order_slack(interval.value_scale(), interval.dim)
     v_inc = time_monotonicity_violation(u_min, interval, "increasing")
@@ -559,11 +552,11 @@ def _banded_solve(a: GeneratorSpec, blocks: np.ndarray,
     return x, ok
 
 
+NEWTON_MAX_ITER = 80  # Newton rounds before a run gives up
+
+
 def _newton_batch(
-    problem: ProblemSpec,
-    starts: np.ndarray,
-    tol_res: float = 1e-10,
-    max_iter: int = 80,
+    problem: ProblemSpec, starts: np.ndarray, tol_res: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on A v = F(v) from each row of starts, shape (m, dim):
     per row, the final state, its residual norm and whether it converged.
@@ -578,7 +571,6 @@ def _newton_batch(
     or the round-off floor ends only its own row.
     """
     a = problem.A.matrix
-    c = problem.F.components
     v = np.array(starts, dtype=float)
     m = v.shape[0]
     res = np.empty(m)
@@ -595,7 +587,7 @@ def _newton_batch(
 
     # the running rows: their indices, states, residuals and residual norms
     rows, x, r = np.arange(m), v.copy(), residuals(v)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         norms = np.abs(r).max(axis=1)
         done = norms <= tol_res
         if done.any():
@@ -619,7 +611,7 @@ def _newton_batch(
             if t == 1.0 and pending.size:
                 # a residual already within the round-off floor ends its run
                 floor = np.array([
-                    norms[i] <= defect_slack(problem.A, GridFunction(x[i], c), a @ x[i] - r[i])
+                    norms[i] <= defect_slack(problem.A, x[i], a @ x[i] - r[i])
                     for i in pending
                 ])
                 pending = pending[~floor]
@@ -635,19 +627,17 @@ def _newton_batch(
 
 
 def newton_equilibrium(
-    problem: ProblemSpec,
-    start: np.ndarray,
-    tol_res: float = 1e-10,
-    max_iter: int = 80,
+    problem: ProblemSpec, start: np.ndarray, tol_res: float = 1e-10
 ) -> tuple[np.ndarray, float, bool]:
-    """Damped Newton on A v = F(v); an oracle, failures are reported not raised.
+    """Damped Newton on A v = F(v), at most NEWTON_MAX_ITER rounds; an
+    oracle, failures are reported not raised.
 
     A run whose full step fails to lower a residual already within the
     round-off floor `defect_slack` stops there, without damped trials that
     would only trade round-off; a run with tol_res = 0 ends that way.  This
     is `_newton_batch` on the one start.
     """
-    v, res, ok = _newton_batch(problem, np.asarray(start, dtype=float)[None], tol_res, max_iter)
+    v, res, ok = _newton_batch(problem, np.asarray(start, dtype=float)[None], tol_res)
     return v[0], float(res[0]), bool(ok[0])
 
 
@@ -714,7 +704,7 @@ def _enclose(problem: ProblemSpec, sides: np.ndarray, y_p: np.ndarray, x_lo: np.
     v = sides * np.minimum(y_p + eps * psi, hi)
     f_v = problem.rhs(v)
     d = sides * (problem.A.matrix @ v - f_v)
-    if not float(np.min(d)) >= -defect_slack(problem.A, GridFunction(v, c), f_v):
+    if not float(np.min(d)) >= -defect_slack(problem.A, v, f_v):
         return None
     radius = float(np.max(psi)) * (max(float(np.max(d)), 0.0) / kappa + eps)
     return radius if radius <= tol_eq else None
@@ -853,7 +843,6 @@ class EquilibriaResult:
     # node-to-node monotonicity defect of U_min/U_max, which come from one
     # march and are monotone in time at round-off level
     continuation_defect: float
-    polish_moved: tuple
     newton_equilibria: list
     extremal_violation: float
     # per end (minimal, maximal): whether the equilibrium is Newton's point
@@ -862,24 +851,27 @@ class EquilibriaResult:
     certified_radius: tuple
 
 
+MAX_WINDOWS = 256  # windows the equilibria march runs before it gives up
+N_NEWTON_STARTS = 20  # random interior Newton starts of the cross-check
+
+
 def asymptotic_equilibria(
     problem: ProblemSpec,
     tol: float = 1e-9,
     tol_eq: float = 1e-9,
     tol_res: float = 1e-8,
-    max_iter: int = 2000,
-    max_windows: int = 256,
-    n_newton_starts: int = 20,
     seed: int = 20240901,
 ) -> EquilibriaResult:
     """Extremal equilibria as the t -> infinity limits of the extremal
-    trajectories, with a minimality/maximality cross-check from random
-    interior Newton runs.
+    trajectories, with a minimality/maximality cross-check from
+    N_NEWTON_STARTS random interior Newton runs.
 
     One march runs from the interval bounds and is advanced one window (the
-    problem's horizon) at a time.  After windows 1, 2, 4, 8, ... and at the
-    stall stop, each end not yet certified tries `_certify_extremal` on its
-    row's terminal state; an end is certified when the proof holds with a
+    problem's horizon) at a time, for at most MAX_WINDOWS windows (then
+    horizon_converged is False), each step of it by at most MAX_INNER_ITER
+    inner iterations.  After windows 1, 2, 4, 8, ... and at the stall
+    stop, each end not yet certified tries `_certify_extremal` on its row's
+    terminal state; an end is certified when the proof holds with a
     radius <= tol_eq, and then reports Newton's point p.  The march stops
     once both ends are certified, so U_min and U_max end at that horizon.
     Otherwise it stops once the increment of the rows over a window drops
@@ -899,7 +891,7 @@ def asymptotic_equilibria(
     interval = problem.interval
     window = problem.horizon
     steps_per_window = time_grid(window, problem.dt).size - 1
-    march = _March(problem, interval.lower, interval.upper, tol, max_iter)
+    march = _March(problem, interval.lower, interval.upper, tol)
     window_summaries = []
     horizon_converged = False
     horizon = 0.0
@@ -909,15 +901,16 @@ def asymptotic_equilibria(
     for end, bound in enumerate((interval.lower.values, interval.upper.values)):
         if not np.any(bound) and not np.any(problem.rhs(bound)):
             certified[end] = (bound, 0.0)
-    for count in range(1, max_windows + 1):
+    for count in range(1, MAX_WINDOWS + 1):
         start = march.y
-        n_iters, converged = march.advance(steps_per_window)
+        march.advance(steps_per_window)
+        converged = march.converged
         horizon += window
         inc = float(np.max(np.abs(march.y - start)))
         window_summaries.append(
             {
                 "t_end": horizon,
-                "n_iters": n_iters,
+                "n_iters": len(march.distances),
                 "converged": converged,
                 "increment": inc,
             }
@@ -945,8 +938,8 @@ def asymptotic_equilibria(
         else:  # Newton's point, clamped into the interval by the certificate
             values = cert[0]
             res = problem.equilibrium_residual(GridFunction(values, interval.components))
-            ends.append((values, res, 0.0))
-    (star_values, star_res, moved_low), (upper_values, upper_res, moved_up) = ends
+            ends.append((values, res))
+    (star_values, star_res), (upper_values, upper_res) = ends
     u_star = GridFunction(star_values, interval.components)
     u_upper_star = GridFunction(upper_values, interval.components)
 
@@ -959,7 +952,7 @@ def asymptotic_equilibria(
     rng = np.random.default_rng(seed)
     svec = interval.cone.sign_vector(interval.lower.n_points)
     lo, hi = interval.standard_bounds()
-    starts = lo + rng.uniform(size=(n_newton_starts, interval.dim)) * (hi - lo)
+    starts = lo + rng.uniform(size=(N_NEWTON_STARTS, interval.dim)) * (hi - lo)
     found = []
     extremal_violation = 0.0
     check_slack = max(100.0 * tol_res, slack)
@@ -991,7 +984,6 @@ def asymptotic_equilibria(
         windows=window_summaries,
         worst_violation=march.worst_violation,
         continuation_defect=continuation_defect,
-        polish_moved=(moved_low, moved_up),
         newton_equilibria=found,
         extremal_violation=extremal_violation,
         certified=tuple(c is not None for c in certified),
@@ -1008,12 +1000,11 @@ def _polish(problem, raw: GridFunction, tol_res: float, tol_eq: float):
     justifies; otherwise the raw state is returned.
     """
     v, _, ok = newton_equilibrium(problem, raw.values, tol_res=min(tol_res, 1e-10))
-    moved = monotone_norm(v - raw.values)
     guard = max(1e-5, 1e4 * tol_eq)
     raw_res = problem.equilibrium_residual(raw)
-    if moved <= guard:
+    if monotone_norm(v - raw.values) <= guard:
         v = clamp_values(v, problem.interval)
         res = problem.equilibrium_residual(GridFunction(v, raw.components))
         if ok or res < raw_res:
-            return v, res, moved
-    return raw.values, raw_res, 0.0
+            return v, res
+    return raw.values, raw_res

@@ -121,15 +121,19 @@ class ScenarioSpec:
             )
 
 
-def _dyadic_sweep(seed: float, accept, max_halvings: int = 60) -> float | None:
-    """Largest value of the form seed/2^j accepted by the predicate.
+MAX_HALVINGS = 60  # halvings of the seed _dyadic_sweep tries per pass
+
+
+def _dyadic_sweep(seed: float, accept) -> float | None:
+    """Largest value of the form seed/2^j, j < MAX_HALVINGS, accepted by the
+    predicate.
 
     Tries strict certificates first (margin >= 0 exactly, so no deficit leaks
     into the engine's sandwich), then falls back to the floating-point slack.
     """
     for tol in (0.0, None):
         eps = seed
-        for _ in range(max_halvings):
+        for _ in range(MAX_HALVINGS):
             if eps > 0 and accept(eps, tol):
                 return eps
             eps *= 0.5

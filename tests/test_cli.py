@@ -335,6 +335,17 @@ class TestStatusReasons:
         _patched(monkeypatch, target, **fields)
         assert self.run(tmp_path) == (2, [reason])
 
+    def test_inner_iteration_cap_is_named(self, tmp_path, monkeypatch):
+        # a real march stopped by the cap, not a patched result; the capped
+        # windows never converge, so the horizon check fails as well
+        from mevolve import monotone
+
+        monkeypatch.setattr(monotone, "MAX_INNER_ITER", 2)
+        monkeypatch.setattr(monotone, "MAX_WINDOWS", 2)
+        code, reasons = self.run(tmp_path)
+        assert code == 2
+        assert reasons[:2] == ["iteration did not converge", "horizon extension did not converge"]
+
     def test_failed_sandwich_is_named(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "certify_sandwich", lambda report: (False, 1.0))
         assert self.run(tmp_path) == (2, ["sandwich certificate failed"])

@@ -258,7 +258,7 @@ class TestSeparateInitialValues:
 
             def advance(self, n_steps):
                 advances.append(n_steps)
-                return super().advance(n_steps)
+                super().advance(n_steps)
 
         monkeypatch.setattr(mv.monotone, "iterate", counting)
         monkeypatch.setattr(mv.monotone, "_March", CountingMarch)
@@ -345,13 +345,12 @@ class TestAsymptotics:
         )
         assert np.max(np.abs(final.u_min.states[-1] - eq.u_star.values)) <= 1e-6
 
-    def test_horizon_cap_flags(self):
+    def test_horizon_cap_flags(self, monkeypatch):
+        monkeypatch.setattr(mv.monotone, "MAX_WINDOWS", 1)
         scen = mv.build_scalar_nonunique(1.0, 2.0)
         prob = stall_problem(scen, horizon=0.5, dt=0.01)
-        eq = mv.asymptotic_equilibria(
-            prob, tol=1e-9, tol_eq=1e-12, tol_res=1e-8, max_windows=1
-        )
-        assert not eq.horizon_converged
+        eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-12, tol_res=1e-8)
+        assert not eq.horizon_converged and len(eq.windows) == 1
 
     def test_continuation_seams_inherit_iteration_tolerance(self):
         scen = mv.build_logistic(mv.build_laplacian_1d(20, "dirichlet"), 12.0, 2.0)
@@ -461,7 +460,10 @@ def test_stalled_polish_kept_when_it_lowers_the_residual():
         seed=1330254769,
     )
     assert max(eq.residuals) <= 1e-8
-    assert min(eq.polish_moved) > 0.0
+    # both ends uncertified, and each reports its polished, not its raw, state
+    assert eq.certified == (False, False)
+    assert not np.array_equal(eq.u_star.values, eq.U_min.terminal().values)
+    assert not np.array_equal(eq.u_upper_star.values, eq.U_max.terminal().values)
 
 
 def sweep_oracle(prob, u0, u0_upper, tol, max_iter=2000):
@@ -572,7 +574,7 @@ class InsideOnly(mv.Nonlinearity):
         def marking(march, n_steps):
             self.marching = True
             try:
-                return advance(march, n_steps)
+                advance(march, n_steps)
             finally:
                 self.marching = False
 
@@ -658,6 +660,49 @@ class TestMarchKernel:
         with warnings.catch_warnings():  # within the slack: no warning
             warnings.simplefilter("error")
             mv.iterate(prob, grid(itv.lower.values - 0.5 * slack))
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin"])
+    def test_flipped_cone_propagators_carry_no_negative_zero(self, bc):
+        # A couples no components of opposite cone sign, so P and B are the
+        # same in standard coordinates and need no sign fold, which would
+        # turn their zero cross blocks into -0.0
+        gen = mv.build_laplacian_1d(8, bc, 1.0)
+        scen = mv.build_competition(gen, gen, 30.0, 30.0, 1.0, 0.3, 0.3, 1.0)
+        assert scen.cone == mv.FLIPPED_CONE
+        itv = scen.interval
+        prob = scen.problem(horizon=1.0, dt=0.05)
+        march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9)
+        assert not np.signbit(march.p_t).any()
+        assert not np.signbit(march.b_t).any()
+
+
+@pytest.mark.parametrize("case", ["dirichlet_logistic", "scalar"])
+class TestInnerIterationCap:
+    """A real march stopped by MAX_INNER_ITER, on the block and on the
+    dim == 1 path, reports itself unconverged."""
+
+    CAP = 3
+
+    @pytest.fixture
+    def prob(self, case, monkeypatch):
+        monkeypatch.setattr(mv.monotone, "MAX_INNER_ITER", self.CAP)
+        if case == "scalar":
+            return mv.build_scalar_nonunique(1.0, 2.0).problem(horizon=0.1, dt=0.01)
+        scen = mv.build_logistic(mv.build_laplacian_1d(20, "dirichlet"), 12.0, 2.0)
+        return scen.problem(horizon=0.2, dt=0.02)
+
+    def test_iterate_reports_the_cap(self, prob):
+        itv = prob.interval
+        rpt = mv.iterate(prob, itv.lower, tol=1e-9, u0_upper=itv.upper)
+        assert rpt.converged is False and rpt.n_iters == self.CAP
+
+    def test_equilibria_windows_report_the_cap(self, prob, monkeypatch):
+        # an unconverged window neither certifies nor stalls
+        monkeypatch.setattr(mv.monotone, "MAX_WINDOWS", 2)
+        eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-9, tol_res=1e-8)
+        assert not eq.horizon_converged and eq.certified == (False, False)
+        assert [(w["converged"], w["n_iters"]) for w in eq.windows] == [(False, self.CAP)] * 2
+        assert eq.report.converged is False and eq.report.n_iters == self.CAP
 
 
 class NumpySignedSqrt(_SignedSqrt):
@@ -945,11 +990,12 @@ def _reference_newton(prob, start, tol_res=1e-10, max_iter=80):
     return v, norm_r, norm_r <= tol_res
 
 
-def _assert_rows_are_their_own_runs(prob, starts, tol_res=1e-10, max_iter=80):
-    vs, res, ok = mv.monotone._newton_batch(prob, starts, tol_res, max_iter)
+def _assert_rows_are_their_own_runs(prob, starts, tol_res=1e-10):
+    vs, res, ok = mv.monotone._newton_batch(prob, starts, tol_res)
     assert vs.shape == starts.shape and res.shape == ok.shape == (len(starts),)
+    max_iter = mv.monotone.NEWTON_MAX_ITER
     for start, v, r, o in zip(starts, vs, res, ok):
-        alone = mv.newton_equilibrium(prob, start, tol_res, max_iter)
+        alone = mv.newton_equilibrium(prob, start, tol_res)
         assert type(alone[1]) is float and type(alone[2]) is bool
         for run in (alone, _reference_newton(prob, start, tol_res, max_iter)):
             assert np.array_equal(v, run[0]) and r == run[1] and o == run[2]
@@ -971,12 +1017,13 @@ class TestNewtonBatch:
         # a run to the floor converges only where a residual reaches 0
         assert ok.all() or not tol_res
 
-    def test_rows_stopped_by_max_iter(self, newton_problems):
+    def test_rows_stopped_by_max_iter(self, newton_problems, monkeypatch):
         prob = newton_problems["logistic_dirichlet"]
         lo, hi = prob.interval.lower.values, prob.interval.upper.values
         starts = lo + np.random.default_rng(5).uniform(size=(8, lo.size)) * (hi - lo)
         for max_iter in (0, 1, 3):
-            _assert_rows_are_their_own_runs(prob, starts, max_iter=max_iter)
+            monkeypatch.setattr(mv.monotone, "NEWTON_MAX_ITER", max_iter)
+            _assert_rows_are_their_own_runs(prob, starts)
 
     def test_infinite_jacobian_fails_only_its_row(self):
         # signed sqrt has an infinite derivative at 0: the start with an
@@ -1037,10 +1084,11 @@ def test_flipped_cone_term_matches_the_sign_flip_wrapper(monkeypatch):
 
     prob = stall_problem(scen, horizon=0.5, dt=0.02)
     itv = prob.interval
+    monkeypatch.setattr(mv.monotone, "N_NEWTON_STARTS", 0)
 
     def runs():
         rpt = mv.iterate(prob, itv.lower, u0_upper=itv.upper)
-        eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-8, n_newton_starts=0)
+        eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-8)
         return rpt.u_min, rpt.u_max, eq.U_min, eq.U_max
 
     ours = runs()
@@ -1102,7 +1150,6 @@ class TestCertifiedStop:
         )
         assert eq.certified == (True, True) and eq.horizon_converged
         assert all(r <= 1e-9 for r in eq.certified_radius)
-        assert eq.polish_moved == (0.0, 0.0)
         itv = scen.interval
         # in a cooperative system the flow from each bound ends at the
         # extremal equilibrium on its side
@@ -1156,13 +1203,13 @@ class TestCertifiedStop:
 
         original = mv.monotone.newton_equilibrium
 
-        def wrong_root(problem, start, tol_res=1e-10, max_iter=80):
+        def wrong_root(problem, start, tol_res=1e-10):
             if tol_res == 0.0 and np.max(np.abs(start - minimal)) < 0.5 * abs(other - minimal):
                 # the certificate's run from the lower row: a genuine
                 # equilibrium, but not the minimal one
                 v = np.full_like(start, other)
                 return v, mv.monotone.monotone_norm(problem.A.matrix @ v - problem.rhs(v)), True
-            return original(problem, start, tol_res, max_iter)
+            return original(problem, start, tol_res)
 
         monkeypatch.setattr(mv.monotone, "newton_equilibrium", wrong_root)
         assert mv.monotone._certify_extremal(prob, state, 1, 1e-9, slack) is None
@@ -1207,7 +1254,6 @@ class TestCertifiedStop:
         eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-9, tol_res=1e-8)
         assert eq.certified == (True, True)
         assert eq.certified_radius[0] == 0.0 and eq.certified_radius[1] <= 1e-9
-        assert eq.polish_moved == (0.0, 0.0)
         assert np.all(eq.u_star.values == 0.0) and eq.residuals[0] == 0.0
         assert np.min(eq.u_upper_star.values) > 0.1
         assert 1 not in sides  # only the upper end tried the proof
@@ -1240,7 +1286,7 @@ class TestCertifiedStop:
         scen, horizon, dt = cases["dirichlet_logistic"]
         prob = scen.problem(horizon=horizon, dt=dt)
         itv = prob.interval
-        march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9, 2000)
+        march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9)
         march.advance(mv.time_grid(prob.horizon, prob.dt).size - 1)
         for end, side in ((0, 1), (1, -1)):
             state = march._standard(march.y[end])
@@ -1348,7 +1394,7 @@ class TestSweptEnd:
         itv = prob.interval
         eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-9, tol_res=1e-8)
         assert eq.certified == (True, True)
-        march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9, 2000)
+        march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9)
         steps = mv.time_grid(prob.horizon, prob.dt).size - 1
         for window in (1, 2):
             march.advance(steps)
@@ -1431,7 +1477,7 @@ class TestSweptEnd:
         mesh = mv.build_logistic(mv.build_laplacian_1d(160, "neumann"), 1.0, 2.0)
         prob = mesh.problem(horizon=0.2, dt=0.02)
         itv = prob.interval
-        march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9, 2000)
+        march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9)
         march.advance(mv.time_grid(prob.horizon, prob.dt).size - 1)
 
         def never(*args, **kwargs):

@@ -237,7 +237,7 @@ def test_competition_build_runs_no_time_march(monkeypatch):
     assert newton_runs == [1, 1]  # one single-species run per species
 
 
-def _engine_route(a_gen, pair, a, b):
+def _engine_route(a_gen, pair, a, b, monkeypatch):
     """The semi-trivial state by the engine, an independent route: the
     equilibria march on the logistic interval, then a Newton polish to an
     absolute residual of 1e-10.  (march state, its proven radius, polished
@@ -245,9 +245,9 @@ def _engine_route(a_gen, pair, a, b):
     from mevolve import scenarios
 
     scen = scenarios._logistic(a_gen, a, b, pair)
+    monkeypatch.setattr(mv.monotone, "N_NEWTON_STARTS", 0)
     eq = mv.asymptotic_equilibria(
-        scen.problem(horizon=2.0, dt=0.05),
-        tol=1e-8, tol_eq=1e-7, tol_res=1e-9, n_newton_starts=0,
+        scen.problem(horizon=2.0, dt=0.05), tol=1e-8, tol_eq=1e-7, tol_res=1e-9,
     )
     state = eq.u_upper_star.values
     v, _, ok = mv.newton_equilibrium(
@@ -263,7 +263,7 @@ def _engine_route(a_gen, pair, a, b):
     ("dirichlet", 60, "near-lambda1"),
     ("robin", 60, "near-lambda1"),
 ])
-def test_semi_trivial_state_is_certified(bc, n, a):
+def test_semi_trivial_state_is_certified(bc, n, a, monkeypatch):
     # n >= 99 puts the residual floor above the polish target 1e-10; a just
     # above lambda_1 gives a small state and a nearly singular linearization
     from mevolve import scenarios
@@ -278,7 +278,7 @@ def test_semi_trivial_state_is_certified(bc, n, a):
     if bc == "neumann":  # the constant a/b is the equilibrium
         assert np.max(np.abs(w.values - a / b)) <= 1e-11 * (a / b)
         return
-    state, state_radius, polished = _engine_route(gen, pair, a, b)
+    state, state_radius, polished = _engine_route(gen, pair, a, b, monkeypatch)
     # two proven enclosures of the same maximal equilibrium
     assert state_radius is not None
     assert np.max(np.abs(w.values - state)) <= radius + state_radius
