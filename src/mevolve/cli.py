@@ -178,6 +178,7 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
             "sandwich_certified": sandwich_ok,
             "unique_flag": report.unique_flag,
             "clamp_fraction": report.clamp_fraction,
+            "contraction_bound": report.contraction_bound,
         },
         "equilibria": {
             "u_star": eq.u_star.values,

@@ -8,8 +8,11 @@ step at a time.  Step k solves the implicit exponential-Euler relation
 
 by the monotone inner iteration z_{j+1} = P u_k + B G(z_j) started from the
 row's interval bound, or from u_k itself when u_k provably lies below the
-minimal (above the maximal) step solution.  Positivity of P and B keeps the
-ordering chain
+minimal (above the maximal) step solution.  Where the contraction bound
+q = max(B s) < 1 (s the row sums of a bound of G' over the interval) proves
+that every step has one solution, a row that moved against its side starts
+at u_k -+ D / (1 - q) instead of its bound, D the drift of P u_k over the
+last step.  Positivity of P and B keeps the ordering chain
 
     lower bound <= z_j <= z_{j+1} <= Z_{j+1} <= Z_j <= upper bound
 
@@ -75,6 +78,9 @@ class IterationReport:
     u_max: Trajectory
     unique_flag: bool
     clamp_fraction: float
+    # q of the start rule (`_contraction_bound`), or None where there is no
+    # bound below 1
+    contraction_bound: float | None
     stored: dict = field(repr=False)
 
     @property
@@ -102,6 +108,30 @@ def _bound_deficit(problem: ProblemSpec, svec: np.ndarray) -> float:
     return max(0.0, -float(m_low), -float(m_up))
 
 
+def _contraction_bound(scaled: ProblemSpec, b_mat: np.ndarray) -> float | None:
+    """q = max(B s), a sup-norm Lipschitz constant of the step map
+    z -> P u_k + B G(z) on the interval, or None unless it is below 1.
+
+    s holds the row sums of the entrywise upper bound of S (F' + mu) S over
+    the interval's box (`cone_jacobian_range`, clipped at 0).  The shift
+    makes S (F' + mu) S >= 0 there (`quasi_increasing_shift`), so
+    |G(x) - G(y)| <= s |x - y|_inf for x, y in the box, and B >= 0 gives
+    |B (G(x) - G(y))| <= (B s) |x - y|_inf.  The clamp into the box is
+    order-preserving and 1-Lipschitz, so q bounds the clamped map as well.
+    q is rounded up over the dim + c terms summed per entry of B s.  A term
+    with no finite bound (the signed sqrt at 0) gets None.
+    """
+    itv, c = scaled.interval, scaled.F.components
+    a, b = itv.lower.values, itv.upper.values
+    _, high = cone_jacobian_range(scaled.F, np.minimum(a, b), np.maximum(a, b), itv.cone.signs)
+    high[range(c), range(c)] += scaled.mu
+    s = np.maximum(high, 0.0).sum(axis=1).ravel()
+    if not np.isfinite(s).all():
+        return None
+    q = float(np.max(b_mat @ s)) * (1.0 + 2.0 * (b_mat.shape[0] + c) * np.finfo(float).eps)
+    return q if q < 1.0 else None
+
+
 class _March:
     """The lower and upper rows of one time march, solved step by step.
 
@@ -113,6 +143,22 @@ class _March:
     then u_k is a sub-solution (super-solution) of step k lying below the
     minimal (above the maximal) step solution, so the warm start converges
     to the same solution.  Each row stops on its own inner increment.
+
+    A row that moved against its side over step k-1 starts at its bound,
+    unless the contraction bound q (`_contraction_bound`) is below 1.  Then
+    the step map T_k(z) = c_k + B G(z), c_k = P u_k, has one fixed point,
+    and the upper row starts at min(hi, Y + delta), the lower row at
+    max(lo, Y - delta), with Y = u_k the row's state, delta = D / (1 - q)
+    and D the largest entry of c_k - c_{k-1} (of c_{k-1} - c_k for the
+    lower row), floored at 0 and padded by the slack.  Proof for the upper
+    row: Y is the last iterate of step k-1's falling sequence, so
+    T_{k-1}(Y) <= Y, and T_k(Y) = T_{k-1}(Y) + c_k - c_{k-1} <= Y + D.  With
+    q the Lipschitz bound, T_k(Y + delta) <= Y + D + q delta = Y + delta: a
+    super-solution, and so is its minimum with the super-solution hi.  The
+    falling iteration from it reaches a fixed point of step k, the only
+    one.  The lower row is the mirror image.  Every guard runs unchanged,
+    so a start that is not a super-solution (sub-solution) raises the
+    sandwich breach.
 
     `advance` appends a chunk of steps; `report` describes the last chunk
     and `trajectories` joins all of them.
@@ -137,16 +183,19 @@ class _March:
             warnings.warn("initial value clamped to the order interval", stacklevel=3)
         self.y = self._standard(clamped)
         self.y_prev = None  # the rows one node back, once a step was taken
+        self.c_prev = None  # P y_prev
+        self.q = None  # the contraction bound, where it is below 1
         # the rows by node, one chunk per advance, each from its start node
         self.states: list[np.ndarray] = []
         self.worst_violation = -np.inf  # over every step of the march
         # of the last chunk: penultimate inner iterates by node, the largest
         # [lower, upper] increment per inner iteration, the worst violation
-        # per step, clamp counts and convergence
+        # per step, clamp counts, inner iterations per row and convergence
         self.penultimate = None
         self.distances: list[list[float]] = []
         self.violations: list[float] = []
-        self.clamped = self.total = 0
+        self.clamped = 0
+        self.row_iters = [0, 0]
         self.converged = True
 
         # degenerate interval: both bounds coincide and must be an equilibrium;
@@ -164,6 +213,7 @@ class _March:
         # S P S = P and S B S = B: A couples no components of opposite sign
         p_mat, b_mat = scaled.A.propagators(problem.dt)
         self.p_t, self.b_t = p_mat.T.copy(), b_mat.T.copy()
+        self.q = _contraction_bound(scaled, b_mat)
         # the shifted reaction term in standard coordinates
         self.g = scaled.rhs if self.svec is None else scaled.F.shifted_in_cone(svec, scaled.mu)
         self.F = scaled.F
@@ -181,7 +231,8 @@ class _March:
         pen = np.empty_like(chunk)
         chunk[0] = pen[0] = self.y
         self.distances, self.violations = [], []
-        self.clamped = self.total = 0
+        self.clamped = 0
+        self.row_iters = [0, 0]
         if self.degenerate:
             chunk[1:], pen[1:] = self.y, self.y
             self.distances, self.violations = [[0.0, 0.0]], [0.0] * n_steps
@@ -190,23 +241,33 @@ class _March:
             converged = self._advance_scalar(chunk[1:], pen[1:])
         else:
             converged = self._advance_block(chunk[1:], pen[1:])
-        if self.clamped > MAX_CLAMP_FRACTION * max(1, self.total):
+        total = self._evaluations()
+        if self.clamped > MAX_CLAMP_FRACTION * max(1, total):
             raise NumericalError(
-                f"{100 * self.clamped / self.total:.3f}% of evaluations left the order interval"
+                f"{100 * self.clamped / total:.3f}% of evaluations left the order interval"
             )
         self.states.append(chunk)
         self.penultimate, self.converged = pen, converged
         self.worst_violation = max(self.worst_violation, max(self.violations))
+
+    def _evaluations(self) -> int:
+        """Entries the last chunk evaluated the reaction term on."""
+        return self.y.shape[1] * sum(self.row_iters)
 
     def _breach(self, worst: float) -> NumericalError:
         return NumericalError(
             f"sandwich invariant breached: violation {worst:.3e} > slack {self.slack:.3e}"
         )
 
+    def _reach(self, drift: float) -> float:
+        """delta = D / (1 - q) of the start rule, D the drift floored at 0
+        and padded by the slack."""
+        return (max(drift, 0.0) + self.slack) / (1.0 - self.q)
+
     def _advance_block(self, out, pen) -> bool:
         lo, hi, slack, tol, max_iter = self.lo, self.hi, self.slack, self.tol, MAX_INNER_ITER
-        p_t, b_t, g, dist = self.p_t, self.b_t, self.g, self.distances
-        y, y_prev = self.y, self.y_prev
+        p_t, b_t, g, dist, q = self.p_t, self.b_t, self.g, self.distances, self.q
+        y, y_prev, c_prev = self.y, self.y_prev, self.c_prev
         # two [lower bound, lower row z, upper row Z, upper bound] buffers: cur
         # holds z_j, nxt receives z_{j+1}; a stopped row is kept in both
         cur, nxt = np.vstack([lo, lo, hi, hi]), np.vstack([lo, lo, hi, hi])
@@ -214,14 +275,27 @@ class _March:
         # of the new iterate: one max per row gives both increments, both
         # monotonicity violations and the links; a stopped row's rows read -inf
         chk = np.empty((7, y.shape[1]))
-        converged, clamped, total = True, 0, 0
+        converged, clamped, n_low, n_up = True, 0, 0, 0
         for k in range(out.shape[0]):
             c = y @ p_t
-            warm = y_prev is not None
-            if warm:
+            if y_prev is None:
+                cur[1], cur[2] = lo, hi
+            else:
                 moved = y - y_prev
-            cur[1] = y[0] if warm and moved[0].min() >= -slack else lo
-            cur[2] = y[1] if warm and moved[1].max() <= slack else hi
+                if moved[0].min() >= -slack:
+                    cur[1] = y[0]
+                elif q is None:
+                    cur[1] = lo
+                else:
+                    np.maximum(y[0] - self._reach(float((c_prev[0] - c[0]).max())), lo,
+                               out=cur[1])
+                if moved[1].max() <= slack:
+                    cur[2] = y[1]
+                elif q is None:
+                    cur[2] = hi
+                else:
+                    np.minimum(y[1] + self._reach(float((c[1] - c_prev[1]).max())), hi,
+                               out=cur[2])
             # while the links hold without any violation, lo <= z <= Z <= hi
             # and the clamp is the identity
             inside = (cur[:-1] - cur[1:]).max() <= 0.0
@@ -236,7 +310,8 @@ class _March:
                 else:
                     zc = np.minimum(np.maximum(zs, lo), hi)
                     clamped += np.count_nonzero(np.abs(zc - zs) > slack)
-                total += zc.size
+                n_low += lower_on
+                n_up += upper_on
                 np.matmul(g(zc), b_t, out=new)
                 new += c[a:b]
                 np.subtract(new, zs, out=chk[a:b])
@@ -275,10 +350,10 @@ class _March:
                 cur, nxt = nxt, cur
                 a, b = (0 if lower_on else 1), (2 if upper_on else 1)
             self.violations.append(float(worst))
-            y_prev, y = y, out[k]
+            y_prev, y, c_prev = y, out[k], c
         self.clamped += clamped
-        self.total += total
-        self.y, self.y_prev = y.copy(), y_prev.copy()
+        self.row_iters = [n_low, n_up]
+        self.y, self.y_prev, self.c_prev = y.copy(), y_prev.copy(), c_prev
         return converged
 
     @staticmethod
@@ -306,12 +381,19 @@ class _March:
         (y0,), (y1,) = self.y.tolist()
         warm = self.y_prev is not None
         (p0,), (p1,) = self.y_prev.tolist() if warm else ((0.0,), (0.0,))
-        converged, clamped, total = True, 0, 0
+        (cp0,), (cp1,) = self.c_prev.tolist() if warm else ((0.0,), (0.0,))
+        bounded = self.q is not None
+        converged, clamped, n0, n1 = True, 0, 0, 0
         violations = self.violations
         for k in range(out.shape[0]):
             c0, c1 = p * y0, p * y1
-            z0 = y0 if warm and y0 - p0 >= -slack else lo
-            z1 = y1 if warm and y1 - p1 <= slack else hi
+            if not warm:
+                z0, z1 = lo, hi
+            else:
+                z0 = (y0 if y0 - p0 >= -slack else
+                      max(y0 - self._reach(cp0 - c0), lo) if bounded else lo)
+                z1 = (y1 if y1 - p1 <= slack else
+                      min(y1 + self._reach(c1 - cp1), hi) if bounded else hi)
             last0, last1 = z0, z1
             on0 = on1 = True
             worst = -np.inf
@@ -322,7 +404,7 @@ class _March:
                 f0, f1 = f(zc0, zc1, mu)
                 inc0 = inc1 = 0.0
                 if on0:
-                    total += 1
+                    n0 += 1
                     clamped += abs(zc0 - z0) > slack
                     new = c0 + b * f0
                     inc0 = abs(new - z0)
@@ -330,7 +412,7 @@ class _March:
                         worst = z0 - new
                     last0, z0 = z0, new
                 if on1:
-                    total += 1
+                    n1 += 1
                     clamped += abs(zc1 - z1) > slack
                     new = c1 + b * f1
                     inc1 = abs(new - z1)
@@ -365,11 +447,12 @@ class _March:
             violations.append(worst)
             out[k, 0, 0], out[k, 1, 0] = z0, z1
             pen[k, 0, 0], pen[k, 1, 0] = last0, last1
-            p0, p1, y0, y1 = y0, y1, z0, z1
+            p0, p1, y0, y1, cp0, cp1 = y0, y1, z0, z1, c0, c1
             warm = True
         self.clamped += clamped
-        self.total += total
+        self.row_iters = [n0, n1]
         self.y_prev, self.y = np.array([[p0], [p1]]), np.array([[y0], [y1]])
+        self.c_prev = np.array([[cp0], [cp1]])
         return converged
 
     def _trajectory(self, block: np.ndarray, row: int) -> Trajectory:
@@ -390,7 +473,8 @@ class _March:
             sandwich_violations=violations,
             worst_violation=float(np.max(violations)),
             u_min=u_min, u_max=u_max, unique_flag=bool(gap <= 10.0 * self.tol),
-            clamp_fraction=self.clamped / max(1, self.total),
+            clamp_fraction=self.clamped / max(1, self._evaluations()),
+            contraction_bound=self.q,
             stored={
                 "interval": self.interval, "slack": self.slack,
                 "lower_prev": self._trajectory(pen, 0),
@@ -421,7 +505,16 @@ def iterate(
     is solved until each row's inner increment drops below tol, in at most
     MAX_INNER_ITER inner iterations; a step that needs more leaves converged
     False.  unique_flag says the two agree within 10*tol, so for distinct
-    initial values it is set only when those agree within 10*tol too.
+    initial values it is set only when those agree within 10*tol too; it
+    proves nothing about uniqueness.
+
+    From u0 = lower the upper row rises, against its side.  Where the
+    contraction bound q (contraction_bound, `_contraction_bound`) is below
+    1, each step has one solution, and that row starts at Y + D / (1 - q),
+    Y its state and D the drift of P Y over the last step: a proven
+    super-solution of the step (`_March`).  Otherwise it restarts from the
+    upper bound at every step, as the lower row does from the lower bound
+    when it falls.
 
     The problem is scaled on entry (quasi-increasing shift plus stability
     floor); fixed points are unaffected.  Raises NumericalError on a sandwich

@@ -52,6 +52,7 @@ class TestRun:
         doc = json.loads((out / "report.json").read_text())
         assert doc["status"] == 0
         assert doc["iteration"]["converged"] and doc["iteration"]["unique_flag"]
+        assert 0.0 < doc["iteration"]["contraction_bound"] < 1.0
         star = np.asarray(doc["equilibria"]["u_star"])
         assert np.max(np.abs(star - 0.5)) <= 1e-6
         for name in ("u_min.csv", "u_max.csv", "U_min.csv", "U_max.csv"):
@@ -69,6 +70,7 @@ class TestRun:
         doc = json.loads((out / "report.json").read_text())
         assert abs(doc["equilibria"]["u_upper_star"][0] - 1.0) <= 5e-3
         assert not doc["iteration"]["unique_flag"]
+        assert doc["iteration"]["contraction_bound"] is None  # no finite slope at 0
 
     def test_certified_stop_in_the_report(self, tmp_path):
         # the console-script smoke config of the scalar case

@@ -705,6 +705,115 @@ class TestInnerIterationCap:
         assert eq.report.converged is False and eq.report.n_iters == self.CAP
 
 
+def _march(prob, u0, u0_upper, tol=1e-9):
+    """A march over the problem's whole grid, as `iterate` runs it."""
+    march = mv.monotone._March(prob, u0, u0_upper, tol)
+    march.advance(mv.mild.time_grid(prob.horizon, prob.dt).size - 1)
+    return march
+
+
+class TestContractionStart:
+    """The contraction bound q of the step map, and the start it gives a row
+    that moved against its side: Y -+ D / (1 - q) instead of its bound."""
+
+    CASES = ["logistic_dirichlet", "logistic_neumann", "logistic_robin", "fisher",
+             "flipped_competition"]
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        fisher = {"alpha": 0.5, "m": {"profile": "sin", "amplitude": 8.0, "frequency": 1.0}}
+        gen = mv.build_laplacian_1d(10, "neumann")
+        scens = {
+            f"logistic_{bc}": mv.build_logistic(mv.build_laplacian_1d(20, bc, 1.0), 12.0, 2.0)
+            for bc in ("dirichlet", "neumann", "robin")
+        }
+        scens["fisher"] = mv.build_from_config("fisher", fisher, 20, "neumann")
+        scens["flipped_competition"] = mv.build_competition(gen, gen, 1.0, 1.0, 1.0, 0.1,
+                                                            0.1, 1.0)
+        assert scens["flipped_competition"].cone == mv.FLIPPED_CONE
+        return {name: scen.problem(horizon=1.0, dt=0.02) for name, scen in scens.items()}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bound_holds_on_random_pairs(self, problems, case, rng):
+        # |B (G(x) - G(y))|_inf <= q |x - y|_inf in standard coordinates, on
+        # independent pairs and on close ordered pairs near the lower bound,
+        # where the logistic slope is largest and the bound nearly tight
+        itv = problems[case].interval
+        march = mv.monotone._March(problems[case], itv.lower, itv.upper, 1e-9)
+        q, lo, width = march.q, march.lo, march.hi - march.lo
+        assert q is not None and 0.0 < q < 1.0
+        x, y = (lo + rng.uniform(size=(200, lo.size)) * width for _ in range(2))
+        near = lo + rng.uniform(size=(200, 1)) * 1e-3 * width
+        pairs = [(x, y), (near, near + rng.uniform(size=(200, 1)) * 1e-3 * width)]
+        ratios = []
+        for a, b in pairs:
+            lhs = np.abs((march.g(a) - march.g(b)) @ march.b_t).max(axis=1)
+            ratios.append(lhs / np.abs(a - b).max(axis=1))
+        assert np.max(ratios) <= q
+        assert np.max(ratios[1]) >= 0.5 * q  # and far from vacuous
+
+    def test_signed_sqrt_gets_no_bound(self):
+        # the slope is unbounded at 0, so the rows from 0 restart at their
+        # bounds and stay apart: the maximal and minimal branches
+        prob = mv.build_scalar_nonunique(1.0, 2.0).problem(horizon=1.0, dt=0.01)
+        rpt = mv.iterate(prob, grid([0.0]), tol=1e-9)
+        assert rpt.contraction_bound is None
+        assert rpt.u_max.states[-1, 0] - rpt.u_min.states[-1, 0] > 0.3
+
+    @pytest.mark.parametrize("case", ["logistic_dirichlet", "scalar_logistic"])
+    def test_start_below_the_step_solution_breaches(self, problems, case, monkeypatch):
+        # delta = 0 starts the rising upper row at its own state, below the
+        # step's solution: the first iterate rises, and the guard raises
+        if case == "scalar_logistic":
+            itv = mv.OrderInterval(grid([0.0]), grid([4.0]))
+            prob = mv.ProblemSpec(mv.generators.scalar_generator(1.0), mv.logistic(3.0, 1.0),
+                                  itv, horizon=1.0, dt=5e-3)
+            u0 = grid([0.5])
+        else:
+            prob = problems[case]
+            u0 = prob.interval.lower
+        assert mv.iterate(prob, u0, tol=1e-9).converged
+        monkeypatch.setattr(mv.monotone._March, "_reach", lambda self, drift: 0.0)
+        with pytest.raises(NumericalError, match="sandwich"):
+            mv.iterate(prob, u0, tol=1e-9)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equilibria_march_is_unchanged(self, problems, case, monkeypatch):
+        # its rows start at the bounds and never move against their side
+        def outputs():
+            eq = mv.asymptotic_equilibria(problems[case], tol=1e-9, tol_eq=1e-8,
+                                          tol_res=1e-8)
+            rpt = eq.report
+            arrays = [eq.U_min.states, eq.U_max.states, eq.u_star.values,
+                      eq.u_upper_star.values, rpt.distances_lower, rpt.distances_upper,
+                      rpt.sandwich_violations]
+            return [a.tobytes() for a in arrays], rpt.contraction_bound
+
+        with_rule, q = outputs()
+        assert q is not None
+        monkeypatch.setattr(mv.monotone, "_contraction_bound", lambda scaled, b_mat: None)
+        without_rule, q = outputs()
+        assert q is None and with_rule == without_rule
+
+    def test_rising_upper_row_on_the_sweep_config(self, monkeypatch):
+        # the seed-1 `sweep` Dirichlet config from u0 = lower: the upper row
+        # took 2309 inner iterations restarting from the upper bound
+        cfg = workloads.configs("sweep", workloads.DEFAULT_SEED)[0]
+        assert cfg["bc"] == "dirichlet"
+        scen = mv.build_from_config(cfg["scenario"], cfg["params"], cfg["n"], cfg["bc"])
+        prob = scen.problem(horizon=cfg["T"], dt=cfg["dt"])
+        lower = prob.interval.lower
+        fast = _march(prob, lower, lower, cfg["tol"])
+        monkeypatch.setattr(mv.monotone, "_contraction_bound", lambda scaled, b_mat: None)
+        cold = _march(prob, lower, lower, cfg["tol"])
+        assert fast.row_iters[1] <= 1500 < 2000 < cold.row_iters[1]
+        fast_rows, cold_rows = fast.trajectories(), cold.trajectories()
+        # the same step solutions, each reached to within tol
+        assert np.max(np.abs(fast_rows[0].states - cold_rows[0].states)) <= 1e-13
+        assert np.max(np.abs(fast_rows[1].states - cold_rows[1].states)) <= 10 * cfg["tol"]
+        assert mv.certify_sandwich(fast.report())[0]
+
+
 class NumpySignedSqrt(_SignedSqrt):
     """The signed sqrt through the base class's numpy eval_shifted_scalars."""
 
@@ -720,6 +829,9 @@ def _scalar_march_outputs(prob, run):
         extra = [eq.U_min.states, eq.U_max.states, eq.u_star.values, eq.u_upper_star.values]
     elif run == "from_zero":
         rpt = mv.iterate(prob, grid([0.0]), tol=1e-9)
+    elif run == "from_inside":  # both rows from the midpoint
+        itv = prob.interval
+        rpt = mv.iterate(prob, grid(0.5 * (itv.lower.values + itv.upper.values)), tol=1e-9)
     else:
         rpt = mv.iterate(prob, prob.interval.lower, tol=1e-9, u0_upper=prob.interval.upper)
     out = [
@@ -727,7 +839,7 @@ def _scalar_march_outputs(prob, run):
         rpt.stored["upper_prev"].states, rpt.distances_lower, rpt.distances_upper,
         rpt.sandwich_violations, *extra,
     ]
-    return out, (rpt.n_iters, rpt.clamp_fraction, rpt.converged)
+    return out, (rpt.n_iters, rpt.clamp_fraction, rpt.converged, rpt.contraction_bound)
 
 
 class BlockMarch(mv.monotone._March):
@@ -737,7 +849,7 @@ class BlockMarch(mv.monotone._March):
 
 
 @pytest.mark.parametrize("cone", ["standard", "reversed"])
-@pytest.mark.parametrize("run", ["from_zero", "from_bounds", "equilibria"])
+@pytest.mark.parametrize("run", ["from_zero", "from_inside", "from_bounds", "equilibria"])
 class TestScalarMarch:
     """The dim == 1 march on Python floats against the numpy evaluations."""
 
@@ -757,7 +869,17 @@ class TestScalarMarch:
     def test_float_path_matches_the_block_path(self, cone, run, monkeypatch):
         # the signed sqrt is odd and cannot show a wrong cone sign, logistic
         # can; the block path adds p*y to 0.0 in a matmul, so its zeros may
-        # carry the other sign, which array_equal ignores
+        # carry the other sign, which array_equal ignores.  From the
+        # midpoint 2 both rows rise toward 3: the upper row (the lower one
+        # on the reversed cone) moves against its side, and the start rule
+        # of the contraction bound fires on both paths
+        reach, drifts = mv.monotone._March._reach, []
+
+        def recording(march, drift):
+            drifts.append(drift)
+            return reach(march, drift)
+
+        monkeypatch.setattr(mv.monotone._March, "_reach", recording)
         lower, upper = grid([0.0]), grid([4.0])
         itv = (
             mv.OrderInterval(lower, upper) if cone == "standard"
@@ -768,10 +890,17 @@ class TestScalarMarch:
             horizon=1.0, dt=5e-3,
         )
         floats, counts = _scalar_march_outputs(prob, run)
+        float_drifts = drifts[:]
         monkeypatch.setattr(mv.monotone, "_March", BlockMarch)
+        drifts.clear()
         block, block_counts = _scalar_march_outputs(prob, run)
-        assert counts[2] and counts == block_counts
+        assert counts[2] and counts == block_counts and counts[3] is not None
         assert all(np.array_equal(a, b) for a, b in zip(floats, block))
+        assert float_drifts == drifts
+        if run == "from_inside":
+            assert drifts
+        elif run != "from_zero":  # rows from the bounds never move against their side
+            assert not drifts
 
 
 @given(
