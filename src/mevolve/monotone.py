@@ -25,16 +25,18 @@ to be the extremal equilibrium on its side (an M-matrix bound on the mean
 of F' over segments between the row and that point), or else once the
 increment over a window stalls, and a stalled state is Newton-polished.
 Where Newton from the row misses the extremal equilibrium, the proof is
-retried once from a state swept toward it by the elliptic monotone
-iteration u <- (A + mu)^-1 (F(u) + mu u), which preserves the order and
-fixes every equilibrium, so from a row below the minimal equilibrium it
-never passes it.  Both ends are cross-checked for minimality/maximality
-against independently found equilibria.
+retried from states swept toward it by the elliptic monotone iteration
+u <- (A + mu)^-1 (F(u) + mu u), after 8, 16, 32 and 64 sweeps and at the
+sweeps' stop; the iteration preserves the order and fixes every
+equilibrium, so from a row below the minimal equilibrium it never passes
+it.  Both ends are cross-checked for minimality/maximality against
+independently found equilibria.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -622,8 +624,9 @@ def _banded_solve(a: GeneratorSpec, blocks: np.ndarray,
     for i in range(c):
         for j in range(c):  # block entry [i, j] of node k is column c k + j
             ab[upper + i - j, :, j::c] -= blocks[:, i, j]
-    ok = np.isfinite(ab).all(axis=(0, 2)) & np.isfinite(rhs).all(axis=1)
-    if ok.all():
+    # one finiteness test of the whole stack; the per-row test only where it fails
+    if np.isfinite(ab).all() and np.isfinite(rhs).all():
+        ok = np.ones(m, dtype=bool)
         ab = ab.reshape(ab.shape[0], -1)
         b = rhs[:, nb.perm].ravel()
         if lower == upper == 1:
@@ -639,6 +642,8 @@ def _banded_solve(a: GeneratorSpec, blocks: np.ndarray,
             x = x.reshape(m, dim)[:, nb.inverse]
             return x, np.isfinite(x).all(axis=1)
         ok[(info - 1) // dim] = False  # the row of the first zero pivot
+    else:
+        ok = np.isfinite(ab).all(axis=(0, 2)) & np.isfinite(rhs).all(axis=1)
     x = np.full(rhs.shape, np.nan)
     if ok.any():
         x[ok], ok[ok] = _banded_solve(a, blocks[ok], rhs[ok])
@@ -804,17 +809,22 @@ def _enclose(problem: ProblemSpec, sides: np.ndarray, y_p: np.ndarray, x_lo: np.
 
 
 # elliptic sweeps of one certificate retry: they converge only linearly, and
-# Newton needs no more than its basin (the Fisher benchmark config at n = 60
-# needs 10, and runs to tol_eq = 1e-9 in about 200)
+# Newton needs no more than its basin (on the Fisher benchmark config at
+# n = 60, Newton from the swept state finds u* after 6 sweeps and the proof
+# holds after 12 to 16; the sweeps run to tol_eq = 1e-9 in about 200)
 SWEEP_MAX_ITER = 100
+# sweep counts after which the retry tries the proof, besides the last sweep
+SWEEP_CHECKPOINTS = (8, 16, 32, 64)
 
 
 def _sweep(problem: ProblemSpec, sides: np.ndarray, start: np.ndarray, lo: np.ndarray,
-           hi: np.ndarray, tol_eq: float) -> np.ndarray | None:
+           hi: np.ndarray, tol_eq: float) -> Iterator[tuple[np.ndarray, bool]]:
     """Elliptic monotone sweeps toward the minimal equilibrium u* of the box
     [lo, hi] in side coordinates y = T u (T = diag(sides)), from a start
-    proven to lie below u*: the last iterate, which lies below u* too, or
-    None when the proof's premises fail or a value is not finite.
+    proven to lie below u*: a generator of (y, last), one per sweep, with y
+    the swept state, which lies below u* too, and last whether the sweeps
+    stop there.  It ends without a last state when the proof's premises
+    fail or a value is not finite.
 
     With mu the march's shift (`auto_scale`), G = F + mu id is increasing
     on the interval in side coordinates, and M = T (A + mu) T is a Z-matrix,
@@ -824,8 +834,9 @@ def _sweep(problem: ProblemSpec, sides: np.ndarray, start: np.ndarray, lo: np.nd
     fixes u*: from y <= u* it never passes u*.  Each solve x of
     (A + mu) x = g (`_banded_solve`, the shift as node-local blocks) is
     lowered by its residual bound (|(A + mu) x - g| + defect_slack) psi,
-    which covers its round-off, and clamped into [lo, hi], which holds u*.  The sweeps stop once the
-    increment is at most tol_eq, or after SWEEP_MAX_ITER sweeps.
+    which covers its round-off, and clamped into [lo, hi], which holds u*.
+    The sweeps stop once the increment is at most tol_eq, or after
+    SWEEP_MAX_ITER sweeps.
     """
     scaled = auto_scale(problem)
     a = scaled.A
@@ -835,23 +846,24 @@ def _sweep(problem: ProblemSpec, sides: np.ndarray, start: np.ndarray, lo: np.nd
     x, ok = _banded_solve(problem.A, shift, sides[None])
     psi = sides * x[0]
     if not (ok[0] and np.all(psi > 0.0)):
-        return None
+        return
     y = start
-    for _ in range(SWEEP_MAX_ITER):
+    for count in range(1, SWEEP_MAX_ITER + 1):
         g = scaled.rhs(sides * y)
         x, ok = _banded_solve(problem.A, shift, g[None])
         if not ok[0]:
-            return None
+            return
         x = x[0]
         bound = float(np.abs(a.matrix @ x - g).max()) + defect_slack(a, x, g)
         if not np.isfinite(bound):  # an overflow
-            return None
-        y_next = np.clip(sides * x - bound * psi, lo, hi)
-        inc = float(np.max(np.abs(y_next - y)))
+            return
+        # the clamp as np.clip computes it, without its dispatch cost
+        y_next = np.minimum(np.maximum(sides * x - bound * psi, lo), hi)
+        last = float(np.abs(y_next - y).max()) <= tol_eq or count == SWEEP_MAX_ITER
         y = y_next
-        if inc <= tol_eq:
-            break
-    return y
+        yield y, last
+        if last:
+            return
 
 
 def _certify_extremal(problem: ProblemSpec, state: np.ndarray, side: int, tol_eq: float,
@@ -892,30 +904,42 @@ def _certify_extremal(problem: ProblemSpec, state: np.ndarray, side: int, tol_eq
     M+ (p - u*) <= 0, which no M-matrix allows; an unstable or degenerate
     equilibrium fails the M-matrix test as well.
 
-    When this pass fails, the proof is retried once from a swept state:
-    `_sweep` runs elliptic monotone sweeps from l - slack, clamped into the
-    interval (the row lies below u* up to the march's slack).  Every sweep
-    stays below u*: the sweep map is order-preserving and fixes u*, and
-    each iterate is lowered by its own solve-residual bound.  So the swept
-    state is an l as above, and the retry is the same pass with Newton
-    started from it.
+    When this pass fails, the proof is retried from swept states: `_sweep`
+    runs elliptic monotone sweeps from l - slack, clamped into the interval
+    (the row lies below u* up to the march's slack).  Every sweep stays
+    below u*: the sweep map is order-preserving and fixes u*, and each
+    iterate is lowered by its own solve-residual bound.  So each swept
+    state y is an l as above.  The retry tries the proof after each of
+    SWEEP_CHECKPOINTS sweeps and after the last sweep, every stage
+    continuing from the last swept state.  The pass holds for any p with
+    its own residual rho, so a stage reruns only `_enclose`, with y as the
+    box's lower end, unless the stage is the last or y lies above p by more
+    than tol_eq + slack somewhere; then Newton first reruns from y.  Such a
+    p is more than tol_eq away from u*, which lies above y, so no proof for
+    it can hold, and the first pass skips `_enclose` on the same test of
+    the row.  The last stage is the pass with Newton from the sweeps' end,
+    so a proof that holds there is never lost to the stages before it.
     """
     interval = problem.interval
     sides = side * interval.cone.sign_vector(interval.lower.n_points)
     a, b = sides * interval.lower.values, sides * interval.upper.values
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    start = state
-    for retry in (False, True):
-        if retry:
-            # the row lies below u* up to the march's slack
-            swept = _sweep(problem, sides, np.clip(sides * state - slack, lo, hi), lo, hi, tol_eq)
-            if swept is None:
-                return None
-            start = sides * swept
-        p, rho, _ = newton_equilibrium(problem, start, tol_res=0.0)
-        y_p = np.clip(sides * p, lo, hi)  # moves p only toward u*, which lies inside
-        x_lo = np.minimum(sides * start, y_p) - slack
-        radius = _enclose(problem, sides, y_p, x_lo, hi, rho, tol_eq)
+    row = sides * state
+    p, rho, _ = newton_equilibrium(problem, state, tol_res=0.0)
+    y_p = np.clip(sides * p, lo, hi)  # moves p only toward u*, which lies inside
+    if not np.any(row > y_p + (tol_eq + slack)):
+        radius = _enclose(problem, sides, y_p, np.minimum(row, y_p) - slack, hi, rho, tol_eq)
+        if radius is not None:
+            return sides * y_p, radius
+    # the row lies below u* up to the march's slack
+    sweeps = _sweep(problem, sides, np.clip(row - slack, lo, hi), lo, hi, tol_eq)
+    for count, (y, last) in enumerate(sweeps, 1):
+        if not (last or count in SWEEP_CHECKPOINTS):
+            continue
+        if last or np.any(y > y_p + (tol_eq + slack)):
+            p, rho, _ = newton_equilibrium(problem, sides * y, tol_res=0.0)
+            y_p = np.clip(sides * p, lo, hi)
+        radius = _enclose(problem, sides, y_p, np.minimum(y, y_p) - slack, hi, rho, tol_eq)
         if radius is not None:
             return sides * y_p, radius
     return None

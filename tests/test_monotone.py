@@ -1,6 +1,7 @@
 """The iteration engine: sandwich, convergence, extremal objects."""
 
 import copy
+import itertools
 import warnings
 
 import numpy as np
@@ -1478,13 +1479,18 @@ class TestCertifiedStop:
                                         tol_res=cfg["tol_res"], seed=cfg["seed"])
 
 
-def _first_pass(problem, state, side, tol_eq, slack):
-    """The certificate's first pass alone, Newton from the row and one
-    `_enclose`, as `_certify_extremal` ran before it had a retry."""
+def _side_box(problem, side):
+    """The side signs and the interval [lo, hi] in side coordinates."""
     interval = problem.interval
     sides = side * interval.cone.sign_vector(interval.lower.n_points)
     a, b = sides * interval.lower.values, sides * interval.upper.values
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return sides, np.minimum(a, b), np.maximum(a, b)
+
+
+def _first_pass(problem, state, side, tol_eq, slack):
+    """The certificate's first pass alone, Newton from the row and one
+    `_enclose`, as `_certify_extremal` ran before it had a retry."""
+    sides, lo, hi = _side_box(problem, side)
     p, rho, _ = mv.newton_equilibrium(problem, state, tol_res=0.0)
     y_p = np.clip(sides * p, lo, hi)
     x_lo = np.minimum(sides * state, y_p) - slack
@@ -1492,9 +1498,22 @@ def _first_pass(problem, state, side, tol_eq, slack):
     return None if radius is None else (sides * y_p, radius)
 
 
+def _single_retry(problem, state, side, tol_eq, slack):
+    """The certificate as it ran before its retry had stages: the first
+    pass, then the same pass once more from the sweeps' last state."""
+    cert = _first_pass(problem, state, side, tol_eq, slack)
+    if cert is not None:
+        return cert
+    sides, lo, hi = _side_box(problem, side)
+    start = np.clip(sides * state - slack, lo, hi)
+    ends = [y for y, last in mv.monotone._sweep(problem, sides, start, lo, hi, tol_eq) if last]
+    return _first_pass(problem, sides * ends[0], side, tol_eq, slack) if ends else None
+
+
 class TestSweptEnd:
     """The certificate's retry: elliptic monotone sweeps from the march's
-    row (monotone._sweep), then Newton from the swept state."""
+    row (monotone._sweep), with the proof tried after SWEEP_CHECKPOINTS
+    sweeps and at the sweeps' stop."""
 
     @staticmethod
     def _fisher(n):
@@ -1517,8 +1536,7 @@ class TestSweptEnd:
     @pytest.mark.parametrize("case", [
         "scalar", "reversed_logistic", "fisher_neumann", "flipped_competition",
     ])
-    def test_every_sweep_stays_on_its_side(self, problems, case, monkeypatch):
-        monkeypatch.setattr(mv.monotone, "SWEEP_MAX_ITER", 1)  # one sweep per call
+    def test_every_sweep_stays_on_its_side(self, problems, case):
         prob = problems[case]
         itv = prob.interval
         eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-9, tol_res=1e-8)
@@ -1538,19 +1556,21 @@ class TestSweptEnd:
                 top = sides * star.values + radius
                 y = np.clip(sides * march._standard(march.y[end]) - march.slack, lo, hi)
                 assert np.all(y <= top)
-                for _ in range(30):  # every iterate
-                    y = mv.monotone._sweep(prob, sides, y, lo, hi, 0.0)
-                    assert y is not None
+                # a negative tol_eq never stops on the increment, so the
+                # sweeps run on where an iterate repeats
+                sweeps = itertools.islice(mv.monotone._sweep(prob, sides, y, lo, hi, -1.0), 30)
+                count = 0
+                for count, (y, _) in enumerate(sweeps, 1):  # every iterate
                     assert np.all(y <= top), (window, end)
                     assert np.all((lo <= y) & (y <= hi))
+                assert count == 30
 
     @pytest.mark.parametrize("case", [
         "scalar", "neumann_logistic_2", "dirichlet_competition_2", "fisher_neumann",
     ])
-    def test_sweep_matches_a_dense_solve(self, problems, case, monkeypatch):
+    def test_sweep_matches_a_dense_solve(self, problems, case):
         # one banded-LU sweep against the same sweep by a dense solve, on
         # 1 x 1, 2 x 2 tridiagonal, interleaved two-species and n = 24 bands
-        monkeypatch.setattr(mv.monotone, "SWEEP_MAX_ITER", 1)
         if case == "neumann_logistic_2":
             prob = mv.build_logistic(mv.build_laplacian_1d(2, "neumann"), 1.0, 2.0).problem()
         elif case == "dirichlet_competition_2":
@@ -1565,7 +1585,7 @@ class TestSweptEnd:
             a, b = sides * itv.lower.values, sides * itv.upper.values
             lo, hi = np.minimum(a, b), np.maximum(a, b)
             y = lo + 0.25 * (hi - lo)
-            ours = mv.monotone._sweep(prob, sides, y, lo, hi, 0.0)
+            ours, _ = next(mv.monotone._sweep(prob, sides, y, lo, hi, 0.0))
             x = np.linalg.solve(scaled.A.matrix, scaled.rhs(sides * y))
             psi = sides * np.linalg.solve(scaled.A.matrix, sides)
             assert np.all(psi > 0.0)
@@ -1579,26 +1599,111 @@ class TestSweptEnd:
     def test_fisher_benchmark_config_certifies_at_window_1_through_the_retry(
         self, monkeypatch
     ):
+        # Newton from the row falls to a lower equilibrium, so the first
+        # pass fails; Newton from the swept state finds u* after 6 sweeps and
+        # the proof holds after 12 to 16
         scen = self._fisher(60)
         prob = scen.problem(horizon=1.0, dt=0.02)
-        swept = []
-        original = mv.monotone._sweep
+        calls = []  # per certificate call: [side, sweeps, Newton runs]
+        active = []
+        certify, sweep, newton = (
+            mv.monotone._certify_extremal, mv.monotone._sweep, mv.monotone.newton_equilibrium
+        )
 
-        def recorded(problem, sides, *args, **kwargs):
-            y = original(problem, sides, *args, **kwargs)
-            swept.append(int(sides[0]))
-            return y
+        def counted_certify(problem, state, side, *args):
+            calls.append([side, 0, 0])
+            active.append(calls[-1])
+            try:
+                return certify(problem, state, side, *args)
+            finally:
+                active.pop()
 
-        monkeypatch.setattr(mv.monotone, "_sweep", recorded)
+        def counted_sweep(*args):
+            for item in sweep(*args):
+                active[-1][1] += 1
+                yield item
+
+        def counted_newton(*args, **kwargs):
+            if active:
+                active[-1][2] += 1
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(mv.monotone, "_certify_extremal", counted_certify)
+        monkeypatch.setattr(mv.monotone, "_sweep", counted_sweep)
+        monkeypatch.setattr(mv.monotone, "newton_equilibrium", counted_newton)
         eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-9, tol_res=1e-8)
         assert eq.certified == (True, True) and len(eq.windows) == 1
         assert all(r <= 1e-9 for r in eq.certified_radius)
-        assert sorted(swept) == [-1, 1]  # each end retried once
+        assert sorted(side for side, _, _ in calls) == [-1, 1]  # one call per end
+        for side, sweeps, newton_runs in calls:
+            assert 0 < sweeps <= 16 and newton_runs <= 2, side
         itv = scen.interval
         lower = steady_state(scen.A.matrix, scen.F, itv.lower.values)
         upper = steady_state(scen.A.matrix, scen.F, itv.upper.values)
         assert np.max(np.abs(eq.u_star.values - lower)) <= 1e-8
         assert np.max(np.abs(eq.u_upper_star.values - upper)) <= 1e-8
+
+    def test_no_certificate_is_lost_to_the_schedule(self):
+        # every window-1 end that the single retry from the sweeps' stop
+        # certifies also certifies under the schedule, at a point within
+        # tol_eq of the single retry's: the last stage is the single retry,
+        # and the stages before it only add chances
+        competition = {"a1": 30.0, "a2": 30.0, "b11": 1.0, "b12": 0.3, "b21": 0.3, "b22": 1.0}
+        params = {
+            "logistic": {"a": 15.0, "b": 1.0},
+            "competition": competition,
+            "fisher": {"alpha": 0.5,
+                       "m": {"profile": "sin", "amplitude": 8.0, "frequency": 1.0}},
+        }
+        cases = [(name, params[name], bc, n) for name in params
+                 for bc in ("dirichlet", "neumann", "robin") for n in (2, 3, 8, 20)]
+        # a1 below lambda_1: the maximal end (0, 0) is unstable
+        cases.append(("competition", dict(competition, a1=5.0), "dirichlet", 8))
+        results, retried = {}, 0
+        for name, par, bc, n in cases:
+            prob = mv.build_from_config(name, par, n, bc, 1.0).problem(horizon=1.0, dt=0.05)
+            itv = prob.interval
+            march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9)
+            march.advance(mv.time_grid(prob.horizon, prob.dt).size - 1)
+            for end, side in ((0, 1), (1, -1)):
+                key = (name, par["a1"] if name == "competition" else None, bc, n, end)
+                state = march._standard(march.y[end])
+                ref = _single_retry(prob, state, side, 1e-9, march.slack)
+                cert = mv.monotone._certify_extremal(prob, state, side, 1e-9, march.slack)
+                results[key] = (ref, cert)
+                if ref is not None:
+                    assert cert is not None and cert[1] <= 1e-9, key
+                    assert np.max(np.abs(cert[0] - ref[0])) <= 1e-9, key
+                    retried += _first_pass(prob, state, side, 1e-9, march.slack) is None
+        assert retried > 0  # some ends certify only through the retry
+        for key in (("competition", 5.0, "dirichlet", 8, 1), ("fisher", None, "neumann", 2, 1),
+                    ("fisher", None, "neumann", 3, 1)):
+            assert results[key] == (None, None), key
+
+    def test_last_stage_reruns_newton(self, monkeypatch):
+        # Newton from the row returns a genuine equilibrium above u*, which no
+        # swept state passes, so no stage before the last reruns Newton; the
+        # last stage's run from the swept state finds u*, as the single
+        # retry did
+        prob, minimal, other = TestCertifiedStop._scalar()
+        eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-9, tol_res=1e-8)
+        state = eq.U_min.terminal().values
+        slack = mv.order.order_slack(prob.interval.value_scale(), prob.interval.dim)
+        original = mv.monotone.newton_equilibrium
+        starts = []
+
+        def wrong_first(problem, start, tol_res=1e-10):
+            starts.append(start)
+            if len(starts) == 1:  # the run from the row
+                v = np.full_like(start, other)
+                return v, mv.monotone.monotone_norm(problem.A.matrix @ v - problem.rhs(v)), True
+            return original(problem, start, tol_res)
+
+        monkeypatch.setattr(mv.monotone, "newton_equilibrium", wrong_first)
+        cert = mv.monotone._certify_extremal(prob, state, 1, 1e-9, slack)
+        assert cert is not None and cert[1] <= 1e-9
+        assert np.max(np.abs(cert[0] - minimal)) <= 1e-9
+        assert len(starts) == 2
 
     def test_first_pass_result_is_unchanged_where_it_certifies(self, monkeypatch):
         # the mesh benchmark config: the retry never runs, and (p, radius)
@@ -1642,4 +1747,6 @@ class TestSweptEnd:
         sides = itv.cone.sign_vector(4).astype(float)
         lo = np.minimum(sides * lower.values, sides * upper.values)
         hi = np.maximum(sides * lower.values, sides * upper.values)
-        assert mv.monotone._sweep(ok, sides, lo, lo, hi, 1e-9) is not None
+        swept = next(mv.monotone._sweep(ok, sides, lo, lo, hi, 1e-9), None)
+        assert swept is not None
+        assert np.all((lo <= swept[0]) & (swept[0] <= hi))
