@@ -7,15 +7,19 @@ Laplacians on the unit interval with Dirichlet, Neumann or Robin closures;
 potentials add a diagonal.  Systems are block-diagonal compositions.
 
 All matrix functions run through a cached eigendecomposition of a
-diagonally-symmetrized copy of the matrix.  The scaling is read off a
-breadth-first spanning forest of the off-diagonal pattern, and one entrywise
-test of the scaled matrix checks every other edge.  Tridiagonal patterns,
-and block-diagonal compositions of them, are forests, so they always pass,
-which keeps every evaluation spectral-exact; a generator that admits no such
-scaling (an asymmetric pattern, or a cycle whose ratios do not multiply to 1)
-is rejected with a ValidationError on its first spectral use.  A shift
-A + mu*I keeps the eigenvectors and the scaling of A, so every shifted copy
-reuses the base factorization and shares one cache of step propagators.
+diagonally-symmetrized copy of the matrix, and one entrywise test of the
+scaled matrix checks it is symmetric.  Every scenario generator is
+tridiagonal (a 1-D Laplacian, a block-diagonal pair of them, a 1 x 1
+matrix), and such a matrix stays on its band: the scaling is the running
+product of the off-diagonal ratios, restarting wherever the band breaks,
+and LAPACK's MRRR solver (stemr) factorizes the scaled band without the
+dense reduction.  Any other matrix reads its scaling off a breadth-first
+spanning forest of the off-diagonal pattern and goes through the dense
+eigh.  A generator that admits no scaling (an asymmetric pattern, or a
+cycle whose ratios do not multiply to 1) is rejected with a ValidationError
+on its first spectral use.  A shift A + mu*I keeps the eigenvectors and the
+scaling of A, so every shifted copy reuses the base factorization and
+shares one cache of step propagators.
 
 Linear solves with A minus a node-local term (Newton's matrix) run on A's
 band once the components are interleaved node by node (`node_band`): one
@@ -25,6 +29,7 @@ of species.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -94,7 +99,12 @@ class GeneratorSpec:
                 raise ValidationError(
                     "generator is not symmetrizable by a positive diagonal scaling"
                 )
-            w, q = scipy.linalg.eigh(sym, lower=True)
+            if _is_tridiagonal(sym):
+                w, q = scipy.linalg.eigh_tridiagonal(
+                    np.diag(sym), np.diag(sym, -1), lapack_driver="stemr"
+                )
+            else:
+                w, q = scipy.linalg.eigh(sym, lower=True)
             self._eig = (d, w, q)
         return self._eig
 
@@ -168,17 +178,29 @@ def _node_band(matrix: np.ndarray, c: int) -> NodeBand:
     return NodeBand(perm, inverse, (lower, upper), band, blocks)
 
 
+def _is_tridiagonal(m: np.ndarray) -> bool:
+    """No nonzero entry outside the three central diagonals."""
+    on_band = sum(np.count_nonzero(np.diagonal(m, k)) for k in (-1, 0, 1))
+    return np.count_nonzero(m) == on_band
+
+
 def _symmetrizer(m: np.ndarray) -> np.ndarray:
     """Positive diagonal d with diag(1/d) M diag(d) symmetric if any exists.
 
     d is 1 at the first node of each connected component of the mutual
     off-diagonal pattern (m[i, j] and m[j, i] both nonzero), and
     d[j] = d[p] * sqrt(m[j, p] / m[p, j]) down the edges (p, j) of a
-    breadth-first tree from there.  Only the tree edges are read; the caller
-    checks the scaled matrix on every other one.
+    breadth-first tree from there.  On a tridiagonal matrix the components
+    are runs of the band and the tree is the path, so d is the running
+    product of the ratios, restarting at 1 wherever either off-diagonal
+    entry is 0.  Only the tree edges are read; the caller checks the scaled
+    matrix on every other one.
     """
-    if m.shape[0] == 1:
-        return np.ones(1)  # skips the scipy.sparse import for scalar problems
+    if _is_tridiagonal(m):
+        d = [1.0]
+        for low, up in zip(np.diag(m, -1).tolist(), np.diag(m, 1).tolist()):
+            d.append(d[-1] * math.sqrt(low / up) if low != 0.0 and up != 0.0 else 1.0)
+        return np.array(d)
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order, connected_components
 
@@ -334,12 +356,15 @@ class EigPair:
 
 
 def _is_irreducible(m: np.ndarray) -> bool:
+    """The directed off-diagonal graph is strongly connected; on a
+    tridiagonal matrix, both off-diagonals are nonzero everywhere."""
+    if _is_tridiagonal(m):
+        off = np.concatenate((np.diag(m, -1), np.diag(m, 1)))
+        return bool(np.all(np.abs(off) > 0))
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     n = m.shape[0]
-    if n == 1:
-        return True
     adj = csr_matrix((np.abs(m) > 0) & ~np.eye(n, dtype=bool))
     ncomp, _ = connected_components(adj, directed=True, connection="strong")
     return ncomp == 1

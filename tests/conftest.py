@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import mevolve as mv
 from mevolve.mild import time_grid
@@ -25,6 +26,28 @@ def rng():
 
 def grid(values, components=1):
     return mv.GridFunction(np.asarray(values, dtype=float), components)
+
+
+def count_solvers(monkeypatch):
+    """Record each call of scipy.linalg.eigh and eigh_tridiagonal by name."""
+    calls = []
+    for name in ("eigh", "eigh_tridiagonal"):
+        solver = getattr(scipy.linalg, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            calls.append(_solver.__name__)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counted)
+    return calls
+
+
+def dense_generator_matrix():
+    """A 7 x 7 generator with every off-diagonal entry negative (seeded
+    random) and strictly diagonally dominant rows."""
+    rng = np.random.default_rng(3)
+    off = -rng.uniform(0.1, 1.0, size=(7, 7))
+    return off - np.diag(np.diag(off)) + np.diag(np.sum(np.abs(off), axis=1) + 1.0)
 
 
 def constant_trajectory(u, horizon, dt):

@@ -8,7 +8,16 @@ import scipy.linalg
 
 import mevolve as mv
 from mevolve.errors import DimensionMismatchError, ValidationError
-from mevolve.generators import _symmetrizer, propagator_matrices, scalar_generator, shifted
+from mevolve.generators import (
+    _is_irreducible,
+    _is_tridiagonal,
+    _symmetrizer,
+    propagator_matrices,
+    scalar_generator,
+    shifted,
+)
+
+from conftest import count_solvers, dense_generator_matrix
 
 
 def periodic_laplacian(n):
@@ -74,14 +83,19 @@ class TestAssembly:
             scipy.linalg.eigvalsh(s)[0], abs=1e-12)
 
     def test_band_scaling_is_the_running_product_of_ratios(self):
-        # on a path the forest multiplies the ratios in band order, so the
-        # scaling (and every spectral result) is the same to the last bit
+        # on a path the breadth-first forest multiplies the ratios in band
+        # order: the band's running product is its scaling to the last bit
         robin = mv.build_laplacian_1d(99, "robin", beta=1.0)
         neumann = mv.build_laplacian_1d(12, "neumann")
-        for gen, starts in ((robin, {0}), (mv.block_generator([neumann, neumann]), {0, 12})):
-            m = gen.matrix
+        one_sided = robin.matrix.copy()
+        one_sided[4, 5] = 0.0  # the pair (4, 5) is no mutual edge: restart at 5
+        for m, starts in (
+            (robin.matrix, {0}),
+            (mv.block_generator([neumann, neumann]).matrix, {0, 12}),
+            (one_sided, {0, 5}),
+        ):
             expected = [1.0]
-            for i in range(1, gen.dim):
+            for i in range(1, m.shape[0]):
                 if i in starts:
                     expected.append(1.0)
                 else:
@@ -93,6 +107,103 @@ class TestAssembly:
         s[0, -1] *= 1.0 + 1e-9  # the edge closing the cycle
         with pytest.raises(ValidationError, match="symmetrizable"):
             mv.GeneratorSpec(s, 1.0, "system").min_eigenvalue()
+
+
+BAND_CASES = [
+    f"{bc}{n}" for bc in ("dirichlet", "neumann", "robin") for n in (2, 3, 60, 160)
+] + ["block_pair", "potential", "shifted"]
+
+
+@pytest.fixture(scope="module")
+def band_generators():
+    """Tridiagonal generators: the three closures, a block-diagonal pair, a
+    potential with both signs and a shifted copy."""
+    cases = {}
+    for bc, beta in (("dirichlet", None), ("neumann", None), ("robin", 0.7)):
+        for n in (2, 3, 60, 160):
+            cases[f"{bc}{n}"] = mv.build_laplacian_1d(n, bc, beta)
+    neumann = mv.build_laplacian_1d(60, "neumann")
+    cases["block_pair"] = mv.block_generator([neumann, mv.build_laplacian_1d(60, "dirichlet")])
+    weight = 8.0 * np.sin(2 * np.pi * mv.generators.mesh_nodes(neumann))
+    cases["potential"] = mv.add_potential(neumann, -weight)
+    cases["shifted"] = shifted(mv.build_laplacian_1d(60, "robin", 0.7), 2.5)
+    assert sorted(cases) == sorted(BAND_CASES)
+    return cases
+
+
+def csgraph_irreducible(m):
+    """Strong connectivity of the off-diagonal graph by a graph search."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    adj = csr_matrix((np.abs(m) > 0) & ~np.eye(m.shape[0], dtype=bool))
+    return connected_components(adj, directed=True, connection="strong")[0] == 1
+
+
+class TestBandPath:
+    """Tridiagonal generators factorize on their band; the dense eigh and
+    the graph searches are the oracles."""
+
+    @pytest.mark.parametrize("case", BAND_CASES)
+    def test_eigenvalues_match_the_dense_solver(self, band_generators, case, monkeypatch):
+        gen = band_generators[case]
+        fresh = mv.GeneratorSpec(gen.matrix, gen.mesh_h, gen.bc)
+        calls = count_solvers(monkeypatch)
+        w = fresh._eig_factors()[1]
+        assert calls == ["eigh_tridiagonal"]
+        monkeypatch.undo()
+        d = _symmetrizer(gen.matrix)
+        oracle = scipy.linalg.eigvalsh(gen.matrix * np.outer(1.0 / d, d))
+        bound = 1e-12 * np.max(np.abs(gen.matrix))
+        assert np.max(np.abs(w - oracle)) <= bound
+        # a shifted copy reads its base's factorization
+        assert np.max(np.abs(gen._eig_factors()[1] - oracle)) <= bound
+
+    @pytest.mark.parametrize("case", BAND_CASES)
+    def test_propagators_match_expm_and_solve(self, band_generators, case):
+        gen = band_generators[case]
+        # the oracles need a positive spectrum (Neumann's starts at 0)
+        gen = shifted(gen, max(0.0, -gen.min_eigenvalue()) + 1.0)
+        dt = 0.02
+        p, b = propagator_matrices(gen, dt)
+        assert np.max(np.abs(p - scipy.linalg.expm(-dt * gen.matrix))) <= 1e-12
+        oracle = np.linalg.solve(gen.matrix, np.eye(gen.dim) - p)
+        assert np.max(np.abs(b - oracle)) <= 1e-12
+
+    def test_a_dense_generator_goes_through_eigh(self, monkeypatch):
+        dense = dense_generator_matrix()
+        assert not _is_tridiagonal(dense)
+        calls = count_solvers(monkeypatch)
+        # Newton's 7 x 7 dense generator admits no symmetrizing scaling ...
+        with pytest.raises(ValidationError, match="symmetrizable"):
+            mv.GeneratorSpec(dense, 1.0, "dense").min_eigenvalue()
+        assert calls == []
+        # ... and its symmetric part, conjugated by a positive diagonal, does
+        s = 0.5 * (dense + dense.T)
+        d = np.linspace(1.0, 2.0, 7)
+        w = mv.GeneratorSpec(d[:, None] * s / d[None, :], 1.0, "dense")._eig_factors()[1]
+        assert calls == ["eigh"]
+        monkeypatch.undo()
+        assert np.max(np.abs(w - scipy.linalg.eigvalsh(s))) <= 1e-12 * np.max(np.abs(s))
+
+    def test_irreducibility_matches_the_graph_search(self):
+        rng = np.random.default_rng(11)
+        answers = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            lower, upper = (
+                -rng.uniform(0.1, 1.0, n - 1) * (rng.random(n - 1) < 0.8) for _ in range(2)
+            )
+            m = np.diag(rng.uniform(1.0, 3.0, n)) + np.diag(lower, -1) + np.diag(upper, 1)
+            assert _is_tridiagonal(m)
+            answers.add(_is_irreducible(m))
+            assert _is_irreducible(m) == csgraph_irreducible(m)
+        assert answers == {True, False}
+
+    def test_scalar_is_a_band_of_one(self):
+        m = np.array([[3.0]])
+        assert _is_tridiagonal(m) and _is_irreducible(m)
+        assert np.array_equal(_symmetrizer(m), [1.0])
 
 
 class TestSemigroup:

@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import mevolve as mv
 from mevolve.errors import ValidationError
 from mevolve.mild import time_grid
 
-from conftest import constant_trajectory, grid
+from conftest import constant_trajectory, count_solvers, grid
 
 
 @pytest.fixture(scope="module")
@@ -66,14 +65,9 @@ class TestScaling:
         assert scaled.A.min_eigenvalue() >= 0.1 - 1e-12
 
     def test_auto_scale_shares_one_factorization(self, monkeypatch):
-        calls = []
-        eigh = scipy.linalg.eigh
-
-        def counted_eigh(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+        # a tridiagonal generator factorizes through eigh_tridiagonal, any
+        # other through eigh: count both
+        calls = count_solvers(monkeypatch)
         gen = mv.build_laplacian_1d(6, "neumann")
         interval = mv.OrderInterval(grid(np.zeros(6)), grid(np.ones(6)))
         prob = mv.ProblemSpec(gen, mv.logistic(1.0, 2.0), interval)
@@ -83,6 +77,7 @@ class TestScaling:
         p2, b2 = second.A.propagators(0.01)
         assert p1 is p2 and b1 is b2
         assert len(calls) == 1
+        assert calls == ["eigh_tridiagonal"]  # a Neumann Laplacian stays on its band
 
 
 class TestPicardSweep:

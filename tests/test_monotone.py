@@ -18,7 +18,7 @@ from mevolve.errors import NumericalError, ValidationError
 from mevolve.monotone import time_monotonicity_violation
 from mevolve.nonlin import _SignedSqrt
 
-from conftest import bench_module, constant_trajectory, grid
+from conftest import bench_module, constant_trajectory, dense_generator_matrix, grid
 
 workloads = bench_module("workloads")  # the benchmark's workload definitions
 
@@ -951,12 +951,9 @@ def newton_problems():
     assert competition.cone == mv.FLIPPED_CONE
     cases["competition_flipped"] = competition.problem()
     cases["scalar"] = mv.build_scalar_nonunique(1.0, 2.0).problem()
-    rng = np.random.default_rng(3)
-    off = -rng.uniform(0.1, 1.0, size=(7, 7))
-    dense = off - np.diag(np.diag(off)) + np.diag(np.sum(np.abs(off), axis=1) + 1.0)
     box = mv.OrderInterval(grid(np.zeros(7)), grid(4.0 * np.ones(7)))
     cases["dense_generator"] = mv.ProblemSpec(
-        mv.GeneratorSpec(dense, 1.0, "dense"), mv.logistic(2.0, 1.0), box
+        mv.GeneratorSpec(dense_generator_matrix(), 1.0, "dense"), mv.logistic(2.0, 1.0), box
     )
     # a custom term: the base class assembles its dense oracle from its blocks
     box = mv.OrderInterval(grid(-2.0 * np.ones(10)), grid(2.0 * np.ones(10)))
