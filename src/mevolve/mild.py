@@ -24,7 +24,7 @@ whose fixed points are exactly the discrete mild solutions; it backs
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,7 +88,7 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
     return dt * np.arange(k + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """Data of the evolution problem du/dt + A u = F(u) on an order interval.
 
@@ -96,6 +96,13 @@ class ProblemSpec:
     contains +mu*I and the effective reaction term is F + mu*id, so fixed
     points and equilibria coincide with the unshifted problem.  A must not
     couple components of opposite cone sign.
+
+    Frozen: `monotone` memoizes the march over the first window by
+    tolerance in `_first_windows`, and that march depends on every field.
+    The march holds arrays, the interval and the reaction term, nothing that
+    refers back to a problem.  The memo is no init field, so
+    `dataclasses.replace` (`scale_problem`) gives the copy a memo of its
+    own.
     """
 
     A: GeneratorSpec
@@ -104,6 +111,7 @@ class ProblemSpec:
     mu: float = 0.0
     horizon: float = 1.0
     dt: float = 1e-2
+    _first_windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.interval.dim != self.A.dim:

@@ -1,8 +1,17 @@
 """Monotone lower/upper time-marching between sub- and super-solutions.
 
-A march holds two rows, the lower one started from the initial value u0 and
-the upper one from u0_upper >= u0 (default u0), and advances them one time
-step at a time.  Step k solves the implicit exponential-Euler relation
+A march holds a lower row and one or more upper rows, started from initial
+values ordered below them, and advances them one time step at a time; each
+upper row forms a pair with the lower row, and a pair's figures read its own
+two rows only.  `iterate` marches one pair, from u0 and u0_upper >= u0
+(default u0).  A problem's first window is one march, memoized on the
+problem by tol: rows L from the lower bound and H from the upper bound, and
+with them, once `iterate` from the lower bound asks for it, row U from the
+lower bound (the rising upper row).  `iterate` from the lower bound reads
+pair (L, U), or (L, H) from both bounds; `asymptotic_equilibria` takes
+(L, H) as its first window and marches that pair on.  Any other start
+marches a pair of its own.  Step k solves the implicit exponential-Euler
+relation
 
     u_{k+1} = P u_k + B G(u_{k+1}),      G = F + mu*id increasing,
 
@@ -16,14 +25,15 @@ last step.  Positivity of P and B keeps the ordering chain
 
     lower bound <= z_j <= z_{j+1} <= Z_{j+1} <= Z_j <= upper bound
 
-valid at round-off level on every inner iteration of every step; the engine
-tracks the worst signed violation and aborts if it ever exceeds the
-floating-point-aware slack.  The rows converge to the minimal/maximal
-trajectories.  Marching on from the interval bounds yields the extremal
-equilibria: the march stops once Newton's point next to each row is proven
-to be the extremal equilibrium on its side (an M-matrix bound on the mean
-of F' over segments between the row and that point), or else once the
-increment over a window stalls, and a stalled state is Newton-polished.
+valid for every pair (z, Z) at round-off level on every inner iteration of
+every step; the engine tracks each pair's worst signed violation and aborts
+if any exceeds the floating-point-aware slack.  Two upper rows are not
+compared.  The rows converge to the minimal/maximal trajectories.  Marching
+on from the interval bounds yields the extremal equilibria: the march stops
+once Newton's point next to each row is proven to be the extremal
+equilibrium on its side (an M-matrix bound on the mean of F' over segments
+between the row and that point), or else once the increment over a window
+stalls, and a stalled state is Newton-polished.
 Where Newton from the row misses the extremal equilibrium, the proof is
 retried from states swept toward it by the elliptic monotone iteration
 u <- (A + mu)^-1 (F(u) + mu u), after 8, 16, 32 and 64 sweeps and at the
@@ -35,6 +45,9 @@ independently found equilibria.
 
 from __future__ import annotations
 
+import copy
+import functools
+import operator
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -134,10 +147,49 @@ def _contraction_bound(scaled: ProblemSpec, b_mat: np.ndarray) -> float | None:
     return q if q < 1.0 else None
 
 
-class _March:
-    """The lower and upper rows of one time march, solved step by step.
+@functools.lru_cache(maxsize=None)
+def _chain(k: int) -> tuple[tuple, tuple]:
+    """The chain checks of a march with k rows: (runs, pairs).
 
-    Rows are held as one 2 x dim block in standard coordinates (each entry
+    The links are lo <= row 0, row 0 <= row r and row r <= hi for every
+    upper row r, in that order: link 0, links 1 .. k - 1 and links
+    k .. 2k - 2.  They read the buffer [lo, row 0, ..., row k - 1, hi, ...,
+    hi], with k - 1 copies of hi so that upper row r meets its own at row
+    k + r.  `runs` groups the links into (first link, first buffer row,
+    second buffer row, count), one subtraction per run: one for k = 2, two
+    for k = 3.  Two upper rows are not linked: a rising row's contraction
+    start can lie above a falling row.  `pairs[r - 1]` picks, from the
+    maxima of the check rows of `_March` (2k per-row rows, then the links),
+    pair (0, r)'s violations in the order the march compares them: its
+    three links, the fall of row 0 and the rise of row r.
+    """
+    links = ([(0, 1)] + [(1, 1 + r) for r in range(1, k)]
+             + [(1 + r, k + r) for r in range(1, k)])
+    runs = []
+    for i, (a, b) in enumerate(links):
+        if runs and runs[-1][1] + runs[-1][3] == a and runs[-1][2] + runs[-1][3] == b:
+            runs[-1][3] += 1
+        else:
+            runs.append([i, a, b, 1])
+    pairs = tuple(
+        operator.itemgetter(2 * k, 2 * k + r, 3 * k - 1 + r, k, r) for r in range(1, k)
+    )
+    return tuple(map(tuple, runs)), pairs
+
+
+class _March:
+    """The rows of one time march, solved step by step: row 0 is the lower
+    row, rows 1, ..., k - 1 are upper rows.
+
+    Each upper row r forms the pair (0, r) with the lower row, and every
+    figure of a pair reads its own two rows only (`report`, `n_iters`,
+    `converged`, `worst_violation`): the rows share the steps' GEMMs, and
+    each row's iterates are those it would have alone, up to the rounding
+    of the GEMM (below).  `iterate` marches one pair; a problem's first
+    window (`_first_window`) marches rows L and H, or L, U and H, from the
+    lower bound, the lower bound and the upper bound, in one block.
+
+    Rows are held as one k x dim block in standard coordinates (each entry
     multiplied by its cone sign), where the cone order is the entrywise one.
     Step k solves z = P u_k + B G(z) by the monotone inner iteration
     z_{j+1} = P u_k + B G(z_j), from the row's interval bound, or from u_k
@@ -149,10 +201,10 @@ class _March:
     A row that moved against its side over step k-1 starts at its bound,
     unless the contraction bound q (`_contraction_bound`) is below 1.  Then
     the step map T_k(z) = c_k + B G(z), c_k = P u_k, has one fixed point,
-    and the upper row starts at min(hi, Y + delta), the lower row at
+    and an upper row starts at min(hi, Y + delta), the lower row at
     max(lo, Y - delta), with Y = u_k the row's state, delta = D / (1 - q)
     and D the largest entry of c_k - c_{k-1} (of c_{k-1} - c_k for the
-    lower row), floored at 0 and padded by the slack.  Proof for the upper
+    lower row), floored at 0 and padded by the slack.  Proof for an upper
     row: Y is the last iterate of step k-1's falling sequence, so
     T_{k-1}(Y) <= Y, and T_k(Y) = T_{k-1}(Y) + c_k - c_{k-1} <= Y + D.  With
     q the Lipschitz bound, T_k(Y + delta) <= Y + D + q delta = Y + delta: a
@@ -162,24 +214,47 @@ class _March:
     so a start that is not a super-solution (sub-solution) raises the
     sandwich breach.
 
+    The guards run on every inner iteration: each row's monotonicity, and
+    the links of `_chain`, lo <= z <= Z_r <= hi for every pair.
+
+    Each inner iteration multiplies the rows by B in one GEMM, whose
+    rounding can depend on how many rows it holds: one row takes another
+    BLAS kernel than two or three, which round each row alike.  A plain
+    march (`iterate` from another start, the equilibria march after window
+    1) multiplies its running rows only.  A first window (`hold`) multiplies
+    all its rows on every inner iteration and holds the stopped ones, so
+    that rows L and H come out the same in the window (L, H) as in the
+    window (L, U, H).
+
+    Two rows take `_advance_pair`, the block iteration written out for one
+    pair; three take `_advance_block`, which holds any number of rows; a
+    one-entry march (dim == 1) takes `_advance_scalar`, pair by pair on
+    Python floats.
+
+    A pair that breaches its chain, or clamps too often, fails alone: its
+    upper row is held from then on, the other pairs march on, and reading
+    the pair (`report`, `select`) raises the pair's NumericalError.  The
+    march raises at once when no pair is left.
+
     `advance` appends a chunk of steps; `report` describes the last chunk
-    and `trajectories` joins all of them.
+    and `trajectories` joins all of them; `select` copies out one pair.
     """
 
-    def __init__(self, problem, u0, u0_upper, tol):
+    def __init__(self, problem, lower, uppers, tol, hold=False):
         interval = problem.interval
         scaled = auto_scale(problem)
         svec = interval.cone.sign_vector(interval.lower.n_points)
         base_slack = order_slack(interval.value_scale(), interval.dim)
         # the breach guard additionally allows the bounds' own certificate deficit
         slack = max(base_slack, 12.0 * _bound_deficit(scaled, svec))
-        if order_violation(u0, u0_upper, interval.cone) > slack:
+        if any(order_violation(lower, upper, interval.cone) > slack for upper in uppers):
             raise ValidationError("u0_upper must lie above u0 in the cone order")
         self.interval, self.mu = interval, scaled.mu
-        self.dt, self.tol, self.slack = problem.dt, tol, slack
+        self.dt, self.tol, self.slack, self.hold = problem.dt, tol, slack, hold
         self.svec = None if np.all(svec == 1.0) else svec
         self.lo, self.hi = interval.standard_bounds()
-        start = np.vstack([u0.values, u0_upper.values])
+        start = np.vstack([lower.values, *(upper.values for upper in uppers)])
+        self.k = start.shape[0]
         clamped = clamp_values(start, interval)
         if monotone_norm(clamped - start) > slack:
             warnings.warn("initial value clamped to the order interval", stacklevel=3)
@@ -189,16 +264,19 @@ class _March:
         self.q = None  # the contraction bound, where it is below 1
         # the rows by node, one chunk per advance, each from its start node
         self.states: list[np.ndarray] = []
-        self.worst_violation = -np.inf  # over every step of the march
+        # per pair (0, r), entry r - 1: the worst violation over every step,
+        # and the message of the pair's failure, if it failed
+        self.worst_violation = [-np.inf] * (self.k - 1)
+        self.failed: list[str | None] = [None] * (self.k - 1)
         # of the last chunk: penultimate inner iterates by node, the largest
-        # [lower, upper] increment per inner iteration, the worst violation
-        # per step, clamp counts, inner iterations per row and convergence
+        # increment of each row per inner iteration, each pair's worst
+        # violation per step, and per row its clamp count, inner iterations
+        # in all, most inner iterations in one step and convergence
         self.penultimate = None
         self.distances: list[list[float]] = []
-        self.violations: list[float] = []
-        self.clamped = 0
-        self.row_iters = [0, 0]
-        self.converged = True
+        self.violations: list[list[float]] = []
+        self.row_clamped, self.row_iters, self.row_peak = [0] * self.k, [0] * self.k, [0] * self.k
+        self.row_converged = [True] * self.k
 
         # degenerate interval: both bounds coincide and must be an equilibrium;
         # the rows then stay constant and no inner iteration runs
@@ -216,9 +294,12 @@ class _March:
         p_mat, b_mat = scaled.A.propagators(problem.dt)
         self.p_t, self.b_t = p_mat.T.copy(), b_mat.T.copy()
         self.q = _contraction_bound(scaled, b_mat)
-        # the shifted reaction term in standard coordinates
-        self.g = scaled.rhs if self.svec is None else scaled.F.shifted_in_cone(svec, scaled.mu)
-        self.F = scaled.F
+        # the shifted reaction term in standard coordinates; it closes over
+        # the term and the shift, not over a problem
+        f, mu = scaled.F, scaled.mu
+        self.g = (lambda values: f.eval_shifted(values, mu)) if self.svec is None \
+            else f.shifted_in_cone(svec, mu)
+        self.F = f
 
     def _standard(self, values: np.ndarray) -> np.ndarray:
         return values if self.svec is None else self.svec * values
@@ -226,49 +307,76 @@ class _March:
     def advance(self, n_steps: int) -> None:
         """March n_steps steps.
 
-        Raises NumericalError when more than MAX_CLAMP_FRACTION of the
-        chunk's evaluated entries needed clamping beyond the slack.
+        A pair fails when more than MAX_CLAMP_FRACTION of the entries it
+        evaluated in the chunk needed clamping beyond the slack; raises
+        NumericalError once every pair failed.
         """
-        chunk = np.empty((n_steps + 1, 2, self.y.shape[1]))
+        k = self.k
+        chunk = np.empty((n_steps + 1, k, self.y.shape[1]))
         pen = np.empty_like(chunk)
         chunk[0] = pen[0] = self.y
-        self.distances, self.violations = [], []
-        self.clamped = 0
-        self.row_iters = [0, 0]
+        self.distances = []
+        self.violations = [[] for _ in range(k - 1)]
+        self.row_clamped, self.row_iters, self.row_peak = [0] * k, [0] * k, [0] * k
+        self.row_converged = [True] * k
         if self.degenerate:
             chunk[1:], pen[1:] = self.y, self.y
-            self.distances, self.violations = [[0.0, 0.0]], [0.0] * n_steps
-            converged = True
+            self.distances = [[0.0] * k]
+            self.violations = [[0.0] * n_steps for _ in range(k - 1)]
+            self.row_peak = [1] * k
         elif self.y.shape[1] == 1:
-            converged = self._advance_scalar(chunk[1:], pen[1:])
+            self._advance_scalar(chunk[1:], pen[1:])
+        elif k == 2:
+            self._advance_pair(chunk[1:], pen[1:])
         else:
-            converged = self._advance_block(chunk[1:], pen[1:])
-        total = self._evaluations()
-        if self.clamped > MAX_CLAMP_FRACTION * max(1, total):
-            raise NumericalError(
-                f"{100 * self.clamped / total:.3f}% of evaluations left the order interval"
-            )
+            self._advance_block(chunk[1:], pen[1:])
+        for r in range(1, k):
+            clamped, total = self.row_clamped[0] + self.row_clamped[r], self._evaluations(r)
+            if self.failed[r - 1] is None and clamped > MAX_CLAMP_FRACTION * max(1, total):
+                self._fail(r, f"{100 * clamped / total:.3f}% of evaluations left the order interval")
         self.states.append(chunk)
-        self.penultimate, self.converged = pen, converged
-        self.worst_violation = max(self.worst_violation, max(self.violations))
+        self.penultimate = pen
+        self.worst_violation = [
+            max([worst, *steps]) for worst, steps in zip(self.worst_violation, self.violations)
+        ]
 
-    def _evaluations(self) -> int:
-        """Entries the last chunk evaluated the reaction term on."""
-        return self.y.shape[1] * sum(self.row_iters)
+    def _evaluations(self, r: int) -> int:
+        """Entries pair (0, r) evaluated the reaction term on in the last chunk."""
+        return self.y.shape[1] * (self.row_iters[0] + self.row_iters[r])
 
-    def _breach(self, worst: float) -> NumericalError:
-        return NumericalError(
-            f"sandwich invariant breached: violation {worst:.3e} > slack {self.slack:.3e}"
-        )
+    def n_iters(self, r: int = 1) -> int:
+        """The most inner iterations pair (0, r) needed in any step of the
+        last chunk."""
+        return max(self.row_peak[0], self.row_peak[r])
+
+    def converged(self, r: int = 1) -> bool:
+        """Both rows of pair (0, r) solved every step of the last chunk."""
+        return self.row_converged[0] and self.row_converged[r]
+
+    def _breach(self, r: int, worst: float) -> None:
+        self._fail(r, f"sandwich invariant breached: violation {worst:.3e} > slack {self.slack:.3e}")
+
+    def _fail(self, r: int, message: str) -> None:
+        """Pair (0, r) failed; raises once no pair is left."""
+        self.failed[r - 1] = message
+        if None not in self.failed:
+            raise NumericalError(message)
+
+    def _check(self, r: int) -> None:
+        if self.failed[r - 1] is not None:
+            raise NumericalError(self.failed[r - 1])
 
     def _reach(self, drift: float) -> float:
         """delta = D / (1 - q) of the start rule, D the drift floored at 0
         and padded by the slack."""
         return (max(drift, 0.0) + self.slack) / (1.0 - self.q)
 
-    def _advance_block(self, out, pen) -> bool:
+    def _advance_pair(self, out, pen) -> None:
+        """k == 2: the block iteration written out for one pair.  A plain
+        march multiplies its running rows only; a held one multiplies both
+        and keeps a stopped row in both buffers, as `_advance_block` does."""
         lo, hi, slack, tol, max_iter = self.lo, self.hi, self.slack, self.tol, MAX_INNER_ITER
-        p_t, b_t, g, dist, q = self.p_t, self.b_t, self.g, self.distances, self.q
+        p_t, b_t, g, dist, q, hold = self.p_t, self.b_t, self.g, self.distances, self.q, self.hold
         y, y_prev, c_prev = self.y, self.y_prev, self.c_prev
         # two [lower bound, lower row z, upper row Z, upper bound] buffers: cur
         # holds z_j, nxt receives z_{j+1}; a stopped row is kept in both
@@ -277,7 +385,9 @@ class _March:
         # of the new iterate: one max per row gives both increments, both
         # monotonicity violations and the links; a stopped row's rows read -inf
         chk = np.empty((7, y.shape[1]))
-        converged, clamped, n_low, n_up = True, 0, 0, 0
+        violations, clamped = self.violations[0], self.row_clamped
+        n_low = n_up = peak_low = peak_up = 0
+        capped_low = capped_up = False
         for k in range(out.shape[0]):
             c = y @ p_t
             if y_prev is None:
@@ -302,7 +412,9 @@ class _March:
             # and the clamp is the identity
             inside = (cur[:-1] - cur[1:]).max() <= 0.0
             lower_on = upper_on = True
-            a, b = 0, 2  # the active rows
+            a, b = ra, rb = 0, 2  # the rows the GEMM multiplies, the running rows
+            held = None  # a held march's stopped row
+            s_low, s_up = n_low, n_up
             worst = -np.inf
             j = 0
             while True:
@@ -311,20 +423,28 @@ class _March:
                     zc = zs
                 else:
                     zc = np.minimum(np.maximum(zs, lo), hi)
-                    clamped += np.count_nonzero(np.abs(zc - zs) > slack)
+                    counts = np.count_nonzero(np.abs(zc - zs) > slack, axis=1).tolist()
+                    clamped[0] += counts[0] if lower_on else 0
+                    clamped[1] += counts[-1] if upper_on else 0
                 n_low += lower_on
                 n_up += upper_on
                 np.matmul(g(zc), b_t, out=new)
                 new += c[a:b]
-                np.subtract(new, zs, out=chk[a:b])
-                np.negative(chk[a:b], out=chk[2 + a:2 + b])
+                if held is None:
+                    np.subtract(new, zs, out=chk[a:b])
+                    np.negative(chk[a:b], out=chk[2 + a:2 + b])
+                else:  # it keeps its state, and its check rows stay -inf
+                    r = 1 - held
+                    new[held] = zs[held]
+                    np.subtract(new[r], zs[r], out=chk[r])
+                    np.negative(chk[r], out=chk[2 + r])
                 np.subtract(nxt[:-1], nxt[1:], out=chk[4:])
                 rise_low, rise_up, fall_low, fall_up, *links = chk.max(axis=1).tolist()
                 link = max(links)
                 inside = link <= 0.0
                 worst = max(worst, link, fall_low, rise_up)
                 if worst > slack:
-                    raise self._breach(worst)
+                    self._breach(1, worst)
                 inc_low = max(rise_low, fall_low) if lower_on else 0.0
                 inc_up = max(rise_up, fall_up) if upper_on else 0.0
                 if j < len(dist):
@@ -339,40 +459,189 @@ class _March:
                 lower_next = lower_on and inc_low >= tol
                 upper_next = upper_on and inc_up >= tol
                 if j == max_iter and (lower_next or upper_next):
-                    converged = lower_next = upper_next = False
+                    capped_low, capped_up = capped_low or lower_next, capped_up or upper_next
+                    lower_next = upper_next = False
                 if not (lower_next or upper_next):
-                    # the step is solved: store the active rows' last two iterates
-                    pen[k, a:b], out[k, a:b] = zs, new
+                    # the step is solved: store the running rows' last two iterates
+                    pen[k, ra:rb], out[k, ra:rb] = cur[1 + ra:1 + rb], nxt[1 + ra:1 + rb]
                     break
+                # a stopped row leaves the running rows, and the GEMM of a
+                # plain march; a held march keeps multiplying it
                 if lower_on and not lower_next:
                     self._stop_row(0, cur, nxt, chk, out[k], pen[k])
+                    ra = 1
+                    if hold:
+                        held = 0
+                    else:
+                        a = 1
                 if upper_on and not upper_next:
                     self._stop_row(1, cur, nxt, chk, out[k], pen[k])
+                    rb = 1
+                    if hold:
+                        held = 1
+                    else:
+                        b = 1
                 lower_on, upper_on = lower_next, upper_next
                 cur, nxt = nxt, cur
-                a, b = (0 if lower_on else 1), (2 if upper_on else 1)
-            self.violations.append(float(worst))
+            violations.append(worst)
+            peak_low, peak_up = max(peak_low, n_low - s_low), max(peak_up, n_up - s_up)
             y_prev, y, c_prev = y, out[k], c
-        self.clamped += clamped
-        self.row_iters = [n_low, n_up]
+        self.row_iters, self.row_peak = [n_low, n_up], [peak_low, peak_up]
+        self.row_converged = [not capped_low, not capped_up]
         self.y, self.y_prev, self.c_prev = y.copy(), y_prev.copy(), c_prev
-        return converged
+
+    def _advance_block(self, out, pen) -> None:
+        lo, hi, slack, tol, max_iter = self.lo, self.hi, self.slack, self.tol, MAX_INNER_ITER
+        p_t, b_t, g, dist, q, k = self.p_t, self.b_t, self.g, self.distances, self.q, self.k
+        y, y_prev, c_prev = self.y, self.y_prev, self.c_prev
+        clamped, iters, peak = self.row_clamped, self.row_iters, self.row_peak
+        converged, violations, failed = self.row_converged, self.violations, self.failed
+        # two [lower bound, row 0, ..., row k - 1, upper bound, ...] buffers
+        # (`_chain`): bufs[t] holds z_j, bufs[1 - t] receives z_{j+1}; a
+        # stopped row is kept in both
+        cur = np.vstack([lo] * (k + 1) + [hi] * (k - 1))
+        bufs = (cur, cur.copy())
+        # per row z' - z, then per row -(z' - z), then the links of the new
+        # iterate: one max per row gives each row's increment, its moves
+        # against its side and the links; a stopped row's rows read -inf
+        chk = np.empty((4 * k - 1, y.shape[1]))
+        runs, pairs = _chain(k)
+        reaches_tol = float(tol).__le__  # inc >= tol, mapped over the rows in C
+        # per buffer, the operands of its links as views
+        link_ops = [[(chk[2 * k + i:2 * k + i + n], buf[a:a + n], buf[b:b + n])
+                     for i, a, b, n in runs] for buf in bufs]
+        spans, rise, fall = [buf[1:1 + k] for buf in bufs], chk[:k], chk[k:2 * k]
+        t = 0
+        for step in range(out.shape[0]):
+            c = y @ p_t
+            cur = bufs[t]
+            if y_prev is None:
+                cur[1], cur[2:k + 1] = lo, hi
+            else:
+                moved = y - y_prev
+                if moved[0].min() >= -slack:
+                    cur[1] = y[0]
+                elif q is None:
+                    cur[1] = lo
+                else:
+                    np.maximum(y[0] - self._reach(float((c_prev[0] - c[0]).max())), lo,
+                               out=cur[1])
+                for r in range(1, k):
+                    if moved[r].max() <= slack:
+                        cur[1 + r] = y[r]
+                    elif q is None:
+                        cur[1 + r] = hi
+                    else:
+                        np.minimum(y[r] + self._reach(float((c[r] - c_prev[r]).max())), hi,
+                                   out=cur[1 + r])
+            # a failed pair's upper row is held where it stopped
+            on = [True] + [message is None for message in failed]
+            held = [r for r in range(k) if not on[r]]  # stopped rows
+            for r in held:
+                cur[1 + r] = out[step, r] = pen[step, r] = y[r]
+            # while the links hold without any violation, every row lies in
+            # [lo, hi] and the clamp is the identity
+            for o, first, second in link_ops[t]:
+                np.subtract(first, second, out=o)
+            inside = chk[2 * k:].max() <= 0.0
+            worst = [-np.inf] * (k - 1)
+            j = 0
+            while True:
+                zs, new = spans[t], spans[1 - t]
+                if inside:
+                    zc = zs
+                else:
+                    zc = np.minimum(np.maximum(zs, lo), hi)
+                    counts = np.count_nonzero(np.abs(zc - zs) > slack, axis=1).tolist()
+                    for r in range(k):
+                        clamped[r] += counts[r] if on[r] else 0
+                np.matmul(g(zc), b_t, out=new)
+                new += c
+                np.subtract(new, zs, out=rise)
+                np.negative(rise, out=fall)
+                for r in held:  # it keeps its state, and its check rows read -inf
+                    new[r] = zs[r]
+                    chk[r] = chk[k + r] = -np.inf
+                for o, first, second in link_ops[1 - t]:
+                    np.subtract(first, second, out=o)
+                m = chk.max(axis=1).tolist()
+                inside = max(m[2 * k:]) <= 0.0
+                for p, pick in enumerate(pairs):
+                    w = worst[p] = max(worst[p], *pick(m))
+                    if w > slack and failed[p] is None:
+                        self._breach(1 + p, w)  # raises when no pair is left
+                        m[1 + p] = m[k + 1 + p] = -np.inf  # its row stops here
+                # a stopped row's check rows read -inf, and so does its increment
+                incs = list(map(max, m[:k], m[k:2 * k]))
+                if j < len(dist):
+                    dist[j][:] = map(max, dist[j], incs)
+                else:
+                    dist.append([inc if run else 0.0 for inc, run in zip(incs, on)])
+                j += 1
+                going = list(map(reaches_tol, incs))
+                if j == max_iter and any(going):
+                    for r in range(k):
+                        converged[r] = converged[r] and not going[r]
+                    going = [False] * k
+                if going != on:
+                    for r in range(k):
+                        if on[r] and not going[r]:
+                            # the row is solved: store its last two iterates,
+                            # and hold its final one while others run
+                            iters[r] += j
+                            peak[r] = max(peak[r], j)
+                            self._stop_row(r, bufs[t], bufs[1 - t], chk, out[step], pen[step])
+                    if not any(going):
+                        break
+                    on = going
+                    held = [r for r in range(k) if not on[r]]
+                t = 1 - t
+            for p in range(k - 1):
+                violations[p].append(worst[p])
+            y_prev, y, c_prev = y, out[step], c
+        self.y, self.y_prev, self.c_prev = y.copy(), y_prev.copy(), c_prev
 
     @staticmethod
     def _stop_row(row, cur, nxt, chk, out, pen):
-        """The row stopped while the other runs on: store its last two
-        iterates, hold its final one in both buffers and mask its check rows."""
+        """The row stopped: store its last two iterates, hold its final one
+        in both buffers and mask its check rows."""
+        k = out.shape[0]
         pen[row] = cur[1 + row]
         out[row] = cur[1 + row] = nxt[1 + row]
-        chk[row] = chk[2 + row] = -np.inf
+        chk[row] = chk[k + row] = -np.inf
 
-    def _advance_scalar(self, out, pen) -> bool:
-        """dim == 1: the same iteration on Python floats, with one
-        eval_shifted_scalars call on both rows per inner iteration."""
+    def _advance_scalar(self, out, pen) -> None:
+        """dim == 1: the same iteration on Python floats, one pair at a time
+        (`_scalar_pair`).
+
+        The lower row's floats do not depend on its partner, so each pair
+        recomputes them bit for bit, and the lower row's figures are read
+        from a pair that did not fail.  A failed pair's upper row stays
+        where it stopped.
+        """
+        ends = {}  # per row: state, previous state, P times it, then its figures
+        for r in range(1, self.k):
+            if self.failed[r - 1] is None:
+                ends.update(self._scalar_pair(r, out, pen))
+            else:
+                y = float(self.y[r, 0])
+                out[:, r], pen[:, r] = y, y
+                ends[r] = (y, y, float(self.c_prev[r, 0]), 0, 0, 0, True)
+        rows = [ends[r] for r in range(self.k)]
+        self.y, self.y_prev, self.c_prev = (
+            np.array([[row[i]] for row in rows]) for i in range(3))
+        self.row_clamped, self.row_iters, self.row_peak, self.row_converged = (
+            [row[i] for row in rows] for i in range(3, 7))
+
+    def _scalar_pair(self, r: int, out, pen) -> dict:
+        """Pair (0, r) of the dim == 1 march, with one eval_shifted_scalars
+        call on both rows per inner iteration.  Returns, for rows 0 and r,
+        (state, previous state, P times it, clamped, inner iterations, most
+        in one step, converged); for row r alone where the pair failed."""
         lo, hi = float(self.lo[0]), float(self.hi[0])
         slack, tol, max_iter = self.slack, self.tol, MAX_INNER_ITER
         p, b = float(self.p_t[0, 0]), float(self.b_t[0, 0])
-        dist = self.distances
+        dist, violations, k = self.distances, self.violations[r - 1], self.k
         # ProblemSpec.rhs on two scalar states; a reversed cone marches
         # g(y) = -rhs(-y), and sign flips are exact
         f, mu = self.F.eval_shifted_scalars, float(self.mu)
@@ -380,14 +649,14 @@ class _March:
             def f(x0, x1, shift, rhs=f):
                 f0, f1 = rhs(-x0, -x1, shift)
                 return -f0, -f1
-        (y0,), (y1,) = self.y.tolist()
+        (y0,), (y1,) = self.y[[0, r]].tolist()
         warm = self.y_prev is not None
-        (p0,), (p1,) = self.y_prev.tolist() if warm else ((0.0,), (0.0,))
-        (cp0,), (cp1,) = self.c_prev.tolist() if warm else ((0.0,), (0.0,))
+        (p0,), (p1,) = self.y_prev[[0, r]].tolist() if warm else ((0.0,), (0.0,))
+        (cp0,), (cp1,) = self.c_prev[[0, r]].tolist() if warm else ((0.0,), (0.0,))
         bounded = self.q is not None
-        converged, clamped, n0, n1 = True, 0, 0, 0
-        violations = self.violations
-        for k in range(out.shape[0]):
+        n0 = n1 = clamped0 = clamped1 = peak0 = peak1 = 0
+        capped0 = capped1 = False
+        for step in range(out.shape[0]):
             c0, c1 = p * y0, p * y1
             if not warm:
                 z0, z1 = lo, hi
@@ -397,6 +666,7 @@ class _March:
                 z1 = (y1 if y1 - p1 <= slack else
                       min(y1 + self._reach(c1 - cp1), hi) if bounded else hi)
             last0, last1 = z0, z1
+            s0, s1 = n0, n1
             on0 = on1 = True
             worst = -np.inf
             j = 0
@@ -407,7 +677,7 @@ class _March:
                 inc0 = inc1 = 0.0
                 if on0:
                     n0 += 1
-                    clamped += abs(zc0 - z0) > slack
+                    clamped0 += abs(zc0 - z0) > slack
                     new = c0 + b * f0
                     inc0 = abs(new - z0)
                     if z0 - new > worst:
@@ -415,7 +685,7 @@ class _March:
                     last0, z0 = z0, new
                 if on1:
                     n1 += 1
-                    clamped += abs(zc1 - z1) > slack
+                    clamped1 += abs(zc1 - z1) > slack
                     new = c1 + b * f1
                     inc1 = abs(new - z1)
                     if new - z1 > worst:
@@ -429,68 +699,139 @@ class _March:
                 if z1 - hi > worst:
                     worst = z1 - hi
                 if worst > slack:
-                    raise self._breach(worst)
+                    self._breach(r, worst)  # raises when no pair is left
+                    out[step:, r], pen[step:, r] = z1, z1
+                    return {r: (z1, z1, p * z1, 0, 0, 0, True)}
                 if j < len(dist):
                     row = dist[j]
                     if inc0 > row[0]:
                         row[0] = inc0
-                    if inc1 > row[1]:
-                        row[1] = inc1
+                    if inc1 > row[r]:
+                        row[r] = inc1
                 else:
-                    dist.append([inc0, inc1])
+                    row = [inc0] + [0.0] * (k - 1)
+                    row[r] = inc1
+                    dist.append(row)
                 j += 1
                 on0 = on0 and inc0 >= tol
                 on1 = on1 and inc1 >= tol
                 if not (on0 or on1):
                     break
                 if j == max_iter:
-                    converged = False
+                    capped0, capped1 = capped0 or on0, capped1 or on1
                     break
             violations.append(worst)
-            out[k, 0, 0], out[k, 1, 0] = z0, z1
-            pen[k, 0, 0], pen[k, 1, 0] = last0, last1
+            out[step, 0, 0], out[step, r, 0] = z0, z1
+            pen[step, 0, 0], pen[step, r, 0] = last0, last1
+            if n0 - s0 > peak0:
+                peak0 = n0 - s0
+            if n1 - s1 > peak1:
+                peak1 = n1 - s1
             p0, p1, y0, y1, cp0, cp1 = y0, y1, z0, z1, c0, c1
             warm = True
-        self.clamped += clamped
-        self.row_iters = [n0, n1]
-        self.y_prev, self.y = np.array([[p0], [p1]]), np.array([[y0], [y1]])
-        self.c_prev = np.array([[cp0], [cp1]])
-        return converged
+        return {0: (y0, p0, cp0, clamped0, n0, peak0, not capped0),
+                r: (y1, p1, cp1, clamped1, n1, peak1, not capped1)}
 
     def _trajectory(self, block: np.ndarray, row: int) -> Trajectory:
+        # a copy: a memoized march hands out reports and keeps its own rows
         t_grid = self.dt * np.arange(block.shape[0])
-        return Trajectory(t_grid, self._standard(block[:, row]), self.interval.components)
+        values = block[:, row]
+        values = values.copy() if self.svec is None else self.svec * values
+        return Trajectory(t_grid, values, self.interval.components)
 
-    def report(self) -> IterationReport:
-        """The last chunk as an iteration report, on a grid from t = 0."""
+    def report(self, r: int = 1) -> IterationReport:
+        """Pair (0, r) over the last chunk as an iteration report, on a grid
+        from t = 0; raises the pair's NumericalError if it failed."""
+        self._check(r)
         chunk, pen = self.states[-1], self.penultimate
-        u_min, u_max = self._trajectory(chunk, 0), self._trajectory(chunk, 1)
-        dist = np.asarray(self.distances, dtype=float)
-        violations = np.asarray(self.violations, dtype=float)
-        gap = float(np.max(np.abs(chunk[:, 1] - chunk[:, 0])))
+        n_iters = self.n_iters(r)
+        dist = np.asarray(self.distances[:n_iters], dtype=float)[:, [0, r]]
+        violations = np.asarray(self.violations[r - 1], dtype=float)
+        gap = float(np.max(np.abs(chunk[:, r] - chunk[:, 0])))
         return IterationReport(
-            n_iters=len(dist), converged=self.converged, tol=self.tol,
+            n_iters=n_iters, converged=self.converged(r), tol=self.tol,
             mu_applied=self.mu,
             distances_lower=dist[:, 0], distances_upper=dist[:, 1],
             sandwich_violations=violations,
             worst_violation=float(np.max(violations)),
-            u_min=u_min, u_max=u_max, unique_flag=bool(gap <= 10.0 * self.tol),
-            clamp_fraction=self.clamped / max(1, self._evaluations()),
+            u_min=self._trajectory(chunk, 0), u_max=self._trajectory(chunk, r),
+            unique_flag=bool(gap <= 10.0 * self.tol),
+            clamp_fraction=(self.row_clamped[0] + self.row_clamped[r])
+            / max(1, self._evaluations(r)),
             contraction_bound=self.q,
             stored={
                 "interval": self.interval, "slack": self.slack,
                 "lower_prev": self._trajectory(pen, 0),
-                "upper_prev": self._trajectory(pen, 1),
+                "upper_prev": self._trajectory(pen, r),
             },
         )
 
     def trajectories(self) -> tuple[Trajectory, Trajectory]:
-        """The lower and upper rows over every chunk, from t = 0."""
+        """The rows of pair (0, 1) over every chunk, from t = 0."""
         if len(self.states) > 1:  # join once; later chunks repeat their start node
             first, *rest = self.states
             self.states[:] = [np.concatenate([first, *(c[1:] for c in rest)])]
         block = self.states[0]
         return self._trajectory(block, 0), self._trajectory(block, 1)
+
+    def select(self, r: int) -> _March:
+        """The march of pair (0, r) alone, rows 0 and 1 of a copy holding
+        the pair's states and figures, to go on from where this one stopped.
+        This march is left as it is; the copy shares only arrays that no
+        march writes (the bounds and the propagators).  The copy is a plain
+        march; raises the pair's NumericalError if it failed."""
+        self._check(r)
+        rows = [0, r]
+        pair = copy.copy(self)
+        pair.k, pair.hold = 2, False
+        pair.y = self.y[rows]
+        if self.y_prev is not None:
+            pair.y_prev, pair.c_prev = self.y_prev[rows], self.c_prev[rows]
+        pair.states = [chunk[:, rows] for chunk in self.states]
+        pair.penultimate = self.penultimate[:, rows]
+        pair.distances = [[d[0], d[r]] for d in self.distances[:self.n_iters(r)]]
+        pair.violations = [self.violations[r - 1][:]]
+        pair.worst_violation, pair.failed = [self.worst_violation[r - 1]], [None]
+        pair.row_clamped = [self.row_clamped[0], self.row_clamped[r]]
+        pair.row_iters = [self.row_iters[0], self.row_iters[r]]
+        pair.row_peak = [self.row_peak[0], self.row_peak[r]]
+        pair.row_converged = [self.row_converged[0], self.row_converged[r]]
+        return pair
+
+
+def _first_window(problem: ProblemSpec, tol: float, rising: bool = False) -> _March:
+    """The march over the problem's first window from the interval bounds:
+
+    - L from the lower bound, the lower row;
+    - U from the lower bound, the rising upper row, only when `rising`:
+      pair (L, U) is `iterate` from u0 = lower;
+    - H from the upper bound, the last row: pair (L, H) is `iterate` from
+      the interval's bounds and the first window of `asymptotic_equilibria`.
+
+    Memoized on the problem (`ProblemSpec._first_windows`) by tol.  Rows L
+    and H alone are marched until a caller asks for U; then rows L, U and H
+    are marched in one block, which replaces the pair.  Both are held
+    marches (`_March`), and a GEMM rounds each of two rows as it does each
+    of three, so L and H carry the same bits in either, and every caller
+    reads the same rows in whatever order and however often it asks.
+    The march is read only: callers take its reports, or `select` a pair to
+    march on.  It holds arrays, the interval and the reaction term, nothing
+    that refers back to a problem.
+    """
+    memo = problem._first_windows
+    march = memo.get(tol)
+    if march is None or rising and march.k < 3:
+        itv = problem.interval
+        uppers = (itv.lower, itv.upper) if rising else (itv.upper,)
+        march = _March(problem, itv.lower, uppers, tol, hold=True)
+        march.advance(time_grid(problem.horizon, problem.dt).size - 1)
+        memo[tol] = march
+    return march
+
+
+def _is_bound(u: GridFunction, bound: GridFunction) -> bool:
+    """u holds the bound's values, bit for bit."""
+    return u.values.tobytes() == bound.values.tobytes()
 
 
 def iterate(
@@ -518,12 +859,28 @@ def iterate(
     upper bound at every step, as the lower row does from the lower bound
     when it falls.
 
+    When u0 holds the lower bound's values and u0_upper is None (rows L and
+    U) or holds the upper bound's (rows L and H), the report is read from
+    the problem's first window (`_first_window`), memoized by (problem,
+    tol) and shared with `asymptotic_equilibria`; its figures read the
+    pair's own rows only.  From the lower bound alone, the window marches
+    row H beside L and U, for the equilibria march that usually follows.
+    Any other start marches its own two rows.
+
     The problem is scaled on entry (quasi-increasing shift plus stability
     floor); fixed points are unaffected.  Raises NumericalError on a sandwich
-    breach or when more than MAX_CLAMP_FRACTION of evaluated entries needed
-    clamping beyond round-off.
+    breach or when more than MAX_CLAMP_FRACTION of the pair's evaluated
+    entries needed clamping beyond round-off; in the first window only the
+    pair read fails so.
     """
-    march = _March(problem, u0, u0 if u0_upper is None else u0_upper, tol)
+    interval = problem.interval
+    if _is_bound(u0, interval.lower):
+        if u0_upper is None:
+            return _first_window(problem, tol, rising=True).report(1)
+        if _is_bound(u0_upper, interval.upper):
+            march = _first_window(problem, tol)
+            return march.report(march.k - 1)
+    march = _March(problem, u0, (u0 if u0_upper is None else u0_upper,), tol)
     march.advance(time_grid(problem.horizon, problem.dt).size - 1)
     return march.report()
 
@@ -565,7 +922,9 @@ def extremal_trajectories(
     problem: ProblemSpec, tol: float = 1e-9
 ) -> tuple[Trajectory, Trajectory, IterationReport]:
     """Minimal trajectory from the lower bound and maximal from the upper,
-    by `iterate` (at most MAX_INNER_ITER inner iterations per step).
+    by `iterate` (at most MAX_INNER_ITER inner iterations per step): rows L
+    and H of the problem's first window, memoized by (problem, tol) and
+    shared with `asymptotic_equilibria`.
 
     Certifies the time-monotonicity of both (the minimal one increases, the
     maximal one decreases in the cone order).
@@ -986,11 +1345,16 @@ def asymptotic_equilibria(
     One march runs from the interval bounds and is advanced one window (the
     problem's horizon) at a time, for at most MAX_WINDOWS windows (then
     horizon_converged is False), each step of it by at most MAX_INNER_ITER
-    inner iterations.  After windows 1, 2, 4, 8, ... and at the stall
-    stop, each end not yet certified tries `_certify_extremal` on its row's
-    terminal state; an end is certified when the proof holds with a
-    radius <= tol_eq, and then reports Newton's point p.  The march stops
-    once both ends are certified, so U_min and U_max end at that horizon.
+    inner iterations.  Window 1 is rows L and H of the problem's first
+    window (`_first_window`), memoized by (problem, tol) and shared with
+    `iterate`; called first, it marches those two rows alone.  Later
+    windows march them on, and every figure of the result reads those two
+    rows only.  After windows 1, 2, 4, 8, ...
+    and at the stall stop, each end not yet certified tries
+    `_certify_extremal` on its row's terminal state; an end is certified
+    when the proof holds with a radius <= tol_eq, and then reports Newton's
+    point p.  The march stops once both ends are certified, so U_min and
+    U_max end at that horizon.
     Otherwise it stops once the increment of the rows over a window drops
     below tol_eq (a valid stalling signal, since U_min increases and U_max
     decreases), and an uncertified end reports its stalled state,
@@ -1008,7 +1372,8 @@ def asymptotic_equilibria(
     interval = problem.interval
     window = problem.horizon
     steps_per_window = time_grid(window, problem.dt).size - 1
-    march = _March(problem, interval.lower, interval.upper, tol)
+    march = _first_window(problem, tol)
+    march = march.select(march.k - 1)  # window 1, rows L and H
     window_summaries = []
     horizon_converged = False
     horizon = 0.0
@@ -1019,15 +1384,16 @@ def asymptotic_equilibria(
         if not np.any(bound) and not np.any(problem.rhs(bound)):
             certified[end] = (bound, 0.0)
     for count in range(1, MAX_WINDOWS + 1):
-        start = march.y
-        march.advance(steps_per_window)
-        converged = march.converged
+        if count > 1:
+            march.advance(steps_per_window)
+        chunk = march.states[-1]
+        converged = march.converged()
         horizon += window
-        inc = float(np.max(np.abs(march.y - start)))
+        inc = float(np.max(np.abs(chunk[-1] - chunk[0])))
         window_summaries.append(
             {
                 "t_end": horizon,
-                "n_iters": len(march.distances),
+                "n_iters": march.n_iters(),
                 "converged": converged,
                 "increment": inc,
             }
@@ -1099,7 +1465,7 @@ def asymptotic_equilibria(
         U_max=u_max_full,
         report=report,
         windows=window_summaries,
-        worst_violation=march.worst_violation,
+        worst_violation=march.worst_violation[0],
         continuation_defect=continuation_defect,
         newton_equilibria=found,
         extremal_violation=extremal_violation,

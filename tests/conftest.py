@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -22,6 +23,12 @@ def neumann9():
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def fresh(problem):
+    """A copy of the problem with an empty first-window memo, for a run
+    that must march again (after a monkeypatch, or on another path)."""
+    return dataclasses.replace(problem)
 
 
 def grid(values, components=1):

@@ -1,6 +1,7 @@
 """The iteration engine: sandwich, convergence, extremal objects."""
 
 import copy
+import gc
 import itertools
 import warnings
 
@@ -18,7 +19,13 @@ from mevolve.errors import NumericalError, ValidationError
 from mevolve.monotone import time_monotonicity_violation
 from mevolve.nonlin import _SignedSqrt
 
-from conftest import bench_module, constant_trajectory, dense_generator_matrix, grid
+from conftest import (
+    bench_module,
+    constant_trajectory,
+    dense_generator_matrix,
+    fresh,
+    grid,
+)
 
 workloads = bench_module("workloads")  # the benchmark's workload definitions
 
@@ -243,8 +250,10 @@ class TestSeparateInitialValues:
     def test_one_iteration_per_window_and_per_extremal_pair(
         self, dirichlet_logistic, monkeypatch
     ):
-        # asymptotic_equilibria advances one march once per window and calls
-        # no iterate; extremal_trajectories makes one iterate call
+        # the first window is one march per tolerance: rows L and H until
+        # iterate from the lower bound asks for row U, then rows L, U and H;
+        # the equilibria march goes on from it with a copy of rows L and H,
+        # one advance per later window; another start marches its own pair
         calls, marches, advances = [], [], []
         original = mv.monotone.iterate
 
@@ -254,11 +263,11 @@ class TestSeparateInitialValues:
 
         class CountingMarch(mv.monotone._March):
             def __init__(self, *args, **kwargs):
-                marches.append(1)
                 super().__init__(*args, **kwargs)
+                marches.append(self.k)
 
             def advance(self, n_steps):
-                advances.append(n_steps)
+                advances.append((self.k, n_steps))
                 super().advance(n_steps)
 
         monkeypatch.setattr(mv.monotone, "iterate", counting)
@@ -270,12 +279,233 @@ class TestSeparateInitialValues:
         )
         eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-8, tol_res=1e-8)
         assert len(eq.windows) > 1
-        assert calls == [] and len(marches) == 1
-        assert advances == [50] * len(eq.windows)
+        assert calls == [] and marches == [2]
+        assert advances == [(2, 50)] * len(eq.windows)
         assert all(isinstance(w["n_iters"], int) for w in eq.windows)
-        calls.clear()
         mv.extremal_trajectories(prob)
-        assert len(calls) == 1
+        assert len(calls) == 1 and marches == [2] and len(advances) == len(eq.windows)
+        mv.iterate(prob, prob.interval.lower, tol=1e-9)
+        mv.iterate(prob, prob.interval.lower, tol=1e-9)
+        mv.extremal_trajectories(prob)
+        mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-8, tol_res=1e-8)
+        assert len(calls) == 2 and marches == [2, 3]
+        assert advances[len(eq.windows)] == (3, 50)
+        # a first window per tolerance, and a pair of its own for another start
+        mv.iterate(prob, prob.interval.lower, tol=1e-8)
+        mv.iterate(prob, prob.interval.upper, tol=1e-9)
+        assert marches == [2, 3, 3, 2]
+
+
+class TestSharedFirstWindow:
+    """One march per tolerance serves `iterate` from the lower bound (pair
+    L, U), from both bounds (pair L, H) and the first window of
+    `asymptotic_equilibria`: rows L and H alone until row U is asked for,
+    then rows L, U and H in one block."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        logistic = mv.build_logistic(mv.build_laplacian_1d(20, "dirichlet"), 12.0, 2.0)
+        competition = mv.build_competition(
+            mv.build_laplacian_1d(10, "neumann"), mv.build_laplacian_1d(10, "neumann"),
+            1.0, 1.0, 1.0, 0.1, 0.1, 1.0,
+        )
+        return {
+            "dirichlet_logistic": logistic.problem(horizon=1.0, dt=0.02),
+            "flipped_competition": competition.problem(horizon=1.0, dt=0.02),
+            "scalar": mv.build_scalar_nonunique(1.0, 2.0).problem(horizon=1.0, dt=0.01),
+        }
+
+    @staticmethod
+    def _outputs(prob, order):
+        """Every array and figure of the three callers, each asked twice,
+        in the given order."""
+        itv, out = prob.interval, {}
+        calls = {
+            "iterate": lambda: mv.iterate(prob, itv.lower, tol=1e-9),
+            "extremal": lambda: mv.extremal_trajectories(prob, tol=1e-9)[2],
+            "equilibria": lambda: mv.asymptotic_equilibria(
+                prob, tol=1e-9, tol_eq=1e-8, tol_res=1e-8),
+        }
+        for name in order * 2:
+            result = calls[name]()
+            if name == "equilibria":
+                figures = [result.U_min.states, result.U_max.states, result.u_star.values,
+                           result.u_upper_star.values, result.windows,
+                           result.worst_violation, result.certified]
+                result = result.report
+            else:
+                figures = []
+            figures += [
+                result.u_min.states, result.u_max.states, result.stored["lower_prev"].states,
+                result.stored["upper_prev"].states, result.distances_lower,
+                result.distances_upper, result.sandwich_violations, result.n_iters,
+                result.converged, result.unique_flag, result.clamp_fraction,
+            ]
+            out.setdefault(name, []).append(
+                [f.tobytes() if isinstance(f, np.ndarray) else repr(f) for f in figures])
+        return out
+
+    @pytest.mark.parametrize("case", ["dirichlet_logistic", "flipped_competition", "scalar"])
+    def test_results_do_not_depend_on_the_order_of_the_calls(self, problems, case):
+        orders = (["iterate", "extremal", "equilibria"], ["equilibria", "extremal", "iterate"])
+        first, second = (self._outputs(fresh(problems[case]), order) for order in orders)
+        assert first == second
+        for repeats in first.values():
+            assert repeats[0] == repeats[1]
+
+    @pytest.mark.parametrize("workload", ["sweep", "windows", "setup", "mesh"])
+    def test_iterate_is_the_first_window_of_the_equilibria_march(self, workload):
+        # on every seed-1 benchmark config, all of which certify at window 1
+        for cfg in workloads.configs(workload, workloads.DEFAULT_SEED):
+            scen = mv.build_from_config(cfg["scenario"], cfg["params"], cfg.get("n", 1),
+                                        cfg.get("bc", "scalar"), cfg.get("beta"))
+            prob = scen.problem(horizon=cfg["T"], dt=cfg["dt"])
+            rpt = mv.iterate(prob, scen.interval.lower, tol=cfg["tol"])
+            eq = mv.asymptotic_equilibria(prob, tol=cfg["tol"], tol_eq=cfg["tol_eq"],
+                                          tol_res=cfg["tol_res"], seed=cfg["seed"])
+            n = rpt.u_min.states.shape[0]
+            assert len(eq.windows) == 1
+            assert rpt.u_min.states.tobytes() == eq.U_min.states[:n].tobytes()
+
+    @pytest.mark.parametrize("case", ["dirichlet_logistic", "flipped_competition", "scalar"])
+    @pytest.mark.parametrize("start", ["upper", "midpoint"])
+    def test_another_start_marches_a_plain_pair(self, problems, case, start):
+        prob = fresh(problems[case])
+        itv = prob.interval
+        u0 = itv.upper if start == "upper" else grid(
+            0.5 * (itv.lower.values + itv.upper.values), itv.components)
+        rpt, plain = mv.iterate(prob, u0, tol=1e-9), _march(prob, u0, u0).report()
+        assert prob._first_windows == {}
+        for a, b in [(rpt.u_min.states, plain.u_min.states),
+                     (rpt.u_max.states, plain.u_max.states),
+                     (rpt.distances_lower, plain.distances_lower),
+                     (rpt.distances_upper, plain.distances_upper),
+                     (rpt.sandwich_violations, plain.sandwich_violations)]:
+            assert a.tobytes() == b.tobytes()
+        assert (rpt.n_iters, rpt.clamp_fraction) == (plain.n_iters, plain.clamp_fraction)
+
+    def test_each_pair_reads_its_own_rows(self):
+        # the seed-1 `sweep` Dirichlet config: U needs up to 48 inner
+        # iterations in a step, H up to 35 and L up to 39, so a figure taken
+        # over all three rows would show in pair (L, H)
+        cfg = workloads.configs("sweep", workloads.DEFAULT_SEED)[0]
+        scen = mv.build_from_config(cfg["scenario"], cfg["params"], cfg["n"], cfg["bc"])
+        prob = scen.problem(horizon=cfg["T"], dt=cfg["dt"])
+        itv, tol = prob.interval, cfg["tol"]
+        shared = [
+            (itv.lower, mv.iterate(prob, itv.lower, tol=tol)),
+            (itv.upper, mv.extremal_trajectories(prob, tol=tol)[2]),
+        ]
+        eq = mv.asymptotic_equilibria(prob, tol=tol, tol_eq=cfg["tol_eq"],
+                                      tol_res=cfg["tol_res"], seed=cfg["seed"])
+        plain_n_iters = []
+        for u0_upper, rpt in shared:
+            plain = _march(prob, itv.lower, u0_upper, tol).report()
+            plain_n_iters.append(plain.n_iters)
+            # the same counts; the values up to the rounding of a wider GEMM
+            assert (rpt.n_iters, rpt.converged, rpt.unique_flag, rpt.clamp_fraction) == (
+                plain.n_iters, plain.converged, plain.unique_flag, plain.clamp_fraction)
+            for a, b in [(rpt.u_min.states, plain.u_min.states),
+                         (rpt.u_max.states, plain.u_max.states),
+                         (rpt.distances_lower, plain.distances_lower),
+                         (rpt.distances_upper, plain.distances_upper),
+                         (rpt.sandwich_violations, plain.sandwich_violations)]:
+                assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-13
+        assert plain_n_iters == [48, 39]
+        assert eq.windows[0]["n_iters"] == 39
+        assert eq.report.n_iters == 39
+        assert eq.worst_violation == shared[1][1].worst_violation
+
+    @pytest.mark.parametrize("case", ["neumann_logistic", "scalar_logistic"])
+    def test_links_are_the_chain_of_each_pair(self, case):
+        # the lower row above the upper row H breaches L <= H, and fails pair
+        # (L, H) alone; the rising row U above H is no breach, since U <= H
+        # is not a link.  Each state is an equilibrium (0, or the positive
+        # one half way up the interval), so no row moves and only the links
+        # can fire
+        if case == "scalar_logistic":  # u' + u = u (3 - u): equilibria 0 and 2
+            gen, f = mv.generators.scalar_generator(1.0), mv.logistic(3.0, 1.0)
+            lower, upper = grid([0.0]), grid([4.0])
+        else:  # constants with u (1 - 2 u) = 0: 0 and 1/2
+            gen, f = mv.build_laplacian_1d(8, "neumann"), mv.logistic(1.0, 2.0)
+            lower, upper = grid(np.zeros(8)), grid(np.ones(8))
+        prob = mv.ProblemSpec(gen, f, mv.OrderInterval(lower, upper), horizon=0.1, dt=0.02)
+        zero, half = lower.values, 0.5 * upper.values
+        assert prob.equilibrium_residual(grid(half)) <= 1e-15
+
+        def march_from(rows):
+            march = mv.monotone._March(prob, lower, (lower, upper), 1e-9)
+            march.y = np.array(rows)
+            march.y_prev, march.c_prev = march.y.copy(), march.y @ march.p_t
+            march.advance(2)
+            return march
+
+        march = march_from([zero, half, zero])
+        assert march.failed == [None, None] and march.worst_violation[0] <= 0.0
+        march = march_from([half, half, zero])
+        assert march.failed[0] is None and march.report(1).converged
+        for read in (march.report, march.select):
+            with pytest.raises(NumericalError, match="sandwich"):
+                read(2)
+
+    @pytest.mark.parametrize("case", ["dirichlet_logistic", "scalar_logistic"])
+    def test_a_failed_pair_fails_alone(self, problems, case, monkeypatch):
+        # delta = 0 starts the rising row U at its own state, below the
+        # step's solution, so pair (L, U) breaches.  Rows L and H march on
+        # in the three-row window, and the equilibria read from it are
+        # those of a first window of rows L and H alone
+        if case == "scalar_logistic":  # u' + u = u (3 - u), from 1/2 and 4
+            itv = mv.OrderInterval(grid([0.5]), grid([4.0]))
+            prob = mv.ProblemSpec(mv.generators.scalar_generator(1.0), mv.logistic(3.0, 1.0),
+                                  itv, horizon=1.0, dt=5e-3)
+        else:
+            prob = fresh(problems[case])
+
+        def outputs(p):
+            eq = mv.asymptotic_equilibria(p, tol=1e-9, tol_eq=1e-8, tol_res=1e-8)
+            arrays = [eq.U_min.states, eq.U_max.states, eq.u_star.values,
+                      eq.u_upper_star.values, eq.report.distances_lower,
+                      eq.report.distances_upper, eq.report.sandwich_violations]
+            return [a.tobytes() for a in arrays], eq.windows, eq.certified
+
+        alone = outputs(fresh(prob))
+        monkeypatch.setattr(mv.monotone._March, "_reach", lambda self, drift: 0.0)
+        for _ in range(2):  # the second time from the memo
+            with pytest.raises(NumericalError, match="sandwich"):
+                mv.iterate(prob, prob.interval.lower, tol=1e-9)
+        window = prob._first_windows[1e-9]
+        assert window.k == 3 and window.failed[0] is not None and window.failed[1] is None
+        assert outputs(prob) == alone
+
+    def test_a_solve_leaves_no_cyclic_garbage(self):
+        # the memo refers to no problem: reference counting alone frees a
+        # problem with its first window once the caller drops it
+        scens = [
+            mv.build_logistic(mv.build_laplacian_1d(20, "dirichlet"), 12.0, 2.0),
+            mv.build_competition(mv.build_laplacian_1d(10, "neumann"),
+                                 mv.build_laplacian_1d(10, "neumann"),
+                                 1.0, 1.0, 1.0, 0.1, 0.1, 1.0),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for scen in scens:
+                prob = scen.problem(horizon=1.0, dt=0.02)
+                rpt = mv.iterate(prob, scen.interval.lower, tol=1e-9)
+                mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-8, tol_res=1e-8)
+                assert mv.certify_sandwich(rpt)[0]
+            del prob, rpt
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_the_scaled_copy_has_a_memo_of_its_own(self, problems):
+        prob = fresh(problems["dirichlet_logistic"])
+        mv.iterate(prob, prob.interval.lower, tol=1e-9)
+        assert list(prob._first_windows) == [1e-9]
+        scaled = mv.mild.scale_problem(prob, 1.0)
+        assert scaled._first_windows == {}
+        assert "_first_windows" not in repr(prob) and scaled.A is not prob.A
 
 
 class TestExtremalTrajectories:
@@ -653,7 +883,10 @@ class TestMarchKernel:
             rpt = mv.iterate(
                 prob, grid(itv.lower.values - 0.5), u0_upper=grid(itv.upper.values + 0.5)
             )
-        ref = mv.iterate(prob, itv.lower, u0_upper=itv.upper)
+        # a plain two-row march from the bounds: `iterate` from the bounds
+        # reads the first window, whose held rows round their GEMMs
+        # differently
+        ref = _march(prob, itv.lower, itv.upper).report()
         assert np.array_equal(rpt.u_min.states[0], itv.lower.values)
         assert np.array_equal(rpt.u_max.states[0], itv.upper.values)
         assert np.array_equal(rpt.u_min.states, ref.u_min.states)
@@ -672,7 +905,7 @@ class TestMarchKernel:
         assert scen.cone == mv.FLIPPED_CONE
         itv = scen.interval
         prob = scen.problem(horizon=1.0, dt=0.05)
-        march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9)
+        march = mv.monotone._March(prob, itv.lower, (itv.upper,), 1e-9)
         assert not np.signbit(march.p_t).any()
         assert not np.signbit(march.b_t).any()
 
@@ -708,7 +941,7 @@ class TestInnerIterationCap:
 
 def _march(prob, u0, u0_upper, tol=1e-9):
     """A march over the problem's whole grid, as `iterate` runs it."""
-    march = mv.monotone._March(prob, u0, u0_upper, tol)
+    march = mv.monotone._March(prob, u0, (u0_upper,), tol)
     march.advance(mv.mild.time_grid(prob.horizon, prob.dt).size - 1)
     return march
 
@@ -740,7 +973,7 @@ class TestContractionStart:
         # independent pairs and on close ordered pairs near the lower bound,
         # where the logistic slope is largest and the bound nearly tight
         itv = problems[case].interval
-        march = mv.monotone._March(problems[case], itv.lower, itv.upper, 1e-9)
+        march = mv.monotone._March(problems[case], itv.lower, (itv.upper,), 1e-9)
         q, lo, width = march.q, march.lo, march.hi - march.lo
         assert q is not None and 0.0 < q < 1.0
         x, y = (lo + rng.uniform(size=(200, lo.size)) * width for _ in range(2))
@@ -776,13 +1009,13 @@ class TestContractionStart:
         assert mv.iterate(prob, u0, tol=1e-9).converged
         monkeypatch.setattr(mv.monotone._March, "_reach", lambda self, drift: 0.0)
         with pytest.raises(NumericalError, match="sandwich"):
-            mv.iterate(prob, u0, tol=1e-9)
+            mv.iterate(fresh(prob), u0, tol=1e-9)
 
     @pytest.mark.parametrize("case", CASES)
     def test_equilibria_march_is_unchanged(self, problems, case, monkeypatch):
         # its rows start at the bounds and never move against their side
         def outputs():
-            eq = mv.asymptotic_equilibria(problems[case], tol=1e-9, tol_eq=1e-8,
+            eq = mv.asymptotic_equilibria(fresh(problems[case]), tol=1e-9, tol_eq=1e-8,
                                           tol_res=1e-8)
             rpt = eq.report
             arrays = [eq.U_min.states, eq.U_max.states, eq.u_star.values,
@@ -833,6 +1066,8 @@ def _scalar_march_outputs(prob, run):
     elif run == "from_inside":  # both rows from the midpoint
         itv = prob.interval
         rpt = mv.iterate(prob, grid(0.5 * (itv.lower.values + itv.upper.values)), tol=1e-9)
+    elif run == "from_lower":  # pair (L, U) of the three-row first window
+        rpt = mv.iterate(prob, prob.interval.lower, tol=1e-9)
     else:
         rpt = mv.iterate(prob, prob.interval.lower, tol=1e-9, u0_upper=prob.interval.upper)
     out = [
@@ -850,7 +1085,8 @@ class BlockMarch(mv.monotone._March):
 
 
 @pytest.mark.parametrize("cone", ["standard", "reversed"])
-@pytest.mark.parametrize("run", ["from_zero", "from_inside", "from_bounds", "equilibria"])
+@pytest.mark.parametrize(
+    "run", ["from_zero", "from_inside", "from_lower", "from_bounds", "equilibria"])
 class TestScalarMarch:
     """The dim == 1 march on Python floats against the numpy evaluations."""
 
@@ -873,7 +1109,10 @@ class TestScalarMarch:
         # carry the other sign, which array_equal ignores.  From the
         # midpoint 2 both rows rise toward 3: the upper row (the lower one
         # on the reversed cone) moves against its side, and the start rule
-        # of the contraction bound fires on both paths
+        # of the contraction bound fires on both paths.  From the lower
+        # bound, row U of the three-row first window rises against its side
+        # and fires it too, as it does in a plain pair (L, U); rows L and H
+        # never do
         reach, drifts = mv.monotone._March._reach, []
 
         def recording(march, drift):
@@ -894,12 +1133,16 @@ class TestScalarMarch:
         float_drifts = drifts[:]
         monkeypatch.setattr(mv.monotone, "_March", BlockMarch)
         drifts.clear()
-        block, block_counts = _scalar_march_outputs(prob, run)
+        block, block_counts = _scalar_march_outputs(fresh(prob), run)
         assert counts[2] and counts == block_counts and counts[3] is not None
         assert all(np.array_equal(a, b) for a, b in zip(floats, block))
         assert float_drifts == drifts
         if run == "from_inside":
             assert drifts
+        elif run == "from_lower":  # only row U fires
+            drifts.clear()
+            _march(prob, prob.interval.lower, prob.interval.lower)
+            assert drifts and float_drifts == drifts
         elif run != "from_zero":  # rows from the bounds never move against their side
             assert not drifts
 
@@ -1046,7 +1289,7 @@ class TestNewtonLinearAlgebra:
             residuals.append(mv.monotone_norm(prob.A.matrix @ state - f))
             return out
 
-        prob.rhs = counting
+        object.__setattr__(prob, "rhs", counting)  # ProblemSpec is frozen
         v, res, ok = mv.newton_equilibrium(prob, scen.interval.upper.values, tol_res=0.0)
         assert not ok and res > 0.0
         assert res <= mv.mild.defect_slack(prob.A, grid(v), rhs(v))
@@ -1413,7 +1656,7 @@ class TestCertifiedStop:
         scen, horizon, dt = cases["dirichlet_logistic"]
         prob = scen.problem(horizon=horizon, dt=dt)
         itv = prob.interval
-        march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9)
+        march = mv.monotone._March(prob, itv.lower, (itv.upper,), 1e-9)
         march.advance(mv.time_grid(prob.horizon, prob.dt).size - 1)
         for end, side in ((0, 1), (1, -1)):
             state = march._standard(march.y[end])
@@ -1538,7 +1781,7 @@ class TestSweptEnd:
         itv = prob.interval
         eq = mv.asymptotic_equilibria(prob, tol=1e-9, tol_eq=1e-9, tol_res=1e-8)
         assert eq.certified == (True, True)
-        march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9)
+        march = mv.monotone._March(prob, itv.lower, (itv.upper,), 1e-9)
         steps = mv.time_grid(prob.horizon, prob.dt).size - 1
         for window in (1, 2):
             march.advance(steps)
@@ -1660,7 +1903,7 @@ class TestSweptEnd:
         for name, par, bc, n in cases:
             prob = mv.build_from_config(name, par, n, bc, 1.0).problem(horizon=1.0, dt=0.05)
             itv = prob.interval
-            march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9)
+            march = mv.monotone._March(prob, itv.lower, (itv.upper,), 1e-9)
             march.advance(mv.time_grid(prob.horizon, prob.dt).size - 1)
             for end, side in ((0, 1), (1, -1)):
                 key = (name, par["a1"] if name == "competition" else None, bc, n, end)
@@ -1708,7 +1951,7 @@ class TestSweptEnd:
         mesh = mv.build_logistic(mv.build_laplacian_1d(160, "neumann"), 1.0, 2.0)
         prob = mesh.problem(horizon=0.2, dt=0.02)
         itv = prob.interval
-        march = mv.monotone._March(prob, itv.lower, itv.upper, 1e-9)
+        march = mv.monotone._March(prob, itv.lower, (itv.upper,), 1e-9)
         march.advance(mv.time_grid(prob.horizon, prob.dt).size - 1)
 
         def never(*args, **kwargs):
