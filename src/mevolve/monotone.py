@@ -21,7 +21,12 @@ minimal (above the maximal) step solution.  Where the contraction bound
 q = max(B s) < 1 (s the row sums of a bound of G' over the interval) proves
 that every step has one solution, a row that moved against its side starts
 at u_k -+ D / (1 - q) instead of its bound, D the drift of P u_k over the
-last step.  Positivity of P and B keeps the ordering chain
+last step.  Where q > 1/4 and the problem has more than one entry, the
+inner iteration is accelerated (C. V. Pao, Numer. Math. 79, 1998): with
+gamma a lower bound of the slopes of G over a box that holds the step's
+iterates, z_{j+1} = (I - gamma B)^-1 (P u_k + B (G(z_j) - gamma z_j)), which
+has the same fixed points, sub- and super-solutions and stays
+order-preserving.  Positivity of P and B keeps the ordering chain
 
     lower bound <= z_j <= z_{j+1} <= Z_{j+1} <= Z_j <= upper bound
 
@@ -123,6 +128,18 @@ def _bound_deficit(problem: ProblemSpec, svec: np.ndarray) -> float:
     return max(0.0, -float(m_low), -float(m_up))
 
 
+def _slope_bounds(f, mu: float, signs, a: np.ndarray,
+                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise (lower, upper) bounds of S (F' + mu) S over the box between
+    the states a and b (in u, either order), as (c, c, n) blocks; S holds
+    the cone signs."""
+    c = f.components
+    low, high = cone_jacobian_range(f, np.minimum(a, b), np.maximum(a, b), signs)
+    low[range(c), range(c)] += mu
+    high[range(c), range(c)] += mu
+    return low, high
+
+
 def _contraction_bound(scaled: ProblemSpec, b_mat: np.ndarray) -> float | None:
     """q = max(B s), a sup-norm Lipschitz constant of the step map
     z -> P u_k + B G(z) on the interval, or None unless it is below 1.
@@ -136,15 +153,90 @@ def _contraction_bound(scaled: ProblemSpec, b_mat: np.ndarray) -> float | None:
     q is rounded up over the dim + c terms summed per entry of B s.  A term
     with no finite bound (the signed sqrt at 0) gets None.
     """
-    itv, c = scaled.interval, scaled.F.components
-    a, b = itv.lower.values, itv.upper.values
-    _, high = cone_jacobian_range(scaled.F, np.minimum(a, b), np.maximum(a, b), itv.cone.signs)
-    high[range(c), range(c)] += scaled.mu
+    itv = scaled.interval
+    _, high = _slope_bounds(scaled.F, scaled.mu, itv.cone.signs, itv.lower.values,
+                            itv.upper.values)
     s = np.maximum(high, 0.0).sum(axis=1).ravel()
     if not np.isfinite(s).all():
         return None
-    q = float(np.max(b_mat @ s)) * (1.0 + 2.0 * (b_mat.shape[0] + c) * np.finfo(float).eps)
+    q = float(np.max(b_mat @ s)) * (1.0 + 2.0 * (b_mat.shape[0] + itv.components)
+                                    * np.finfo(float).eps)
     return q if q < 1.0 else None
+
+
+def _shifted_term(f, svec: np.ndarray | None, shift: float):
+    """z -> S (F(S z) + shift S z), the reaction term shifted by `shift` in
+    standard coordinates (S = diag(svec), the identity for svec None); it
+    closes over the term and the shift, not over a problem."""
+    if svec is None:
+        return lambda values: f.eval_shifted(values, shift)
+    return f.shifted_in_cone(svec, shift)
+
+
+ACCELERATION_Q = 0.25  # the accelerated step runs where q > 1/4 (`_Ladder`)
+LADDER_LEVELS = 4  # gamma_m = m g_max / 4 for m = 0 .. 3
+
+
+class _Ladder:
+    """The levels of the accelerated step of a march: gamma_m = m g_max / 4
+    for m = 0, ..., 3, g_max the largest diagonal entry of the upper bound
+    of S (F' + mu) S over the interval, and per level m the step's
+    B_gamma^T and the term G - gamma id in standard coordinates (`rung`).
+
+    Level 0 is the march's own B^T and G.  A level above 0 is built on
+    first use and kept: B_gamma = (I - gamma B)^-1 B is the function
+    beta / (1 - gamma beta) of the scaled generator, beta(w) = (1 -
+    e^{-dt w}) / w that of B, clipped at 0 as `propagator_matrices` clips
+    B; G - gamma id is the term's own shifted evaluation at mu - gamma.
+    The ladder holds the scaled generator, the term and arrays, nothing
+    that refers back to a problem; a march and its `select` copies share
+    it, since a level's matrices do not depend on when they are built.
+    """
+
+    def __init__(self, scaled: ProblemSpec, dt: float, svec, b_t, g):
+        self.a, self.f, self.mu, self.dt, self.svec = scaled.A, scaled.F, scaled.mu, dt, svec
+        itv = scaled.interval
+        low, high = _slope_bounds(scaled.F, scaled.mu, itv.cone.signs, itv.lower.values,
+                                  itv.upper.values)
+        diag = (range(low.shape[0]),) * 2
+        g_max = float(np.max(high[diag]))
+        self.gammas = [m * g_max / LADDER_LEVELS for m in range(LADDER_LEVELS)]
+        self.rungs = {0: (0.0, b_t, g)}
+        # the level of the interval's box, where every march's first step starts
+        self.interval_level = self._level(float(np.min(low[diag])))
+
+    def _level(self, floor: float) -> int:
+        """The highest level m with 0 < gamma_m <= floor, or 0."""
+        m = LADDER_LEVELS - 1
+        while m and not 0.0 < self.gammas[m] <= floor:  # a NaN takes level 0
+            m -= 1
+        return m
+
+    def level(self, a: np.ndarray, b: np.ndarray) -> int:
+        """The highest level m with gamma_m at or below the smallest
+        diagonal entry of the lower bound of S (F' + mu) S over the box
+        between the rows a and b (standard coordinates): there G - gamma_m
+        id is order-preserving.  A diagonal entry of S F' S is one of F'
+        itself, so the bound is read off `jacobian_range` directly."""
+        if self.svec is not None:
+            a, b = self.svec * a, self.svec * b
+        low, _ = self.f.jacobian_range(np.minimum(a, b), np.maximum(a, b))
+        return self._level(min(float(low[i, i].min()) for i in range(low.shape[0])) + self.mu)
+
+    def rung(self, m: int) -> tuple:
+        """(gamma_m, B_gamma^T, G - gamma_m id) of level m, built once."""
+        if m not in self.rungs:
+            gamma, dt = self.gammas[m], self.dt
+
+            def b_gamma(w):
+                beta = -np.expm1(-dt * w) / w
+                return beta / (1.0 - gamma * beta)
+
+            b_mat = self.a.function_matrix(b_gamma)
+            np.maximum(b_mat, 0.0, out=b_mat)
+            self.rungs[m] = (gamma, b_mat.T.copy(),
+                             _shifted_term(self.f, self.svec, self.mu - gamma))
+        return self.rungs[m]
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,6 +306,40 @@ class _March:
     so a start that is not a super-solution (sub-solution) raises the
     sandwich breach.
 
+    The accelerated step.  Where q > 1/4 and dim > 1 the march has a
+    ladder (`_Ladder`) of levels gamma_m = m g_max / 4, m = 0, ..., 3, and
+    a row iterates T_gamma(z) = c_gamma + B_gamma (G(z) - gamma z) in place
+    of T(z) = c_k + B G(z), with B_gamma = (I - gamma B)^-1 B and c_gamma =
+    (I - gamma B)^-1 c_k = c_k + gamma B_gamma c_k.  gamma is the highest
+    level at or below the smallest diagonal entry of the lower bound of
+    S (F' + mu) S over the row's box: rows 0 and k - 1 share the box
+    between their starts, and a middle row r takes the box between the
+    starts of rows 0 and r, so rows 0 and k - 1 never read a middle row.  A
+    failed pair's row lends no box: rows 0 and k - 1 then take level 0.
+    Rows on different levels take a GEMM per level.  A box at level 0 is
+    evaluated again only at the march's steps 1, 2, 4, 8, ... (every
+    level-0 box is valid); above level 0, at every step.  At q <= 1/4 a
+    plain step needs a few inner iterations and the ladder would cost more
+    than it saves; the dim == 1 float path keeps the plain step.
+
+    Proof, in exact arithmetic.  s >= gamma entrywise, since s_i bounds the
+    slope of G_i from above and gamma bounds it from below; with B >= 0,
+    rho(gamma B) <= gamma max(B 1) <= max(B s) = q < 1, so (I - gamma B)^-1
+    = sum_j (gamma B)^j >= 0 and B_gamma >= 0.  T_gamma(z) - z =
+    (I - gamma B)^-1 (T(z) - z): the sub-solutions, super-solutions and
+    fixed points of T_gamma and T coincide, and every start rule above
+    stays proven.  G - gamma id is order-preserving on the box, so T_gamma
+    is too, and each row's iterates move monotonically toward the same
+    step solution as under T, as long as the box holds them.  It does:
+    row 0 rises from its start, a sub-solution, toward its minimal step
+    solution, which lies below the start of row k - 1, a super-solution
+    of row k - 1's step map, which dominates row 0's since y_{k-1} >= y_0;
+    row k - 1 falls toward its maximal step solution, which lies above
+    row 0's start, a sub-solution of its map for the same reason; a middle
+    row r falls from its start toward a step solution above row 0's
+    start.  So the stop rule, the guards, the slack, the links and the
+    clamp stay as they are.
+
     The guards run on every inner iteration: each row's monotonicity, and
     the links of `_chain`, lo <= z <= Z_r <= hi for every pair.
 
@@ -224,7 +350,8 @@ class _March:
     1) multiplies its running rows only.  A first window (`hold`) multiplies
     all its rows on every inner iteration and holds the stopped ones, so
     that rows L and H come out the same in the window (L, H) as in the
-    window (L, U, H).
+    window (L, U, H): their levels are the same in both, and where row U
+    takes another level, the GEMM of rows L and H holds two rows.
 
     Two rows take `_advance_pair`, the block iteration written out for one
     pair; three take `_advance_block`, which holds any number of rows; a
@@ -262,6 +389,11 @@ class _March:
         self.y_prev = None  # the rows one node back, once a step was taken
         self.c_prev = None  # P y_prev
         self.q = None  # the contraction bound, where it is below 1
+        self.ladder = None  # the accelerated step's levels, where q > 1/4
+        # the steps marched so far, and per upper row r, entry r - 1: the
+        # level its box took at its last evaluation (`_box_level`)
+        self.n_steps = 0
+        self.box_levels = [0] * len(uppers)
         # the rows by node, one chunk per advance, each from its start node
         self.states: list[np.ndarray] = []
         # per pair (0, r), entry r - 1: the worst violation over every step,
@@ -294,12 +426,11 @@ class _March:
         p_mat, b_mat = scaled.A.propagators(problem.dt)
         self.p_t, self.b_t = p_mat.T.copy(), b_mat.T.copy()
         self.q = _contraction_bound(scaled, b_mat)
-        # the shifted reaction term in standard coordinates; it closes over
-        # the term and the shift, not over a problem
-        f, mu = scaled.F, scaled.mu
-        self.g = (lambda values: f.eval_shifted(values, mu)) if self.svec is None \
-            else f.shifted_in_cone(svec, mu)
-        self.F = f
+        # the shifted reaction term in standard coordinates
+        self.g = _shifted_term(scaled.F, self.svec, scaled.mu)
+        self.F = scaled.F
+        if self.q is not None and self.q > ACCELERATION_Q and self.y.shape[1] > 1:
+            self.ladder = _Ladder(scaled, problem.dt, self.svec, self.b_t, self.g)
 
     def _standard(self, values: np.ndarray) -> np.ndarray:
         return values if self.svec is None else self.svec * values
@@ -334,6 +465,7 @@ class _March:
             clamped, total = self.row_clamped[0] + self.row_clamped[r], self._evaluations(r)
             if self.failed[r - 1] is None and clamped > MAX_CLAMP_FRACTION * max(1, total):
                 self._fail(r, f"{100 * clamped / total:.3f}% of evaluations left the order interval")
+        self.n_steps += n_steps
         self.states.append(chunk)
         self.penultimate = pen
         self.worst_violation = [
@@ -371,12 +503,56 @@ class _March:
         and padded by the slack."""
         return (max(drift, 0.0) + self.slack) / (1.0 - self.q)
 
+    def _box_level(self, r: int, a: np.ndarray | None, b: np.ndarray, step: int) -> int:
+        """The level of upper row r's box between the rows a and b at the
+        march's step `step`, counted from 1: evaluated on every step while
+        the box sits above level 0, else at steps 1, 2, 4, 8, ... only.  a
+        is None in the march's first step, whose rows start at the interval
+        bounds."""
+        if a is None:
+            self.box_levels[r - 1] = self.ladder.interval_level
+        elif self.box_levels[r - 1] or step & (step - 1) == 0:
+            self.box_levels[r - 1] = self.ladder.level(a, b)
+        return self.box_levels[r - 1]
+
+    def _rungs(self, cur: np.ndarray, c: np.ndarray, step: int, first: bool) -> list:
+        """The march's rows grouped by level at the march's step `step`:
+        per level, (rows, B_gamma^T, G - gamma id, c_gamma), with c_gamma =
+        c + gamma B_gamma c = (I - gamma B)^-1 c of those rows, and the rows
+        as a slice where the group holds them all.  `first` marks the
+        march's first step.  Without a ladder every row takes the plain step.
+
+        Rows 0 and k - 1 take the level of the box between their starts,
+        unless pair (0, k - 1) failed; then they march at level 0.  Each
+        other row r takes the level of the box between the starts of rows 0
+        and r; a failed pair's row is held and rides with rows 0 and k - 1.
+        """
+        k, failed = self.k, self.failed
+        # the plain step, also while every box waits on level 0
+        if self.ladder is None or (not (first or any(self.box_levels)) and step & (step - 1)):
+            return [(slice(None), self.b_t, self.g, c)]
+        low = None if first else cur[1]
+        outer = 0 if failed[-1] is not None else self._box_level(k - 1, low, cur[k], step)
+        levels = [outer] * k
+        for r in range(1, k - 1):
+            if failed[r - 1] is None:
+                levels[r] = self._box_level(r, low, cur[1 + r], step)
+        groups = []
+        for m in sorted(set(levels)):
+            rows = [r for r in range(k) if levels[r] == m]
+            gamma, b_t, g = self.ladder.rung(m)
+            index = slice(None) if len(rows) == k else rows
+            c_rows = c[index]
+            groups.append((index, b_t, g,
+                           c_rows if gamma == 0.0 else c_rows + gamma * (c_rows @ b_t)))
+        return groups
+
     def _advance_pair(self, out, pen) -> None:
         """k == 2: the block iteration written out for one pair.  A plain
         march multiplies its running rows only; a held one multiplies both
         and keeps a stopped row in both buffers, as `_advance_block` does."""
         lo, hi, slack, tol, max_iter = self.lo, self.hi, self.slack, self.tol, MAX_INNER_ITER
-        p_t, b_t, g, dist, q, hold = self.p_t, self.b_t, self.g, self.distances, self.q, self.hold
+        p_t, dist, q, hold = self.p_t, self.distances, self.q, self.hold
         y, y_prev, c_prev = self.y, self.y_prev, self.c_prev
         # two [lower bound, lower row z, upper row Z, upper bound] buffers: cur
         # holds z_j, nxt receives z_{j+1}; a stopped row is kept in both
@@ -408,6 +584,7 @@ class _March:
                 else:
                     np.minimum(y[1] + self._reach(float((c[1] - c_prev[1]).max())), hi,
                                out=cur[2])
+            [(_, b_t, g, cc)] = self._rungs(cur, c, self.n_steps + k + 1, y_prev is None)
             # while the links hold without any violation, lo <= z <= Z <= hi
             # and the clamp is the identity
             inside = (cur[:-1] - cur[1:]).max() <= 0.0
@@ -429,7 +606,7 @@ class _March:
                 n_low += lower_on
                 n_up += upper_on
                 np.matmul(g(zc), b_t, out=new)
-                new += c[a:b]
+                new += cc[a:b]
                 if held is None:
                     np.subtract(new, zs, out=chk[a:b])
                     np.negative(chk[a:b], out=chk[2 + a:2 + b])
@@ -492,7 +669,7 @@ class _March:
 
     def _advance_block(self, out, pen) -> None:
         lo, hi, slack, tol, max_iter = self.lo, self.hi, self.slack, self.tol, MAX_INNER_ITER
-        p_t, b_t, g, dist, q, k = self.p_t, self.b_t, self.g, self.distances, self.q, self.k
+        p_t, dist, q, k = self.p_t, self.distances, self.q, self.k
         y, y_prev, c_prev = self.y, self.y_prev, self.c_prev
         clamped, iters, peak = self.row_clamped, self.row_iters, self.row_peak
         converged, violations, failed = self.row_converged, self.violations, self.failed
@@ -539,6 +716,7 @@ class _March:
             held = [r for r in range(k) if not on[r]]  # stopped rows
             for r in held:
                 cur[1 + r] = out[step, r] = pen[step, r] = y[r]
+            groups = self._rungs(cur, c, self.n_steps + step + 1, y_prev is None)
             # while the links hold without any violation, every row lies in
             # [lo, hi] and the clamp is the identity
             for o, first, second in link_ops[t]:
@@ -555,8 +733,13 @@ class _March:
                     counts = np.count_nonzero(np.abs(zc - zs) > slack, axis=1).tolist()
                     for r in range(k):
                         clamped[r] += counts[r] if on[r] else 0
-                np.matmul(g(zc), b_t, out=new)
-                new += c
+                if len(groups) == 1:
+                    _, b_t, g, cc = groups[0]
+                    np.matmul(g(zc), b_t, out=new)
+                    new += cc
+                else:  # a GEMM per level
+                    for index, b_t, g, cc in groups:
+                        new[index] = g(zc[index]) @ b_t + cc
                 np.subtract(new, zs, out=rise)
                 np.negative(rise, out=fall)
                 for r in held:  # it keeps its state, and its check rows read -inf
@@ -776,14 +959,16 @@ class _March:
 
     def select(self, r: int) -> _March:
         """The march of pair (0, r) alone, rows 0 and 1 of a copy holding
-        the pair's states and figures, to go on from where this one stopped.
-        This march is left as it is; the copy shares only arrays that no
-        march writes (the bounds and the propagators).  The copy is a plain
-        march; raises the pair's NumericalError if it failed."""
+        the pair's states, figures and the level of its box, to go on from
+        where this one stopped.  This march is left as it is; the copy
+        shares only what no march writes (the bounds, the propagators and
+        the ladder).  The copy is a plain march; raises the pair's
+        NumericalError if it failed."""
         self._check(r)
         rows = [0, r]
         pair = copy.copy(self)
         pair.k, pair.hold = 2, False
+        pair.box_levels = [self.box_levels[r - 1]]
         pair.y = self.y[rows]
         if self.y_prev is not None:
             pair.y_prev, pair.c_prev = self.y_prev[rows], self.c_prev[rows]
@@ -857,7 +1042,9 @@ def iterate(
     Y its state and D the drift of P Y over the last step: a proven
     super-solution of the step (`_March`).  Otherwise it restarts from the
     upper bound at every step, as the lower row does from the lower bound
-    when it falls.
+    when it falls.  Where q > 1/4 and the problem has more than one entry,
+    each step runs the accelerated inner iteration of `_March`, which
+    reaches the same step solutions in fewer iterations.
 
     When u0 holds the lower bound's values and u0_upper is None (rows L and
     U) or holds the upper bound's (rows L and H), the report is read from

@@ -125,6 +125,31 @@ class TestRun:
             tmp_path / "b/U_min.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("kind", ["lower", "upper"])
+    def test_U_min_file_is_a_copy_only_of_the_same_row(self, tmp_path, monkeypatch, kind):
+        # from the lower bound the march certifies at window 1 and U_min is
+        # iterate's lower row: its file is copied, not rendered.  From the
+        # upper bound iterate's lower row falls, and U_min is rendered
+        render, rendered = cli.trajectory_to_csv, []
+
+        def recording(traj, path):
+            rendered.append(path.name)
+            render(traj, path)
+
+        monkeypatch.setattr(cli, "trajectory_to_csv", recording)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, u0={"kind": kind})
+        copied = kind == "lower"
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert ("U_min.csv" in rendered) is not copied
+        out = tmp_path / "out"
+        U_min = (out / "U_min.csv").read_bytes()
+        assert (U_min == (out / "u_min.csv").read_bytes()) is copied
+        # the file holds the bytes the renderer writes
+        monkeypatch.setattr(cli, "_same_trajectory", lambda a, b: False)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "rendered")]) == 0
+        assert (tmp_path / "rendered" / "U_min.csv").read_bytes() == U_min
+
     def test_directory_run_with_jobs(self, tmp_path):
         configs = tmp_path / "configs"
         configs.mkdir()
