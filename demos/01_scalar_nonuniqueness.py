@@ -4,7 +4,8 @@ The ODE  u' + a u = sign(u) sqrt(|u|)  has a continuum of solutions through
 u(0) = 0: the reaction term is strictly increasing but not Lipschitz at the
 origin.  The monotone iteration still produces the extremal ones.  This demo
 computes them between the sub/super-solutions -M and +M, compares against the
-closed-form branches, and shows the extremal equilibria +-1/a^2.
+closed-form branches, and shows the extremal equilibria +-1/a^2, each proven
+extremal with its certified radius.
 """
 
 import numpy as np
@@ -40,5 +41,5 @@ eq = mv.asymptotic_equilibria(scen.problem(horizon=8.0, dt=0.01),
 print(f"asymptotic extremal equilibria: u_* = {eq.u_star.values[0]:+.9f}, "
       f"u^* = {eq.u_upper_star.values[0]:+.9f}")
 print(f"equilibrium residuals: {eq.residuals[0]:.1e}, {eq.residuals[1]:.1e}")
-print(f"Newton probes found {len(eq.newton_equilibria)} equilibria in the "
-      f"interval; all sandwiched (worst violation {eq.extremal_violation:.1e})")
+print(f"proven extremal (minimal, maximal): {eq.certified}, "
+      f"radii {eq.certified_radius[0]:.1e}, {eq.certified_radius[1]:.1e}")

@@ -44,8 +44,9 @@ retried from states swept toward it by the elliptic monotone iteration
 u <- (A + mu)^-1 (F(u) + mu u), after 8, 16, 32 and 64 sweeps and at the
 sweeps' stop; the iteration preserves the order and fixes every
 equilibrium, so from a row below the minimal equilibrium it never passes
-it.  Both ends are cross-checked for minimality/maximality against
-independently found equilibria.
+it.  Where an end stays uncertified, both ends are cross-checked for
+minimality/maximality against independently found equilibria; a certified
+pair is extremal by proof, and the cross-check does not run.
 """
 
 from __future__ import annotations
@@ -1527,7 +1528,8 @@ def asymptotic_equilibria(
 ) -> EquilibriaResult:
     """Extremal equilibria as the t -> infinity limits of the extremal
     trajectories, with a minimality/maximality cross-check from
-    N_NEWTON_STARTS random interior Newton runs.
+    N_NEWTON_STARTS random interior Newton runs (drawn from `seed`) where
+    some end is uncertified.
 
     One march runs from the interval bounds and is advanced one window (the
     problem's horizon) at a time, for at most MAX_WINDOWS windows (then
@@ -1555,6 +1557,13 @@ def asymptotic_equilibria(
     give 0.0 where the exact residual is not.  An unstable or degenerate
     extremal equilibrium that is not such a bound, or a reaction term whose
     `jacobian_range` has no finite upper bound, never certifies.
+
+    A certified u_* is the least and a certified u^* the greatest
+    equilibrium of the interval, so where both ends are certified no Newton
+    start can find an equilibrium outside [u_*, u^*]: the cross-check is
+    skipped, newton_equilibria is [] and extremal_violation 0.0.  Otherwise
+    every converged start inside the interval must lie in [u_*, u^*], and
+    extremal_violation is the largest order violation against them.
     """
     interval = problem.interval
     window = problem.horizon
@@ -1617,30 +1626,28 @@ def asymptotic_equilibria(
     if order_violation(u_star, u_upper_star, interval.cone) > max(slack, 10 * tol_eq):
         raise NumericalError("extremal equilibria are not ordered")
 
-    # independent equilibria from random interior starts, run as one batch;
-    # every one inside the interval must be sandwiched by the extremal pair
-    rng = np.random.default_rng(seed)
-    svec = interval.cone.sign_vector(interval.lower.n_points)
-    lo, hi = interval.standard_bounds()
-    starts = lo + rng.uniform(size=(N_NEWTON_STARTS, interval.dim)) * (hi - lo)
+    # where an end is uncertified, independent equilibria from random
+    # interior starts, run as one batch; every one inside the interval must
+    # be sandwiched by the extremal pair
     found = []
     extremal_violation = 0.0
-    check_slack = max(100.0 * tol_res, slack)
-    equilibria, _, converged = _newton_batch(problem, svec * starts)
-    for v, ok in zip(equilibria, converged):
-        if not ok:
-            continue
-        g = GridFunction(v, interval.components)
-        if order_violation(interval.lower, g, interval.cone) > check_slack:
-            continue
-        if order_violation(g, interval.upper, interval.cone) > check_slack:
-            continue
-        found.append(g)
-        extremal_violation = max(
-            extremal_violation,
-            order_violation(u_star, g, interval.cone),
-            order_violation(g, u_upper_star, interval.cone),
-        )
+    if any(c is None for c in certified):
+        check_slack = max(100.0 * tol_res, slack)
+        equilibria, _, converged = _newton_batch(problem, _cross_starts(interval, seed))
+        for v, ok in zip(equilibria, converged):
+            if not ok:
+                continue
+            g = GridFunction(v, interval.components)
+            if order_violation(interval.lower, g, interval.cone) > check_slack:
+                continue
+            if order_violation(g, interval.upper, interval.cone) > check_slack:
+                continue
+            found.append(g)
+            extremal_violation = max(
+                extremal_violation,
+                order_violation(u_star, g, interval.cone),
+                order_violation(g, u_upper_star, interval.cone),
+            )
 
     return EquilibriaResult(
         u_star=u_star,
@@ -1659,6 +1666,15 @@ def asymptotic_equilibria(
         certified=tuple(c is not None for c in certified),
         certified_radius=tuple(None if c is None else c[1] for c in certified),
     )
+
+
+def _cross_starts(interval, seed: int) -> np.ndarray:
+    """The cross-check's N_NEWTON_STARTS seeded interior starts, shape
+    (N_NEWTON_STARTS, dim), uniform in the interval."""
+    rng = np.random.default_rng(seed)
+    svec = interval.cone.sign_vector(interval.lower.n_points)
+    lo, hi = interval.standard_bounds()
+    return svec * (lo + rng.uniform(size=(N_NEWTON_STARTS, interval.dim)) * (hi - lo))
 
 
 def _polish(problem, raw: GridFunction, tol_res: float, tol_eq: float):

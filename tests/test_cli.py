@@ -392,25 +392,47 @@ class TestStatusReasons:
     def test_wrong_certificate_is_caught_by_the_cross_check(self, tmp_path, monkeypatch,
                                                            capsys):
         # a certificate that claims the genuine but non-minimal equilibrium
-        # 0 of the scalar case (equilibria -1 < 0 < 1) with radius 0: the
-        # random-start cross-check still finds -1 below it and fails the run
+        # 0 of the scalar case (equilibria -1 < 0 < 1) with radius 0, while
+        # the maximal end stays uncertified: the random-start cross-check
+        # runs, finds -1 below the claimed minimal end and fails the run
         from mevolve import monotone
 
-        original = monotone._certify_extremal
-
         def wrong(problem, state, side, tol_eq, slack):
-            if side == 1:
-                return np.zeros_like(state), 0.0
-            return original(problem, state, side, tol_eq, slack)
+            return (np.zeros_like(state), 0.0) if side == 1 else None
 
         monkeypatch.setattr(monotone, "_certify_extremal", wrong)
         cfg = tmp_path / "cfg.json"
         write_config(cfg, scenario="scalar-nonunique", params={"a": 1.0, "M": 2.0}, dt=0.01)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert doc["equilibria"]["certified"] == [True, True]
+        assert doc["equilibria"]["certified"] == [True, False]
         assert doc["equilibria"]["u_star"] == [0.0]
+        assert doc["equilibria"]["newton_equilibria_found"] > 0
         assert doc["status_reasons"] == ["extremal violation above 10*tol_eq"]
+
+    def test_certificate_of_a_non_equilibrium_fails_the_residual_check(self, tmp_path,
+                                                                       monkeypatch):
+        # both ends "certified", so the cross-check does not run; a
+        # certificate that returns 0.5, no equilibrium of the scalar case,
+        # still fails the run through the residual of the reported point
+        from mevolve import monotone
+
+        original = monotone._certify_extremal
+
+        def lying(problem, state, side, tol_eq, slack):
+            if side == 1:
+                return np.full_like(state, 0.5), 0.0
+            return original(problem, state, side, tol_eq, slack)
+
+        monkeypatch.setattr(monotone, "_certify_extremal", lying)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scenario="scalar-nonunique", params={"a": 1.0, "M": 2.0}, dt=0.01)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        eq = doc["equilibria"]
+        assert eq["certified"] == [True, True] and eq["u_star"] == [0.5]
+        assert (eq["newton_equilibria_found"], eq["extremal_violation"]) == (0, 0.0)
+        assert doc["status_reasons"] == ["equilibrium residual above tol_res"]
 
     def test_every_failed_check_is_named(self, tmp_path, monkeypatch):
         _patched(monkeypatch, "iterate", converged=False)

@@ -19,6 +19,7 @@ import mevolve as mv
 from mevolve.errors import NumericalError, ValidationError
 from mevolve.monotone import time_monotonicity_violation
 from mevolve.nonlin import _SignedSqrt
+from mevolve.order import order_slack
 
 from conftest import (
     bench_module,
@@ -564,9 +565,10 @@ class TestAsymptotics:
         assert abs(eq.u_upper_star.values[0] - 1.0) <= 1e-4
         assert max(eq.residuals) <= 1e-8
         assert mv.leq(eq.u_star, eq.u_upper_star, prob.interval.cone)
-        # Newton cross-check sandwiches every interior equilibrium it finds
-        assert eq.extremal_violation <= 1e-6
-        assert len(eq.newton_equilibria) > 0
+        # a certified pair is extremal by proof: the Newton cross-check is
+        # skipped
+        assert eq.certified == (True, True)
+        assert eq.newton_equilibria == [] and eq.extremal_violation == 0.0
 
     def test_logistic_unique_equilibrium(self, neumann_logistic):
         prob = neumann_logistic.problem(horizon=2.0, dt=0.05)
@@ -1940,11 +1942,89 @@ class TestCertifiedStop:
     @staticmethod
     def _run_config(cfg):
         """asymptotic_equilibria on a `mevolve run` config, as the CLI calls it."""
-        scen = mv.build_from_config(cfg["scenario"], cfg["params"], cfg.get("n", 1),
-                                    cfg.get("bc", "scalar"), cfg.get("beta"))
-        prob = scen.problem(horizon=cfg["T"], dt=cfg["dt"])
-        return mv.asymptotic_equilibria(prob, tol=cfg["tol"], tol_eq=cfg["tol_eq"],
-                                        tol_res=cfg["tol_res"], seed=cfg["seed"])
+        return mv.asymptotic_equilibria(_config_problem(cfg), tol=cfg["tol"],
+                                        tol_eq=cfg["tol_eq"], tol_res=cfg["tol_res"],
+                                        seed=cfg["seed"])
+
+
+def _config_problem(cfg):
+    """The problem of a `mevolve run` config, as the CLI builds it."""
+    scen = mv.build_from_config(cfg["scenario"], cfg["params"], cfg.get("n", 1),
+                                cfg.get("bc", "scalar"), cfg.get("beta"))
+    return scen.problem(horizon=cfg["T"], dt=cfg["dt"])
+
+
+class TestCrossCheckGate:
+    """The random-start Newton cross-check runs only where an end is
+    uncertified: a certified u_* is the least and a certified u^* the
+    greatest equilibrium of the interval, which is what the cross-check
+    tests."""
+
+    A1_5 = {"scenario": "competition", "bc": "dirichlet", "n": 8, "dt": 0.05, "T": 1.0,
+            "seed": 1, "params": {"a1": 5.0, "a2": 30.0, "b11": 1.0, "b12": 0.3,
+                                  "b21": 0.3, "b22": 1.0}, **workloads.TOL}
+
+    @staticmethod
+    def _solve(cfg, monkeypatch):
+        """The config's problem, asymptotic_equilibria on it, and the starts
+        of each `_newton_batch` call the cross-check made (the only calls
+        with more than one start)."""
+        original, batches = mv.monotone._newton_batch, []
+
+        def counting(problem, starts, *args, **kwargs):
+            if len(starts) > 1:
+                batches.append(starts.copy())
+            return original(problem, starts, *args, **kwargs)
+
+        prob = _config_problem(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(mv.monotone, "_newton_batch", counting)
+            eq = mv.asymptotic_equilibria(prob, tol=cfg["tol"], tol_eq=cfg["tol_eq"],
+                                          tol_res=cfg["tol_res"], seed=cfg["seed"])
+        return prob, eq, batches
+
+    def test_a_certified_pair_runs_no_batch(self, monkeypatch):
+        cfg = workloads.configs("mesh", workloads.DEFAULT_SEED)[0]
+        _, eq, batches = self._solve(cfg, monkeypatch)
+        assert eq.certified == (True, True) and batches == []
+        assert eq.newton_equilibria == [] and eq.extremal_violation == 0.0
+
+    def test_an_uncertified_end_runs_the_seeded_batch(self, monkeypatch):
+        prob, eq, batches = self._solve(self.A1_5, monkeypatch)
+        assert eq.certified == (True, False)
+        assert len(batches) == 1
+        seeded = mv.monotone._cross_starts(prob.interval, self.A1_5["seed"])
+        assert batches[0].tobytes() == seeded.tobytes()
+        assert len(eq.newton_equilibria) > 0
+        cone, bound = prob.interval.cone, 10 * self.A1_5["tol_eq"]
+        for g in eq.newton_equilibria:
+            assert mv.order_violation(eq.u_star, g, cone) <= bound
+            assert mv.order_violation(g, eq.u_upper_star, cone) <= bound
+        assert eq.extremal_violation <= bound
+
+    @pytest.mark.parametrize("workload", ["sweep", "windows", "setup", "mesh"])
+    def test_certified_pair_implies_the_cross_check(self, workload, monkeypatch):
+        # the heuristic the gate skips, run by hand on every seed-1
+        # benchmark config: every converged start inside the interval lies
+        # in [u_*, u^*] within 10*tol_eq, so skipping it drops no verdict
+        for cfg in workloads.configs(workload, workloads.DEFAULT_SEED):
+            prob, eq, batches = self._solve(cfg, monkeypatch)
+            assert eq.certified == (True, True) and batches == [], workloads.label(cfg)
+            itv = prob.interval
+            inside = max(100.0 * cfg["tol_res"], order_slack(itv.value_scale(), itv.dim))
+            starts = mv.monotone._cross_starts(itv, cfg["seed"])
+            assert starts.shape == (mv.monotone.N_NEWTON_STARTS, itv.dim)
+            found = 0
+            vs, _, converged = mv.monotone._newton_batch(prob, starts)
+            for v, ok in zip(vs, converged):
+                g = grid(v, itv.components)
+                if not ok or max(mv.order_violation(itv.lower, g, itv.cone),
+                                 mv.order_violation(g, itv.upper, itv.cone)) > inside:
+                    continue
+                found += 1
+                assert mv.order_violation(eq.u_star, g, itv.cone) <= 10 * cfg["tol_eq"]
+                assert mv.order_violation(g, eq.u_upper_star, itv.cone) <= 10 * cfg["tol_eq"]
+            assert found > 0, workloads.label(cfg)
 
 
 def _side_box(problem, side):
