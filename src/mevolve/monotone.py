@@ -346,18 +346,15 @@ class _March:
 
     Each inner iteration multiplies the rows by B in one GEMM, whose
     rounding can depend on how many rows it holds: one row takes another
-    BLAS kernel than two or three, which round each row alike.  A plain
-    march (`iterate` from another start, the equilibria march after window
-    1) multiplies its running rows only.  A first window (`hold`) multiplies
-    all its rows on every inner iteration and holds the stopped ones, so
-    that rows L and H come out the same in the window (L, H) as in the
-    window (L, U, H): their levels are the same in both, and where row U
+    BLAS kernel than two or three, which round each row alike.  So every
+    march multiplies all its rows on every inner iteration and holds the
+    stopped ones, and a row's bits do not depend on when its partners stop:
+    rows L and H come out the same in the window (L, H) as in the window
+    (L, U, H), since their levels are the same in both, and where row U
     takes another level, the GEMM of rows L and H holds two rows.
 
-    Two rows take `_advance_pair`, the block iteration written out for one
-    pair; three take `_advance_block`, which holds any number of rows; a
-    one-entry march (dim == 1) takes `_advance_scalar`, pair by pair on
-    Python floats.
+    `_advance_block` marches any number of rows; a one-entry march
+    (dim == 1) takes `_advance_scalar`, pair by pair on Python floats.
 
     A pair that breaches its chain, or clamps too often, fails alone: its
     upper row is held from then on, the other pairs march on, and reading
@@ -368,7 +365,7 @@ class _March:
     and `trajectories` joins all of them; `select` copies out one pair.
     """
 
-    def __init__(self, problem, lower, uppers, tol, hold=False):
+    def __init__(self, problem, lower, uppers, tol):
         interval = problem.interval
         scaled = auto_scale(problem)
         svec = interval.cone.sign_vector(interval.lower.n_points)
@@ -378,7 +375,7 @@ class _March:
         if any(order_violation(lower, upper, interval.cone) > slack for upper in uppers):
             raise ValidationError("u0_upper must lie above u0 in the cone order")
         self.interval, self.mu = interval, scaled.mu
-        self.dt, self.tol, self.slack, self.hold = problem.dt, tol, slack, hold
+        self.dt, self.tol, self.slack = problem.dt, tol, slack
         self.svec = None if np.all(svec == 1.0) else svec
         self.lo, self.hi = interval.standard_bounds()
         start = np.vstack([lower.values, *(upper.values for upper in uppers)])
@@ -458,8 +455,6 @@ class _March:
             self.row_peak = [1] * k
         elif self.y.shape[1] == 1:
             self._advance_scalar(chunk[1:], pen[1:])
-        elif k == 2:
-            self._advance_pair(chunk[1:], pen[1:])
         else:
             self._advance_block(chunk[1:], pen[1:])
         for r in range(1, k):
@@ -547,126 +542,6 @@ class _March:
             groups.append((index, b_t, g,
                            c_rows if gamma == 0.0 else c_rows + gamma * (c_rows @ b_t)))
         return groups
-
-    def _advance_pair(self, out, pen) -> None:
-        """k == 2: the block iteration written out for one pair.  A plain
-        march multiplies its running rows only; a held one multiplies both
-        and keeps a stopped row in both buffers, as `_advance_block` does."""
-        lo, hi, slack, tol, max_iter = self.lo, self.hi, self.slack, self.tol, MAX_INNER_ITER
-        p_t, dist, q, hold = self.p_t, self.distances, self.q, self.hold
-        y, y_prev, c_prev = self.y, self.y_prev, self.c_prev
-        # two [lower bound, lower row z, upper row Z, upper bound] buffers: cur
-        # holds z_j, nxt receives z_{j+1}; a stopped row is kept in both
-        cur, nxt = np.vstack([lo, lo, hi, hi]), np.vstack([lo, lo, hi, hi])
-        # rows z'-z, Z'-Z, -(z'-z), -(Z'-Z) and the chain links lo-z', z'-Z', Z'-hi
-        # of the new iterate: one max per row gives both increments, both
-        # monotonicity violations and the links; a stopped row's rows read -inf
-        chk = np.empty((7, y.shape[1]))
-        violations, clamped = self.violations[0], self.row_clamped
-        n_low = n_up = peak_low = peak_up = 0
-        capped_low = capped_up = False
-        for k in range(out.shape[0]):
-            c = y @ p_t
-            if y_prev is None:
-                cur[1], cur[2] = lo, hi
-            else:
-                moved = y - y_prev
-                if moved[0].min() >= -slack:
-                    cur[1] = y[0]
-                elif q is None:
-                    cur[1] = lo
-                else:
-                    np.maximum(y[0] - self._reach(float((c_prev[0] - c[0]).max())), lo,
-                               out=cur[1])
-                if moved[1].max() <= slack:
-                    cur[2] = y[1]
-                elif q is None:
-                    cur[2] = hi
-                else:
-                    np.minimum(y[1] + self._reach(float((c[1] - c_prev[1]).max())), hi,
-                               out=cur[2])
-            [(_, b_t, g, cc)] = self._rungs(cur, c, self.n_steps + k + 1, y_prev is None)
-            # while the links hold without any violation, lo <= z <= Z <= hi
-            # and the clamp is the identity
-            inside = (cur[:-1] - cur[1:]).max() <= 0.0
-            lower_on = upper_on = True
-            a, b = ra, rb = 0, 2  # the rows the GEMM multiplies, the running rows
-            held = None  # a held march's stopped row
-            s_low, s_up = n_low, n_up
-            worst = -np.inf
-            j = 0
-            while True:
-                zs, new = cur[1 + a:1 + b], nxt[1 + a:1 + b]
-                if inside:
-                    zc = zs
-                else:
-                    zc = np.minimum(np.maximum(zs, lo), hi)
-                    counts = np.count_nonzero(np.abs(zc - zs) > slack, axis=1).tolist()
-                    clamped[0] += counts[0] if lower_on else 0
-                    clamped[1] += counts[-1] if upper_on else 0
-                n_low += lower_on
-                n_up += upper_on
-                np.matmul(g(zc), b_t, out=new)
-                new += cc[a:b]
-                if held is None:
-                    np.subtract(new, zs, out=chk[a:b])
-                    np.negative(chk[a:b], out=chk[2 + a:2 + b])
-                else:  # it keeps its state, and its check rows stay -inf
-                    r = 1 - held
-                    new[held] = zs[held]
-                    np.subtract(new[r], zs[r], out=chk[r])
-                    np.negative(chk[r], out=chk[2 + r])
-                np.subtract(nxt[:-1], nxt[1:], out=chk[4:])
-                rise_low, rise_up, fall_low, fall_up, *links = chk.max(axis=1).tolist()
-                link = max(links)
-                inside = link <= 0.0
-                worst = max(worst, link, fall_low, rise_up)
-                if worst > slack:
-                    self._breach(1, worst)
-                inc_low = max(rise_low, fall_low) if lower_on else 0.0
-                inc_up = max(rise_up, fall_up) if upper_on else 0.0
-                if j < len(dist):
-                    row = dist[j]
-                    if inc_low > row[0]:
-                        row[0] = inc_low
-                    if inc_up > row[1]:
-                        row[1] = inc_up
-                else:
-                    dist.append([inc_low, inc_up])
-                j += 1
-                lower_next = lower_on and inc_low >= tol
-                upper_next = upper_on and inc_up >= tol
-                if j == max_iter and (lower_next or upper_next):
-                    capped_low, capped_up = capped_low or lower_next, capped_up or upper_next
-                    lower_next = upper_next = False
-                if not (lower_next or upper_next):
-                    # the step is solved: store the running rows' last two iterates
-                    pen[k, ra:rb], out[k, ra:rb] = cur[1 + ra:1 + rb], nxt[1 + ra:1 + rb]
-                    break
-                # a stopped row leaves the running rows, and the GEMM of a
-                # plain march; a held march keeps multiplying it
-                if lower_on and not lower_next:
-                    self._stop_row(0, cur, nxt, chk, out[k], pen[k])
-                    ra = 1
-                    if hold:
-                        held = 0
-                    else:
-                        a = 1
-                if upper_on and not upper_next:
-                    self._stop_row(1, cur, nxt, chk, out[k], pen[k])
-                    rb = 1
-                    if hold:
-                        held = 1
-                    else:
-                        b = 1
-                lower_on, upper_on = lower_next, upper_next
-                cur, nxt = nxt, cur
-            violations.append(worst)
-            peak_low, peak_up = max(peak_low, n_low - s_low), max(peak_up, n_up - s_up)
-            y_prev, y, c_prev = y, out[k], c
-        self.row_iters, self.row_peak = [n_low, n_up], [peak_low, peak_up]
-        self.row_converged = [not capped_low, not capped_up]
-        self.y, self.y_prev, self.c_prev = y.copy(), y_prev.copy(), c_prev
 
     def _advance_block(self, out, pen) -> None:
         lo, hi, slack, tol, max_iter = self.lo, self.hi, self.slack, self.tol, MAX_INNER_ITER
@@ -774,7 +649,8 @@ class _March:
                             # and hold its final one while others run
                             iters[r] += j
                             peak[r] = max(peak[r], j)
-                            self._stop_row(r, bufs[t], bufs[1 - t], chk, out[step], pen[step])
+                            pen[step, r] = zs[r]
+                            out[step, r] = zs[r] = new[r]
                     if not any(going):
                         break
                     on = going
@@ -784,15 +660,6 @@ class _March:
                 violations[p].append(worst[p])
             y_prev, y, c_prev = y, out[step], c
         self.y, self.y_prev, self.c_prev = y.copy(), y_prev.copy(), c_prev
-
-    @staticmethod
-    def _stop_row(row, cur, nxt, chk, out, pen):
-        """The row stopped: store its last two iterates, hold its final one
-        in both buffers and mask its check rows."""
-        k = out.shape[0]
-        pen[row] = cur[1 + row]
-        out[row] = cur[1 + row] = nxt[1 + row]
-        chk[row] = chk[k + row] = -np.inf
 
     def _advance_scalar(self, out, pen) -> None:
         """dim == 1: the same iteration on Python floats, one pair at a time
@@ -963,12 +830,11 @@ class _March:
         the pair's states, figures and the level of its box, to go on from
         where this one stopped.  This march is left as it is; the copy
         shares only what no march writes (the bounds, the propagators and
-        the ladder).  The copy is a plain march; raises the pair's
-        NumericalError if it failed."""
+        the ladder).  Raises the pair's NumericalError if it failed."""
         self._check(r)
         rows = [0, r]
         pair = copy.copy(self)
-        pair.k, pair.hold = 2, False
+        pair.k = 2
         pair.box_levels = [self.box_levels[r - 1]]
         pair.y = self.y[rows]
         if self.y_prev is not None:
@@ -996,10 +862,11 @@ def _first_window(problem: ProblemSpec, tol: float, rising: bool = False) -> _Ma
 
     Memoized on the problem (`ProblemSpec._first_windows`) by tol.  Rows L
     and H alone are marched until a caller asks for U; then rows L, U and H
-    are marched in one block, which replaces the pair.  Both are held
-    marches (`_March`), and a GEMM rounds each of two rows as it does each
-    of three, so L and H carry the same bits in either, and every caller
-    reads the same rows in whatever order and however often it asks.
+    are marched in one block, which replaces the pair.  Every march holds
+    its stopped rows in its GEMM (`_March`), and a GEMM rounds each of two
+    rows as it does each of three, so L and H carry the same bits in
+    either, and every caller reads the same rows in whatever order and
+    however often it asks.
     The march is read only: callers take its reports, or `select` a pair to
     march on.  It holds arrays, the interval and the reaction term, nothing
     that refers back to a problem.
@@ -1009,7 +876,7 @@ def _first_window(problem: ProblemSpec, tol: float, rising: bool = False) -> _Ma
     if march is None or rising and march.k < 3:
         itv = problem.interval
         uppers = (itv.lower, itv.upper) if rising else (itv.upper,)
-        march = _March(problem, itv.lower, uppers, tol, hold=True)
+        march = _March(problem, itv.lower, uppers, tol)
         march.advance(time_grid(problem.horizon, problem.dt).size - 1)
         memo[tol] = march
     return march

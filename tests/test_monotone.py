@@ -386,12 +386,27 @@ class TestSharedFirstWindow:
             assert a.tobytes() == b.tobytes()
         assert (rpt.n_iters, rpt.clamp_fraction) == (plain.n_iters, plain.clamp_fraction)
 
+    def test_the_lower_row_does_not_depend_on_its_partner(self):
+        # q = 0.14, so no ladder: every row takes the plain step, and each
+        # GEMM multiplies both rows of the pair, a stopped one held.  Row L
+        # from the lower bound then carries the same bits whether its
+        # partner starts at the midpoint (a pair of its own) or at the upper
+        # bound (the memoized first window)
+        scen = mv.build_logistic(mv.build_laplacian_1d(12, "neumann"), 1.0, 2.0)
+        prob = scen.problem(horizon=1.0, dt=0.05)
+        itv = prob.interval
+        midpoint = grid(0.5 * (itv.lower.values + itv.upper.values))
+        inside = mv.iterate(prob, itv.lower, tol=1e-9, u0_upper=midpoint)
+        bounds = mv.iterate(prob, itv.lower, tol=1e-9, u0_upper=itv.upper)
+        assert inside.contraction_bound < mv.monotone.ACCELERATION_Q
+        assert inside.u_min.states.tobytes() == bounds.u_min.states.tobytes()
+
     def test_each_pair_reads_its_own_rows(self):
         # the seed-1 `sweep` Dirichlet config: U needs up to 48 inner
         # iterations in a step, H up to 35 and L up to 39, so a figure taken
         # over all three rows would show in pair (L, H).  Row L's level in
-        # the window comes from the box up to H's start, in a plain pair
-        # (L, U) from the box up to U's: there the two marches agree only
+        # the window comes from the box up to H's start, in a pair (L, U)
+        # alone from the box up to U's: there the two marches agree only
         # to within the stop rule, and bit for bit up to the GEMM's rounding
         # in pair (L, H), whose box is the same in both
         cfg = workloads.configs("sweep", workloads.DEFAULT_SEED)[0]
@@ -1131,14 +1146,14 @@ class TestAcceleratedStep:
                 assert np.min(low) + ladder.mu < ladder.gammas[m + 1]
 
     @staticmethod
-    def _march_from(rows, hold):
+    def _march_from(rows):
         """A march of u' + A u = u (1 - 2 u) on [0, 1], Neumann n = 8 and
         dt = 0.1 (q = 0.35), over 5 steps from the given constant rows,
         each warm-started at its state."""
         gen, f = mv.build_laplacian_1d(8, "neumann"), mv.logistic(1.0, 2.0)
         lower, upper = grid(np.zeros(8)), grid(np.ones(8))
         prob = mv.ProblemSpec(gen, f, mv.OrderInterval(lower, upper), horizon=0.5, dt=0.1)
-        march = mv.monotone._March(prob, lower, (lower,) * (len(rows) - 1), 1e-9, hold)
+        march = mv.monotone._March(prob, lower, (lower,) * (len(rows) - 1), 1e-9)
         march.y = np.array([np.full(8, value) for value in rows])
         march.y_prev, march.c_prev = march.y.copy(), march.y @ march.p_t
         march.advance(5)
@@ -1150,7 +1165,7 @@ class TestAcceleratedStep:
         # largest, and their box takes the top level.  Row U starts above
         # H, at 0.9, where G - gamma id decreases for every gamma above
         # 0.4: its own box [0, 0.9] takes level 0, and it falls toward 1/2
-        # as it does in a plain pair (L, U)
+        # as it does in a pair (L, U) alone
         box_level, taken = mv.monotone._March._box_level, {}
 
         def recording(march, r, a, b, step):
@@ -1160,8 +1175,8 @@ class TestAcceleratedStep:
             return m
 
         monkeypatch.setattr(mv.monotone._March, "_box_level", recording)
-        window = self._march_from([0.0, 0.9, 0.0], hold=True)
-        pair = self._march_from([0.0, 0.9], hold=False)
+        window = self._march_from([0.0, 0.9, 0.0])
+        pair = self._march_from([0.0, 0.9])
         assert window.failed == [None, None]
         # L and H on the top level from step 1; U, as in the pair alone, on
         # level 0 until its fall brings its box below 3/4 at step 4
@@ -1175,8 +1190,8 @@ class TestAcceleratedStep:
         # L from 0 and H from 0.6 share the box [0, 0.6], on level 1; U from
         # 0.9 above H would pull a box that reached it down to level 0.  L
         # and H carry the same bits with U as without it
-        window = self._march_from([0.0, 0.9, 0.6], hold=True)
-        pair = self._march_from([0.0, 0.6], hold=True)
+        window = self._march_from([0.0, 0.9, 0.6])
+        pair = self._march_from([0.0, 0.6])
         assert window.box_levels == [1, 1] and pair.box_levels == [1]
         assert window.states[0][:, [0, 2]].tobytes() == pair.states[0].tobytes()
 
@@ -1336,7 +1351,7 @@ class TestScalarMarch:
         # on the reversed cone) moves against its side, and the start rule
         # of the contraction bound fires on both paths.  From the lower
         # bound, row U of the three-row first window rises against its side
-        # and fires it too, as it does in a plain pair (L, U); rows L and H
+        # and fires it too, as it does in a pair (L, U) alone; rows L and H
         # never do
         reach, drifts = mv.monotone._March._reach, []
 
