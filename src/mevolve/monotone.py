@@ -129,38 +129,34 @@ def _bound_deficit(problem: ProblemSpec, svec: np.ndarray) -> float:
     return max(0.0, -float(m_low), -float(m_up))
 
 
-def _slope_bounds(f, mu: float, signs, a: np.ndarray,
-                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise (lower, upper) bounds of S (F' + mu) S over the box between
-    the states a and b (in u, either order), as (c, c, n) blocks; S holds
-    the cone signs."""
-    c = f.components
+def _slope_bounds(f, signs, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise (lower, upper) bounds of S F' S over the box between the
+    states a and b (in u, either order), as (c, c, n) blocks; S holds the
+    cone signs.  The upper bound's off-diagonal entries are clipped at 0,
+    which keeps them upper bounds."""
     low, high = cone_jacobian_range(f, np.minimum(a, b), np.maximum(a, b), signs)
-    low[range(c), range(c)] += mu
-    high[range(c), range(c)] += mu
+    off = ~np.eye(f.components, dtype=bool)
+    high[off] = np.maximum(high[off], 0.0)
     return low, high
 
 
-def _contraction_bound(scaled: ProblemSpec, b_mat: np.ndarray) -> float | None:
+def _contraction_bound(high: np.ndarray, b_mat: np.ndarray) -> float | None:
     """q = max(B s), a sup-norm Lipschitz constant of the step map
     z -> P u_k + B G(z) on the interval, or None unless it is below 1.
 
-    s holds the row sums of the entrywise upper bound of S (F' + mu) S over
-    the interval's box (`cone_jacobian_range`, clipped at 0).  The shift
-    makes S (F' + mu) S >= 0 there (`quasi_increasing_shift`), so
-    |G(x) - G(y)| <= s |x - y|_inf for x, y in the box, and B >= 0 gives
+    s holds the row sums of high, the march's upper bound of S (F' + mu) S
+    over the interval (`_slope_bounds`), clipped at 0.  The shift makes
+    S (F' + mu) S >= 0 there (`quasi_increasing_shift`), so |G(x) - G(y)|
+    <= s |x - y|_inf for x, y in the box, and B >= 0 gives
     |B (G(x) - G(y))| <= (B s) |x - y|_inf.  The clamp into the box is
     order-preserving and 1-Lipschitz, so q bounds the clamped map as well.
     q is rounded up over the dim + c terms summed per entry of B s.  A term
     with no finite bound (the signed sqrt at 0) gets None.
     """
-    itv = scaled.interval
-    _, high = _slope_bounds(scaled.F, scaled.mu, itv.cone.signs, itv.lower.values,
-                            itv.upper.values)
     s = np.maximum(high, 0.0).sum(axis=1).ravel()
     if not np.isfinite(s).all():
         return None
-    q = float(np.max(b_mat @ s)) * (1.0 + 2.0 * (b_mat.shape[0] + itv.components)
+    q = float(np.max(b_mat @ s)) * (1.0 + 2.0 * (b_mat.shape[0] + high.shape[0])
                                     * np.finfo(float).eps)
     return q if q < 1.0 else None
 
@@ -180,9 +176,10 @@ LADDER_LEVELS = 4  # gamma_m = m g_max / 4 for m = 0 .. 3
 
 class _Ladder:
     """The levels of the accelerated step of a march: gamma_m = m g_max / 4
-    for m = 0, ..., 3, g_max the largest diagonal entry of the upper bound
-    of S (F' + mu) S over the interval, and per level m the step's
-    B_gamma^T and the term G - gamma id in standard coordinates (`rung`).
+    for m = 0, ..., 3, g_max the largest diagonal entry of high, the march's
+    (lower, upper) bound (low, high) of S (F' + mu) S over the interval
+    (`_slope_bounds`), and per level m the step's B_gamma^T and the term
+    G - gamma id in standard coordinates (`rung`).
 
     Level 0 is the march's own B^T and G.  A level above 0 is built on
     first use and kept: B_gamma = (I - gamma B)^-1 B is the function
@@ -194,11 +191,8 @@ class _Ladder:
     it, since a level's matrices do not depend on when they are built.
     """
 
-    def __init__(self, scaled: ProblemSpec, dt: float, svec, b_t, g):
+    def __init__(self, scaled: ProblemSpec, dt: float, svec, b_t, g, low, high):
         self.a, self.f, self.mu, self.dt, self.svec = scaled.A, scaled.F, scaled.mu, dt, svec
-        itv = scaled.interval
-        low, high = _slope_bounds(scaled.F, scaled.mu, itv.cone.signs, itv.lower.values,
-                                  itv.upper.values)
         diag = (range(low.shape[0]),) * 2
         g_max = float(np.max(high[diag]))
         self.gammas = [m * g_max / LADDER_LEVELS for m in range(LADDER_LEVELS)]
@@ -423,12 +417,18 @@ class _March:
         # S P S = P and S B S = B: A couples no components of opposite sign
         p_mat, b_mat = scaled.A.propagators(problem.dt)
         self.p_t, self.b_t = p_mat.T.copy(), b_mat.T.copy()
-        self.q = _contraction_bound(scaled, b_mat)
+        # S (F' + mu) S over the interval, for the contraction bound and the ladder
+        low, high = _slope_bounds(scaled.F, interval.cone.signs, interval.lower.values,
+                                  interval.upper.values)
+        diag = (range(low.shape[0]),) * 2
+        low[diag] += scaled.mu
+        high[diag] += scaled.mu
+        self.q = _contraction_bound(high, b_mat)
         # the shifted reaction term in standard coordinates
         self.g = _shifted_term(scaled.F, self.svec, scaled.mu)
         self.F = scaled.F
         if self.q is not None and self.q > ACCELERATION_Q and self.y.shape[1] > 1:
-            self.ladder = _Ladder(scaled, problem.dt, self.svec, self.b_t, self.g)
+            self.ladder = _Ladder(scaled, problem.dt, self.svec, self.b_t, self.g, low, high)
 
     def _standard(self, values: np.ndarray) -> np.ndarray:
         return values if self.svec is None else self.svec * values
@@ -1153,17 +1153,6 @@ def newton_equilibrium(
     return v[0], float(res[0]), bool(ok[0])
 
 
-def _jacobian_bound(f, lo: np.ndarray, hi: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """Entrywise upper bound of T F'(u) T over the box lo <= u <= hi, with
-    T = diag(sides), as (c, c, n) blocks; off-diagonal entries are clipped
-    at 0, which keeps them upper bounds."""
-    c = f.components
-    _, jac = cone_jacobian_range(f, lo, hi, sides.reshape(c, -1)[:, 0])
-    off = ~np.eye(c, dtype=bool)
-    jac[off] = np.maximum(jac[off], 0.0)
-    return jac
-
-
 def _mean_jacobian_bound(f, sides: np.ndarray, x_lo: np.ndarray, y_p: np.ndarray,
                          top: np.ndarray) -> np.ndarray:
     """Entrywise upper bound of the mean-value Jacobian
@@ -1181,24 +1170,24 @@ def _mean_jacobian_bound(f, sides: np.ndarray, x_lo: np.ndarray, y_p: np.ndarray
         boxes = ((x_lo, 1.0), (0.5 * (x_lo + y_p), 4.0), (y_p, 1.0))
     else:
         boxes = ((x_lo, 1.0),)
+    signs = sides.reshape(f.components, -1)[:, 0]
     total = 0.0
     for low, weight in boxes:
-        a, b = sides * low, sides * top
-        total += weight * _jacobian_bound(f, np.minimum(a, b), np.maximum(a, b), sides)
+        total += weight * _slope_bounds(f, signs, sides * low, sides * top)[1]
     return total / sum(weight for _, weight in boxes)
 
 
-def _enclose(problem: ProblemSpec, sides: np.ndarray, y_p: np.ndarray, x_lo: np.ndarray,
-             hi: np.ndarray, rho: float, tol_eq: float) -> float | None:
-    """The M-matrix proof of `_certify_extremal` in side coordinates, for
-    u* in [x_lo, y_p + tol_eq]: the proven radius, or None when a test
-    fails or the radius exceeds tol_eq."""
-    f = problem.F
-    c = f.components
-    jac = _mean_jacobian_bound(f, sides, x_lo, y_p, y_p + tol_eq)
-    jac += problem.mu * np.eye(c)[:, :, None]
+def _m_matrix(problem: ProblemSpec, sides: np.ndarray,
+              jac: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """The M-matrix test of M = T (A - J) T, T = diag(sides), J node-local
+    (c, c, n) blocks in side coordinates: (psi, kappa), or None.  One banded
+    LU gives psi = M^-1 1; kappa = min(M psi) is recomputed (1 in exact
+    arithmetic).  Where the solve succeeds, psi > 0 and kappa >= 1/2, a
+    Z-matrix M (the caller's premise) is a nonsingular M-matrix, M^-1 >= 0.
+    """
+    c = problem.F.components
     signs = sides.reshape(c, -1)[:, 0]
-    blocks = np.outer(signs, signs)[:, :, None] * jac  # the bound, back in u
+    blocks = np.outer(signs, signs)[:, :, None] * jac  # the blocks, back in u
     x, solved = _banded_solve(problem.A, blocks[None], sides[None])
     if not solved[0]:
         return None
@@ -1208,8 +1197,20 @@ def _enclose(problem: ProblemSpec, sides: np.ndarray, y_p: np.ndarray, x_lo: np.
         return None
     m_psi = problem.A.matrix @ x - np.einsum("ijk,jk->ik", blocks, x.reshape(c, -1)).ravel()
     kappa = float(np.min(sides * m_psi))
-    if not kappa >= 0.5:
+    return (psi, kappa) if kappa >= 0.5 else None
+
+
+def _enclose(problem: ProblemSpec, sides: np.ndarray, y_p: np.ndarray, x_lo: np.ndarray,
+             hi: np.ndarray, rho: float, tol_eq: float) -> float | None:
+    """The proof of `_certify_extremal` in side coordinates, for u* in
+    [x_lo, y_p + tol_eq], with the M-matrix test of `_m_matrix`: the proven
+    radius, or None when a test fails or the radius exceeds tol_eq."""
+    jac = _mean_jacobian_bound(problem.F, sides, x_lo, y_p, y_p + tol_eq)
+    jac += problem.mu * np.eye(problem.F.components)[:, :, None]
+    kernel = _m_matrix(problem, sides, jac)
+    if kernel is None:
         return None
+    psi, kappa = kernel
     eps = 4.0 * rho
     # clipped to the far bound hi, a super-solution: where p + eps psi is one
     # too, so is their minimum
@@ -1243,10 +1244,10 @@ def _sweep(problem: ProblemSpec, sides: np.ndarray, start: np.ndarray, lo: np.nd
     With mu the march's shift (`auto_scale`), G = F + mu id is increasing
     on the interval in side coordinates, and M = T (A + mu) T is a Z-matrix,
     since `ProblemSpec` refuses an A that couples components of opposite
-    cone sign.  psi = M^-1 1 > 0 then makes M a nonsingular M-matrix,
-    M^-1 >= 0, so the sweep y <- M^-1 T G(T y) preserves the order and
-    fixes u*: from y <= u* it never passes u*.  Each solve x of
-    (A + mu) x = g (`_banded_solve`, the shift as node-local blocks) is
+    cone sign.  The test of `_m_matrix` on the blocks J = -mu makes M a
+    nonsingular M-matrix, psi = M^-1 1 > 0, M^-1 >= 0, so the sweep y <-
+    M^-1 T G(T y) preserves the order and fixes u*: from y <= u* it never
+    passes u*.  Each solve x of (A + mu) x = g (the same blocks) is
     lowered by its residual bound (|(A + mu) x - g| + defect_slack) psi,
     which covers its round-off, and clamped into [lo, hi], which holds u*.
     The sweeps stop once the increment is at most tol_eq, or after
@@ -1255,16 +1256,16 @@ def _sweep(problem: ProblemSpec, sides: np.ndarray, start: np.ndarray, lo: np.nd
     scaled = auto_scale(problem)
     a = scaled.A
     c = problem.F.components
-    shift = np.zeros((1, c, c, sides.size // c))
-    shift[0, range(c), range(c)] = -(scaled.mu - problem.mu)  # A - shift = A + mu
-    x, ok = _banded_solve(problem.A, shift, sides[None])
-    psi = sides * x[0]
-    if not (ok[0] and np.all(psi > 0.0)):
+    shift = np.zeros((c, c, sides.size // c))
+    shift[range(c), range(c)] = -(scaled.mu - problem.mu)  # A - shift = A + mu
+    kernel = _m_matrix(problem, sides, shift)
+    if kernel is None:
         return
+    psi = kernel[0]
     y = start
     for count in range(1, SWEEP_MAX_ITER + 1):
         g = scaled.rhs(sides * y)
-        x, ok = _banded_solve(problem.A, shift, g[None])
+        x, ok = _banded_solve(problem.A, shift[None], g[None])
         if not ok[0]:
             return
         x = x[0]
@@ -1299,9 +1300,8 @@ def _certify_extremal(problem: ProblemSpec, state: np.ndarray, side: int, tol_eq
       + mu from above entrywise (`_mean_jacobian_bound`: Simpson's rule on
       three boxes where F' is quadratic along segments, else the one box),
       its off-diagonal entries clipped at 0, so M+ = A - J+ is a Z-matrix;
-    - psi solves M+ psi = 1 by one banded LU, and the proof needs psi > 0
-      and kappa = min(M+ psi) >= 1/2, recomputed: then M+ is a nonsingular
-      M-matrix, M+^-1 >= 0;
+    - M+ passes the M-matrix test of `_m_matrix`: psi = M+^-1 1 > 0 and
+      kappa = min(M+ psi) >= 1/2, so M+^-1 >= 0;
     - v = min(p + eps psi, h), with eps = 4 rho and h the interval's far
       bound (a super-solution, and the minimum of two super-solutions is
       one), must be a super-solution (A v >= F(v) up to `defect_slack`, the

@@ -1237,6 +1237,22 @@ class TestAcceleratedStep:
         assert march.q is not None and march.ladder is None
         assert bool(march.q > mv.monotone.ACCELERATION_Q) is (case == "scalar")
 
+    def test_a_march_bounds_the_interval_once(self, monkeypatch):
+        # the contraction bound and the ladder read one bound of
+        # S (F' + mu) S over the interval
+        prob, tol = self._sweep_problem()
+        original, calls = mv.monotone._slope_bounds, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mv.monotone, "_slope_bounds", counted)
+        itv = prob.interval
+        march = mv.monotone._March(prob, itv.lower, (itv.upper,), tol)
+        assert march.q > mv.monotone.ACCELERATION_Q and march.ladder is not None
+        assert len(calls) == 1
+
 
 @st.composite
 def accelerated_configs(draw):
@@ -2313,3 +2329,81 @@ class TestSweptEnd:
         swept = next(mv.monotone._sweep(ok, sides, lo, lo, hi, 1e-9), None)
         assert swept is not None
         assert np.all((lo <= swept[0]) & (swept[0] <= hi))
+
+
+class TestMMatrixKernel:
+    """`_m_matrix`, the one M-matrix test that the certificate's proof
+    (`_enclose`) and its sweeps (`_sweep`) share: a banded solve of
+    M psi = 1, psi > 0 and kappa = min(M psi) >= 1/2."""
+
+    @pytest.fixture(scope="class")
+    def prob(self):
+        scen = mv.build_logistic(mv.build_laplacian_1d(8, "dirichlet"), 15.0, 1.0)
+        return scen.problem(horizon=1.0, dt=0.05)
+
+    @staticmethod
+    def _diagonal(prob, value):
+        """The node-local blocks J = value * I."""
+        return np.full((1, 1, prob.A.dim), value)
+
+    def test_a_plus_mu_passes_with_kappa_one(self, prob):
+        mu = mv.mild.auto_scale(prob).mu
+        assert mu > 0.0
+        sides = np.ones(prob.A.dim)
+        psi, kappa = mv.monotone._m_matrix(prob, sides, self._diagonal(prob, -mu))
+        assert np.all(psi > 0.0) and abs(kappa - 1.0) <= 1e-12
+        ref = np.linalg.solve(prob.A.matrix + mu * np.eye(prob.A.dim), sides)
+        assert np.max(np.abs(psi - ref)) <= 1e-12 * np.max(ref)
+
+    def test_a_shift_past_lambda_1_is_refused_by_psi(self, prob):
+        # A - (lambda_1 + 1) is nonsingular and solves M psi = 1 to round-off,
+        # so kappa is 1: only psi > 0 refuses it
+        shift = prob.A.min_eigenvalue() + 1.0
+        a_shifted = prob.A.matrix - shift * np.eye(prob.A.dim)
+        ref = np.linalg.solve(a_shifted, np.ones(prob.A.dim))
+        assert np.any(ref <= 0.0) and abs(np.min(a_shifted @ ref) - 1.0) <= 1e-9
+        sides = np.ones(prob.A.dim)
+        assert mv.monotone._m_matrix(prob, sides, self._diagonal(prob, shift)) is None
+
+    def test_an_inaccurate_solve_is_refused_by_kappa(self, prob, monkeypatch):
+        # 0.3 psi is still positive, but M (0.3 psi) = 0.3 < 1/2
+        solve = mv.monotone._banded_solve
+
+        def inaccurate(*args):
+            x, ok = solve(*args)
+            return 0.3 * x, ok
+
+        monkeypatch.setattr(mv.monotone, "_banded_solve", inaccurate)
+        mu = mv.mild.auto_scale(prob).mu
+        sides = np.ones(prob.A.dim)
+        assert mv.monotone._m_matrix(prob, sides, self._diagonal(prob, -mu)) is None
+
+    def test_a_failed_solve_is_refused(self, prob, monkeypatch):
+        # the exact solution, flagged as failed
+        solve = mv.monotone._banded_solve
+
+        def failed(*args):
+            x, ok = solve(*args)
+            return x, np.zeros_like(ok)
+
+        monkeypatch.setattr(mv.monotone, "_banded_solve", failed)
+        mu = mv.mild.auto_scale(prob).mu
+        sides = np.ones(prob.A.dim)
+        assert mv.monotone._m_matrix(prob, sides, self._diagonal(prob, -mu)) is None
+
+    def test_the_proof_and_the_sweeps_stop_on_a_refusal(self, prob, monkeypatch):
+        itv = prob.interval
+        march = mv.monotone._March(prob, itv.lower, (itv.upper,), 1e-9)
+        march.advance(mv.time_grid(prob.horizon, prob.dt).size - 1)
+        state = march._standard(march.y[0])
+        sides, lo, hi = _side_box(prob, 1)
+        start = np.clip(sides * state - march.slack, lo, hi)
+
+        def outcomes():
+            cert = _first_pass(prob, state, 1, 1e-9, march.slack)
+            return cert, list(mv.monotone._sweep(prob, sides, start, lo, hi, 1e-9))
+
+        cert, sweeps = outcomes()
+        assert cert is not None and sweeps
+        monkeypatch.setattr(mv.monotone, "_m_matrix", lambda *args: None)
+        assert outcomes() == (None, [])

@@ -363,8 +363,9 @@ def _below(a, b):
 @settings(max_examples=200, deadline=None)
 def test_sampled_jacobians_lie_in_jacobian_range(name, n, data):
     """jacobian_blocks anywhere in a box lies within jacobian_range of the
-    box, and T F' T within the certificate's bound for the plain (T = I)
-    and the flipped cone (T = -I for one component, diag(1, -1) for two)."""
+    box, and T F' T within both bounds of `_slope_bounds` (read by the
+    march, its ladder and the certificate) for the plain (T = I) and the
+    flipped cone (T = -I for one component, diag(1, -1) for two)."""
     f = JACOBIAN_PRESETS[name](n)
     c = f.components
     values = st.floats(-3.0, 3.0)
@@ -378,10 +379,9 @@ def test_sampled_jacobians_lie_in_jacobian_range(name, n, data):
     assert low.shape == high.shape == (c, c, n)
     assert _below(low, jac) and _below(jac, high)
     for signs in ((1,) * c, (1, -1) if c == 2 else (-1,)):
-        sides = np.repeat(np.asarray(signs, dtype=float), n)
         outer = np.outer(signs, signs)[:, :, None]
-        bound = mv.monotone._jacobian_bound(f, lo, hi, sides)
-        assert _below(outer * jac, bound)
+        cone_low, bound = mv.monotone._slope_bounds(f, signs, lo, hi)
+        assert _below(cone_low, outer * jac) and _below(outer * jac, bound)
         off = ~np.eye(c, dtype=bool)
         assert np.all(bound[off] >= 0.0)
 
