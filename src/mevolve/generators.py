@@ -355,10 +355,13 @@ class EigPair:
     phi0: GridFunction
 
 
-def _is_irreducible(m: np.ndarray) -> bool:
+_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+
+
+def _is_irreducible(m: np.ndarray, tridiagonal: bool) -> bool:
     """The directed off-diagonal graph is strongly connected; on a
     tridiagonal matrix, both off-diagonals are nonzero everywhere."""
-    if _is_tridiagonal(m):
+    if tridiagonal:
         off = np.concatenate((np.diag(m, -1), np.diag(m, 1)))
         return bool(np.all(np.abs(off) > 0))
     from scipy.sparse import csr_matrix
@@ -377,37 +380,59 @@ def principal_eig(a: GeneratorSpec) -> EigPair:
     making the shifted matrix an M-matrix, so every iterate stays positive.
     The eigenvalue is polished with one extended-precision Rayleigh quotient
     after the residual drops below EIG_RESIDUAL_TOL.
+
+    The dense LU and its solves call LAPACK getrf/getrs directly, the
+    routines behind scipy.linalg.lu_factor/lu_solve, with lu_factor's
+    finiteness test made once on sigma*I + A: a finite M-matrix with
+    Gershgorin discs at or above 1 has no zero pivot, and its solves map a
+    finite right-hand side to a finite one.
     """
     m = a.matrix
     n = a.dim
-    if not _is_irreducible(m):
+    tridiagonal = _is_tridiagonal(m)
+    if not _is_irreducible(m, tridiagonal):
         raise ValidationError("principal eigenpair needs an irreducible generator")
     gershgorin_low = float(np.min(np.diag(m) - np.sum(np.abs(m - np.diag(np.diag(m))), axis=1)))
     sigma = max(0.0, -gershgorin_low) + 1.0
-    lu, piv = scipy.linalg.lu_factor(sigma * np.eye(n) + m)
+    shifted_m = sigma * np.eye(n) + m
+    if not np.isfinite(shifted_m).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lu, piv, info = _GETRF(shifted_m, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK getrf")
     x = np.ones(n)
     lam = 0.0
     for _ in range(EIG_MAX_ITER):
-        x = scipy.linalg.lu_solve((lu, piv), x)
-        x /= np.max(np.abs(x))
+        # getrs flags only illegal arguments, and these are getrf's own
+        x = _GETRS(lu, piv, x, overwrite_b=True)[0]
+        x /= np.abs(x).max()
         mx = m @ x
         lam = float(x @ mx / (x @ x))
-        if monotone_norm(mx - lam * x) <= EIG_RESIDUAL_TOL:
+        if np.abs(mx - lam * x).max() <= EIG_RESIDUAL_TOL:
             break
     else:
         raise NumericalError(
             "inverse power iteration did not converge: residual "
             f"{monotone_norm(m @ x - lam * x):.3e}"
         )
-    if np.sum(x) < 0:
+    if x.sum() < 0:
         x = -x
     # float64 Rayleigh quotients bottom out near eps*||A||; one long-double
     # evaluation recovers the last digits of lambda_1.
     xl = x.astype(np.longdouble)
-    ml = m.astype(np.longdouble)
-    lam = float((xl @ (ml @ xl)) / (xl @ xl))
-    x = x / np.max(np.abs(x))
-    if np.min(x) <= 0:
+    if tridiagonal:
+        # A x on the band, each row summed in the dense product's order
+        # (l x_{i-1} + d x_i) + u x_{i+1}: the dense rows' zero terms add
+        # exactly, so the bits are those of A @ x in long double
+        low, diag, up = (np.diag(m, k).astype(np.longdouble) for k in (-1, 0, 1))
+        ax = diag * xl
+        ax[1:] = low * xl[:-1] + ax[1:]
+        ax[:-1] += up * xl[1:]
+    else:
+        ax = m.astype(np.longdouble) @ xl
+    lam = float((xl @ ax) / (xl @ xl))
+    x = x / np.abs(x).max()
+    if x.min() <= 0:
         raise NumericalError("principal eigenvector is not entrywise positive")
     return EigPair(lam, GridFunction(x))
 

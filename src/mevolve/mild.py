@@ -23,6 +23,7 @@ whose fixed points are exactly the discrete mild solutions; it backs
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -45,6 +46,16 @@ STABILITY_FLOOR = 0.1  # scaled problems keep min eigenvalue >= this
 _EPS = np.finfo(float).eps
 
 
+def _uniform(steps: np.ndarray) -> bool:
+    """np.allclose(steps, steps[0], rtol=1e-9, atol=0.0) without its
+    overhead: every step within 1e-9 relative of the first (a NaN fails),
+    or, for an infinite first step, every step equal to it."""
+    first = steps[0]
+    if math.isinf(first):
+        return bool((steps == first).all())
+    return bool(np.abs(steps - first).max() <= 1e-9 * abs(first))
+
+
 @dataclass
 class Trajectory:
     t_grid: np.ndarray
@@ -59,7 +70,7 @@ class Trajectory:
         steps = np.diff(self.t_grid)
         if self.t_grid.size < 2 or np.any(steps <= 0):
             raise ValidationError("time grid must be increasing with dt > 0")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        if not _uniform(steps):
             raise ValidationError("time grid must be uniform")
 
     @property

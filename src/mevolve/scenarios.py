@@ -244,7 +244,8 @@ def build_competition(
     if a2_gen.dim != n:
         raise ValidationError("both species need the same mesh")
     sys_gen = block_generator([a1_gen, a2_gen])
-    pair_a1, pair_a2 = principal_eig(a1_gen), principal_eig(a2_gen)
+    pair_a1 = principal_eig(a1_gen)
+    pair_a2 = pair_a1 if a2_gen is a1_gen else principal_eig(a2_gen)
     lam_a1, lam_a2 = pair_a1.lambda1, pair_a2.lambda1
     eig_data = {"lambda1_A1": lam_a1, "lambda1_A2": lam_a2}
     necessary = a1 > lam_a1 and a2 > lam_a2
@@ -478,6 +479,9 @@ def build_from_config(name: str, params: dict, n: int, bc: str, beta=None) -> Sc
     if name not in SCENARIOS:
         raise ValidationError(f"unknown scenario {name!r}")
     kind = SCENARIOS[name]
-    meshes = [generators.build_laplacian_1d(n, bc, beta) for _ in range(kind.meshes)]
+    # every mesh of a config is the same Laplacian: one object, whose
+    # principal eigenpair a competition build computes once (the scalar
+    # takes no mesh, and its bc would make the builder raise)
+    meshes = [generators.build_laplacian_1d(n, bc, beta)] * kind.meshes if kind.meshes else []
     values = [params[key] for key in kind.params] + [params.get(key) for key in kind.extra]
     return kind.build(*meshes, *values)

@@ -7,8 +7,10 @@ import scipy.integrate
 import scipy.linalg
 
 import mevolve as mv
-from mevolve.errors import DimensionMismatchError, ValidationError
+from mevolve.errors import DimensionMismatchError, NumericalError, ValidationError
 from mevolve.generators import (
+    EIG_MAX_ITER,
+    EIG_RESIDUAL_TOL,
     _is_irreducible,
     _is_tridiagonal,
     _symmetrizer,
@@ -196,13 +198,13 @@ class TestBandPath:
             )
             m = np.diag(rng.uniform(1.0, 3.0, n)) + np.diag(lower, -1) + np.diag(upper, 1)
             assert _is_tridiagonal(m)
-            answers.add(_is_irreducible(m))
-            assert _is_irreducible(m) == csgraph_irreducible(m)
+            answers.add(_is_irreducible(m, True))
+            assert _is_irreducible(m, True) == csgraph_irreducible(m)
         assert answers == {True, False}
 
     def test_scalar_is_a_band_of_one(self):
         m = np.array([[3.0]])
-        assert _is_tridiagonal(m) and _is_irreducible(m)
+        assert _is_tridiagonal(m) and _is_irreducible(m, True)
         assert np.array_equal(_symmetrizer(m), [1.0])
 
 
@@ -311,6 +313,95 @@ class TestPrincipalEig:
         assert all(np.diff(lams) > 0)  # monotone in beta
         assert lams[0] == pytest.approx(0.0, abs=1e-11)
         assert abs(lams[-1] - dirichlet_value) < 0.5
+
+
+def lu_oracle_principal_eig(a):
+    """principal_eig through scipy.linalg.lu_factor/lu_solve, with the
+    long-double Rayleigh quotient on the dense matrix: (lambda1, phi0) in
+    the bits the direct LAPACK calls and the banded quotient must keep."""
+    m = a.matrix
+    if not _is_irreducible(m, _is_tridiagonal(m)):
+        raise ValidationError("principal eigenpair needs an irreducible generator")
+    gershgorin_low = float(np.min(np.diag(m) - np.sum(np.abs(m - np.diag(np.diag(m))), axis=1)))
+    sigma = max(0.0, -gershgorin_low) + 1.0
+    lu, piv = scipy.linalg.lu_factor(sigma * np.eye(a.dim) + m)
+    x = np.ones(a.dim)
+    for _ in range(EIG_MAX_ITER):
+        x = scipy.linalg.lu_solve((lu, piv), x)
+        x /= np.max(np.abs(x))
+        mx = m @ x
+        lam = float(x @ mx / (x @ x))
+        if np.max(np.abs(mx - lam * x)) <= EIG_RESIDUAL_TOL:
+            break
+    else:
+        raise NumericalError("inverse power iteration did not converge")
+    if np.sum(x) < 0:
+        x = -x
+    xl = x.astype(np.longdouble)
+    lam = float((xl @ (m.astype(np.longdouble) @ xl)) / (xl @ xl))
+    x = x / np.max(np.abs(x))
+    if np.min(x) <= 0:
+        raise NumericalError("principal eigenvector is not entrywise positive")
+    return lam, x
+
+
+def eig_outcome(solver, gen):
+    """(lambda1, phi0 bytes) of one solver, or the type of what it raised."""
+    try:
+        lam, phi0 = solver(gen)
+    except Exception as exc:  # the exception type is compared
+        return type(exc)
+    return lam, phi0.tobytes()
+
+
+class TestPrincipalEigBits:
+    """principal_eig against the lu_factor/lu_solve oracle, bit for bit."""
+
+    @staticmethod
+    def library(gen):
+        pair = mv.principal_eig(gen)
+        return pair.lambda1, pair.phi0.values
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-3, 1.0, 100.0])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin"])
+    def test_matches_the_lu_oracle(self, bc, scale):
+        for n in (2, 3, 8, 17, 60, 99, 160):
+            gen = mv.build_laplacian_1d(n, bc, 1.0 if bc == "robin" else None)
+            if scale:
+                potential = scale * np.random.default_rng(n).uniform(-1.0, 1.0, n)
+                gen = mv.add_potential(gen, potential)
+            assert eig_outcome(self.library, gen) == eig_outcome(lu_oracle_principal_eig, gen)
+
+    def test_conservative_random_band_matches_the_lu_oracle(self):
+        # random off-diagonals and row sums near 0: lambda1 is small against
+        # the terms of A x, so the rounding of each long-double row shows in
+        # its float64 value (on the Laplacians above the rows mostly add
+        # exactly, in any order)
+        for n in (2, 3, 8, 17, 60, 99, 160):
+            rng = np.random.default_rng(n)
+            m = np.diag(-rng.uniform(0.5, 1.5, n - 1), -1) + np.diag(-rng.uniform(0.5, 1.5, n - 1), 1)
+            m = (m - np.diag(m.sum(axis=1))) * n**2 + np.diag(rng.uniform(0.0, 1e-3, n))
+            gen = mv.GeneratorSpec(m, 1.0 / n, "random")
+            assert eig_outcome(self.library, gen) == eig_outcome(lu_oracle_principal_eig, gen)
+
+    def test_dense_generator_matches_the_lu_oracle(self):
+        # off the band, the quotient takes the dense long-double product
+        for n in (3, 8, 17):
+            gen = mv.GeneratorSpec(periodic_laplacian(n) * n**2, 1.0 / n, "periodic")
+            potential = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+            gen = mv.add_potential(gen, potential)
+            assert not _is_tridiagonal(gen.matrix)
+            assert eig_outcome(self.library, gen) == eig_outcome(lu_oracle_principal_eig, gen)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_diagonal_raises_as_lu_factor_does(self, value):
+        m = mv.build_laplacian_1d(8, "dirichlet").matrix.copy()
+        m[3, 3] = value
+        gen = mv.GeneratorSpec(m, 1.0 / 9, "dirichlet")
+        assert eig_outcome(lu_oracle_principal_eig, gen) is ValueError
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            mv.principal_eig(gen)
 
 
 class TestPotentials:

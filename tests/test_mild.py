@@ -267,3 +267,42 @@ class TestSerialization:
                 block = np.column_stack([traj.t_grid[start:stop], traj.states[start:stop]])
                 fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block.tolist())
         assert path.read_bytes() == reference.read_bytes()
+
+
+def _jittered(rel):
+    """11 nodes: a first step dt = 0.02, then steps of dt (1 - rel) and
+    dt (1 + rel) in turn."""
+    jitter = rel * (-1.0) ** np.arange(1, 11)
+    jitter[0] = 0.0
+    return np.concatenate(([0.0], np.cumsum(0.02 * (1.0 + jitter))))
+
+
+@pytest.mark.parametrize("t_grid", [
+    0.02 * np.arange(51),
+    time_grid(1.0, 1e-3),
+    np.linspace(0.0, 1.0, 11),
+    _jittered(0.5e-9),
+    _jittered(-0.5e-9),
+    _jittered(2e-9),
+    _jittered(-2e-9),
+    np.array([0.0, np.nan, 0.04]),
+    np.array([0.0, 0.02, np.nan]),
+    np.array([0.0, np.nan]),
+    np.array([0.0, np.inf]),
+    np.array([-np.inf, 0.0]),
+    np.array([0.0, 0.02, np.inf]),
+    np.array([0.0, 0.5]),
+    np.array([1.0, 0.5, 0.0]),
+], ids=lambda t: np.array2string(t[:3], precision=3))
+def test_uniform_grid_check_accepts_what_allclose_accepts(t_grid):
+    # the check Trajectory ran before, on the steps and on the whole grid
+    steps = np.diff(t_grid)
+    uniform = bool(np.allclose(steps, steps[0], rtol=1e-9, atol=0.0))
+    assert mv.mild._uniform(steps) is uniform
+    accepted = not np.any(steps <= 0) and uniform
+    try:
+        mv.Trajectory(t_grid, np.zeros((t_grid.size, 1)))
+    except ValidationError:
+        assert not accepted
+    else:
+        assert accepted

@@ -317,3 +317,47 @@ def test_competition_build_computes_each_principal_pair_once(monkeypatch):
     assert scen.certificates["coexistence"]
     assert len(calls) == 4
     assert calls[0] is g1 and calls[1] is g2
+
+
+def test_competition_config_computes_one_pair_per_species_mesh(monkeypatch):
+    # build_from_config hands both species one Laplacian, whose pair is then
+    # computed once: 3 calls on the setup benchmark config, where two
+    # distinct meshes take 4; the numbers are the same
+    from mevolve import scenarios
+
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return mv.principal_eig(a)
+
+    monkeypatch.setattr(scenarios, "principal_eig", counting)
+    params = {"a1": 30.0, "a2": 30.0, "b11": 1.0, "b12": 0.3, "b21": 0.3, "b22": 1.0}
+    scen = mv.build_from_config("competition", params, 60, "dirichlet")
+    assert scen.certificates["coexistence"]
+    assert len(calls) == 3
+    g1, g2 = mv.build_laplacian_1d(60, "dirichlet"), mv.build_laplacian_1d(60, "dirichlet")
+    apart = mv.build_competition(g1, g2, *params.values())
+    assert len(calls) == 7
+    assert scen.eig_data.keys() == apart.eig_data.keys()
+    for key, value in scen.eig_data.items():
+        assert np.array_equal(value, apart.eig_data[key]), key
+    assert np.array_equal(scen.interval.lower.values, apart.interval.lower.values)
+    assert np.array_equal(scen.interval.upper.values, apart.interval.upper.values)
+
+
+def test_scalar_config_builds_no_laplacian(monkeypatch):
+    # the scalar scenario takes no mesh, and its config's bc "scalar" would
+    # make the Laplacian builder raise
+    from mevolve import generators
+
+    built, build = [], generators.build_laplacian_1d
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(generators, "build_laplacian_1d", counting)
+    scen = mv.build_from_config("scalar-nonunique", {"a": 1.0, "M": 2.0}, 1, "scalar")
+    assert built == []
+    assert scen.predicted["equilibria"] == [-1.0, 0.0, 1.0]
