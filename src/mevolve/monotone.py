@@ -997,17 +997,16 @@ def extremal_trajectories(
     return u_min, u_max, report
 
 
-def linearized_solve(problem: ProblemSpec, states: np.ndarray,
-                     rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (A - F'(v) - mu) x = rhs, Newton's matrix at v, for each row v
-    of states and its row of rhs, both of shape (m, dim): (x, ok).
+def linearized_solve(problem: ProblemSpec, v: np.ndarray,
+                     rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Solve (A - F'(v) - mu) x = rhs, Newton's matrix at the state v: (x, ok).
 
-    F' is node-local (`Nonlinearity.jacobian_blocks`, one call per state);
-    see `_banded_solve`, which also says when ok[k] is False.
+    F' is node-local (`Nonlinearity.jacobian_blocks`); see `_banded_solve`,
+    which also says when ok is False.
     """
-    jac = np.array([problem.F.jacobian_blocks(v) for v in states])
+    jac = problem.F.jacobian_blocks(v)
     if problem.mu:
-        jac += problem.mu * np.eye(problem.F.components)[:, :, None]
+        jac = jac + problem.mu * np.eye(problem.F.components)[:, :, None]
     return _banded_solve(problem.A, jac, rhs)
 
 
@@ -1015,142 +1014,83 @@ _GTSV, _GBSV = scipy.linalg.get_lapack_funcs(("gtsv", "gbsv"), dtype=np.float64)
 
 
 def _banded_solve(a: GeneratorSpec, blocks: np.ndarray,
-                  rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (A - J_k) x_k = rhs_k for every row k of rhs, shape (m, dim),
-    with node-local c x c blocks J_k, blocks of shape (m, c, c, n): (x, ok).
+                  rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Solve (A - J) x = rhs, rhs of shape (dim,), with node-local c x c
+    blocks J of shape (c, c, n): (x, ok).
 
-    With the components interleaved node by node each matrix has A's band,
-    widened to the blocks (`GeneratorSpec.node_band`).  The m matrices,
-    tiled along the diagonal, form one banded matrix, and one banded LU
-    (LAPACK gtsv when it is tridiagonal, else gbsv, called as
-    scipy.linalg.solve_banded calls them) solves all rows.  The matrix is
-    block-diagonal, so the LU pivots inside each block and every row gets
-    the solution of its own solve, bit for bit.  ok[k] is False, and x[k]
-    meaningless, when row k's matrix, right-hand side or solution is not
-    finite, or its matrix is singular; the other rows are then solved
-    without it, since its values would spill into its neighbours.
+    With the components interleaved node by node the matrix has A's band,
+    widened to the blocks (`GeneratorSpec.node_band`), and one banded LU
+    solves it: LAPACK gtsv when it is tridiagonal, else gbsv, called as
+    scipy.linalg.solve_banded calls them.  ok is False, and x meaningless,
+    when the matrix, the right-hand side or the solution is not finite, or
+    LAPACK meets a zero pivot.
     """
-    m, c = blocks.shape[:2]
+    c = blocks.shape[0]
     nb = a.node_band(c)
-    (lower, upper), dim = nb.lower_upper, rhs.shape[1]
-    ab = np.empty((nb.band.shape[0], m, dim))
-    ab[:] = nb.band[:, None]
+    lower, upper = nb.lower_upper
+    ab = nb.band.copy()
     for i in range(c):
         for j in range(c):  # block entry [i, j] of node k is column c k + j
-            ab[upper + i - j, :, j::c] -= blocks[:, i, j]
-    # one finiteness test of the whole stack; the per-row test only where it fails
-    if np.isfinite(ab).all() and np.isfinite(rhs).all():
-        ok = np.ones(m, dtype=bool)
-        ab = ab.reshape(ab.shape[0], -1)
-        b = rhs[:, nb.perm].ravel()
-        if lower == upper == 1:
-            *_, x, info = _GTSV(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_dl=True,
-                                overwrite_d=True, overwrite_du=True, overwrite_b=True)
-        else:
-            a2 = np.zeros((2 * lower + upper + 1, ab.shape[1]))
-            a2[lower:] = ab
-            *_, x, info = _GBSV(lower, upper, a2, b, overwrite_ab=True, overwrite_b=True)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK gtsv/gbsv")
-        if info == 0:
-            x = x.reshape(m, dim)[:, nb.inverse]
-            return x, np.isfinite(x).all(axis=1)
-        ok[(info - 1) // dim] = False  # the row of the first zero pivot
+            ab[upper + i - j, j::c] -= blocks[i, j]
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        return np.full(rhs.shape, np.nan), False
+    b = rhs[nb.perm]
+    if lower == upper == 1:
+        *_, x, info = _GTSV(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_dl=True,
+                            overwrite_d=True, overwrite_du=True, overwrite_b=True)
     else:
-        ok = np.isfinite(ab).all(axis=(0, 2)) & np.isfinite(rhs).all(axis=1)
-    x = np.full(rhs.shape, np.nan)
-    if ok.any():
-        x[ok], ok[ok] = _banded_solve(a, blocks[ok], rhs[ok])
-    return x, ok
+        a2 = np.zeros((2 * lower + upper + 1, ab.shape[1]))
+        a2[lower:] = ab
+        *_, x, info = _GBSV(lower, upper, a2, b, overwrite_ab=True, overwrite_b=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK gtsv/gbsv")
+    x = x[nb.inverse]
+    return x, info == 0 and bool(np.isfinite(x).all())
 
 
 NEWTON_MAX_ITER = 80  # Newton rounds before a run gives up
 
 
-def _newton_batch(
-    problem: ProblemSpec, starts: np.ndarray, tol_res: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Newton on A v = F(v) from each row of starts, shape (m, dim):
-    per row, the final state, its residual norm and whether it converged.
-
-    The rows go in lock-step but never mix: each ends bit for bit where
-    its start alone would (`newton_equilibrium`).  A round takes the steps
-    of all running rows from one stacked banded solve (`linearized_solve`),
-    then tries the damped steps t = 1, 1/2, ... >= 1e-4 of the rows still
-    pending together, with one evaluation of the reaction term on the
-    stack.  A trial is accepted when its residual is finite and at most
-    (1 - t/4) times the current one.  A failed solve, a failed line search
-    or the round-off floor ends only its own row.
-    """
-    a = problem.A.matrix
-    v = np.array(starts, dtype=float)
-    m = v.shape[0]
-    res = np.empty(m)
-    ok = np.zeros(m, dtype=bool)
-    if m == 0:
-        return v, res, ok
-
-    def residuals(x):
-        # A x per row: one GEMM would sum in another order
-        out = problem.rhs(x)
-        for i, row in enumerate(x):
-            out[i] = a @ row - out[i]
-        return out
-
-    # the running rows: their indices, states, residuals and residual norms
-    rows, x, r = np.arange(m), v.copy(), residuals(v)
-    for _ in range(NEWTON_MAX_ITER):
-        norms = np.abs(r).max(axis=1)
-        done = norms <= tol_res
-        if done.any():
-            ok[rows[done]], v[rows[done]], res[rows[done]] = True, x[done], norms[done]
-            run = ~done
-            rows, x, r, norms = rows[run], x[run], r[run], norms[run]
-        if not rows.size:
-            break
-        step, solved = linearized_solve(problem, x, -r)
-        moved = np.zeros(rows.size, dtype=bool)
-        pending = solved.nonzero()[0]  # into x and r
-        t = 1.0
-        while pending.size and t >= 1e-4:
-            trial = x[pending] + t * step[pending]
-            r_trial = residuals(trial)
-            # a non-finite residual has the norm inf or nan and fails the test
-            better = np.abs(r_trial).max(axis=1) <= (1 - 0.25 * t) * norms[pending]
-            taken = pending[better]
-            x[taken], r[taken], moved[taken] = trial[better], r_trial[better], True
-            pending = pending[~better]
-            if t == 1.0 and pending.size:
-                # a residual already within the round-off floor ends its run
-                floor = np.array([
-                    norms[i] <= defect_slack(problem.A, x[i], a @ x[i] - r[i])
-                    for i in pending
-                ])
-                pending = pending[~floor]
-            t *= 0.5
-        if not moved.all():  # the rows that took no step end here
-            stop = ~moved
-            v[rows[stop]], res[rows[stop]] = x[stop], norms[stop]
-            rows, x, r = rows[moved], x[moved], r[moved]
-    v[rows] = x
-    norms = np.abs(r).max(axis=1)
-    res[rows], ok[rows] = norms, norms <= tol_res
-    return v, res, ok
-
-
 def newton_equilibrium(
     problem: ProblemSpec, start: np.ndarray, tol_res: float = 1e-10
 ) -> tuple[np.ndarray, float, bool]:
-    """Damped Newton on A v = F(v), at most NEWTON_MAX_ITER rounds; an
+    """Damped Newton on A v = F(v) from start, at most NEWTON_MAX_ITER
+    rounds: the final state, its residual norm and whether it converged; an
     oracle, failures are reported not raised.
 
-    A run whose full step fails to lower a residual already within the
-    round-off floor `defect_slack` stops there, without damped trials that
-    would only trade round-off; a run with tol_res = 0 ends that way.  This
-    is `_newton_batch` on the one start.
+    Each round solves for the step (`linearized_solve`) and tries the
+    damped steps t = 1, 1/2, ... >= 1e-4; a trial is accepted when its
+    residual is finite and at most (1 - t/4) times the current one.  A
+    failed solve or a failed line search ends the run.  A run whose full
+    step fails to lower a residual already within the round-off floor
+    `defect_slack` stops there, without damped trials that would only trade
+    round-off; a run with tol_res = 0 ends that way.
     """
-    v, res, ok = _newton_batch(problem, np.asarray(start, dtype=float)[None], tol_res)
-    return v[0], float(res[0]), bool(ok[0])
+    a = problem.A.matrix
+    v = np.array(start, dtype=float)
+    r = a @ v - problem.rhs(v)
+    for _ in range(NEWTON_MAX_ITER):
+        norm = monotone_norm(r)
+        if norm <= tol_res:
+            return v, norm, True
+        step, solved = linearized_solve(problem, v, -r)
+        if not solved:
+            return v, norm, False
+        t = 1.0
+        while t >= 1e-4:
+            trial = v + t * step
+            r_trial = a @ trial - problem.rhs(trial)
+            # a non-finite residual has the norm inf or nan and fails the test
+            if monotone_norm(r_trial) <= (1 - 0.25 * t) * norm:
+                v, r = trial, r_trial
+                break
+            if t == 1.0 and norm <= defect_slack(problem.A, v, a @ v - r):
+                return v, norm, False
+            t *= 0.5
+        else:
+            return v, norm, False
+    norm = monotone_norm(r)
+    return v, norm, norm <= tol_res
 
 
 def _mean_jacobian_bound(f, sides: np.ndarray, x_lo: np.ndarray, y_p: np.ndarray,
@@ -1188,10 +1128,9 @@ def _m_matrix(problem: ProblemSpec, sides: np.ndarray,
     c = problem.F.components
     signs = sides.reshape(c, -1)[:, 0]
     blocks = np.outer(signs, signs)[:, :, None] * jac  # the blocks, back in u
-    x, solved = _banded_solve(problem.A, blocks[None], sides[None])
-    if not solved[0]:
+    x, solved = _banded_solve(problem.A, blocks, sides)
+    if not solved:
         return None
-    x = x[0]
     psi = sides * x
     if not np.all(psi > 0.0):
         return None
@@ -1265,10 +1204,9 @@ def _sweep(problem: ProblemSpec, sides: np.ndarray, start: np.ndarray, lo: np.nd
     y = start
     for count in range(1, SWEEP_MAX_ITER + 1):
         g = scaled.rhs(sides * y)
-        x, ok = _banded_solve(problem.A, shift[None], g[None])
-        if not ok[0]:
+        x, ok = _banded_solve(problem.A, shift, g)
+        if not ok:
             return
-        x = x[0]
         bound = float(np.abs(a.matrix @ x - g).max()) + defect_slack(a, x, g)
         if not np.isfinite(bound):  # an overflow
             return
@@ -1399,9 +1337,11 @@ def asymptotic_equilibria(
     some end is uncertified.
 
     One march runs from the interval bounds and is advanced one window (the
-    problem's horizon) at a time, for at most MAX_WINDOWS windows (then
-    horizon_converged is False), each step of it by at most MAX_INNER_ITER
-    inner iterations.  Window 1 is rows L and H of the problem's first
+    steps of dt that `time_grid` puts on the problem's horizon) at a time,
+    for at most MAX_WINDOWS windows (then horizon_converged is False), each
+    step of it by at most MAX_INNER_ITER inner iterations.  A window's t_end
+    and the result's horizon are the march's time, dt times its steps.
+    Window 1 is rows L and H of the problem's first
     window (`_first_window`), memoized by (problem, tol) and shared with
     `iterate`; called first, it marches those two rows alone.  Later
     windows march them on, and every figure of the result reads those two
@@ -1433,13 +1373,11 @@ def asymptotic_equilibria(
     extremal_violation is the largest order violation against them.
     """
     interval = problem.interval
-    window = problem.horizon
-    steps_per_window = time_grid(window, problem.dt).size - 1
+    steps_per_window = time_grid(problem.horizon, problem.dt).size - 1
     march = _first_window(problem, tol)
     march = march.select(march.k - 1)  # window 1, rows L and H
     window_summaries = []
     horizon_converged = False
-    horizon = 0.0
     certified = [None, None]  # per end: (p, radius) once proven
     # a zero bound with F(0) = 0 is the extremal equilibrium on its side, as
     # the least (greatest) point of the interval
@@ -1451,7 +1389,7 @@ def asymptotic_equilibria(
             march.advance(steps_per_window)
         chunk = march.states[-1]
         converged = march.converged()
-        horizon += window
+        horizon = march.dt * march.n_steps  # the last node of U_min's time grid
         inc = float(np.max(np.abs(chunk[-1] - chunk[0])))
         window_summaries.append(
             {
@@ -1494,14 +1432,14 @@ def asymptotic_equilibria(
         raise NumericalError("extremal equilibria are not ordered")
 
     # where an end is uncertified, independent equilibria from random
-    # interior starts, run as one batch; every one inside the interval must
-    # be sandwiched by the extremal pair
+    # interior starts, one Newton run each; every one inside the interval
+    # must be sandwiched by the extremal pair
     found = []
     extremal_violation = 0.0
     if any(c is None for c in certified):
         check_slack = max(100.0 * tol_res, slack)
-        equilibria, _, converged = _newton_batch(problem, _cross_starts(interval, seed))
-        for v, ok in zip(equilibria, converged):
+        for start in _cross_starts(interval, seed):
+            v, _, ok = newton_equilibrium(problem, start)
             if not ok:
                 continue
             g = GridFunction(v, interval.components)

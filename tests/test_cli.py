@@ -1,6 +1,7 @@
 """CLI contract: config schema, exit codes, artifacts, determinism."""
 
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mevolve import cli
+from mevolve import asymptotic_equilibria, cli, iterate
 from mevolve.cli import main
 from mevolve.generators import GeneratorSpec
 
@@ -41,6 +42,17 @@ SETUP_COMPETITION = {
     "params": {"a1": 30.0, "a2": 30.0, "b11": 1.0, "b12": 0.3, "b21": 0.3, "b22": 1.0},
     "bc": "dirichlet", "dt": 0.02, "T": 1.0,
 }
+
+
+def test_config_defaults_are_the_engine_defaults():
+    # cli.DEFAULTS restates the keyword defaults of iterate and
+    # asymptotic_equilibria; the two tables must not drift apart
+    engine = {}
+    for fn in (iterate, asymptotic_equilibria):
+        for name, param in inspect.signature(fn).parameters.items():
+            if param.default is not param.empty and param.default is not None:
+                assert engine.setdefault(name, param.default) == param.default, name
+    assert engine == cli.DEFAULTS
 
 
 class TestRun:

@@ -1469,7 +1469,7 @@ class TestNewtonLinearAlgebra:
 
     @staticmethod
     def check_against_dense(prob, v, rhs):
-        (x,), (ok,) = mv.monotone.linearized_solve(prob, v[None], rhs[None])
+        x, ok = mv.monotone.linearized_solve(prob, v, rhs)
         assert ok
         matrix = _dense_newton_matrix(prob, v)
         oracle = scipy.linalg.solve(matrix, rhs)
@@ -1524,7 +1524,7 @@ class TestNewtonLinearAlgebra:
             mv.OrderInterval(grid(np.zeros(n)), grid(4.0 * np.ones(n))),
         )
         start = np.array(start)
-        (_,), (ok,) = mv.monotone.linearized_solve(prob, start[None], np.ones((1, n)))
+        _, ok = mv.monotone.linearized_solve(prob, start, np.ones(n))
         assert not ok
         v, res, ok = mv.newton_equilibrium(prob, start)
         assert not ok and np.array_equal(v, start)
@@ -1539,10 +1539,9 @@ class TestNewtonLinearAlgebra:
         prob = mv.ProblemSpec(gen, scen.F, scen.interval)
         rhs, residuals = prob.rhs, []
 
-        def counting(x):  # Newton evaluates a stack of states, one row here
+        def counting(x):
             out = rhs(x)
-            (state,), (f,) = x, out
-            residuals.append(mv.monotone_norm(prob.A.matrix @ state - f))
+            residuals.append(mv.monotone_norm(prob.A.matrix @ x - out))
             return out
 
         object.__setattr__(prob, "rhs", counting)  # ProblemSpec is frozen
@@ -1568,7 +1567,7 @@ class TestNewtonLinearAlgebra:
 
 def _reference_newton(prob, start, tol_res=1e-10, max_iter=80):
     """Damped Newton from one start, each step one scipy.linalg.solve_banded
-    call of its own: the oracle of the lock-step `_newton_batch`."""
+    call of its own: the oracle of `newton_equilibrium`."""
     a, c = prob.A.matrix, prob.F.components
     nb = prob.A.node_band(c)
 
@@ -1616,21 +1615,23 @@ def _reference_newton(prob, start, tol_res=1e-10, max_iter=80):
     return v, norm_r, norm_r <= tol_res
 
 
-def _assert_rows_are_their_own_runs(prob, starts, tol_res=1e-10):
-    vs, res, ok = mv.monotone._newton_batch(prob, starts, tol_res)
-    assert vs.shape == starts.shape and res.shape == ok.shape == (len(starts),)
+def _assert_runs_match_the_reference(prob, starts, tol_res=1e-10):
+    """newton_equilibrium from each start is bit for bit `_reference_newton`
+    from it: the runs' convergence flags."""
     max_iter = mv.monotone.NEWTON_MAX_ITER
-    for start, v, r, o in zip(starts, vs, res, ok):
-        alone = mv.newton_equilibrium(prob, start, tol_res)
-        assert type(alone[1]) is float and type(alone[2]) is bool
-        for run in (alone, _reference_newton(prob, start, tol_res, max_iter)):
-            assert np.array_equal(v, run[0]) and r == run[1] and o == run[2]
-    return ok
+    flags = []
+    for start in starts:
+        run = mv.newton_equilibrium(prob, start, tol_res)
+        assert type(run[1]) is float and type(run[2]) is bool
+        v, res, ok = _reference_newton(prob, start, tol_res, max_iter)
+        assert np.array_equal(run[0], v) and run[1] == res and run[2] == ok
+        flags.append(run[2])
+    return np.array(flags)
 
 
 class TestNewtonBatch:
-    """The cross-check's random starts run as one lock-step batch; every row
-    is bit for bit the run its start gets alone."""
+    """Sets of random starts, as the cross-check draws them: each start's
+    run is bit for bit the reference run, one banded solve per step."""
 
     @pytest.mark.parametrize("tol_res", [1e-10, 0.0], ids=["converge", "to_the_floor"])
     @pytest.mark.parametrize("case", NEWTON_CASES)
@@ -1639,7 +1640,7 @@ class TestNewtonBatch:
         lo, hi = prob.interval.lower.values, prob.interval.upper.values
         rng = np.random.default_rng(11)
         starts = lo + rng.uniform(size=(12, lo.size)) * (hi - lo)
-        ok = _assert_rows_are_their_own_runs(prob, starts, tol_res)
+        ok = _assert_runs_match_the_reference(prob, starts, tol_res)
         # a run to the floor converges only where a residual reaches 0
         assert ok.all() or not tol_res
 
@@ -1649,17 +1650,17 @@ class TestNewtonBatch:
         starts = lo + np.random.default_rng(5).uniform(size=(8, lo.size)) * (hi - lo)
         for max_iter in (0, 1, 3):
             monkeypatch.setattr(mv.monotone, "NEWTON_MAX_ITER", max_iter)
-            _assert_rows_are_their_own_runs(prob, starts)
+            _assert_runs_match_the_reference(prob, starts)
 
     def test_infinite_jacobian_fails_only_its_row(self):
         # signed sqrt has an infinite derivative at 0: the start with an
-        # entry exactly 0 fails, and every other row runs on unchanged
+        # entry exactly 0 fails, and the other starts converge
         n = 6
         box = mv.OrderInterval(grid(-2.0 * np.ones(n)), grid(2.0 * np.ones(n)))
         prob = mv.ProblemSpec(mv.build_laplacian_1d(n, "neumann"), mv.signed_sqrt(), box)
         starts = np.random.default_rng(2).uniform(0.2, 1.8, size=(9, n))
         starts[4, 2] = 0.0
-        ok = _assert_rows_are_their_own_runs(prob, starts)
+        ok = _assert_runs_match_the_reference(prob, starts)
         assert not ok[4] and ok.sum() >= 6
 
     @pytest.mark.parametrize("matrix, singular", [
@@ -1678,17 +1679,9 @@ class TestNewtonBatch:
             mv.OrderInterval(grid(np.zeros(n)), grid(4.0 * np.ones(n))),
         )
         starts = np.random.default_rng(4).uniform(0.1, 3.9, size=(7, n))
-        for row in (0, 3, 6):  # the first, a middle and the last block
-            stack = starts.copy()
-            stack[row] = singular
-            ok = _assert_rows_are_their_own_runs(prob, stack)
-            assert not ok[row] and np.delete(ok, row).all()
-
-    @pytest.mark.parametrize("case", NEWTON_CASES)
-    def test_empty_stack(self, newton_problems, case):
-        prob = newton_problems[case]
-        vs, res, ok = mv.monotone._newton_batch(prob, np.empty((0, prob.A.dim)))
-        assert vs.shape == (0, prob.A.dim) and res.shape == ok.shape == (0,)
+        starts[3] = singular
+        ok = _assert_runs_match_the_reference(prob, starts)
+        assert not ok[3] and np.delete(ok, 3).all()
 
 
 def test_flipped_cone_term_matches_the_sign_flip_wrapper(monkeypatch):
@@ -1997,35 +1990,41 @@ class TestCrossCheckGate:
 
     @staticmethod
     def _solve(cfg, monkeypatch):
-        """The config's problem, asymptotic_equilibria on it, and the starts
-        of each `_newton_batch` call the cross-check made (the only calls
-        with more than one start)."""
-        original, batches = mv.monotone._newton_batch, []
+        """The config's problem, asymptotic_equilibria on it, the start
+        arrays `_cross_starts` drew, and the start of each Newton run the
+        cross-check made (a row of a drawn array)."""
+        draw, newton = mv.monotone._cross_starts, mv.monotone.newton_equilibrium
+        drawn, runs = [], []
 
-        def counting(problem, starts, *args, **kwargs):
-            if len(starts) > 1:
-                batches.append(starts.copy())
-            return original(problem, starts, *args, **kwargs)
+        def drawing(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        def counting(problem, start, *args, **kwargs):
+            if any(np.shares_memory(start, starts) for starts in drawn):
+                runs.append(start.copy())
+            return newton(problem, start, *args, **kwargs)
 
         prob = _config_problem(cfg)
         with monkeypatch.context() as patch:
-            patch.setattr(mv.monotone, "_newton_batch", counting)
+            patch.setattr(mv.monotone, "_cross_starts", drawing)
+            patch.setattr(mv.monotone, "newton_equilibrium", counting)
             eq = mv.asymptotic_equilibria(prob, tol=cfg["tol"], tol_eq=cfg["tol_eq"],
                                           tol_res=cfg["tol_res"], seed=cfg["seed"])
-        return prob, eq, batches
+        return prob, eq, drawn, runs
 
     def test_a_certified_pair_runs_no_batch(self, monkeypatch):
         cfg = workloads.configs("mesh", workloads.DEFAULT_SEED)[0]
-        _, eq, batches = self._solve(cfg, monkeypatch)
-        assert eq.certified == (True, True) and batches == []
+        _, eq, drawn, runs = self._solve(cfg, monkeypatch)
+        assert eq.certified == (True, True) and drawn == [] and runs == []
         assert eq.newton_equilibria == [] and eq.extremal_violation == 0.0
 
     def test_an_uncertified_end_runs_the_seeded_batch(self, monkeypatch):
-        prob, eq, batches = self._solve(self.A1_5, monkeypatch)
+        prob, eq, drawn, runs = self._solve(self.A1_5, monkeypatch)
         assert eq.certified == (True, False)
-        assert len(batches) == 1
+        assert len(drawn) == 1 and len(runs) == mv.monotone.N_NEWTON_STARTS
         seeded = mv.monotone._cross_starts(prob.interval, self.A1_5["seed"])
-        assert batches[0].tobytes() == seeded.tobytes()
+        assert np.array(runs).tobytes() == seeded.tobytes()
         assert len(eq.newton_equilibria) > 0
         cone, bound = prob.interval.cone, 10 * self.A1_5["tol_eq"]
         for g in eq.newton_equilibria:
@@ -2039,15 +2038,15 @@ class TestCrossCheckGate:
         # benchmark config: every converged start inside the interval lies
         # in [u_*, u^*] within 10*tol_eq, so skipping it drops no verdict
         for cfg in workloads.configs(workload, workloads.DEFAULT_SEED):
-            prob, eq, batches = self._solve(cfg, monkeypatch)
-            assert eq.certified == (True, True) and batches == [], workloads.label(cfg)
+            prob, eq, _, runs = self._solve(cfg, monkeypatch)
+            assert eq.certified == (True, True) and runs == [], workloads.label(cfg)
             itv = prob.interval
             inside = max(100.0 * cfg["tol_res"], order_slack(itv.value_scale(), itv.dim))
             starts = mv.monotone._cross_starts(itv, cfg["seed"])
             assert starts.shape == (mv.monotone.N_NEWTON_STARTS, itv.dim)
             found = 0
-            vs, _, converged = mv.monotone._newton_batch(prob, starts)
-            for v, ok in zip(vs, converged):
+            for start in starts:
+                v, _, ok = mv.newton_equilibrium(prob, start)
                 g = grid(v, itv.components)
                 if not ok or max(mv.order_violation(itv.lower, g, itv.cone),
                                  mv.order_violation(g, itv.upper, itv.cone)) > inside:
@@ -2056,6 +2055,23 @@ class TestCrossCheckGate:
                 assert mv.order_violation(eq.u_star, g, itv.cone) <= 10 * cfg["tol_eq"]
                 assert mv.order_violation(g, eq.u_upper_star, itv.cone) <= 10 * cfg["tol_eq"]
             assert found > 0, workloads.label(cfg)
+
+
+def test_window_ends_are_the_marched_time():
+    # T = 1 is not a multiple of dt = 0.03: a window marches round(T / dt)
+    # = 33 steps, so it ends at 0.99, not at T
+    gen = mv.build_laplacian_1d(4, "dirichlet")
+    prob = mv.build_competition(gen, gen, 5.0, 30.0, 1.0, 0.3, 0.3, 1.0).problem(
+        horizon=1.0, dt=0.03
+    )
+    eq = mv.asymptotic_equilibria(prob)
+    steps = mv.time_grid(prob.horizon, prob.dt).size - 1
+    assert steps == 33 and len(eq.windows) > 1
+    t_grid = eq.U_min.t_grid
+    assert t_grid.size == len(eq.windows) * steps + 1
+    for count, window in enumerate(eq.windows, 1):
+        assert window["t_end"] == t_grid[count * steps]
+    assert eq.horizon == t_grid[-1] == eq.U_max.t_grid[-1]
 
 
 def _side_box(problem, side):
