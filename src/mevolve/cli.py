@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import shutil
 import sys
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import generators
 from .errors import NumericalError, ValidationError
-from .mild import Trajectory, trajectory_to_csv
+from .mild import trajectory_to_csv
 from .monotone import asymptotic_equilibria, certify_sandwich, iterate
 from .nonlin import quasi_increasing_shift
 from .order import GridFunction, contains, order_slack
@@ -204,12 +203,7 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
     if cfg.get("emit", {}).get("trajectories", True):
         trajectory_to_csv(report.u_min, out_dir / "u_min.csv")
         trajectory_to_csv(report.u_max, out_dir / "u_max.csv")
-        # from the lower bound, an equilibria march that stops after its
-        # first window hands back iterate's lower row: copy its file
-        if _same_trajectory(eq.U_min, report.u_min):
-            shutil.copyfile(out_dir / "u_min.csv", out_dir / "U_min.csv")
-        else:
-            trajectory_to_csv(eq.U_min, out_dir / "U_min.csv")
+        trajectory_to_csv(eq.U_min, out_dir / "U_min.csv")
         trajectory_to_csv(eq.U_max, out_dir / "U_max.csv")
     print(
         f"{scen.name}: iters={report.n_iters} converged={report.converged} "
@@ -217,13 +211,6 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
         f"residuals=({eq.residuals[0]:.2e},{eq.residuals[1]:.2e}) -> exit {status}"
     )
     return status
-
-
-def _same_trajectory(a: Trajectory, b: Trajectory) -> bool:
-    """a and b hold the same bytes, so their CSV files are the same."""
-    return (a.components == b.components and a.states.shape == b.states.shape
-            and a.t_grid.tobytes() == b.t_grid.tobytes()
-            and a.states.tobytes() == b.states.tobytes())
 
 
 def _jsonable(obj):

@@ -56,15 +56,20 @@ def _uniform(steps: np.ndarray) -> bool:
     return bool(np.abs(steps - first).max() <= 1e-9 * abs(first))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Trajectory:
+    """States on a uniform time grid.  Immutable: it keeps read-only float
+    copies of its arrays, and `trajectory_to_csv` keeps its text on it;
+    equality and hashing are by identity."""
+
     t_grid: np.ndarray
     states: np.ndarray
     components: int = 1
+    _csv: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.t_grid = np.asarray(self.t_grid, dtype=float)
-        self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
+        object.__setattr__(self, "t_grid", np.array(self.t_grid, dtype=float))
+        object.__setattr__(self, "states", np.atleast_2d(np.array(self.states, dtype=float)))
         if self.states.shape[0] != self.t_grid.size:
             raise DimensionMismatchError("one state per time node required")
         steps = np.diff(self.t_grid)
@@ -72,6 +77,7 @@ class Trajectory:
             raise ValidationError("time grid must be increasing with dt > 0")
         if not _uniform(steps):
             raise ValidationError("time grid must be uniform")
+        self.t_grid.flags.writeable = self.states.flags.writeable = False
 
     @property
     def dt(self) -> float:
@@ -110,10 +116,11 @@ class ProblemSpec:
 
     Frozen: `monotone` memoizes the march over the first window by
     tolerance in `_first_windows`, and that march depends on every field.
-    The march holds arrays, the interval and the reaction term, nothing that
-    refers back to a problem.  The memo is no init field, so
-    `dataclasses.replace` (`scale_problem`) gives the copy a memo of its
-    own.
+    The march holds arrays, the interval, the reaction term and the
+    trajectories it handed out (immutable, each with its CSV text once
+    written), nothing that refers back to a problem.  The memo is no init
+    field, so `dataclasses.replace` (`scale_problem`) gives the copy a memo
+    of its own.
     """
 
     A: GeneratorSpec
@@ -221,14 +228,16 @@ def csv_header(n_points: int, components: int) -> list[str]:
     ]
 
 
-CSV_BLOCK_VALUES = 4096  # bounds the Python floats alive at once while writing
+CSV_BLOCK_VALUES = 4096  # bounds the Python floats alive at once while rendering
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write t and the states, one row per node, floats as repr, CRLF rows."""
-    n = traj.states.shape[1] // traj.components
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(csv_header(n, traj.components)) + "\r\n")
+    """Write t and the states, one row per node, floats as repr, CRLF rows;
+    the text is rendered on a trajectory's first write and kept on it."""
+    text = traj._csv
+    if text is None:
+        n = traj.states.shape[1] // traj.components
+        parts = [",".join(csv_header(n, traj.components)) + "\r\n"]
         rows = max(1, CSV_BLOCK_VALUES // (traj.states.shape[1] + 1))
         for start in range(0, traj.t_grid.size, rows):
             stop = start + rows
@@ -236,7 +245,11 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
             # one flat list of reprs, cut into rows by zipping one iterator
             # width times: no Python generator step per row
             values = map(repr, block.ravel().tolist())
-            fh.write("\r\n".join(map(",".join, zip(*[values] * block.shape[1]))) + "\r\n")
+            parts.append("\r\n".join(map(",".join, zip(*[values] * block.shape[1]))) + "\r\n")
+        text = "".join(parts)
+        object.__setattr__(traj, "_csv", text)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def trajectory_from_csv(path, components: int = 1) -> Trajectory:

@@ -386,8 +386,10 @@ class _March:
         # level its box took at its last evaluation (`_box_level`)
         self.n_steps = 0
         self.box_levels = [0] * len(uppers)
-        # the rows by node, one chunk per advance, each from its start node
+        # the rows by node, one chunk per advance, each from its start node;
+        # per row of the last chunk its trajectory, once asked for (`_row`)
         self.states: list[np.ndarray] = []
+        self.handed: list[Trajectory | None] = [None] * self.k
         # per pair (0, r), entry r - 1: the worst violation over every step,
         # and the message of the pair's failure, if it failed
         self.worst_violation = [-np.inf] * (self.k - 1)
@@ -463,6 +465,7 @@ class _March:
                 self._fail(r, f"{100 * clamped / total:.3f}% of evaluations left the order interval")
         self.n_steps += n_steps
         self.states.append(chunk)
+        self.handed = [None] * k
         self.penultimate = pen
         self.worst_violation = [
             max([worst, *steps]) for worst, steps in zip(self.worst_violation, self.violations)
@@ -784,11 +787,15 @@ class _March:
                 r: (y1, p1, cp1, clamped1, n1, peak1, not capped1)}
 
     def _trajectory(self, block: np.ndarray, row: int) -> Trajectory:
-        # a copy: a memoized march hands out reports and keeps its own rows
         t_grid = self.dt * np.arange(block.shape[0])
-        values = block[:, row]
-        values = values.copy() if self.svec is None else self.svec * values
-        return Trajectory(t_grid, values, self.interval.components)
+        return Trajectory(t_grid, self._standard(block[:, row]), self.interval.components)
+
+    def _row(self, row: int) -> Trajectory:
+        """The row's trajectory over the last chunk: one immutable object
+        for every report and every caller, so it is rendered once."""
+        if self.handed[row] is None:
+            self.handed[row] = self._trajectory(self.states[-1], row)
+        return self.handed[row]
 
     def report(self, r: int = 1) -> IterationReport:
         """Pair (0, r) over the last chunk as an iteration report, on a grid
@@ -805,7 +812,7 @@ class _March:
             distances_lower=dist[:, 0], distances_upper=dist[:, 1],
             sandwich_violations=violations,
             worst_violation=float(np.max(violations)),
-            u_min=self._trajectory(chunk, 0), u_max=self._trajectory(chunk, r),
+            u_min=self._row(0), u_max=self._row(r),
             unique_flag=bool(gap <= 10.0 * self.tol),
             clamp_fraction=(self.row_clamped[0] + self.row_clamped[r])
             / max(1, self._evaluations(r)),
@@ -822,15 +829,16 @@ class _March:
         if len(self.states) > 1:  # join once; later chunks repeat their start node
             first, *rest = self.states
             self.states[:] = [np.concatenate([first, *(c[1:] for c in rest)])]
-        block = self.states[0]
-        return self._trajectory(block, 0), self._trajectory(block, 1)
+            self.handed = [None] * self.k
+        return self._row(0), self._row(1)
 
     def select(self, r: int) -> _March:
         """The march of pair (0, r) alone, rows 0 and 1 of a copy holding
         the pair's states, figures and the level of its box, to go on from
         where this one stopped.  This march is left as it is; the copy
-        shares only what no march writes (the bounds, the propagators and
-        the ladder).  Raises the pair's NumericalError if it failed."""
+        shares only what no march writes (the bounds, the propagators, the
+        ladder and the pair's immutable trajectories, until it advances).
+        Raises the pair's NumericalError if it failed."""
         self._check(r)
         rows = [0, r]
         pair = copy.copy(self)
@@ -840,6 +848,7 @@ class _March:
         if self.y_prev is not None:
             pair.y_prev, pair.c_prev = self.y_prev[rows], self.c_prev[rows]
         pair.states = [chunk[:, rows] for chunk in self.states]
+        pair.handed = [self.handed[row] for row in rows]
         pair.penultimate = self.penultimate[:, rows]
         pair.distances = [[d[0], d[r]] for d in self.distances[:self.n_iters(r)]]
         pair.violations = [self.violations[r - 1][:]]
@@ -868,8 +877,9 @@ def _first_window(problem: ProblemSpec, tol: float, rising: bool = False) -> _Ma
     either, and every caller reads the same rows in whatever order and
     however often it asks.
     The march is read only: callers take its reports, or `select` a pair to
-    march on.  It holds arrays, the interval and the reaction term, nothing
-    that refers back to a problem.
+    march on.  It holds arrays, the interval, the reaction term and one
+    `Trajectory` per row (`_March._row`), nothing that refers back to a
+    problem.
     """
     memo = problem._first_windows
     march = memo.get(tol)

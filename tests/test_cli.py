@@ -11,9 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mevolve import asymptotic_equilibria, cli, iterate
+from mevolve import asymptotic_equilibria, cli, iterate, mild
 from mevolve.cli import main
 from mevolve.generators import GeneratorSpec
+from mevolve.mild import Trajectory
 
 from conftest import bench_module
 
@@ -140,27 +141,36 @@ class TestRun:
     @pytest.mark.parametrize("kind", ["lower", "upper"])
     def test_U_min_file_is_a_copy_only_of_the_same_row(self, tmp_path, monkeypatch, kind):
         # from the lower bound the march certifies at window 1 and U_min is
-        # iterate's lower row: its file is copied, not rendered.  From the
-        # upper bound iterate's lower row falls, and U_min is rendered
-        render, rendered = cli.trajectory_to_csv, []
+        # iterate's lower row, one object: its text is rendered once, for
+        # u_min.csv.  From the upper bound iterate's lower row falls, and
+        # U_min is rendered
+        header, written, rendered = mild.csv_header, {}, []
+        render = cli.trajectory_to_csv
 
         def recording(traj, path):
-            rendered.append(path.name)
+            written[path.name] = traj
             render(traj, path)
 
+        def counting(n_points, components):  # one header per rendering
+            rendered.append(list(written)[-1])
+            return header(n_points, components)
+
         monkeypatch.setattr(cli, "trajectory_to_csv", recording)
+        monkeypatch.setattr(mild, "csv_header", counting)
         cfg = tmp_path / "cfg.json"
         write_config(cfg, u0={"kind": kind})
         copied = kind == "lower"
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert ("U_min.csv" in rendered) is not copied
+        assert (written["U_min.csv"] is written["u_min.csv"]) is copied
         out = tmp_path / "out"
         U_min = (out / "U_min.csv").read_bytes()
         assert (U_min == (out / "u_min.csv").read_bytes()) is copied
         # the file holds the bytes the renderer writes
-        monkeypatch.setattr(cli, "_same_trajectory", lambda a, b: False)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "rendered")]) == 0
-        assert (tmp_path / "rendered" / "U_min.csv").read_bytes() == U_min
+        traj = written["U_min.csv"]
+        fresh = Trajectory(traj.t_grid, traj.states, traj.components)
+        render(fresh, tmp_path / "rendered.csv")
+        assert (tmp_path / "rendered.csv").read_bytes() == U_min
 
     def test_directory_run_with_jobs(self, tmp_path):
         configs = tmp_path / "configs"

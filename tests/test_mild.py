@@ -1,5 +1,7 @@
 """Trajectories, scaling, the Picard sweep and its residuals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -223,7 +225,7 @@ class TestSerialization:
     def test_csv_bytes_match_the_csv_module(self, tmp_path, rng):
         """The writer's bytes equal csv.writer rows of repr(float(x)),
         across block boundaries, for signed zeros, subnormal-scale values
-        and a strided two-component state array."""
+        and a two-component state array built from a strided view."""
         import csv
 
         tg = time_grid(6.01, 0.01)
@@ -231,8 +233,8 @@ class TestSerialization:
         block = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
         block[0, 0, :2] = [-0.0, 1e-300]
         block[-1, 0, 2:] = [-1e-300, 0.0]
-        traj = mv.Trajectory(tg, block[:, 0], components=2)  # a strided view
-        assert not traj.states.flags["C_CONTIGUOUS"]
+        traj = mv.Trajectory(tg, block[:, 0], components=2)  # copies a strided view
+        assert not np.shares_memory(traj.states, block)
         path = tmp_path / "new.csv"
         mv.trajectory_to_csv(traj, path)
 
@@ -267,6 +269,62 @@ class TestSerialization:
                 block = np.column_stack([traj.t_grid[start:stop], traj.states[start:stop]])
                 fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block.tolist())
         assert path.read_bytes() == reference.read_bytes()
+
+
+class TestImmutable:
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        """Count the renderings of trajectory_to_csv: one header each."""
+        header, calls = mv.mild.csv_header, []
+
+        def counting(n_points, components):
+            calls.append(n_points)
+            return header(n_points, components)
+
+        monkeypatch.setattr(mv.mild, "csv_header", counting)
+        return calls
+
+    def test_construction_copies_its_input(self):
+        tg = time_grid(0.5, 0.1)
+        states = np.linspace(0, 1, tg.size * 3).reshape(tg.size, 3)
+        traj = mv.Trajectory(tg, states)
+        before = traj.t_grid.tobytes(), traj.states.tobytes()
+        tg[1], states[0, 0] = 7.0, -1.0
+        assert (traj.t_grid.tobytes(), traj.states.tobytes()) == before
+
+    def test_arrays_and_fields_are_read_only(self):
+        tg = time_grid(0.5, 0.1)
+        traj = mv.Trajectory(tg, np.zeros((tg.size, 2)))
+        with pytest.raises(ValueError):
+            traj.states[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            traj.t_grid[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.states = np.ones((tg.size, 2))
+
+    def test_equality_and_hash_are_identity(self):
+        tg = time_grid(0.5, 0.1)
+        a = mv.Trajectory(tg, np.zeros((tg.size, 2)))
+        b = mv.Trajectory(tg, np.zeros((tg.size, 2)))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+    def test_one_object_renders_once(self, tmp_path, renders):
+        tg = time_grid(0.5, 0.1)
+        traj = mv.Trajectory(tg, np.linspace(-1, 1, tg.size * 3).reshape(tg.size, 3))
+        mv.trajectory_to_csv(traj, tmp_path / "first.csv")
+        mv.trajectory_to_csv(traj, tmp_path / "second.csv")
+        assert len(renders) == 1
+        assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+
+    def test_equal_objects_each_render(self, tmp_path, renders):
+        # no memo by content: a distinct object renders its own text
+        tg = time_grid(0.5, 0.1)
+        states = np.linspace(-1, 1, tg.size * 3).reshape(tg.size, 3)
+        for name in ("a.csv", "b.csv"):
+            mv.trajectory_to_csv(mv.Trajectory(tg, states), tmp_path / name)
+        assert len(renders) == 2
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def _jittered(rel):

@@ -365,9 +365,39 @@ class TestSharedFirstWindow:
             rpt = mv.iterate(prob, scen.interval.lower, tol=cfg["tol"])
             eq = mv.asymptotic_equilibria(prob, tol=cfg["tol"], tol_eq=cfg["tol_eq"],
                                           tol_res=cfg["tol_res"], seed=cfg["seed"])
-            n = rpt.u_min.states.shape[0]
             assert len(eq.windows) == 1
-            assert rpt.u_min.states.tobytes() == eq.U_min.states[:n].tobytes()
+            # one object: rendered once when the four CSVs are written
+            assert eq.U_min is rpt.u_min is eq.report.u_min
+            both = mv.iterate(prob, scen.interval.lower, tol=cfg["tol"],
+                              u0_upper=scen.interval.upper)
+            assert both.u_min is rpt.u_min
+            assert both.u_max.states.tobytes() == eq.U_max.states.tobytes()
+
+    @pytest.mark.parametrize("case", ["u0_upper", "five_windows", "equilibria_first"])
+    def test_U_min_is_another_object_where_it_is_another_row(self, case):
+        # iterate's lower row from the upper bound falls; a march of five
+        # windows joins them into a longer row; an equilibria march asked
+        # first has rows L and H alone, and iterate then marches L, U and H
+        if case == "five_windows":
+            gen = mv.build_laplacian_1d(4, "dirichlet")
+            scen = mv.build_competition(gen, gen, 5.0, 30.0, 1.0, 0.3, 0.3, 1.0)
+            prob = scen.problem(horizon=1.0, dt=0.03)
+        else:
+            scen = mv.build_logistic(mv.build_laplacian_1d(12, "neumann"), 1.0, 2.0)
+            prob = scen.problem(horizon=1.0, dt=0.05)
+        itv = prob.interval
+        u0 = itv.upper if case == "u0_upper" else itv.lower
+        if case == "equilibria_first":
+            eq = mv.asymptotic_equilibria(prob)
+            rpt = mv.iterate(prob, u0)
+        else:
+            rpt = mv.iterate(prob, u0)
+            eq = mv.asymptotic_equilibria(prob)
+        assert len(eq.windows) == (5 if case == "five_windows" else 1)
+        assert eq.U_min is not rpt.u_min
+        n = rpt.u_min.states.shape[0]
+        same = rpt.u_min.states.tobytes() == eq.U_min.states[:n].tobytes()
+        assert same is (case != "u0_upper")
 
     @pytest.mark.parametrize("case", ["dirichlet_logistic", "flipped_competition", "scalar"])
     @pytest.mark.parametrize("start", ["upper", "midpoint"])
