@@ -12,14 +12,17 @@ scaled matrix checks it is symmetric.  Every scenario generator is
 tridiagonal (a 1-D Laplacian, a block-diagonal pair of them, a 1 x 1
 matrix), and such a matrix stays on its band: the scaling is the running
 product of the off-diagonal ratios, restarting wherever the band breaks,
-and LAPACK's MRRR solver (stemr) factorizes the scaled band without the
-dense reduction.  Any other matrix reads its scaling off a breadth-first
-spanning forest of the off-diagonal pattern and goes through the dense
-eigh.  A generator that admits no scaling (an asymmetric pattern, or a
-cycle whose ratios do not multiply to 1) is rejected with a ValidationError
-on its first spectral use.  A shift A + mu*I keeps the eigenvectors and the
-scaling of A, so every shifted copy reuses the base factorization and
-shares one cache of step propagators.
+the scaled entries and the symmetry test are computed on the three
+diagonals alone, and LAPACK's divide-and-conquer solver (stevd)
+factorizes the scaled band without the dense reduction.  Any other matrix
+reads its scaling off a breadth-first spanning forest of the off-diagonal
+pattern and goes through the dense eigh.  A generator that admits no
+scaling (an asymmetric pattern, or a cycle whose ratios do not multiply to
+1) is rejected with a ValidationError on its first spectral use.  A shift
+A + mu*I keeps the eigenvectors and the scaling of A, so every shifted
+copy reuses the base factorization and shares one cache of step
+propagators, whose P leaves out the terms of its spectral sum that have
+underflowed (`propagator_matrices`).
 
 Linear solves with A minus a node-local term (Newton's matrix) run on A's
 band once the components are interleaved node by node (`node_band`): one
@@ -43,6 +46,7 @@ EIG_RESIDUAL_TOL = 1e-10
 EIG_MAX_ITER = 500  # inverse power iterations before principal_eig gives up
 SYMMETRY_RTOL = 1e-10  # entrywise |S - S^T| <= SYMMETRY_RTOL |S| for the scaled S
 SUBMARKOV_PROBE_T = 0.1  # time of check_submarkovian's semigroup probe
+NORMAL_MIN = np.finfo(np.float64).tiny  # 2^-1022, float64's smallest normal number
 
 
 @dataclass
@@ -86,24 +90,30 @@ class GeneratorSpec:
     # -- spectral machinery -------------------------------------------------
 
     def _eig_factors(self):
-        """(d, w, Q) with matrix = diag(d) Q diag(w) Q^T diag(1/d)."""
+        """(d, w, Q) with matrix = diag(d) Q diag(w) Q^T diag(1/d), w ascending.
+
+        A tridiagonal matrix is scaled and tested on its three diagonals, each
+        entry computed as in the dense matrix * outer(1/d, d), and LAPACK's
+        divide-and-conquer solver stevd factorizes the scaled band; any other
+        matrix is scaled densely and goes through eigh.
+        """
         if self._eig is None:
             # checked on first spectral use rather than in __post_init__, so
             # a generator that is never factorized (add_potential's copies
             # read by principal_eig) pays for no spectral work
-            d = _symmetrizer(self.matrix)
-            sym = self.matrix * np.outer(1.0 / d, d)
-            # d is fixed by the forest's edges alone: this entrywise test
-            # checks all the others (a NaN fails it too)
-            if not np.all(np.abs(sym - sym.T) <= SYMMETRY_RTOL * np.abs(sym)):
-                raise ValidationError(
-                    "generator is not symmetrizable by a positive diagonal scaling"
-                )
-            if _is_tridiagonal(sym):
-                w, q = scipy.linalg.eigh_tridiagonal(
-                    np.diag(sym), np.diag(sym, -1), lapack_driver="stemr"
-                )
+            m = self.matrix
+            if _is_tridiagonal(m):
+                low, diag, up = (np.diag(m, k) for k in (-1, 0, 1))
+                d = _band_symmetrizer(low, up)
+                inv = 1.0 / d
+                diag, low, up = diag * (inv * d), low * (inv[1:] * d[:-1]), up * (inv[:-1] * d[1:])
+                # the off-band entries are zeros, symmetric as they are
+                _check_symmetric(np.concatenate((diag, low, up)), np.concatenate((diag, up, low)))
+                w, q = scipy.linalg.eigh_tridiagonal(diag, low, lapack_driver="stevd")
             else:
+                d = _symmetrizer(m)
+                sym = m * np.outer(1.0 / d, d)
+                _check_symmetric(sym, sym.T)
                 w, q = scipy.linalg.eigh(sym, lower=True)
             self._eig = (d, w, q)
         return self._eig
@@ -184,23 +194,35 @@ def _is_tridiagonal(m: np.ndarray) -> bool:
     return np.count_nonzero(m) == on_band
 
 
+def _check_symmetric(sym: np.ndarray, transposed: np.ndarray) -> None:
+    """Entrywise |S - S^T| <= SYMMETRY_RTOL |S| for the scaled S, with the
+    entries of S^T in `transposed` matched to those of S in `sym`.
+
+    The scaling d is fixed by the spanning forest's edges alone: this test
+    checks all the others (a NaN fails it too)."""
+    if not np.all(np.abs(sym - transposed) <= SYMMETRY_RTOL * np.abs(sym)):
+        raise ValidationError("generator is not symmetrizable by a positive diagonal scaling")
+
+
+def _band_symmetrizer(low: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """`_symmetrizer` of a tridiagonal matrix with sub- and superdiagonal
+    low and up: the running product of sqrt(low / up), restarting at 1
+    wherever either entry is 0."""
+    d = [1.0]
+    for below, above in zip(low.tolist(), up.tolist()):
+        d.append(d[-1] * math.sqrt(below / above) if below != 0.0 and above != 0.0 else 1.0)
+    return np.array(d)
+
+
 def _symmetrizer(m: np.ndarray) -> np.ndarray:
     """Positive diagonal d with diag(1/d) M diag(d) symmetric if any exists.
 
     d is 1 at the first node of each connected component of the mutual
     off-diagonal pattern (m[i, j] and m[j, i] both nonzero), and
     d[j] = d[p] * sqrt(m[j, p] / m[p, j]) down the edges (p, j) of a
-    breadth-first tree from there.  On a tridiagonal matrix the components
-    are runs of the band and the tree is the path, so d is the running
-    product of the ratios, restarting at 1 wherever either off-diagonal
-    entry is 0.  Only the tree edges are read; the caller checks the scaled
-    matrix on every other one.
+    breadth-first tree from there.  Only the tree edges are read; the
+    caller checks the scaled matrix on every other one.
     """
-    if _is_tridiagonal(m):
-        d = [1.0]
-        for low, up in zip(np.diag(m, -1).tolist(), np.diag(m, 1).tolist()):
-            d.append(d[-1] * math.sqrt(low / up) if low != 0.0 and up != 0.0 else 1.0)
-        return np.array(d)
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order, connected_components
 
@@ -330,6 +352,23 @@ def propagator_matrices(a: GeneratorSpec, dt: float) -> tuple[np.ndarray, np.nda
     integral of the semigroup over one step); clipping round-off negatives
     makes every downstream matvec exactly order-preserving.  Requires the
     spectrum strictly positive, i.e. a scaled problem.
+
+    Both are spectral sums (d Q) (f(w) (Q^T / d)), one GEMM each.  P's sum
+    leaves out its terms below float64's normal range, whose subnormal
+    operands slow the GEMM several-fold: the eigenpairs whose weight
+    e^{-dt w_k} has underflowed (a suffix, since w ascends) and, among the
+    others, the entries of f(w) (Q^T / d) that have underflowed (zeroed).
+    Such a term is below 2^-1022 max|d Q| max(1, max|Q^T / d|) in
+    magnitude, under half an ulp of any partial sum above 2^54 times that
+    (about 1e-291 for these O(1) factors), so it cannot move one.  Every
+    entry of P is an exact zero (an off-diagonal block of a block-diagonal
+    Q) or a sum whose leading terms are O(1/n), and whose round-off alone
+    is far above that: P equals the full sum bit for bit, provided the
+    GEMM adds up each entry's terms in k order whatever its inner
+    dimension, so that the kept prefix is summed as in the full sum.  The
+    OpenBLAS kernels these were checked on do; tests/test_generators.py
+    compares the two sums byte for byte as the tripwire.  B's weights
+    (1 - e^{-dt w}) / w do not underflow, and B keeps every term.
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
@@ -339,7 +378,13 @@ def propagator_matrices(a: GeneratorSpec, dt: float) -> tuple[np.ndarray, np.nda
             "A^{-1}(I - e^{-dt A}) needs min eigenvalue > 0; scale the problem "
             "by a larger shift first"
         )
-    p = a.function_matrix(lambda w: np.exp(-dt * w))
+    d, w, q = a._eig_factors()
+    left, right = d[:, None] * q, q.T / d[None, :]
+    decay = np.exp(-dt * w)
+    kept = int(np.count_nonzero(decay >= NORMAL_MIN))
+    weighted = decay[:kept, None] * right[:kept]
+    np.copyto(weighted, 0.0, where=np.abs(weighted) < NORMAL_MIN)
+    p = left[:, :kept] @ weighted
     b = a.function_matrix(lambda w: -np.expm1(-dt * w) / w)
     np.maximum(p, 0.0, out=p)
     np.maximum(b, 0.0, out=b)

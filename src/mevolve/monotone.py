@@ -347,8 +347,8 @@ class _March:
     (L, U, H), since their levels are the same in both, and where row U
     takes another level, the GEMM of rows L and H holds two rows.
 
-    `_advance_block` marches any number of rows; a one-entry march
-    (dim == 1) takes `_advance_scalar`, pair by pair on Python floats.
+    `_advance_block` marches a pair or a window's three rows; a one-entry
+    march (dim == 1) takes `_advance_scalar`, pair by pair on Python floats.
 
     A pair that breaches its chain, or clamps too often, fails alone: its
     upper row is held from then on, the other pairs march on, and reading
@@ -518,8 +518,10 @@ class _March:
         """The march's rows grouped by level at the march's step `step`:
         per level, (rows, B_gamma^T, G - gamma id, c_gamma), with c_gamma =
         c + gamma B_gamma c = (I - gamma B)^-1 c of those rows, and the rows
-        as a slice where the group holds them all.  `first` marks the
-        march's first step.  Without a ladder every row takes the plain step.
+        as a basic slice, so that a group reads and writes views: a march
+        has two or three rows, so every group is a progression.  `first`
+        marks the march's first step.  Without a ladder every row takes the
+        plain step.
 
         Rows 0 and k - 1 take the level of the box between their starts,
         unless pair (0, k - 1) failed; then they march at level 0.  Each
@@ -540,7 +542,7 @@ class _March:
         for m in sorted(set(levels)):
             rows = [r for r in range(k) if levels[r] == m]
             gamma, b_t, g = self.ladder.rung(m)
-            index = slice(None) if len(rows) == k else rows
+            index = slice(rows[0], rows[-1] + 1, rows[1] - rows[0] if len(rows) > 1 else 1)
             c_rows = c[index]
             groups.append((index, b_t, g,
                            c_rows if gamma == 0.0 else c_rows + gamma * (c_rows @ b_t)))
@@ -612,13 +614,9 @@ class _March:
                     counts = np.count_nonzero(np.abs(zc - zs) > slack, axis=1).tolist()
                     for r in range(k):
                         clamped[r] += counts[r] if on[r] else 0
-                if len(groups) == 1:
-                    _, b_t, g, cc = groups[0]
-                    np.matmul(g(zc), b_t, out=new)
-                    new += cc
-                else:  # a GEMM per level
-                    for index, b_t, g, cc in groups:
-                        new[index] = g(zc[index]) @ b_t + cc
+                for index, b_t, g, cc in groups:  # a GEMM per level
+                    np.matmul(g(zc[index]), b_t, out=new[index])
+                    new[index] += cc
                 np.subtract(new, zs, out=rise)
                 np.negative(rise, out=fall)
                 for r in held:  # it keeps its state, and its check rows read -inf

@@ -1,6 +1,8 @@
 """Generators: stencils, semigroup/resolvent, principal eigenpairs,
 admissibility certificates."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -11,6 +13,8 @@ from mevolve.errors import DimensionMismatchError, NumericalError, ValidationErr
 from mevolve.generators import (
     EIG_MAX_ITER,
     EIG_RESIDUAL_TOL,
+    NORMAL_MIN,
+    _band_symmetrizer,
     _is_irreducible,
     _is_tridiagonal,
     _symmetrizer,
@@ -19,7 +23,9 @@ from mevolve.generators import (
     shifted,
 )
 
-from conftest import count_solvers, dense_generator_matrix
+from conftest import bench_module, count_solvers, dense_generator_matrix
+
+workloads = bench_module("workloads")  # the benchmark's workload definitions
 
 
 def periodic_laplacian(n):
@@ -85,8 +91,9 @@ class TestAssembly:
             scipy.linalg.eigvalsh(s)[0], abs=1e-12)
 
     def test_band_scaling_is_the_running_product_of_ratios(self):
-        # on a path the breadth-first forest multiplies the ratios in band
-        # order: the band's running product is its scaling to the last bit
+        # the band's running product is its scaling to the last bit, and on
+        # a path the dense route's breadth-first forest multiplies the ratios
+        # in the same order
         robin = mv.build_laplacian_1d(99, "robin", beta=1.0)
         neumann = mv.build_laplacian_1d(12, "neumann")
         one_sided = robin.matrix.copy()
@@ -102,6 +109,7 @@ class TestAssembly:
                     expected.append(1.0)
                 else:
                     expected.append(expected[-1] * np.sqrt(m[i, i - 1] / m[i - 1, i]))
+            assert np.array_equal(_band_symmetrizer(np.diag(m, -1), np.diag(m, 1)), expected)
             assert np.array_equal(_symmetrizer(m), expected)
 
     def test_cycle_inconsistent_beyond_round_off_rejected(self):
@@ -205,7 +213,124 @@ class TestBandPath:
     def test_scalar_is_a_band_of_one(self):
         m = np.array([[3.0]])
         assert _is_tridiagonal(m) and _is_irreducible(m, True)
-        assert np.array_equal(_symmetrizer(m), [1.0])
+        assert np.array_equal(_band_symmetrizer(np.diag(m, -1), np.diag(m, 1)), [1.0])
+
+
+SPECTRAL_CASES = BAND_CASES + [
+    "sweep-dirichlet99", "sweep-robin99", "windows-neumann60", "setup-system120",
+    "mesh-neumann160",
+]
+
+
+@pytest.fixture(scope="module")
+def spectral_generators(band_generators):
+    """The tridiagonal generators of BAND_CASES and the generator of every
+    seed-1 benchmark config on a mesh."""
+    cases = dict(band_generators)
+    for workload in ("sweep", "windows", "setup", "mesh"):
+        for cfg in workloads.configs(workload, workloads.DEFAULT_SEED):
+            if "n" in cfg:
+                gen = mv.build_from_config(cfg["scenario"], cfg["params"], cfg["n"], cfg["bc"],
+                                           cfg.get("beta")).A
+                cases[f"{workload}-{gen.bc}{gen.dim}"] = gen
+    assert sorted(cases) == sorted(SPECTRAL_CASES)
+    return cases
+
+
+def recording_matmuls(a):
+    """A view of `a` whose ufunc results are views of the same kind, and the
+    list that receives the operands of every matmul made with them."""
+    calls = []
+
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            inputs = [np.asarray(x) for x in inputs]
+            if "out" in kwargs:
+                kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
+            if ufunc is np.matmul:
+                calls.append(inputs)
+            result = getattr(ufunc, method)(*inputs, **kwargs)
+            return result.view(Recorded) if isinstance(result, np.ndarray) else result
+
+    return a.view(Recorded), calls
+
+
+class TestSpectralFactors:
+    """A tridiagonal generator is scaled on its band and factorized by
+    LAPACK's divide-and-conquer solver stevd; P's spectral sum leaves out
+    the terms below float64's normal range."""
+
+    @pytest.mark.parametrize("case", SPECTRAL_CASES)
+    def test_eigenvectors_are_orthogonal_to_a_few_eps(self, spectral_generators, case):
+        # stevd: at most 2.3e-15 (10.5 eps); the MRRR solver stemr left
+        # 1.0-1.7e-13 on the meshes of 60 nodes and more
+        q = spectral_generators[case]._eig_factors()[2]
+        assert np.max(np.abs(q.T @ q - np.eye(q.shape[0]))) <= 16 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.02, 0.05])
+    @pytest.mark.parametrize("case", SPECTRAL_CASES)
+    def test_p_is_the_full_spectral_sum_without_subnormal_operands(
+        self, spectral_generators, case, dt
+    ):
+        gen = spectral_generators[case]
+        gen = shifted(gen, max(0.0, -gen.min_eigenvalue()) + 1.0)
+        d, w, q = gen._eig_factors()
+        view, calls = recording_matmuls(q)
+        p, _ = propagator_matrices(
+            mv.GeneratorSpec(gen.matrix, gen.mesh_h, gen.bc, _eig=(d, w, view)), dt)
+        # the sum over every eigenpair, clipped
+        full = gen.function_matrix(lambda w: np.exp(-dt * w))
+        np.maximum(full, 0.0, out=full)
+        # bit for bit where the BLAS adds each entry's terms in k order
+        # whatever the inner dimension: the tripwire for a kernel that does not
+        assert np.asarray(p).tobytes() == full.tobytes()
+        assert len(calls) == 2  # P's GEMM, then B's
+        # over the eigenpairs whose weight has not underflowed
+        assert calls[0][0].shape[1] == np.count_nonzero(np.exp(-dt * w) >= NORMAL_MIN)
+        for operand in calls[0]:
+            assert not np.any((operand != 0.0) & (np.abs(operand) < NORMAL_MIN))
+
+    @pytest.mark.parametrize("case", BAND_CASES)
+    def test_band_scaling_is_the_dense_scaling_on_the_band(self, band_generators, case,
+                                                           monkeypatch):
+        gen = band_generators[case]
+        solver, bands = scipy.linalg.eigh_tridiagonal, []
+
+        def recording(diag, low, **kwargs):
+            bands.append((diag, low, kwargs))
+            return solver(diag, low, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
+        mv.GeneratorSpec(gen.matrix, gen.mesh_h, gen.bc)._eig_factors()
+        (diag, low, kwargs), = bands
+        assert kwargs == {"lapack_driver": "stevd"}
+        d = _symmetrizer(gen.matrix)
+        sym = gen.matrix * np.outer(1.0 / d, d)
+        assert diag.tobytes() == np.diag(sym).tobytes()
+        assert low.tobytes() == np.diag(sym, -1).tobytes()
+
+    @pytest.mark.parametrize("defect", ["one_sided", "nan_diagonal", "nan_off_diagonal"])
+    def test_a_band_without_a_scaling_is_rejected(self, defect):
+        m = mv.build_laplacian_1d(12, "robin", 0.7).matrix.copy()
+        if defect == "one_sided":  # (5, 4) stays: no scaling makes the pair symmetric
+            m[4, 5] = 0.0
+        elif defect == "nan_diagonal":
+            m[6, 6] = np.nan
+        else:
+            m[6, 7] = np.nan
+        assert _is_tridiagonal(m)
+        with pytest.raises(ValidationError, match="symmetrizable"):
+            mv.GeneratorSpec(m, 1.0, "system").min_eigenvalue()
+
+    def test_a_one_by_one_generator_factorizes(self):
+        d, w, q = scalar_generator(3.0)._eig_factors()
+        assert (d.tolist(), w.tolist(), q.tolist()) == ([1.0], [3.0], [[1.0]])
+        p, b = propagator_matrices(scalar_generator(3.0), 0.1)
+        assert p.tolist() == [[math.exp(-0.1 * 3.0)]]
+        assert b.tolist() == [[-math.expm1(-0.1 * 3.0) / 3.0]]
+        # e^{-1e4} underflows: P's sum keeps no term, and B its one
+        p, b = propagator_matrices(scalar_generator(1e4), 1.0)
+        assert p.tolist() == [[0.0]] and b.tolist() == [[1e-4]]
 
 
 class TestSemigroup:
