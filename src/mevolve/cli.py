@@ -27,9 +27,7 @@ from .scenarios import (
     build_from_config,
     is_number,
     subsolution_margin,
-    supersolution_margin,
     verify_subsolution,
-    verify_supersolution,
 )
 
 DEFAULTS = {"tol": 1e-9, "tol_eq": 1e-9, "tol_res": 1e-8, "seed": 20240901}
@@ -246,16 +244,15 @@ def cmd_verify(cfg: dict) -> int:
     if eps_override is not None and "phi0" not in scen.eig_data:
         _fail("params.eps_override", f"{scen.name} has no eps*phi0 lower bound to override")
     interval = scen.interval
-    sub_m = subsolution_margin(scen.A, scen.F, interval.lower, scen.cone)
-    super_m = supersolution_margin(scen.A, scen.F, interval.upper, scen.cone)
     mu = quasi_increasing_shift(scen.F, interval)
-    ok = verify_subsolution(scen.A, scen.F, interval.lower, scen.cone) and \
-        verify_supersolution(scen.A, scen.F, interval.upper, scen.cone)
-    print(f"sub-solution margin   {sub_m:.6e}")
-    print(f"super-solution margin {super_m:.6e}")
+    # the build certified both bounds at these margins (`ScenarioSpec._certify`),
+    # or raised
+    print(f"sub-solution margin   {scen.certificates['sub_margin']:.6e}")
+    print(f"super-solution margin {scen.certificates['super_margin']:.6e}")
     print(f"quasi-increasing shift mu = {mu:.6g}")
     if scen.A.bc != "system":
         print(f"sub-markovian: {generators.check_submarkovian(scen.A)}")
+    ok = True
     if eps_override is not None:
         cand = GridFunction(
             float(eps_override) * np.asarray(scen.eig_data["phi0"]),
@@ -264,7 +261,7 @@ def cmd_verify(cfg: dict) -> int:
         margin = subsolution_margin(scen.A, scen.F, cand, scen.cone)
         cand_ok = verify_subsolution(scen.A, scen.F, cand, scen.cone)
         print(f"eps_override={eps_override}: margin {margin:.6e} pass={cand_ok}")
-        ok = ok and cand_ok
+        ok = cand_ok
     print("certificates:", "PASS" if ok else "FAIL")
     return 0 if ok else 2
 

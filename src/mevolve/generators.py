@@ -460,8 +460,6 @@ def principal_eig(a: GeneratorSpec) -> EigPair:
             "inverse power iteration did not converge: residual "
             f"{monotone_norm(m @ x - lam * x):.3e}"
         )
-    if x.sum() < 0:
-        x = -x
     # float64 Rayleigh quotients bottom out near eps*||A||; one long-double
     # evaluation recovers the last digits of lambda_1.
     xl = x.astype(np.longdouble)
@@ -476,7 +474,6 @@ def principal_eig(a: GeneratorSpec) -> EigPair:
     else:
         ax = m.astype(np.longdouble) @ xl
     lam = float((xl @ ax) / (xl @ xl))
-    x = x / np.abs(x).max()
     if x.min() <= 0:
         raise NumericalError("principal eigenvector is not entrywise positive")
     return EigPair(lam, GridFunction(x))

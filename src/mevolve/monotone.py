@@ -309,8 +309,7 @@ class _March:
     level at or below the smallest diagonal entry of the lower bound of
     S (F' + mu) S over the row's box: rows 0 and k - 1 share the box
     between their starts, and a middle row r takes the box between the
-    starts of rows 0 and r, so rows 0 and k - 1 never read a middle row.  A
-    failed pair's row lends no box: rows 0 and k - 1 then take level 0.
+    starts of rows 0 and r, so rows 0 and k - 1 never read a middle row.
     Rows on different levels take a GEMM per level.  A box at level 0 is
     evaluated again only at the march's steps 1, 2, 4, 8, ... (every
     level-0 box is valid); above level 0, at every step.  At q <= 1/4 a
@@ -350,10 +349,9 @@ class _March:
     `_advance_block` marches a pair or a window's three rows; a one-entry
     march (dim == 1) takes `_advance_scalar`, pair by pair on Python floats.
 
-    A pair that breaches its chain, or clamps too often, fails alone: its
-    upper row is held from then on, the other pairs march on, and reading
-    the pair (`report`, `select`) raises the pair's NumericalError.  The
-    march raises at once when no pair is left.
+    A march fails as a whole: the first breach of a link or of a row's
+    monotonicity, or the first pair that clamps too often, raises
+    NumericalError from `advance`.
 
     `advance` appends a chunk of steps; `report` describes the last chunk
     and `trajectories` joins all of them; `select` copies out one pair.
@@ -390,10 +388,8 @@ class _March:
         # per row of the last chunk its trajectory, once asked for (`_row`)
         self.states: list[np.ndarray] = []
         self.handed: list[Trajectory | None] = [None] * self.k
-        # per pair (0, r), entry r - 1: the worst violation over every step,
-        # and the message of the pair's failure, if it failed
+        # per pair (0, r), entry r - 1: the worst violation over every step
         self.worst_violation = [-np.inf] * (self.k - 1)
-        self.failed: list[str | None] = [None] * (self.k - 1)
         # of the last chunk: penultimate inner iterates by node, the largest
         # increment of each row per inner iteration, each pair's worst
         # violation per step, and per row its clamp count, inner iterations
@@ -438,9 +434,9 @@ class _March:
     def advance(self, n_steps: int) -> None:
         """March n_steps steps.
 
-        A pair fails when more than MAX_CLAMP_FRACTION of the entries it
-        evaluated in the chunk needed clamping beyond the slack; raises
-        NumericalError once every pair failed.
+        Raises NumericalError on the first sandwich breach, or when more
+        than MAX_CLAMP_FRACTION of the entries a pair evaluated in the chunk
+        needed clamping beyond the slack.
         """
         k = self.k
         chunk = np.empty((n_steps + 1, k, self.y.shape[1]))
@@ -461,8 +457,9 @@ class _March:
             self._advance_block(chunk[1:], pen[1:])
         for r in range(1, k):
             clamped, total = self.row_clamped[0] + self.row_clamped[r], self._evaluations(r)
-            if self.failed[r - 1] is None and clamped > MAX_CLAMP_FRACTION * max(1, total):
-                self._fail(r, f"{100 * clamped / total:.3f}% of evaluations left the order interval")
+            if clamped > MAX_CLAMP_FRACTION * max(1, total):
+                raise NumericalError(
+                    f"{100 * clamped / total:.3f}% of evaluations left the order interval")
         self.n_steps += n_steps
         self.states.append(chunk)
         self.handed = [None] * k
@@ -484,18 +481,9 @@ class _March:
         """Both rows of pair (0, r) solved every step of the last chunk."""
         return self.row_converged[0] and self.row_converged[r]
 
-    def _breach(self, r: int, worst: float) -> None:
-        self._fail(r, f"sandwich invariant breached: violation {worst:.3e} > slack {self.slack:.3e}")
-
-    def _fail(self, r: int, message: str) -> None:
-        """Pair (0, r) failed; raises once no pair is left."""
-        self.failed[r - 1] = message
-        if None not in self.failed:
-            raise NumericalError(message)
-
-    def _check(self, r: int) -> None:
-        if self.failed[r - 1] is not None:
-            raise NumericalError(self.failed[r - 1])
+    def _breach(self, worst: float) -> None:
+        raise NumericalError(
+            f"sandwich invariant breached: violation {worst:.3e} > slack {self.slack:.3e}")
 
     def _reach(self, drift: float) -> float:
         """delta = D / (1 - q) of the start rule, D the drift floored at 0
@@ -523,21 +511,18 @@ class _March:
         marks the march's first step.  Without a ladder every row takes the
         plain step.
 
-        Rows 0 and k - 1 take the level of the box between their starts,
-        unless pair (0, k - 1) failed; then they march at level 0.  Each
-        other row r takes the level of the box between the starts of rows 0
-        and r; a failed pair's row is held and rides with rows 0 and k - 1.
+        Rows 0 and k - 1 take the level of the box between their starts.
+        Each other row r takes the level of the box between the starts of
+        rows 0 and r.
         """
-        k, failed = self.k, self.failed
+        k = self.k
         # the plain step, also while every box waits on level 0
         if self.ladder is None or (not (first or any(self.box_levels)) and step & (step - 1)):
             return [(slice(None), self.b_t, self.g, c)]
         low = None if first else cur[1]
-        outer = 0 if failed[-1] is not None else self._box_level(k - 1, low, cur[k], step)
-        levels = [outer] * k
+        levels = [self._box_level(k - 1, low, cur[k], step)] * k
         for r in range(1, k - 1):
-            if failed[r - 1] is None:
-                levels[r] = self._box_level(r, low, cur[1 + r], step)
+            levels[r] = self._box_level(r, low, cur[1 + r], step)
         groups = []
         for m in sorted(set(levels)):
             rows = [r for r in range(k) if levels[r] == m]
@@ -553,7 +538,7 @@ class _March:
         p_t, dist, q, k = self.p_t, self.distances, self.q, self.k
         y, y_prev, c_prev = self.y, self.y_prev, self.c_prev
         clamped, iters, peak = self.row_clamped, self.row_iters, self.row_peak
-        converged, violations, failed = self.row_converged, self.violations, self.failed
+        converged, violations = self.row_converged, self.violations
         # two [lower bound, row 0, ..., row k - 1, upper bound, ...] buffers
         # (`_chain`): bufs[t] holds z_j, bufs[1 - t] receives z_{j+1}; a
         # stopped row is kept in both
@@ -592,11 +577,7 @@ class _March:
                     else:
                         np.minimum(y[r] + self._reach(float((c[r] - c_prev[r]).max())), hi,
                                    out=cur[1 + r])
-            # a failed pair's upper row is held where it stopped
-            on = [True] + [message is None for message in failed]
-            held = [r for r in range(k) if not on[r]]  # stopped rows
-            for r in held:
-                cur[1 + r] = out[step, r] = pen[step, r] = y[r]
+            on, held = [True] * k, []  # the running and the stopped rows
             groups = self._rungs(cur, c, self.n_steps + step + 1, y_prev is None)
             # while the links hold without any violation, every row lies in
             # [lo, hi] and the clamp is the identity
@@ -628,9 +609,8 @@ class _March:
                 inside = max(m[2 * k:]) <= 0.0
                 for p, pick in enumerate(pairs):
                     w = worst[p] = max(worst[p], *pick(m))
-                    if w > slack and failed[p] is None:
-                        self._breach(1 + p, w)  # raises when no pair is left
-                        m[1 + p] = m[k + 1 + p] = -np.inf  # its row stops here
+                    if w > slack:
+                        self._breach(w)
                 # a stopped row's check rows read -inf, and so does its increment
                 incs = list(map(max, m[:k], m[k:2 * k]))
                 if j < len(dist):
@@ -667,18 +647,11 @@ class _March:
         (`_scalar_pair`).
 
         The lower row's floats do not depend on its partner, so each pair
-        recomputes them bit for bit, and the lower row's figures are read
-        from a pair that did not fail.  A failed pair's upper row stays
-        where it stopped.
+        recomputes them bit for bit.
         """
         ends = {}  # per row: state, previous state, P times it, then its figures
         for r in range(1, self.k):
-            if self.failed[r - 1] is None:
-                ends.update(self._scalar_pair(r, out, pen))
-            else:
-                y = float(self.y[r, 0])
-                out[:, r], pen[:, r] = y, y
-                ends[r] = (y, y, float(self.c_prev[r, 0]), 0, 0, 0, True)
+            ends.update(self._scalar_pair(r, out, pen))
         rows = [ends[r] for r in range(self.k)]
         self.y, self.y_prev, self.c_prev = (
             np.array([[row[i]] for row in rows]) for i in range(3))
@@ -689,7 +662,7 @@ class _March:
         """Pair (0, r) of the dim == 1 march, with one eval_shifted_scalars
         call on both rows per inner iteration.  Returns, for rows 0 and r,
         (state, previous state, P times it, clamped, inner iterations, most
-        in one step, converged); for row r alone where the pair failed."""
+        in one step, converged)."""
         lo, hi = float(self.lo[0]), float(self.hi[0])
         slack, tol, max_iter = self.slack, self.tol, MAX_INNER_ITER
         p, b = float(self.p_t[0, 0]), float(self.b_t[0, 0])
@@ -751,9 +724,7 @@ class _March:
                 if z1 - hi > worst:
                     worst = z1 - hi
                 if worst > slack:
-                    self._breach(r, worst)  # raises when no pair is left
-                    out[step:, r], pen[step:, r] = z1, z1
-                    return {r: (z1, z1, p * z1, 0, 0, 0, True)}
+                    self._breach(worst)
                 if j < len(dist):
                     row = dist[j]
                     if inc0 > row[0]:
@@ -797,8 +768,7 @@ class _March:
 
     def report(self, r: int = 1) -> IterationReport:
         """Pair (0, r) over the last chunk as an iteration report, on a grid
-        from t = 0; raises the pair's NumericalError if it failed."""
-        self._check(r)
+        from t = 0."""
         chunk, pen = self.states[-1], self.penultimate
         n_iters = self.n_iters(r)
         dist = np.asarray(self.distances[:n_iters], dtype=float)[:, [0, r]]
@@ -835,9 +805,7 @@ class _March:
         the pair's states, figures and the level of its box, to go on from
         where this one stopped.  This march is left as it is; the copy
         shares only what no march writes (the bounds, the propagators, the
-        ladder and the pair's immutable trajectories, until it advances).
-        Raises the pair's NumericalError if it failed."""
-        self._check(r)
+        ladder and the pair's immutable trajectories, until it advances)."""
         rows = [0, r]
         pair = copy.copy(self)
         pair.k = 2
@@ -850,7 +818,7 @@ class _March:
         pair.penultimate = self.penultimate[:, rows]
         pair.distances = [[d[0], d[r]] for d in self.distances[:self.n_iters(r)]]
         pair.violations = [self.violations[r - 1][:]]
-        pair.worst_violation, pair.failed = [self.worst_violation[r - 1]], [None]
+        pair.worst_violation = [self.worst_violation[r - 1]]
         pair.row_clamped = [self.row_clamped[0], self.row_clamped[r]]
         pair.row_iters = [self.row_iters[0], self.row_iters[r]]
         pair.row_peak = [self.row_peak[0], self.row_peak[r]]
@@ -874,6 +842,8 @@ def _first_window(problem: ProblemSpec, tol: float, rising: bool = False) -> _Ma
     rows as it does each of three, so L and H carry the same bits in
     either, and every caller reads the same rows in whatever order and
     however often it asks.
+    A march that fails raises from `advance` before it is stored, so a
+    later caller marches its rows afresh.
     The march is read only: callers take its reports, or `select` a pair to
     march on.  It holds arrays, the interval, the reaction term and one
     `Trajectory` per row (`_March._row`), nothing that refers back to a
@@ -932,9 +902,9 @@ def iterate(
 
     The problem is scaled on entry (quasi-increasing shift plus stability
     floor); fixed points are unaffected.  Raises NumericalError on a sandwich
-    breach or when more than MAX_CLAMP_FRACTION of the pair's evaluated
-    entries needed clamping beyond round-off; in the first window only the
-    pair read fails so.
+    breach or when more than MAX_CLAMP_FRACTION of a pair's evaluated
+    entries needed clamping beyond round-off.  The first window fails as a
+    whole, so from the lower bound alone a breach of row H fails the call.
     """
     interval = problem.interval
     if _is_bound(u0, interval.lower):

@@ -159,7 +159,6 @@ def _logistic(a_gen: GeneratorSpec, a: float, b: float, pair: EigPair | None) ->
     f = logistic(a, b)
     n = a_gen.dim
     eig_data = {"lambda1": lam1, "phi0": phi0.values}
-    ones = GridFunction(np.ones(n))
 
     if a > lam1:
         seed = (a - lam1) / (b * float(np.max(phi0.values)))

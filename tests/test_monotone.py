@@ -476,9 +476,9 @@ class TestSharedFirstWindow:
 
     @pytest.mark.parametrize("case", ["neumann_logistic", "scalar_logistic"])
     def test_links_are_the_chain_of_each_pair(self, case):
-        # the lower row above the upper row H breaches L <= H, and fails pair
-        # (L, H) alone; the rising row U above H is no breach, since U <= H
-        # is not a link.  Each state is an equilibrium (0, or the positive
+        # the lower row above the upper row H breaches L <= H, and fails the
+        # march; the rising row U above H is no breach, since U <= H is not
+        # a link.  Each state is an equilibrium (0, or the positive
         # one half way up the interval), and so a fixed point of the march's
         # step map T(y) = P y + B G(y) up to the round-off of its P and B:
         # no row moves by more than that, and only the links can fire
@@ -500,23 +500,39 @@ class TestSharedFirstWindow:
             return march
 
         march = march_from([zero, half, zero])
-        assert march.failed == [None, None]
         # each step's T(y) - y of row U, from the state the step starts at
         rises = [float(np.max(y @ march.p_t + march.g(y) @ march.b_t - y, axis=1)[1])
                  for y in march.states[-1][:-1]]
         assert march.worst_violation[0] <= max(0.0, *rises)
-        march = march_from([half, half, zero])
-        assert march.failed[0] is None and march.report(1).converged
-        for read in (march.report, march.select):
-            with pytest.raises(NumericalError, match="sandwich"):
-                read(2)
+        with pytest.raises(NumericalError, match="sandwich"):
+            march_from([half, half, zero])
+
+    @pytest.mark.parametrize("case", ["neumann_logistic", "scalar_logistic"])
+    def test_a_clamp_overflow_fails_the_whole_march(self, case, monkeypatch):
+        # row L starts on the lower bound, a strict sub-solution, and rises;
+        # row U starts on the upper bound, a strict super-solution, and row
+        # H 1e-3 above it, where its first evaluation is clamped, and both
+        # fall.  Only pair (L, H) clamps, and the whole march fails
+        if case == "scalar_logistic":  # u' + u = u (3 - u) on [1/2, 4]
+            gen, f = mv.generators.scalar_generator(1.0), mv.logistic(3.0, 1.0)
+            lower, upper = grid([0.5]), grid([4.0])
+        else:  # u' + A u = u (1 - 2 u) on [0.1, 1], Neumann n = 8
+            gen, f = mv.build_laplacian_1d(8, "neumann"), mv.logistic(1.0, 2.0)
+            lower, upper = grid(np.full(8, 0.1)), grid(np.ones(8))
+        prob = mv.ProblemSpec(gen, f, mv.OrderInterval(lower, upper), horizon=0.1, dt=5e-3)
+        march = mv.monotone._March(prob, lower, (lower, upper), 1e-9)
+        march.y = np.array([lower.values, upper.values, upper.values + 1e-3])
+        march.y_prev, march.c_prev = march.y.copy(), march.y @ march.p_t
+        monkeypatch.setattr(mv.monotone, "MAX_CLAMP_FRACTION", 0.0)
+        with pytest.raises(NumericalError, match="left the order interval"):
+            march.advance(2)
 
     @pytest.mark.parametrize("case", ["dirichlet_logistic", "scalar_logistic"])
-    def test_a_failed_pair_fails_alone(self, problems, case, monkeypatch):
+    def test_a_failed_window_fails_as_a_whole(self, problems, case, monkeypatch):
         # delta = 0 starts the rising row U at its own state, below the
-        # step's solution, so pair (L, U) breaches.  Rows L and H march on
-        # in the three-row window, and the equilibria read from it are
-        # those of a first window of rows L and H alone
+        # step's solution, so pair (L, U) breaches and fails the three-row
+        # window.  The window is not memoized, and the equilibria march
+        # then marches rows L and H alone, as a run without `iterate` does
         if case == "scalar_logistic":  # u' + u = u (3 - u), from 1/2 and 4
             itv = mv.OrderInterval(grid([0.5]), grid([4.0]))
             prob = mv.ProblemSpec(mv.generators.scalar_generator(1.0), mv.logistic(3.0, 1.0),
@@ -533,11 +549,10 @@ class TestSharedFirstWindow:
 
         alone = outputs(fresh(prob))
         monkeypatch.setattr(mv.monotone._March, "_reach", lambda self, drift: 0.0)
-        for _ in range(2):  # the second time from the memo
+        for _ in range(2):  # the second time afresh
             with pytest.raises(NumericalError, match="sandwich"):
                 mv.iterate(prob, prob.interval.lower, tol=1e-9)
-        window = prob._first_windows[1e-9]
-        assert window.k == 3 and window.failed[0] is not None and window.failed[1] is None
+        assert prob._first_windows == {}
         assert outputs(prob) == alone
 
     def test_a_solve_leaves_no_cyclic_garbage(self):
@@ -759,6 +774,20 @@ def test_stalled_polish_kept_when_it_lowers_the_residual():
     assert eq.certified == (False, False)
     assert not np.array_equal(eq.u_star.values, eq.U_min.terminal().values)
     assert not np.array_equal(eq.u_upper_star.values, eq.U_max.terminal().values)
+
+
+def test_unordered_extremal_equilibria_are_refused(monkeypatch):
+    # a certificate that returns the far bound of each end: u_* is the
+    # upper bound and u^* the lower one, which lies below it
+    scen = mv.build_logistic(mv.build_laplacian_1d(8, "dirichlet"), 15.0, 1.0)
+    prob = scen.problem(horizon=1.0, dt=0.05)
+    itv = prob.interval
+    assert np.all(itv.lower.values > 0.0)  # no bound certifies before the march
+    far = {1: itv.upper.values, -1: itv.lower.values}
+    monkeypatch.setattr(mv.monotone, "_certify_extremal",
+                        lambda problem, state, side, *args: (far[side], 0.0))
+    with pytest.raises(NumericalError, match="not ordered"):
+        mv.asymptotic_equilibria(prob)
 
 
 def sweep_oracle(prob, u0, u0_upper, tol, max_iter=2000):
@@ -1212,7 +1241,6 @@ class TestAcceleratedStep:
         monkeypatch.setattr(mv.monotone._March, "_box_level", recording)
         window = self._march_from([0.0, 0.9, 0.0])
         pair = self._march_from([0.0, 0.9])
-        assert window.failed == [None, None]
         # L and H on the top level from step 1; U, as in the pair alone, on
         # level 0 until its fall brings its box below 3/4 at step 4
         assert taken[3, 2] == [3] * 5
@@ -1436,6 +1464,28 @@ class TestScalarMarch:
             assert drifts and float_drifts == drifts
         elif run != "from_zero":  # rows from the bounds never move against their side
             assert not drifts
+
+
+def test_the_scalar_benchmark_config_takes_the_float_path(monkeypatch):
+    # TestScalarMarch shows the block path giving the float path's outputs,
+    # but on the scalar benchmark config it runs about 7x slower: only the
+    # dispatch in `_March.advance` keeps a dim == 1 march off it
+    (cfg,) = [c for c in workloads.configs("windows", workloads.DEFAULT_SEED)
+              if c["scenario"] == "scalar-nonunique"]
+    scen = mv.build_from_config(cfg["scenario"], cfg["params"], 1, "scalar")
+    prob = scen.problem(horizon=cfg["T"], dt=cfg["dt"])
+    taken = []
+    for name in ("_advance_block", "_advance_scalar"):
+        def recording(march, out, pen, name=name, kernel=getattr(mv.monotone._March, name)):
+            taken.append((name, march.y.shape[1]))
+            return kernel(march, out, pen)
+
+        monkeypatch.setattr(mv.monotone._March, name, recording)
+    # the calls of `mevolve run` and the benchmark's solve
+    mv.iterate(prob, scen.interval.lower, tol=cfg["tol"])
+    mv.asymptotic_equilibria(prob, tol=cfg["tol"], tol_eq=cfg["tol_eq"],
+                             tol_res=cfg["tol_res"], seed=cfg["seed"])
+    assert taken and set(taken) == {("_advance_scalar", 1)}
 
 
 @given(
@@ -2458,3 +2508,29 @@ class TestMMatrixKernel:
         assert cert is not None and sweeps
         monkeypatch.setattr(mv.monotone, "_m_matrix", lambda *args: None)
         assert outcomes() == (None, [])
+
+    @pytest.mark.parametrize("fault", ["failed_solve", "overflow"])
+    def test_the_sweeps_stop_on_a_failed_sweep(self, prob, monkeypatch, fault):
+        # after _m_matrix's solve, each sweep's solve returns its exact
+        # solution flagged as failed, or its residual bound overflows: the
+        # sweeps end without a state, where they run from the lower bound
+        # otherwise
+        sides, lo, hi = _side_box(prob, 1)
+
+        def sweeps():
+            return list(mv.monotone._sweep(prob, sides, lo, lo, hi, 1e-9))
+
+        assert sweeps()
+        if fault == "failed_solve":
+            solve, calls = mv.monotone._banded_solve, []
+
+            def failing(*args):
+                x, ok = solve(*args)
+                calls.append(ok)
+                return x, ok and len(calls) == 1
+
+            monkeypatch.setattr(mv.monotone, "_banded_solve", failing)
+            assert sweeps() == [] and len(calls) == 2 and all(calls)
+        else:
+            monkeypatch.setattr(mv.monotone, "defect_slack", lambda *args: np.inf)
+            assert sweeps() == []
