@@ -20,9 +20,9 @@ pattern and goes through the dense eigh.  A generator that admits no
 scaling (an asymmetric pattern, or a cycle whose ratios do not multiply to
 1) is rejected with a ValidationError on its first spectral use.  A shift
 A + mu*I keeps the eigenvectors and the scaling of A, so every shifted
-copy reuses the base factorization and shares one cache of step
-propagators, whose P leaves out the terms of its spectral sum that have
-underflowed (`propagator_matrices`).
+copy reuses the base factorization and shares one cache of step weights
+(P, W0, W1) of the exponential trapezoid rule, whose P leaves out the terms
+of its spectral sum that have underflowed (`propagator_matrices`).
 
 Linear solves with A minus a node-local term (Newton's matrix) run on A's
 band once the components are interleaved node by node (`node_band`): one
@@ -47,6 +47,7 @@ EIG_MAX_ITER = 500  # inverse power iterations before principal_eig gives up
 SYMMETRY_RTOL = 1e-10  # entrywise |S - S^T| <= SYMMETRY_RTOL |S| for the scaled S
 SUBMARKOV_PROBE_T = 0.1  # time of check_submarkovian's semigroup probe
 NORMAL_MIN = np.finfo(np.float64).tiny  # 2^-1022, float64's smallest normal number
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -56,7 +57,7 @@ class GeneratorSpec:
     Treated as immutable after construction.  The eigendecomposition is
     computed once on first use (single assignment) and shared by all
     apply-style operations; `shifted` hands it on to A + mu*I.  The step
-    propagators are cached by (shift, dt) in a dict that A and all its
+    weights are cached by (shift, dt) in a dict that A and all its
     shifted copies share.  The node-major band and the infinity norm depend
     on the matrix values, so each copy computes its own.
     """
@@ -130,8 +131,9 @@ class GeneratorSpec:
     def min_eigenvalue(self) -> float:
         return float(self._eig_factors()[1][0])
 
-    def propagators(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """`propagator_matrices(self, dt)`, built once per (shift, dt)."""
+    def propagators(self, dt: float) -> StepWeights:
+        """`propagator_matrices(self, dt)`, the step's weights (P, W0, W1),
+        built once per (shift, dt)."""
         key = (self.shift, dt)
         if key not in self._prop_cache:
             self._prop_cache[key] = propagator_matrices(self, dt)
@@ -345,37 +347,93 @@ def semigroup_apply(a: GeneratorSpec, t: float, v: GridFunction | np.ndarray) ->
     return a.apply_function(lambda w: np.exp(-t * w), values)
 
 
-def propagator_matrices(a: GeneratorSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(P, B) = (e^{-dt A}, A^{-1}(I - e^{-dt A})), clipped entrywise >= 0.
+class StepWeights(NamedTuple):
+    """The weights of one exponential-trapezoid step of length dt,
 
-    Both matrices are entrywise nonnegative in exact arithmetic (B is the
-    integral of the semigroup over one step); clipping round-off negatives
-    makes every downstream matvec exactly order-preserving.  Requires the
-    spectrum strictly positive, i.e. a scaled problem.
+        u_{k+1} = P u_k + W0 G(u_k) + W1 G(u_{k+1}),
 
-    Both are spectral sums (d Q) (f(w) (Q^T / d)), one GEMM each.  P's sum
-    leaves out its terms below float64's normal range, whose subnormal
-    operands slow the GEMM several-fold: the eigenpairs whose weight
-    e^{-dt w_k} has underflowed (a suffix, since w ascends) and, among the
-    others, the entries of f(w) (Q^T / d) that have underflowed (zeroed).
-    Such a term is below 2^-1022 max|d Q| max(1, max|Q^T / d|) in
-    magnitude, under half an ulp of any partial sum above 2^54 times that
-    (about 1e-291 for these O(1) factors), so it cannot move one.  Every
-    entry of P is an exact zero (an off-diagonal block of a block-diagonal
-    Q) or a sum whose leading terms are O(1/n), and whose round-off alone
-    is far above that: P equals the full sum bit for bit, provided the
-    GEMM adds up each entry's terms in k order whatever its inner
-    dimension, so that the kept prefix is summed as in the full sum.  The
-    OpenBLAS kernels these were checked on do; tests/test_generators.py
-    compares the two sums byte for byte as the tripwire.  B's weights
-    (1 - e^{-dt w}) / w do not underflow, and B keeps every term.
+    P = e^{-dt A}, W0 = f0(A) and W1 = f1(A) (`trapezoid_weights`), each
+    clipped entrywise at 0.  W0 + W1 = B = A^{-1}(I - e^{-dt A}), the
+    integral of the semigroup over one step, and W1 is its part that
+    weights the step's right node."""
+
+    p: np.ndarray
+    w0: np.ndarray
+    w1: np.ndarray
+
+
+TAYLOR_X = 1.0  # the phi-functions at |dt w| <= TAYLOR_X come from their series
+# per power x^j, j = 0 .. 18, the coefficients of (phi1 - phi2)(x) and phi2(x):
+# the remainder at |x| = 1 is below 1/21! ~ 2e-20, under a tenth of an ulp
+# of either weight
+_SERIES = np.array([[(j + 1.0) / math.factorial(j + 2), 1.0 / math.factorial(j + 2)]
+                    for j in range(19)])[:, :, None]
+
+
+def trapezoid_weights(w: np.ndarray, dt: float) -> np.ndarray:
+    """[f0(w), f1(w)] = dt [(phi1 - phi2)(-dt w), phi2(-dt w)] entrywise on
+    the 1-D array w, as one array of shape (2, w.size),
+
+        f0(w) = (1 - e^{-dt w} (1 + dt w)) / (dt w^2),
+        f1(w) = (dt w - 1 + e^{-dt w}) / (dt w^2),
+
+    with phi1(z) = (e^z - 1) / z and phi2(z) = (e^z - 1 - z) / z^2.  Those
+    direct formulas cancel as dt w -> 0 (about 8 digits lost at 1e-7), so
+    at |x| <= TAYLOR_X, x = dt w, the weights are read off the Taylor
+    series phi2(-x) = sum_j (-x)^j / (j + 2)! and (phi1 - phi2)(-x) =
+    sum_j (-x)^j (j + 1) / (j + 2)! by Horner's rule; above, the direct
+    formulas add terms of one sign, except f0's two (a factor 4 of
+    cancellation at x = 1).  Either phi-combination stays within 2 ulps of
+    its exact value, before the product with dt rounds once more.
+    """
+    x = dt * np.asarray(w, dtype=float)
+    series = np.abs(x) <= TAYLOR_X
+    neg = np.where(series, -x, 0.0)
+    acc = _SERIES[-1] * np.ones_like(x)  # both series at once, by Horner's rule
+    for coefficients in _SERIES[-2::-1]:
+        acc = acc * neg + coefficients
+    big = np.where(series, 1.0, x)
+    decay = np.exp(-big)
+    direct = np.stack((-np.expm1(-big) - big * decay, (big - 1.0) + decay)) / big**2
+    return dt * np.where(series, acc, direct)
+
+
+def propagator_matrices(a: GeneratorSpec, dt: float) -> StepWeights:
+    """The step's weights (P, W0, W1) (`StepWeights`), clipped entrywise
+    >= 0.
+
+    All three are entrywise nonnegative in exact arithmetic (each is an
+    integral of e^{-sA} >= 0 against a nonnegative weight); clipping
+    round-off negatives makes every downstream matvec exactly
+    order-preserving.  Requires the spectrum strictly positive, i.e. a
+    scaled problem.
+
+    Each is a spectral sum (d Q) (f(w) (Q^T / d)); W0 and W1 share one
+    GEMM, (d Q) [f0(w) (Q^T / d), f1(w) (Q^T / d)].  P's sum leaves out
+    its terms below float64's normal range, whose subnormal operands slow
+    the GEMM several-fold: the eigenpairs whose weight e^{-dt w_k} has
+    underflowed (a suffix, since w ascends) and, among the others, the
+    entries of f(w) (Q^T / d) that have underflowed (zeroed).  Such a term
+    is below 2^-1022 max|d Q| max(1, max|Q^T / d|) in magnitude, under
+    half an ulp of any partial sum above 2^54 times that (about 1e-291 for
+    these O(1) factors), so it cannot move one.  Every entry of P is an
+    exact zero (an off-diagonal block of a block-diagonal Q) or a sum whose
+    leading terms are O(1/n), and whose round-off alone is far above that:
+    P equals the full sum bit for bit, provided the GEMM adds up each
+    entry's terms in k order whatever its inner dimension, so that the
+    kept prefix is summed as in the full sum.  The OpenBLAS kernels these
+    were checked on do; tests/test_generators.py compares the two sums
+    byte for byte as the tripwire.  The weights of W0 and W1 fall off
+    like 1 / (dt w^2) and do not underflow, and their operand keeps every
+    term: the same tests find no subnormal entry in it on any benchmark
+    mesh.
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
     spectral_floor = max(1e-12, 1e-14 * float(np.max(np.abs(a.matrix))))
     if a.min_eigenvalue() <= spectral_floor:
         raise ValidationError(
-            "A^{-1}(I - e^{-dt A}) needs min eigenvalue > 0; scale the problem "
+            "the step weights need min eigenvalue > 0; scale the problem "
             "by a larger shift first"
         )
     d, w, q = a._eig_factors()
@@ -385,10 +443,11 @@ def propagator_matrices(a: GeneratorSpec, dt: float) -> tuple[np.ndarray, np.nda
     weighted = decay[:kept, None] * right[:kept]
     np.copyto(weighted, 0.0, where=np.abs(weighted) < NORMAL_MIN)
     p = left[:, :kept] @ weighted
-    b = a.function_matrix(lambda w: -np.expm1(-dt * w) / w)
+    f0, f1 = trapezoid_weights(w, dt)
+    both = left @ np.hstack((f0[:, None] * right, f1[:, None] * right))
     np.maximum(p, 0.0, out=p)
-    np.maximum(b, 0.0, out=b)
-    return p, b
+    np.maximum(both, 0.0, out=both)
+    return StepWeights(p, *np.hsplit(both, 2))
 
 
 # -- principal eigenpair -----------------------------------------------------
@@ -488,11 +547,17 @@ def check_submarkovian(a: GeneratorSpec) -> bool:
 
     Both tests must agree; a disagreement flags a broken discretization
     (the dual test characterizes the property, the probe witnesses it).
+    The probe's own rounding grows like t eps ||A||_inf (each computed
+    eigenvalue is off by about eps ||A||, which moves its weight e^{-t w}
+    by t eps ||A|| relative), so the probe may exceed 1 by
+    4 t eps ||A||_inf, or by TOL_ORDER where that is larger: about 9e-12
+    on a 160-node Neumann mesh.
     """
     ones = np.ones(a.dim)
     dual_ok = bool(np.min(a.matrix @ ones) >= -TOL_ORDER * max(1.0, monotone_norm(a.matrix @ ones)))
     probe = semigroup_apply(a, SUBMARKOV_PROBE_T, ones)
-    probe_ok = bool(np.max(probe) <= 1.0 + TOL_ORDER)
+    probe_slack = max(TOL_ORDER, 4.0 * _EPS * SUBMARKOV_PROBE_T * a.inf_norm())
+    probe_ok = bool(np.max(probe) <= 1.0 + probe_slack)
     if dual_ok != probe_ok:
         raise NumericalError(
             "sub-markovian tests disagree: dual row-sum test "

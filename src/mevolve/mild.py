@@ -3,19 +3,26 @@
 A trajectory holds states on a uniform time grid.  The discrete mild
 solutions are the trajectories with u(t_0) = u0 and, on every step,
 
-    u_{k+1} = P u_k + B G(u_{k+1}),     P = e^{-dt A},  B = A^{-1}(I - P),
+    u_{k+1} = P u_k + W0 G(u_k) + W1 G(u_{k+1}),     P = e^{-dt A},
 
-the implicit exponential-Euler relation (B is the exact one-step integral of
-the semigroup, with G = F + mu*id frozen at the step's right node).  Every
-factor (P, B and the shifted reaction term) is order-preserving, so the
-relation can be solved monotonically; `monotone.iterate` solves it step by
-step.  Freezing F at the right node keeps the extremal branches of
-non-Lipschitz problems (an explicit left-node rule would collapse them onto
-the equilibrium).
+the exponential trapezoid rule (Hochbruck & Ostermann, Acta Numerica 19,
+2010; Cox & Matthews, J. Comput. Phys. 176, 2002): the mild solution's
+integral over one step, int_0^dt e^{-(dt-s)A} G(u(t_k + s)) ds, with G = F
++ mu*id interpolated linearly between the step's nodes.  W1 = dt
+phi2(-dt A) weights the right node and W0 = dt (phi1 - phi2)(-dt A) the
+left one (`generators.trapezoid_weights`); both are integrals of the
+positive semigroup against nonnegative weights, and W0 + W1 = B =
+A^{-1}(I - P).  Every factor (P, W0, W1 and the shifted reaction term) is
+order-preserving, so the relation can be solved monotonically, and an
+equilibrium is a fixed point of every step; `monotone.iterate` solves it
+step by step.  The rule is second order in dt.  Keeping the right node
+implicit keeps the extremal branches of non-Lipschitz problems apart (an
+explicit rule would collapse them onto the equilibrium).
 
 `picard_step` applies the relation to a whole trajectory at once,
 
-    t_k -> e^{-t_k A} u0 + sum_j e^{-(t_k - t_{j+1}) A} B F(u(t_{j+1})),
+    t_k -> e^{-t_k A} u0
+           + sum_j e^{-(t_k - t_{j+1}) A} (W0 G(u(t_j)) + W1 G(u(t_{j+1}))),
 
 whose fixed points are exactly the discrete mild solutions; it backs
 `mild_residual` and serves as an independent oracle.
@@ -172,8 +179,8 @@ def auto_scale(problem: ProblemSpec) -> ProblemSpec:
 
     The total shift must certify F + mu*id increasing on the interval and
     push the generator's smallest eigenvalue to at least STABILITY_FLOOR so
-    that the one-step integral B exists and the scaled semigroup is
-    exponentially stable.
+    that the scaled semigroup is exponentially stable and the step weights
+    (`generators.propagator_matrices`) apply.
     """
     mu_qi = quasi_increasing_shift(problem.F, problem.interval)
     need_monotone = mu_qi - problem.mu
@@ -183,7 +190,9 @@ def auto_scale(problem: ProblemSpec) -> ProblemSpec:
 
 
 def picard_step(problem: ProblemSpec, u0: GridFunction, traj: Trajectory) -> Trajectory:
-    """One application of the integral fixed-point map to a trajectory.
+    """One application of the integral fixed-point map to a trajectory:
+    u_{k+1} = P u_k + W0 G(v_k) + W1 G(v_{k+1}) from u_0 = u0, v the
+    argument's states.
 
     The argument trajectory is clamped to the order interval before the
     reaction term is evaluated (its certificates are interval-local); an
@@ -196,16 +205,17 @@ def picard_step(problem: ProblemSpec, u0: GridFunction, traj: Trajectory) -> Tra
     u0_values = clamp_values(u0.values, interval)
     if monotone_norm(u0_values - u0.values) > slack:
         warnings.warn("initial value clamped to the order interval", stacklevel=2)
-    p_mat, b_mat = problem.A.propagators(traj.dt)
-    # B F(u(t_{k+1})) for every step at once
-    source = problem.rhs(clamp_values(traj.states, interval)) @ b_mat.T
+    p_mat, w0, w1 = problem.A.propagators(traj.dt)
+    # W0 G(v_k) + W1 G(v_{k+1}) for every step at once
+    g = problem.rhs(clamp_values(traj.states, interval))
+    source = g[:-1] @ w0.T + g[1:] @ w1.T
     out = np.empty_like(traj.states)
     out[0] = u0_values
     v = u0_values
     buf = np.empty_like(v)
     for k in range(traj.n_steps):
         np.dot(p_mat, v, out=buf)
-        buf += source[k + 1]
+        buf += source[k]
         out[k + 1] = buf
         v = out[k + 1]
     return Trajectory(traj.t_grid, out, traj.components)

@@ -10,23 +10,25 @@ with them, once `iterate` from the lower bound asks for it, row U from the
 lower bound (the rising upper row).  `iterate` from the lower bound reads
 pair (L, U), or (L, H) from both bounds; `asymptotic_equilibria` takes
 (L, H) as its first window and marches that pair on.  Any other start
-marches a pair of its own.  Step k solves the implicit exponential-Euler
-relation
+marches a pair of its own.  Step k solves the exponential trapezoid
+relation (`mild`), with G = F + mu*id increasing,
 
-    u_{k+1} = P u_k + B G(u_{k+1}),      G = F + mu*id increasing,
+    u_{k+1} = c_k + W1 G(u_{k+1}),      c_k = P u_k + W0 G(u_k),
 
-by the monotone inner iteration z_{j+1} = P u_k + B G(z_j) started from the
+by the monotone inner iteration z_{j+1} = c_k + W1 G(z_j) started from the
 row's interval bound, or from u_k itself when u_k provably lies below the
-minimal (above the maximal) step solution.  Where the contraction bound
-q = max(B s) < 1 (s the row sums of a bound of G' over the interval) proves
-that every step has one solution, a row that moved against its side starts
-at u_k -+ D / (1 - q) instead of its bound, D the drift of P u_k over the
-last step.  Where q > 1/4 and the problem has more than one entry, the
-inner iteration is accelerated (C. V. Pao, Numer. Math. 79, 1998): with
-gamma a lower bound of the slopes of G over a box that holds the step's
-iterates, z_{j+1} = (I - gamma B)^-1 (P u_k + B (G(z_j) - gamma z_j)), which
-has the same fixed points, sub- and super-solutions and stays
-order-preserving.  Positivity of P and B keeps the ordering chain
+minimal (above the maximal) step solution.  Only W1, about half of B =
+W0 + W1, sits on the implicit side, so the iteration contracts faster than
+implicit exponential Euler's z = P u_k + B G(z) would.  Where the
+contraction bound q = max(W1 s) < 1 (s the row sums of a bound of G' over
+the interval) proves that every step has one solution, a row that moved
+against its side starts at u_k -+ D / (1 - q) instead of its bound, D the
+drift of c_k over the last step.  Where q > 1/4 and the problem has more
+than one entry, the inner iteration is accelerated (C. V. Pao, Numer. Math.
+79, 1998): with gamma a lower bound of the slopes of G over a box that holds
+the step's iterates, z_{j+1} = (I - gamma W1)^-1 (c_k + W1 (G(z_j) - gamma
+z_j)), which has the same fixed points, sub- and super-solutions and stays
+order-preserving.  Positivity of P, W0 and W1 keeps the ordering chain
 
     lower bound <= z_j <= z_{j+1} <= Z_{j+1} <= Z_j <= upper bound
 
@@ -62,7 +64,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, ValidationError
-from .generators import GeneratorSpec
+from .generators import GeneratorSpec, trapezoid_weights
 from .mild import (
     ProblemSpec,
     Trajectory,
@@ -140,24 +142,25 @@ def _slope_bounds(f, signs, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
     return low, high
 
 
-def _contraction_bound(high: np.ndarray, b_mat: np.ndarray) -> float | None:
-    """q = max(B s), a sup-norm Lipschitz constant of the step map
-    z -> P u_k + B G(z) on the interval, or None unless it is below 1.
+def _contraction_bound(high: np.ndarray, w1: np.ndarray) -> float | None:
+    """q = max(W1 s), a sup-norm Lipschitz constant of the step map
+    z -> c_k + W1 G(z) on the interval, or None unless it is below 1.
 
     s holds the row sums of high, the march's upper bound of S (F' + mu) S
     over the interval (`_slope_bounds`), clipped at 0.  The shift makes
     S (F' + mu) S >= 0 there (`quasi_increasing_shift`), so |G(x) - G(y)|
-    <= s |x - y|_inf for x, y in the box, and B >= 0 gives
-    |B (G(x) - G(y))| <= (B s) |x - y|_inf.  The clamp into the box is
-    order-preserving and 1-Lipschitz, so q bounds the clamped map as well.
-    q is rounded up over the dim + c terms summed per entry of B s.  A term
-    with no finite bound (the signed sqrt at 0) gets None.
+    <= s |x - y|_inf for x, y in the box, and W1 >= 0 gives
+    |W1 (G(x) - G(y))| <= (W1 s) |x - y|_inf.  The step constant c_k does
+    not depend on z.  The clamp into the box is order-preserving and
+    1-Lipschitz, so q bounds the clamped map as well.  q is rounded up over
+    the dim + c terms summed per entry of W1 s.  A term with no finite
+    bound (the signed sqrt at 0) gets None.
     """
     s = np.maximum(high, 0.0).sum(axis=1).ravel()
     if not np.isfinite(s).all():
         return None
-    q = float(np.max(b_mat @ s)) * (1.0 + 2.0 * (b_mat.shape[0] + high.shape[0])
-                                    * np.finfo(float).eps)
+    q = float(np.max(w1 @ s)) * (1.0 + 2.0 * (w1.shape[0] + high.shape[0])
+                                 * np.finfo(float).eps)
     return q if q < 1.0 else None
 
 
@@ -178,25 +181,26 @@ class _Ladder:
     """The levels of the accelerated step of a march: gamma_m = m g_max / 4
     for m = 0, ..., 3, g_max the largest diagonal entry of high, the march's
     (lower, upper) bound (low, high) of S (F' + mu) S over the interval
-    (`_slope_bounds`), and per level m the step's B_gamma^T and the term
+    (`_slope_bounds`), and per level m the step's W1_gamma^T and the term
     G - gamma id in standard coordinates (`rung`).
 
-    Level 0 is the march's own B^T and G.  A level above 0 is built on
-    first use and kept: B_gamma = (I - gamma B)^-1 B is the function
-    beta / (1 - gamma beta) of the scaled generator, beta(w) = (1 -
-    e^{-dt w}) / w that of B, clipped at 0 as `propagator_matrices` clips
-    B; G - gamma id is the term's own shifted evaluation at mu - gamma.
-    The ladder holds the scaled generator, the term and arrays, nothing
-    that refers back to a problem; a march and its `select` copies share
-    it, since a level's matrices do not depend on when they are built.
+    Level 0 is the march's own W1^T and G.  A level above 0 is built on
+    first use and kept: W1_gamma = (I - gamma W1)^-1 W1 is the function
+    f1 / (1 - gamma f1) of the scaled generator, f1 that of W1
+    (`generators.trapezoid_weights`), clipped at 0 as `propagator_matrices`
+    clips W1; G - gamma id is the term's own shifted evaluation at mu -
+    gamma.  The ladder holds the scaled generator, the term and arrays,
+    nothing that refers back to a problem; a march and its `select` copies
+    share it, since a level's matrices do not depend on when they are
+    built.
     """
 
-    def __init__(self, scaled: ProblemSpec, dt: float, svec, b_t, g, low, high):
+    def __init__(self, scaled: ProblemSpec, dt: float, svec, w1_t, g, low, high):
         self.a, self.f, self.mu, self.dt, self.svec = scaled.A, scaled.F, scaled.mu, dt, svec
         diag = (range(low.shape[0]),) * 2
         g_max = float(np.max(high[diag]))
         self.gammas = [m * g_max / LADDER_LEVELS for m in range(LADDER_LEVELS)]
-        self.rungs = {0: (0.0, b_t, g)}
+        self.rungs = {0: (0.0, w1_t, g)}
         # the level of the interval's box, where every march's first step starts
         self.interval_level = self._level(float(np.min(low[diag])))
 
@@ -219,17 +223,17 @@ class _Ladder:
         return self._level(min(float(low[i, i].min()) for i in range(low.shape[0])) + self.mu)
 
     def rung(self, m: int) -> tuple:
-        """(gamma_m, B_gamma^T, G - gamma_m id) of level m, built once."""
+        """(gamma_m, W1_gamma^T, G - gamma_m id) of level m, built once."""
         if m not in self.rungs:
             gamma, dt = self.gammas[m], self.dt
 
-            def b_gamma(w):
-                beta = -np.expm1(-dt * w) / w
-                return beta / (1.0 - gamma * beta)
+            def w1_gamma(w):
+                f1 = trapezoid_weights(w, dt)[1]
+                return f1 / (1.0 - gamma * f1)
 
-            b_mat = self.a.function_matrix(b_gamma)
-            np.maximum(b_mat, 0.0, out=b_mat)
-            self.rungs[m] = (gamma, b_mat.T.copy(),
+            w1 = self.a.function_matrix(w1_gamma)
+            np.maximum(w1, 0.0, out=w1)
+            self.rungs[m] = (gamma, w1.T.copy(),
                              _shifted_term(self.f, self.svec, self.mu - gamma))
         return self.rungs[m]
 
@@ -278,37 +282,46 @@ class _March:
 
     Rows are held as one k x dim block in standard coordinates (each entry
     multiplied by its cone sign), where the cone order is the entrywise one.
-    Step k solves z = P u_k + B G(z) by the monotone inner iteration
-    z_{j+1} = P u_k + B G(z_j), from the row's interval bound, or from u_k
-    when k >= 1 and the row moved in its own cone direction over step k-1:
-    then u_k is a sub-solution (super-solution) of step k lying below the
-    minimal (above the maximal) step solution, so the warm start converges
-    to the same solution.  Each row stops on its own inner increment.
+    Step k solves z = T_k(z) = c_k + W1 G(z), with the step constant c_k =
+    P u_k + W0 G(clamp(u_k)) (`_constant`), by the monotone inner iteration
+    z_{j+1} = c_k + W1 G(z_j), from the row's interval bound, or from u_k
+    when k >= 1 and the row moved in its own cone direction over step k-1.
+    Warm start, for the lower row (an upper row is the mirror image):
+    u_k >= u_{k-1} and u_k = T_{k-1}(u_k), so T_k(u_k) - u_k = T_k(u_k) -
+    T_{k-1}(u_k) = P (u_k - u_{k-1}) + W0 (G(u_k) - G(u_{k-1})) >= 0, since
+    P, W0 >= 0 and G is increasing: u_k is a sub-solution of step k.  Every
+    fixed point z of step k has z = T_k(z) >= T_{k-1}(z) for the same
+    reason, so z is a super-solution of step k-1 and lies above u_k, its
+    minimal fixed point.  So the warm start converges to the same (minimal)
+    step solution.  Its first inner iteration evaluates G at clamp(u_k),
+    which c_k has just evaluated: where every row starts warm on the plain
+    step, that evaluation is read from c_k's.  Each row stops on its own
+    inner increment.
 
     A row that moved against its side over step k-1 starts at its bound,
     unless the contraction bound q (`_contraction_bound`) is below 1.  Then
-    the step map T_k(z) = c_k + B G(z), c_k = P u_k, has one fixed point,
-    and an upper row starts at min(hi, Y + delta), the lower row at
-    max(lo, Y - delta), with Y = u_k the row's state, delta = D / (1 - q)
-    and D the largest entry of c_k - c_{k-1} (of c_{k-1} - c_k for the
-    lower row), floored at 0 and padded by the slack.  Proof for an upper
-    row: Y is the last iterate of step k-1's falling sequence, so
-    T_{k-1}(Y) <= Y, and T_k(Y) = T_{k-1}(Y) + c_k - c_{k-1} <= Y + D.  With
-    q the Lipschitz bound, T_k(Y + delta) <= Y + D + q delta = Y + delta: a
-    super-solution, and so is its minimum with the super-solution hi.  The
-    falling iteration from it reaches a fixed point of step k, the only
-    one.  The lower row is the mirror image.  Every guard runs unchanged,
-    so a start that is not a super-solution (sub-solution) raises the
-    sandwich breach.
+    the step map T_k has one fixed point, and an upper row starts at
+    min(hi, Y + delta), the lower row at max(lo, Y - delta), with Y = u_k
+    the row's state, delta = D / (1 - q) and D the largest entry of c_k -
+    c_{k-1} (of c_{k-1} - c_k for the lower row), floored at 0 and padded
+    by the slack.  Proof for an upper row: Y is the last iterate of step
+    k-1's falling sequence, so T_{k-1}(Y) <= Y, and T_k(Y) = T_{k-1}(Y) +
+    c_k - c_{k-1} <= Y + D, since the two maps differ by their constants
+    alone.  With q the Lipschitz bound, T_k(Y + delta) <= Y + D + q delta
+    = Y + delta: a super-solution, and so is its minimum with the
+    super-solution hi.  The falling iteration from it reaches a fixed point
+    of step k, the only one.  The lower row is the mirror image.  Every
+    guard runs unchanged, so a start that is not a super-solution
+    (sub-solution) raises the sandwich breach.
 
     The accelerated step.  Where q > 1/4 and dim > 1 the march has a
     ladder (`_Ladder`) of levels gamma_m = m g_max / 4, m = 0, ..., 3, and
-    a row iterates T_gamma(z) = c_gamma + B_gamma (G(z) - gamma z) in place
-    of T(z) = c_k + B G(z), with B_gamma = (I - gamma B)^-1 B and c_gamma =
-    (I - gamma B)^-1 c_k = c_k + gamma B_gamma c_k.  gamma is the highest
-    level at or below the smallest diagonal entry of the lower bound of
-    S (F' + mu) S over the row's box: rows 0 and k - 1 share the box
-    between their starts, and a middle row r takes the box between the
+    a row iterates T_gamma(z) = c_gamma + W1_gamma (G(z) - gamma z) in place
+    of T(z) = c_k + W1 G(z), with W1_gamma = (I - gamma W1)^-1 W1 and
+    c_gamma = (I - gamma W1)^-1 c_k = c_k + gamma W1_gamma c_k.  gamma is
+    the highest level at or below the smallest diagonal entry of the lower
+    bound of S (F' + mu) S over the row's box: rows 0 and k - 1 share the
+    box between their starts, and a middle row r takes the box between the
     starts of rows 0 and r, so rows 0 and k - 1 never read a middle row.
     Rows on different levels take a GEMM per level.  A box at level 0 is
     evaluated again only at the march's steps 1, 2, 4, 8, ... (every
@@ -317,34 +330,37 @@ class _March:
     than it saves; the dim == 1 float path keeps the plain step.
 
     Proof, in exact arithmetic.  s >= gamma entrywise, since s_i bounds the
-    slope of G_i from above and gamma bounds it from below; with B >= 0,
-    rho(gamma B) <= gamma max(B 1) <= max(B s) = q < 1, so (I - gamma B)^-1
-    = sum_j (gamma B)^j >= 0 and B_gamma >= 0.  T_gamma(z) - z =
-    (I - gamma B)^-1 (T(z) - z): the sub-solutions, super-solutions and
-    fixed points of T_gamma and T coincide, and every start rule above
-    stays proven.  G - gamma id is order-preserving on the box, so T_gamma
-    is too, and each row's iterates move monotonically toward the same
-    step solution as under T, as long as the box holds them.  It does:
-    row 0 rises from its start, a sub-solution, toward its minimal step
-    solution, which lies below the start of row k - 1, a super-solution
-    of row k - 1's step map, which dominates row 0's since y_{k-1} >= y_0;
-    row k - 1 falls toward its maximal step solution, which lies above
-    row 0's start, a sub-solution of its map for the same reason; a middle
-    row r falls from its start toward a step solution above row 0's
-    start.  So the stop rule, the guards, the slack, the links and the
-    clamp stay as they are.
+    slope of G_i from above and gamma bounds it from below; with W1 >= 0,
+    rho(gamma W1) <= gamma max(W1 1) <= max(W1 s) = q < 1, so
+    (I - gamma W1)^-1 = sum_j (gamma W1)^j >= 0 and W1_gamma >= 0.
+    T_gamma(z) - z = (I - gamma W1)^-1 (T(z) - z): the sub-solutions,
+    super-solutions and fixed points of T_gamma and T coincide, and every
+    start rule above stays proven.  G - gamma id is order-preserving on the
+    box, so T_gamma is too, and each row's iterates move monotonically
+    toward the same step solution as under T, as long as the box holds
+    them.  It does: row 0 rises from its start, a sub-solution, toward its
+    minimal step solution, which lies below the start of row k - 1, a
+    super-solution of row k - 1's step map, which dominates row 0's since
+    y_{k-1} >= y_0 (so c_k of row k - 1 is the larger); row k - 1 falls
+    toward its maximal step solution, which lies above row 0's start, a
+    sub-solution of its map for the same reason; a middle row r falls from
+    its start toward a step solution above row 0's start.  So the stop
+    rule, the guards, the slack, the links and the clamp stay as they are.
 
     The guards run on every inner iteration: each row's monotonicity, and
     the links of `_chain`, lo <= z <= Z_r <= hi for every pair.
 
-    Each inner iteration multiplies the rows by B in one GEMM, whose
-    rounding can depend on how many rows it holds: one row takes another
-    BLAS kernel than two or three, which round each row alike.  So every
-    march multiplies all its rows on every inner iteration and holds the
-    stopped ones, and a row's bits do not depend on when its partners stop:
-    rows L and H come out the same in the window (L, H) as in the window
-    (L, U, H), since their levels are the same in both, and where row U
-    takes another level, the GEMM of rows L and H holds two rows.
+    Each inner iteration multiplies the rows by W1 in one GEMM, and each
+    step forms the rows' constants in another, whose rounding can depend on
+    how many rows they hold: one row takes another BLAS kernel than two or
+    three, which round each row alike.  So every march multiplies all its
+    rows on every inner iteration and holds the stopped ones, and a row's
+    bits do not depend on when its partners stop: rows L and H come out
+    the same in the window (L, H) as in the window (L, U, H), since their
+    levels are the same in both, and where row U takes another level, the
+    GEMM of rows L and H holds two rows.  Where c_k's evaluation stands in
+    for the first inner iteration's, it is the same term on a block of the
+    same bits and shape, so the rows come out as if evaluated twice.
 
     `_advance_block` marches a pair or a window's three rows; a one-entry
     march (dim == 1) takes `_advance_scalar`, pair by pair on Python floats.
@@ -377,7 +393,7 @@ class _March:
             warnings.warn("initial value clamped to the order interval", stacklevel=3)
         self.y = self._standard(clamped)
         self.y_prev = None  # the rows one node back, once a step was taken
-        self.c_prev = None  # P y_prev
+        self.c_prev = None  # their step constants, P y_prev + W0 G(y_prev)
         self.q = None  # the contraction bound, where it is below 1
         self.ladder = None  # the accelerated step's levels, where q > 1/4
         # the steps marched so far, and per upper row r, entry r - 1: the
@@ -412,24 +428,35 @@ class _March:
                     f"degenerate interval is not an equilibrium (residual {res:.3e})"
                 )
             return
-        # S P S = P and S B S = B: A couples no components of opposite sign
-        p_mat, b_mat = scaled.A.propagators(problem.dt)
-        self.p_t, self.b_t = p_mat.T.copy(), b_mat.T.copy()
+        # S W S = W for W = P, W0, W1: A couples no components of opposite sign
+        p_mat, w0, w1 = scaled.A.propagators(problem.dt)
+        self.p_t, self.w0_t, self.w1_t = p_mat.T.copy(), w0.T.copy(), w1.T.copy()
         # S (F' + mu) S over the interval, for the contraction bound and the ladder
         low, high = _slope_bounds(scaled.F, interval.cone.signs, interval.lower.values,
                                   interval.upper.values)
         diag = (range(low.shape[0]),) * 2
         low[diag] += scaled.mu
         high[diag] += scaled.mu
-        self.q = _contraction_bound(high, b_mat)
+        self.q = _contraction_bound(high, w1)
         # the shifted reaction term in standard coordinates
         self.g = _shifted_term(scaled.F, self.svec, scaled.mu)
         self.F = scaled.F
         if self.q is not None and self.q > ACCELERATION_Q and self.y.shape[1] > 1:
-            self.ladder = _Ladder(scaled, problem.dt, self.svec, self.b_t, self.g, low, high)
+            self.ladder = _Ladder(scaled, problem.dt, self.svec, self.w1_t, self.g, low, high)
 
     def _standard(self, values: np.ndarray) -> np.ndarray:
         return values if self.svec is None else self.svec * values
+
+    def _constant(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(c, G(clamp(y))) for rows y in standard coordinates: the step
+        constant c = P y + W0 G(clamp(y)).  The reaction term sees only
+        states inside the interval.  Two GEMMs and a sum, not one GEMM of
+        [y, G] with [P; W0]^T, whose fused multiply-adds a one-entry march
+        on Python floats could not reproduce."""
+        gy = self.g(np.minimum(np.maximum(y, self.lo), self.hi))
+        c = y @ self.p_t
+        c += gy @ self.w0_t
+        return c, gy
 
     def advance(self, n_steps: int) -> None:
         """March n_steps steps.
@@ -504,8 +531,8 @@ class _March:
 
     def _rungs(self, cur: np.ndarray, c: np.ndarray, step: int, first: bool) -> list:
         """The march's rows grouped by level at the march's step `step`:
-        per level, (rows, B_gamma^T, G - gamma id, c_gamma), with c_gamma =
-        c + gamma B_gamma c = (I - gamma B)^-1 c of those rows, and the rows
+        per level, (rows, W1_gamma^T, G - gamma id, c_gamma), with c_gamma =
+        c + gamma W1_gamma c = (I - gamma W1)^-1 c of those rows, and the rows
         as a basic slice, so that a group reads and writes views: a march
         has two or three rows, so every group is a progression.  `first`
         marks the march's first step.  Without a ladder every row takes the
@@ -518,7 +545,7 @@ class _March:
         k = self.k
         # the plain step, also while every box waits on level 0
         if self.ladder is None or (not (first or any(self.box_levels)) and step & (step - 1)):
-            return [(slice(None), self.b_t, self.g, c)]
+            return [(slice(None), self.w1_t, self.g, c)]
         low = None if first else cur[1]
         levels = [self._box_level(k - 1, low, cur[k], step)] * k
         for r in range(1, k - 1):
@@ -526,16 +553,16 @@ class _March:
         groups = []
         for m in sorted(set(levels)):
             rows = [r for r in range(k) if levels[r] == m]
-            gamma, b_t, g = self.ladder.rung(m)
+            gamma, w1_t, g = self.ladder.rung(m)
             index = slice(rows[0], rows[-1] + 1, rows[1] - rows[0] if len(rows) > 1 else 1)
             c_rows = c[index]
-            groups.append((index, b_t, g,
-                           c_rows if gamma == 0.0 else c_rows + gamma * (c_rows @ b_t)))
+            groups.append((index, w1_t, g,
+                           c_rows if gamma == 0.0 else c_rows + gamma * (c_rows @ w1_t)))
         return groups
 
     def _advance_block(self, out, pen) -> None:
         lo, hi, slack, tol, max_iter = self.lo, self.hi, self.slack, self.tol, MAX_INNER_ITER
-        p_t, dist, q, k = self.p_t, self.distances, self.q, self.k
+        dist, q, k = self.distances, self.q, self.k
         y, y_prev, c_prev = self.y, self.y_prev, self.c_prev
         clamped, iters, peak = self.row_clamped, self.row_iters, self.row_peak
         converged, violations = self.row_converged, self.violations
@@ -556,7 +583,7 @@ class _March:
         spans, rise, fall = [buf[1:1 + k] for buf in bufs], chk[:k], chk[k:2 * k]
         t = 0
         for step in range(out.shape[0]):
-            c = y @ p_t
+            c, gy = self._constant(y)
             cur = bufs[t]
             if y_prev is None:
                 cur[1], cur[2:k + 1] = lo, hi
@@ -579,6 +606,10 @@ class _March:
                                    out=cur[1 + r])
             on, held = [True] * k, []  # the running and the stopped rows
             groups = self._rungs(cur, c, self.n_steps + step + 1, y_prev is None)
+            # where every row starts at its state on the plain step, the first
+            # inner iteration evaluates G where c's evaluation did, at clamp(u_k)
+            plain = len(groups) == 1 and groups[0][2] is self.g
+            reuse = gy if plain and cur[1:k + 1].tobytes() == y.tobytes() else None
             # while the links hold without any violation, every row lies in
             # [lo, hi] and the clamp is the identity
             for o, first, second in link_ops[t]:
@@ -595,9 +626,10 @@ class _March:
                     counts = np.count_nonzero(np.abs(zc - zs) > slack, axis=1).tolist()
                     for r in range(k):
                         clamped[r] += counts[r] if on[r] else 0
-                for index, b_t, g, cc in groups:  # a GEMM per level
-                    np.matmul(g(zc[index]), b_t, out=new[index])
+                for index, w1_t, g, cc in groups:  # a GEMM per level
+                    np.matmul(g(zc[index]) if reuse is None else reuse, w1_t, out=new[index])
                     new[index] += cc
+                reuse = None
                 np.subtract(new, zs, out=rise)
                 np.negative(rise, out=fall)
                 for r in held:  # it keeps its state, and its check rows read -inf
@@ -649,7 +681,7 @@ class _March:
         The lower row's floats do not depend on its partner, so each pair
         recomputes them bit for bit.
         """
-        ends = {}  # per row: state, previous state, P times it, then its figures
+        ends = {}  # per row: state, previous state, its step constant, then its figures
         for r in range(1, self.k):
             ends.update(self._scalar_pair(r, out, pen))
         rows = [ends[r] for r in range(self.k)]
@@ -660,12 +692,14 @@ class _March:
 
     def _scalar_pair(self, r: int, out, pen) -> dict:
         """Pair (0, r) of the dim == 1 march, with one eval_shifted_scalars
-        call on both rows per inner iteration.  Returns, for rows 0 and r,
-        (state, previous state, P times it, clamped, inner iterations, most
-        in one step, converged)."""
+        call on both rows per inner iteration, and one per step for the step
+        constants, which the first inner iteration reads where both rows
+        start warm.  Returns, for rows 0 and r, (state, previous state, its
+        step constant, clamped, inner iterations, most in one step,
+        converged)."""
         lo, hi = float(self.lo[0]), float(self.hi[0])
         slack, tol, max_iter = self.slack, self.tol, MAX_INNER_ITER
-        p, b = float(self.p_t[0, 0]), float(self.b_t[0, 0])
+        p, w0, w1 = float(self.p_t[0, 0]), float(self.w0_t[0, 0]), float(self.w1_t[0, 0])
         dist, violations, k = self.distances, self.violations[r - 1], self.k
         # ProblemSpec.rhs on two scalar states; a reversed cone marches
         # g(y) = -rhs(-y), and sign flips are exact
@@ -682,7 +716,11 @@ class _March:
         n0 = n1 = clamped0 = clamped1 = peak0 = peak1 = 0
         capped0 = capped1 = False
         for step in range(out.shape[0]):
-            c0, c1 = p * y0, p * y1
+            yc0 = lo if y0 < lo else hi if y0 > hi else y0
+            yc1 = lo if y1 < lo else hi if y1 > hi else y1
+            g0, g1 = f(yc0, yc1, mu)
+            c0, c1 = p * y0 + w0 * g0, p * y1 + w0 * g1
+            reuse = warm and y0 - p0 >= -slack and y1 - p1 <= slack
             if not warm:
                 z0, z1 = lo, hi
             else:
@@ -698,12 +736,15 @@ class _March:
             while True:
                 zc0 = lo if z0 < lo else hi if z0 > hi else z0
                 zc1 = lo if z1 < lo else hi if z1 > hi else z1
-                f0, f1 = f(zc0, zc1, mu)
+                if reuse:  # both rows start at their states: G(clamp(u_k))
+                    f0, f1, reuse = g0, g1, False
+                else:
+                    f0, f1 = f(zc0, zc1, mu)
                 inc0 = inc1 = 0.0
                 if on0:
                     n0 += 1
                     clamped0 += abs(zc0 - z0) > slack
-                    new = c0 + b * f0
+                    new = c0 + w1 * f0
                     inc0 = abs(new - z0)
                     if z0 - new > worst:
                         worst = z0 - new
@@ -711,7 +752,7 @@ class _March:
                 if on1:
                     n1 += 1
                     clamped1 += abs(zc1 - z1) > slack
-                    new = c1 + b * f1
+                    new = c1 + w1 * f1
                     inc1 = abs(new - z1)
                     if new - z1 > worst:
                         worst = new - z1
@@ -874,6 +915,12 @@ def iterate(
     """March both rows over the problem's grid; returns the sandwiched
     minimal/maximal trajectories.
 
+    Each step solves the exponential trapezoid relation u_{k+1} = P u_k +
+    W0 G(u_k) + W1 G(u_{k+1}) (`mild`), a second-order rule whose implicit
+    weight W1 is about half of the one-step integral B = W0 + W1.  A row
+    that moved in its own cone direction starts its next step at its state,
+    a proven sub-solution (super-solution) of the step (`_March`).
+
     u_min is the minimal solution from u0, u_max the maximal one from
     u0_upper (default u0; must lie above u0 in the cone order).  Every step
     is solved until each row's inner increment drops below tol, in at most
@@ -885,7 +932,8 @@ def iterate(
     From u0 = lower the upper row rises, against its side.  Where the
     contraction bound q (contraction_bound, `_contraction_bound`) is below
     1, each step has one solution, and that row starts at Y + D / (1 - q),
-    Y its state and D the drift of P Y over the last step: a proven
+    Y its state and D the drift of the step constant P Y + W0 G(Y) over the
+    last step, q = max(W1 s) the Lipschitz bound of the step map: a proven
     super-solution of the step (`_March`).  Otherwise it restarts from the
     upper bound at every step, as the lower row does from the lower bound
     when it falls.  Where q > 1/4 and the problem has more than one entry,

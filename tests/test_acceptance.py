@@ -329,11 +329,12 @@ def test_criterion_11_quadrature_convergence():
         traj = mv.Trajectory(tg, closed_branch(tg)[:, None])
         residuals.append(mv.mild_residual(prob, traj))
     slope = float(np.polyfit(np.log(dts), np.log(residuals), 1)[0])
-    ok = 0.8 <= slope <= 1.2
+    # the exponential trapezoid rule is second order
+    ok = 1.8 <= slope <= 2.2
     announce(
         11, ok,
         f"mild residual of the closed-form branch decays with observed order "
-        f"{slope:.3f} in [0.8, 1.2] over dt {dts}",
+        f"{slope:.3f} in [1.8, 2.2] over dt {dts}",
     )
 
 

@@ -2,6 +2,7 @@
 admissibility certificates."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mevolve.generators import (
     EIG_MAX_ITER,
     EIG_RESIDUAL_TOL,
     NORMAL_MIN,
+    TAYLOR_X,
     _band_symmetrizer,
     _is_irreducible,
     _is_tridiagonal,
@@ -21,6 +23,7 @@ from mevolve.generators import (
     propagator_matrices,
     scalar_generator,
     shifted,
+    trapezoid_weights,
 )
 
 from conftest import bench_module, count_solvers, dense_generator_matrix
@@ -175,10 +178,53 @@ class TestBandPath:
         # the oracles need a positive spectrum (Neumann's starts at 0)
         gen = shifted(gen, max(0.0, -gen.min_eigenvalue()) + 1.0)
         dt = 0.02
-        p, b = propagator_matrices(gen, dt)
+        p, w0, w1 = propagator_matrices(gen, dt)
         assert np.max(np.abs(p - scipy.linalg.expm(-dt * gen.matrix))) <= 1e-12
         oracle = np.linalg.solve(gen.matrix, np.eye(gen.dim) - p)
-        assert np.max(np.abs(b - oracle)) <= 1e-12
+        assert np.max(np.abs(w0 + w1 - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.02, 0.05])
+    @pytest.mark.parametrize("case", BAND_CASES)
+    def test_trapezoid_weights_match_expm_and_solves(self, band_generators, case, dt):
+        # W1 = A^-2 (dt A - I + e^{-dt A}) / dt and W0 + W1 = A^-1 (I - e^{-dt A}),
+        # through scipy's expm and dense solves.  Each oracle's own round-off
+        # sets the scale: the solves carry n eps ||A^-1||, and W1's numerator,
+        # whose terms are as large as 1 + dt ||A|| while it is about
+        # (dt A)^2 / 2, carries n eps (1 + dt ||A||) ||A^-1||^2 / dt
+        gen = band_generators[case]
+        gen = shifted(gen, max(0.0, -gen.min_eigenvalue()) + 1.0)
+        a, n, eps = gen.matrix, gen.dim, np.finfo(float).eps
+        eye = np.eye(n)
+        decay = scipy.linalg.expm(-dt * a)
+        inverse = np.linalg.norm(np.linalg.inv(a), np.inf)
+        p, w0, w1 = propagator_matrices(gen, dt)
+        w1_oracle = np.linalg.solve(a, np.linalg.solve(a, dt * a - eye + decay)) / dt
+        scale = n * eps * (1.0 + dt * np.linalg.norm(a, np.inf)) * inverse**2 / dt
+        assert np.max(np.abs(w1 - w1_oracle)) <= scale
+        b_oracle = np.linalg.solve(a, eye - decay)
+        assert np.max(np.abs(w0 + w1 - b_oracle)) <= n * eps * inverse
+        # and the weights are integrals of e^{-sA} >= 0 against weights >= 0
+        assert w0.min() >= 0.0 and w1.min() >= 0.0
+        assert not np.signbit(w0).any() and not np.signbit(w1).any()
+
+    def test_scalar_weights_match_the_exact_series(self):
+        # f0(w) = (phi1 - phi2)(-x) and f1(w) = phi2(-x) at dt = 1, x = w,
+        # against their Taylor series summed exactly in rationals: the
+        # direct formulas lose about 8 digits at x = 1e-7
+        xs = np.concatenate([np.geomspace(1e-8, 20.0, 61),
+                             [TAYLOR_X, np.nextafter(TAYLOR_X, 2.0), 0.75, 1.5]])
+        f0, f1 = trapezoid_weights(xs, 1.0)
+        for x, got0, got1 in zip(xs.tolist(), f0.tolist(), f1.tolist()):
+            exact0 = exact1 = Fraction(0)
+            term, j = Fraction(1, 2), 0  # (-x)^j / (j + 2)!
+            while j < 20 or abs(term) * (j + 1) > Fraction(1, 10**40):
+                exact0 += term * (j + 1)
+                exact1 += term
+                j += 1
+                term *= Fraction(-x) / (j + 2)
+            for got, exact in ((got0, exact0), (got1, exact1)):
+                want = float(exact)
+                assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(want)), x
 
     def test_a_dense_generator_goes_through_eigh(self, monkeypatch):
         dense = dense_generator_matrix()
@@ -276,7 +322,7 @@ class TestSpectralFactors:
         gen = shifted(gen, max(0.0, -gen.min_eigenvalue()) + 1.0)
         d, w, q = gen._eig_factors()
         view, calls = recording_matmuls(q)
-        p, _ = propagator_matrices(
+        p, w0, w1 = propagator_matrices(
             mv.GeneratorSpec(gen.matrix, gen.mesh_h, gen.bc, _eig=(d, w, view)), dt)
         # the sum over every eigenpair, clipped
         full = gen.function_matrix(lambda w: np.exp(-dt * w))
@@ -284,10 +330,12 @@ class TestSpectralFactors:
         # bit for bit where the BLAS adds each entry's terms in k order
         # whatever the inner dimension: the tripwire for a kernel that does not
         assert np.asarray(p).tobytes() == full.tobytes()
-        assert len(calls) == 2  # P's GEMM, then B's
+        assert len(calls) == 2  # P's GEMM, then the one of W0 and W1
         # over the eigenpairs whose weight has not underflowed
         assert calls[0][0].shape[1] == np.count_nonzero(np.exp(-dt * w) >= NORMAL_MIN)
-        for operand in calls[0]:
+        # W0 and W1 side by side: one spectral product
+        assert calls[1][1].shape == (gen.dim, 2 * gen.dim)
+        for operand in (*calls[0], *calls[1], p, w0, w1):
             assert not np.any((operand != 0.0) & (np.abs(operand) < NORMAL_MIN))
 
     @pytest.mark.parametrize("case", BAND_CASES)
@@ -325,12 +373,15 @@ class TestSpectralFactors:
     def test_a_one_by_one_generator_factorizes(self):
         d, w, q = scalar_generator(3.0)._eig_factors()
         assert (d.tolist(), w.tolist(), q.tolist()) == ([1.0], [3.0], [[1.0]])
-        p, b = propagator_matrices(scalar_generator(3.0), 0.1)
+        p, w0, w1 = propagator_matrices(scalar_generator(3.0), 0.1)
         assert p.tolist() == [[math.exp(-0.1 * 3.0)]]
-        assert b.tolist() == [[-math.expm1(-0.1 * 3.0) / 3.0]]
-        # e^{-1e4} underflows: P's sum keeps no term, and B its one
-        p, b = propagator_matrices(scalar_generator(1e4), 1.0)
-        assert p.tolist() == [[0.0]] and b.tolist() == [[1e-4]]
+        f0, f1 = trapezoid_weights(np.array([3.0]), 0.1)
+        assert w0.tolist() == [f0.tolist()] and w1.tolist() == [f1.tolist()]
+        # e^{-1e4} underflows: P's sum keeps no term, and W0 and W1 their one,
+        # 1 / (dt w^2) and (dt w - 1) / (dt w^2)
+        p, w0, w1 = propagator_matrices(scalar_generator(1e4), 1.0)
+        assert p.tolist() == [[0.0]]
+        assert w0.tolist() == [[1e-8]] and w1.tolist() == [[(1e4 - 1.0) / 1e8]]
 
 
 class TestSemigroup:
@@ -578,6 +629,33 @@ class TestSubmarkovian:
         bad = mv.add_potential(neumann9, -np.ones(9))
         assert not mv.check_submarkovian(bad)
 
+    @pytest.mark.parametrize("n", [160, 400])
+    def test_the_probe_allows_its_own_rounding(self, n):
+        # the probe's rounding grows like t eps ||A||: 1.2e-12 at n = 160 and
+        # 1.7e-11 at n = 400 above 1, where a fixed 1e-12 made the dual test
+        # and the probe disagree, and the scenario build raise
+        scen = mv.build_from_config(
+            "fisher", {"alpha": 0.5, "m": {"profile": "sin", "amplitude": 8.0, "frequency": 1.0}},
+            n, "neumann")
+        assert scen.A.dim == n and mv.check_submarkovian(scen.A)
+
+    def test_verify_passes_on_the_mesh_config(self, capsys):
+        from mevolve import cli
+
+        (cfg,) = workloads.WORKLOADS["mesh"]
+        assert cli.cmd_verify(dict(cfg)) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "sub-markovian: True" in out and out[-1] == "certificates: PASS"
+
+    @pytest.mark.parametrize("n", [9, 160, 400])
+    def test_a_negative_shift_fails_both_tests(self, n):
+        # A - c I: its rows sum to -c < 0 on the Neumann interior, and the
+        # probe grows by e^{0.1 c} > 1 + its slack; the tests agree
+        gen = mv.build_laplacian_1d(n, "neumann")
+        for c in (1e-6 * gen.inf_norm(), 1.0):
+            bad = mv.GeneratorSpec(gen.matrix - c * np.eye(n), gen.mesh_h, gen.bc)
+            assert not mv.check_submarkovian(bad)
+
 
 class TestPropagators:
     def test_entrywise_nonnegative_and_consistent(self, dirichlet8, neumann9):
@@ -590,11 +668,11 @@ class TestPropagators:
                 fresh = scipy.linalg.eigvalsh(gen.matrix * np.outer(1.0 / d, d))
                 spread = np.max(np.abs(gen._eig_factors()[1] - fresh))
                 assert spread <= 1e-12 * np.max(np.abs(base.matrix))
-                p, b = propagator_matrices(gen, 0.05)
-                assert np.min(p) >= 0 and np.min(b) >= 0
+                p, w0, w1 = propagator_matrices(gen, 0.05)
+                assert np.min(p) >= 0 and np.min(w0) >= 0 and np.min(w1) >= 0
                 assert np.allclose(p, scipy.linalg.expm(-0.05 * gen.matrix), atol=1e-12)
                 oracle = np.linalg.solve(gen.matrix, np.eye(base.dim) - p)
-                assert np.allclose(b, oracle, atol=1e-12)
+                assert np.allclose(w0 + w1, oracle, atol=1e-12)
 
     def test_requires_positive_spectrum(self, neumann9):
         with pytest.raises(ValidationError):

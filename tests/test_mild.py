@@ -75,9 +75,8 @@ class TestScaling:
         prob = mv.ProblemSpec(gen, mv.logistic(1.0, 2.0), interval)
         first, second = mv.auto_scale(prob), mv.auto_scale(prob)
         assert first.A is not second.A and first.mu == second.mu > 0
-        p1, b1 = first.A.propagators(0.01)
-        p2, b2 = second.A.propagators(0.01)
-        assert p1 is p2 and b1 is b2
+        # one cached object holds the step's weights (P, W0, W1)
+        assert first.A.propagators(0.01) is second.A.propagators(0.01)
         assert len(calls) == 1
         assert calls == ["eigh_tridiagonal"]  # a Neumann Laplacian stays on its band
 
@@ -181,7 +180,8 @@ class TestMildResidual:
         rpt = mv.iterate(prob, grid([0.0]), tol=1e-11)
         assert mv.mild_residual(mv.auto_scale(prob), rpt.u_max) <= 1e-9
 
-    def test_closed_form_branch_first_order(self, scalar_scenario):
+    def test_closed_form_branch_second_order(self, scalar_scenario):
+        # the trapezoid rule's step integral is second order in dt
         residuals = []
         dts = [4e-3, 2e-3, 1e-3, 5e-4]
         for dt in dts:
@@ -190,7 +190,7 @@ class TestMildResidual:
             traj = mv.Trajectory(tg, closed_branch(tg)[:, None])
             residuals.append(mv.mild_residual(prob, traj))
         slope = np.polyfit(np.log(dts), np.log(residuals), 1)[0]
-        assert 0.8 <= slope <= 1.2
+        assert 1.8 <= slope <= 2.2
         assert np.all(np.diff(residuals) < 0)  # halving dt shrinks the residual
 
     def test_constant_non_equilibrium_stays_away(self, scalar_scenario):
