@@ -293,10 +293,7 @@ class _March:
     fixed point z of step k has z = T_k(z) >= T_{k-1}(z) for the same
     reason, so z is a super-solution of step k-1 and lies above u_k, its
     minimal fixed point.  So the warm start converges to the same (minimal)
-    step solution.  Its first inner iteration evaluates G at clamp(u_k),
-    which c_k has just evaluated: where every row starts warm on the plain
-    step, that evaluation is read from c_k's.  Each row stops on its own
-    inner increment.
+    step solution.  Each row stops on its own inner increment.
 
     A row that moved against its side over step k-1 starts at its bound,
     unless the contraction bound q (`_contraction_bound`) is below 1.  Then
@@ -358,9 +355,7 @@ class _March:
     bits do not depend on when its partners stop: rows L and H come out
     the same in the window (L, H) as in the window (L, U, H), since their
     levels are the same in both, and where row U takes another level, the
-    GEMM of rows L and H holds two rows.  Where c_k's evaluation stands in
-    for the first inner iteration's, it is the same term on a block of the
-    same bits and shape, so the rows come out as if evaluated twice.
+    GEMM of rows L and H holds two rows.
 
     `_advance_block` marches a pair or a window's three rows; a one-entry
     march (dim == 1) takes `_advance_scalar`, pair by pair on Python floats.
@@ -447,16 +442,15 @@ class _March:
     def _standard(self, values: np.ndarray) -> np.ndarray:
         return values if self.svec is None else self.svec * values
 
-    def _constant(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(c, G(clamp(y))) for rows y in standard coordinates: the step
-        constant c = P y + W0 G(clamp(y)).  The reaction term sees only
-        states inside the interval.  Two GEMMs and a sum, not one GEMM of
-        [y, G] with [P; W0]^T, whose fused multiply-adds a one-entry march
-        on Python floats could not reproduce."""
-        gy = self.g(np.minimum(np.maximum(y, self.lo), self.hi))
+    def _constant(self, y: np.ndarray) -> np.ndarray:
+        """The step constant c = P y + W0 G(clamp(y)) for rows y in
+        standard coordinates.  The reaction term sees only states inside the
+        interval.  Two GEMMs and a sum, not one GEMM of [y, G] with
+        [P; W0]^T, whose fused multiply-adds a one-entry march on Python
+        floats could not reproduce."""
         c = y @ self.p_t
-        c += gy @ self.w0_t
-        return c, gy
+        c += self.g(np.minimum(np.maximum(y, self.lo), self.hi)) @ self.w0_t
+        return c
 
     def advance(self, n_steps: int) -> None:
         """March n_steps steps.
@@ -583,7 +577,7 @@ class _March:
         spans, rise, fall = [buf[1:1 + k] for buf in bufs], chk[:k], chk[k:2 * k]
         t = 0
         for step in range(out.shape[0]):
-            c, gy = self._constant(y)
+            c = self._constant(y)
             cur = bufs[t]
             if y_prev is None:
                 cur[1], cur[2:k + 1] = lo, hi
@@ -606,10 +600,6 @@ class _March:
                                    out=cur[1 + r])
             on, held = [True] * k, []  # the running and the stopped rows
             groups = self._rungs(cur, c, self.n_steps + step + 1, y_prev is None)
-            # where every row starts at its state on the plain step, the first
-            # inner iteration evaluates G where c's evaluation did, at clamp(u_k)
-            plain = len(groups) == 1 and groups[0][2] is self.g
-            reuse = gy if plain and cur[1:k + 1].tobytes() == y.tobytes() else None
             # while the links hold without any violation, every row lies in
             # [lo, hi] and the clamp is the identity
             for o, first, second in link_ops[t]:
@@ -627,9 +617,8 @@ class _March:
                     for r in range(k):
                         clamped[r] += counts[r] if on[r] else 0
                 for index, w1_t, g, cc in groups:  # a GEMM per level
-                    np.matmul(g(zc[index]) if reuse is None else reuse, w1_t, out=new[index])
+                    np.matmul(g(zc[index]), w1_t, out=new[index])
                     new[index] += cc
-                reuse = None
                 np.subtract(new, zs, out=rise)
                 np.negative(rise, out=fall)
                 for r in held:  # it keeps its state, and its check rows read -inf
@@ -693,8 +682,7 @@ class _March:
     def _scalar_pair(self, r: int, out, pen) -> dict:
         """Pair (0, r) of the dim == 1 march, with one eval_shifted_scalars
         call on both rows per inner iteration, and one per step for the step
-        constants, which the first inner iteration reads where both rows
-        start warm.  Returns, for rows 0 and r, (state, previous state, its
+        constants.  Returns, for rows 0 and r, (state, previous state, its
         step constant, clamped, inner iterations, most in one step,
         converged)."""
         lo, hi = float(self.lo[0]), float(self.hi[0])
@@ -720,7 +708,6 @@ class _March:
             yc1 = lo if y1 < lo else hi if y1 > hi else y1
             g0, g1 = f(yc0, yc1, mu)
             c0, c1 = p * y0 + w0 * g0, p * y1 + w0 * g1
-            reuse = warm and y0 - p0 >= -slack and y1 - p1 <= slack
             if not warm:
                 z0, z1 = lo, hi
             else:
@@ -736,10 +723,7 @@ class _March:
             while True:
                 zc0 = lo if z0 < lo else hi if z0 > hi else z0
                 zc1 = lo if z1 < lo else hi if z1 > hi else z1
-                if reuse:  # both rows start at their states: G(clamp(u_k))
-                    f0, f1, reuse = g0, g1, False
-                else:
-                    f0, f1 = f(zc0, zc1, mu)
+                f0, f1 = f(zc0, zc1, mu)
                 inc0 = inc1 = 0.0
                 if on0:
                     n0 += 1

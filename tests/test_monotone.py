@@ -497,13 +497,13 @@ class TestSharedFirstWindow:
         def march_from(rows):
             march = mv.monotone._March(prob, lower, (lower, upper), 1e-9)
             march.y = np.array(rows)
-            march.y_prev, march.c_prev = march.y.copy(), march._constant(march.y)[0]
+            march.y_prev, march.c_prev = march.y.copy(), march._constant(march.y)
             march.advance(2)
             return march
 
         march = march_from([zero, half, zero])
         # each step's T(y) - y of row U, from the state the step starts at
-        rises = [float(np.max(march._constant(y)[0] + march.g(y) @ march.w1_t - y, axis=1)[1])
+        rises = [float(np.max(march._constant(y) + march.g(y) @ march.w1_t - y, axis=1)[1])
                  for y in march.states[-1][:-1]]
         assert march.worst_violation[0] <= max(0.0, *rises)
         with pytest.raises(NumericalError, match="sandwich"):
@@ -524,7 +524,7 @@ class TestSharedFirstWindow:
         prob = mv.ProblemSpec(gen, f, mv.OrderInterval(lower, upper), horizon=0.1, dt=5e-3)
         march = mv.monotone._March(prob, lower, (lower, upper), 1e-9)
         march.y = np.array([lower.values, upper.values, upper.values + 1e-3])
-        march.y_prev, march.c_prev = march.y.copy(), march._constant(march.y)[0]
+        march.y_prev, march.c_prev = march.y.copy(), march._constant(march.y)
         monkeypatch.setattr(mv.monotone, "MAX_CLAMP_FRACTION", 0.0)
         with pytest.raises(NumericalError, match="left the order interval"):
             march.advance(2)
@@ -1010,37 +1010,6 @@ class TestMarchKernel:
             warnings.simplefilter("error")
             mv.iterate(prob, grid(itv.lower.values - 0.5 * slack))
 
-    @pytest.mark.parametrize("case", ["flipped_competition", "bound_with_deficit"])
-    def test_warm_rows_reuse_the_step_constants_evaluation(self, problems, case,
-                                                           monkeypatch):
-        # rows L and H from the bounds start every step at their states
-        # (step 1 included), on the plain step (q < 1/4): the first inner
-        # iteration reads G(clamp(u_k)) from the step constant, one
-        # evaluation per step fewer, and the same bits as evaluating it
-        # again; on bound_with_deficit the upper row leaves the interval,
-        # so the clamp is not the identity there
-        prob = problems[case]
-        itv = prob.interval
-
-        def run():
-            calls = []
-            march = mv.monotone._March(prob, itv.lower, (itv.upper,), 1e-9)
-            g = march.g
-            march.g = lambda values: calls.append(1) or g(values)
-            march.advance(mv.mild.time_grid(prob.horizon, prob.dt).size - 1)
-            assert march.ladder is None
-            return march.states[0].tobytes(), len(calls)
-
-        reused, fewer = run()
-        rungs = mv.monotone._March._rungs
-        # the same step with a copy of G, which the reuse does not recognize
-        monkeypatch.setattr(mv.monotone._March, "_rungs", lambda march, *args: [
-            (index, w1_t, lambda values, g=g: g(values), c)
-            for index, w1_t, g, c in rungs(march, *args)])
-        evaluated, more = run()
-        assert reused == evaluated
-        assert more - fewer == round(prob.horizon / prob.dt)
-
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin"])
     def test_flipped_cone_propagators_carry_no_negative_zero(self, bc):
         # A couples no components of opposite cone sign, so P, W0 and W1 are
@@ -1275,7 +1244,7 @@ class TestAcceleratedStep:
         prob = mv.ProblemSpec(gen, f, mv.OrderInterval(lower, upper), horizon=1.0, dt=0.2)
         march = mv.monotone._March(prob, lower, (lower,) * (len(rows) - 1), 1e-9)
         march.y = np.array([np.full(8, value) for value in rows])
-        march.y_prev, march.c_prev = march.y.copy(), march._constant(march.y)[0]
+        march.y_prev, march.c_prev = march.y.copy(), march._constant(march.y)
         march.advance(5)
         assert march.q > mv.monotone.ACCELERATION_Q
         return march
