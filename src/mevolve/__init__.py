@@ -41,10 +41,9 @@ from .nonlin import (
 from .mild import (
     ProblemSpec,
     Trajectory,
-    auto_scale,
+    march_shift,
     mild_residual,
     picard_step,
-    scale_problem,
     time_grid,
     trajectory_from_csv,
     trajectory_to_csv,

@@ -18,11 +18,12 @@ factorizes the scaled band without the dense reduction.  Any other matrix
 reads its scaling off a breadth-first spanning forest of the off-diagonal
 pattern and goes through the dense eigh.  A generator that admits no
 scaling (an asymmetric pattern, or a cycle whose ratios do not multiply to
-1) is rejected with a ValidationError on its first spectral use.  A shift
-A + mu*I keeps the eigenvectors and the scaling of A, so every shifted
-copy reuses the base factorization and shares one cache of step weights
-(P, W0, W1) of the exponential trapezoid rule, whose P leaves out the terms
-of its spectral sum that have underflowed (`propagator_matrices`).
+1) is rejected with a ValidationError on its first spectral use.  The step
+weights (P, W0, W1) of the exponential trapezoid rule are those of A + mu*I
+for the march's shift mu, which keeps the eigenvectors and the scaling of
+A: they are read off A's own eigenpairs at w + mu and cached on A by
+(mu, dt), and P leaves out the terms of its spectral sum that have
+underflowed (`propagator_matrices`).
 
 Linear solves with A minus a node-local term (Newton's matrix) run on A's
 band once the components are interleaved node by node (`node_band`): one
@@ -56,16 +57,14 @@ class GeneratorSpec:
 
     Treated as immutable after construction.  The eigendecomposition is
     computed once on first use (single assignment) and shared by all
-    apply-style operations; `shifted` hands it on to A + mu*I.  The step
-    weights are cached by (shift, dt) in a dict that A and all its
-    shifted copies share.  The node-major band and the infinity norm depend
-    on the matrix values, so each copy computes its own.
+    apply-style operations, the step weights of A + mu*I among them
+    (`propagators`, cached by (mu, dt)).  The node-major band and the
+    infinity norm are computed once too.
     """
 
     matrix: np.ndarray
     mesh_h: float
     bc: str
-    shift: float = 0.0
     _eig: tuple | None = field(default=None, repr=False, compare=False)
     _prop_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _band_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -131,12 +130,12 @@ class GeneratorSpec:
     def min_eigenvalue(self) -> float:
         return float(self._eig_factors()[1][0])
 
-    def propagators(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`propagator_matrices(self, dt)`, the step's weights (P, W0, W1),
-        built once per (shift, dt)."""
-        key = (self.shift, dt)
+    def propagators(self, dt: float, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`propagator_matrices(self, dt, mu)`, the step's weights (P, W0, W1)
+        of A + mu*I, built once per (mu, dt)."""
+        key = (mu, dt)
         if key not in self._prop_cache:
-            self._prop_cache[key] = propagator_matrices(self, dt)
+            self._prop_cache[key] = propagator_matrices(self, dt, mu)
         return self._prop_cache[key]
 
     def node_band(self, components: int) -> NodeBand:
@@ -304,10 +303,8 @@ def mesh_nodes(a: GeneratorSpec) -> np.ndarray:
 
 def block_generator(blocks: list[GeneratorSpec]) -> GeneratorSpec:
     """Block-diagonal composition for multi-component systems."""
-    if len({b.shift for b in blocks}) != 1:
-        raise ValidationError("blocks carry inconsistent shifts")
     m = scipy.linalg.block_diag(*[b.matrix for b in blocks])
-    return GeneratorSpec(m, blocks[0].mesh_h, "system", shift=blocks[0].shift)
+    return GeneratorSpec(m, blocks[0].mesh_h, "system")
 
 
 def add_potential(a: GeneratorSpec, m: GridFunction | np.ndarray) -> GeneratorSpec:
@@ -315,21 +312,7 @@ def add_potential(a: GeneratorSpec, m: GridFunction | np.ndarray) -> GeneratorSp
     values = m.values if isinstance(m, GridFunction) else np.asarray(m, dtype=float)
     if values.size != a.dim:
         raise DimensionMismatchError("potential length does not match generator")
-    return GeneratorSpec(a.matrix + np.diag(values), a.mesh_h, a.bc, shift=a.shift)
-
-
-def shifted(a: GeneratorSpec, mu: float) -> GeneratorSpec:
-    """A + mu*I with the accumulated shift recorded.
-
-    The shift moves the eigenvalues of A by mu and keeps its eigenvectors
-    and symmetrizing scaling, so the result takes A's factorization (computed
-    now if A has none yet) and shares A's propagator cache.
-    """
-    d, w, q = a._eig_factors()
-    return GeneratorSpec(
-        a.matrix + mu * np.eye(a.dim), a.mesh_h, a.bc, shift=a.shift + mu,
-        _eig=(d, w + mu, q), _prop_cache=a._prop_cache,
-    )
+    return GeneratorSpec(a.matrix + np.diag(values), a.mesh_h, a.bc)
 
 
 # -- apply operations --------------------------------------------------------
@@ -386,23 +369,26 @@ def trapezoid_weights(w: np.ndarray, dt: float) -> np.ndarray:
 
 
 def propagator_matrices(
-    a: GeneratorSpec, dt: float
+    a: GeneratorSpec, dt: float, mu: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The weights (P, W0, W1) of one exponential-trapezoid step of length
-    dt,
+    dt for the shifted generator A_mu = A + mu*I,
 
         u_{k+1} = P u_k + W0 G(u_k) + W1 G(u_{k+1}),
 
-    P = e^{-dt A}, W0 = f0(A) and W1 = f1(A) (`trapezoid_weights`), each
-    clipped entrywise >= 0.  W0 + W1 = B = A^{-1}(I - e^{-dt A}), the
-    integral of the semigroup over one step, and W1 is its part that
-    weights the step's right node.
+    P = e^{-dt A_mu}, W0 = f0(A_mu) and W1 = f1(A_mu) (`trapezoid_weights`),
+    each clipped entrywise >= 0.  W0 + W1 = B = A_mu^{-1}(I - e^{-dt A_mu}),
+    the integral of the semigroup over one step, and W1 is its part that
+    weights the step's right node.  A_mu has A's eigenvectors and scaling
+    and the eigenvalues w + mu, so the weights are read off A's own
+    factorization.
 
     All three are entrywise nonnegative in exact arithmetic (each is an
-    integral of e^{-sA} >= 0 against a nonnegative weight); clipping
+    integral of e^{-sA_mu} >= 0 against a nonnegative weight); clipping
     round-off negatives makes every downstream matvec exactly
-    order-preserving.  Requires the spectrum strictly positive, i.e. a
-    scaled problem.
+    order-preserving.  Requires the spectrum of A_mu strictly positive:
+    the march's shift (`mild.march_shift`) lifts it to at least
+    `mild.STABILITY_FLOOR`.
 
     Each is a spectral sum (d Q) (f(w) (Q^T / d)), W0 and W1 by
     `function_matrix` on the weights of one `trapezoid_weights` call.
@@ -427,13 +413,14 @@ def propagator_matrices(
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
-    spectral_floor = max(1e-12, 1e-14 * float(np.max(np.abs(a.matrix))))
-    if a.min_eigenvalue() <= spectral_floor:
-        raise ValidationError(
-            "the step weights need min eigenvalue > 0; scale the problem "
-            "by a larger shift first"
-        )
     d, w, q = a._eig_factors()
+    w = w + mu
+    spectral_floor = max(1e-12, 1e-14 * float(np.max(np.abs(a.matrix + mu * np.eye(a.dim)))))
+    if w[0] <= spectral_floor:
+        raise ValidationError(
+            "the step weights need min eigenvalue of A + mu*I > 0; take a "
+            "larger shift mu"
+        )
     left, right = d[:, None] * q, q.T / d[None, :]
     decay = np.exp(-dt * w)
     kept = int(np.count_nonzero(decay >= NORMAL_MIN))
@@ -480,7 +467,10 @@ def principal_eig(a: GeneratorSpec) -> EigPair:
     Inverse power iteration on sigma*I + A with a Gershgorin-based sigma
     making the shifted matrix an M-matrix, so every iterate stays positive.
     The eigenvalue is polished with one extended-precision Rayleigh quotient
-    after the residual drops below EIG_RESIDUAL_TOL.
+    after the residual |A x - lambda x|_inf drops below EIG_RESIDUAL_TOL, or
+    below its own rounding floor 4 eps ||A||_inf where that is larger (from
+    n of about 500 on a unit-interval Laplacian, whose ||A||_inf grows like
+    4 (n + 1)^2).
 
     The dense LU and its solves call LAPACK getrf/getrs directly, the
     routines behind scipy.linalg.lu_factor/lu_solve, with lu_factor's
@@ -503,13 +493,14 @@ def principal_eig(a: GeneratorSpec) -> EigPair:
         raise ValueError(f"illegal value in argument {-info} of LAPACK getrf")
     x = np.ones(n)
     lam = 0.0
+    stop = max(EIG_RESIDUAL_TOL, 4.0 * _EPS * a.inf_norm())
     for _ in range(EIG_MAX_ITER):
         # getrs flags only illegal arguments, and these are getrf's own
         x = _GETRS(lu, piv, x, overwrite_b=True)[0]
         x /= np.abs(x).max()
         mx = m @ x
         lam = float(x @ mx / (x @ x))
-        if np.abs(mx - lam * x).max() <= EIG_RESIDUAL_TOL:
+        if np.abs(mx - lam * x).max() <= stop:
             break
     else:
         raise NumericalError(

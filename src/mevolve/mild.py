@@ -1,18 +1,24 @@
-"""Trajectories, problem scaling and the variation-of-constants map.
+"""Trajectories, the march's shift and the variation-of-constants map.
 
-A trajectory holds states on a uniform time grid.  The discrete mild
-solutions are the trajectories with u(t_0) = u0 and, on every step,
+A trajectory holds states on a uniform time grid.  The march writes
+du/dt + A u = F(u) as du/dt + A_mu u = G(u), with A_mu = A + mu*I and G =
+F + mu*id for one constant mu >= 0 (`march_shift`, the device of C. V. Pao,
+Nonlinear Parabolic and Elliptic Equations, Plenum 1992): mu makes G
+increasing on the order interval and A_mu's spectrum positive, and leaves
+the solutions unchanged.  mu belongs to the method, so a problem holds A
+and F alone, and the march applies mu.  The discrete mild solutions are the
+trajectories with u(t_0) = u0 and, on every step,
 
-    u_{k+1} = P u_k + W0 G(u_k) + W1 G(u_{k+1}),     P = e^{-dt A},
+    u_{k+1} = P u_k + W0 G(u_k) + W1 G(u_{k+1}),     P = e^{-dt A_mu},
 
 the exponential trapezoid rule (Hochbruck & Ostermann, Acta Numerica 19,
 2010; Cox & Matthews, J. Comput. Phys. 176, 2002): the mild solution's
-integral over one step, int_0^dt e^{-(dt-s)A} G(u(t_k + s)) ds, with G = F
-+ mu*id interpolated linearly between the step's nodes.  W1 = dt
-phi2(-dt A) weights the right node and W0 = dt (phi1 - phi2)(-dt A) the
-left one (`generators.trapezoid_weights`); both are integrals of the
-positive semigroup against nonnegative weights, and W0 + W1 = B =
-A^{-1}(I - P).  Every factor (P, W0, W1 and the shifted reaction term) is
+integral over one step, int_0^dt e^{-(dt-s)A_mu} G(u(t_k + s)) ds, with G
+interpolated linearly between the step's nodes.  W1 = dt phi2(-dt A_mu)
+weights the right node and W0 = dt (phi1 - phi2)(-dt A_mu) the left one
+(`generators.trapezoid_weights`); both are integrals of the positive
+semigroup against nonnegative weights, and W0 + W1 = B = A_mu^{-1}(I - P).
+Every factor (P, W0, W1 and the shifted reaction term) is
 order-preserving, so the relation can be solved monotonically, and an
 equilibrium is a fixed point of every step; `monotone.iterate` solves it
 step by step.  The rule is second order in dt.  Keeping the right node
@@ -21,8 +27,8 @@ explicit rule would collapse them onto the equilibrium).
 
 `picard_step` applies the relation to a whole trajectory at once,
 
-    t_k -> e^{-t_k A} u0
-           + sum_j e^{-(t_k - t_{j+1}) A} (W0 G(u(t_j)) + W1 G(u(t_{j+1}))),
+    t_k -> e^{-t_k A_mu} u0
+           + sum_j e^{-(t_k - t_{j+1}) A_mu} (W0 G(u(t_j)) + W1 G(u(t_{j+1}))),
 
 whose fixed points are exactly the discrete mild solutions; it backs
 `mild_residual` and serves as an independent oracle.
@@ -32,11 +38,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import generators
 from .errors import DimensionMismatchError, ValidationError
 from .generators import GeneratorSpec
 from .nonlin import Nonlinearity, quasi_increasing_shift
@@ -49,7 +54,7 @@ from .order import (
     order_slack,
 )
 
-STABILITY_FLOOR = 0.1  # scaled problems keep min eigenvalue >= this
+STABILITY_FLOOR = 0.1  # the march's A + mu*I keeps min eigenvalue >= this
 _EPS = np.finfo(float).eps
 
 
@@ -116,24 +121,20 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
 class ProblemSpec:
     """Data of the evolution problem du/dt + A u = F(u) on an order interval.
 
-    `mu` is the accumulated quasi-increasing shift: the generator already
-    contains +mu*I and the effective reaction term is F + mu*id, so fixed
-    points and equilibria coincide with the unshifted problem.  A must not
-    couple components of opposite cone sign.
+    A and F are the problem's own; the march's shift mu is no part of it
+    (`march_shift`).  A must not couple components of opposite cone sign.
 
     Frozen: `monotone` memoizes the march over the first window by
     tolerance in `_first_windows`, and that march depends on every field.
     The march holds arrays, the interval, the reaction term and the
     trajectories it handed out (immutable, each with its CSV text once
     written), nothing that refers back to a problem.  The memo is no init
-    field, so `dataclasses.replace` (`scale_problem`) gives the copy a memo
-    of its own.
+    field, so a copy made by `dataclasses.replace` gets a memo of its own.
     """
 
     A: GeneratorSpec
     F: Nonlinearity
     interval: OrderInterval
-    mu: float = 0.0
     horizon: float = 1.0
     dt: float = 1e-2
     _first_windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -144,17 +145,17 @@ class ProblemSpec:
         if self.F.components != self.interval.components:
             raise DimensionMismatchError("nonlinearity/interval component mismatch")
         # S A S (S the cone signs) must keep A's nonpositive off-diagonal, so
-        # that the propagators and (A + mu)^-1 stay positive in the cone
+        # that the step weights and (A + mu)^-1 stay positive in the cone
         svec = self.interval.cone.sign_vector(self.interval.lower.n_points)
         if np.any(self.A.matrix[np.not_equal.outer(svec, svec)]):
             raise ValidationError("generator couples components of opposite cone sign")
 
     def rhs(self, values: np.ndarray) -> np.ndarray:
-        """Shifted reaction term F(u) + mu*u, vectorized over rows."""
-        return self.F.eval_shifted(values, self.mu)
+        """The reaction term F(u), vectorized over rows."""
+        return self.F.eval_shifted(values, 0.0)
 
     def equilibrium_residual(self, u: GridFunction) -> float:
-        """Sup norm of A u - F(u); shift-independent."""
+        """Sup norm of A u - F(u)."""
         return monotone_norm(self.A.matrix @ u.values - self.rhs(u.values))
 
 
@@ -165,34 +166,22 @@ def defect_slack(a: GeneratorSpec, u: GridFunction | np.ndarray, f_values: np.nd
     return max(TOL_ORDER, 32.0 * _EPS * scale)
 
 
-def scale_problem(problem: ProblemSpec, mu: float) -> ProblemSpec:
-    """Shift A by +mu*I and F by +mu*id; the solution set is unchanged."""
-    if mu < 0:
-        raise ValidationError("shift must be >= 0")
-    if mu == 0.0:
-        return problem
-    return replace(problem, A=generators.shifted(problem.A, mu), mu=problem.mu + mu)
+def march_shift(problem: ProblemSpec) -> float:
+    """The march's shift mu >= 0, the one place that decides it.
 
-
-def auto_scale(problem: ProblemSpec) -> ProblemSpec:
-    """Apply the engine's scaling policy.
-
-    The total shift must certify F + mu*id increasing on the interval and
-    push the generator's smallest eigenvalue to at least STABILITY_FLOOR so
-    that the scaled semigroup is exponentially stable and the step weights
-    (`generators.propagator_matrices`) apply.
+    mu certifies G = F + mu*id increasing on the interval
+    (`quasi_increasing_shift`) and lifts the smallest eigenvalue of A + mu*I
+    to at least STABILITY_FLOOR, so that its semigroup is exponentially
+    stable and the step weights (`GeneratorSpec.propagators`) apply.
     """
     mu_qi = quasi_increasing_shift(problem.F, problem.interval)
-    need_monotone = mu_qi - problem.mu
-    need_stable = STABILITY_FLOOR - problem.A.min_eigenvalue()
-    delta = max(0.0, need_monotone, need_stable)
-    return scale_problem(problem, delta)
+    return max(0.0, mu_qi, STABILITY_FLOOR - problem.A.min_eigenvalue())
 
 
 def picard_step(problem: ProblemSpec, u0: GridFunction, traj: Trajectory) -> Trajectory:
     """One application of the integral fixed-point map to a trajectory:
     u_{k+1} = P u_k + W0 G(v_k) + W1 G(v_{k+1}) from u_0 = u0, v the
-    argument's states.
+    argument's states, with the march's shift mu (`march_shift`).
 
     The argument trajectory is clamped to the order interval before the
     reaction term is evaluated (its certificates are interval-local); an
@@ -205,9 +194,10 @@ def picard_step(problem: ProblemSpec, u0: GridFunction, traj: Trajectory) -> Tra
     u0_values = clamp_values(u0.values, interval)
     if monotone_norm(u0_values - u0.values) > slack:
         warnings.warn("initial value clamped to the order interval", stacklevel=2)
-    p_mat, w0, w1 = problem.A.propagators(traj.dt)
+    mu = march_shift(problem)
+    p_mat, w0, w1 = problem.A.propagators(traj.dt, mu)
     # W0 G(v_k) + W1 G(v_{k+1}) for every step at once
-    g = problem.rhs(clamp_values(traj.states, interval))
+    g = problem.F.eval_shifted(clamp_values(traj.states, interval), mu)
     source = g[:-1] @ w0.T + g[1:] @ w1.T
     out = np.empty_like(traj.states)
     out[0] = u0_values

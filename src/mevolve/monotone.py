@@ -11,7 +11,8 @@ lower bound (the rising upper row).  `iterate` from the lower bound reads
 pair (L, U), or (L, H) from both bounds; `asymptotic_equilibria` takes
 (L, H) as its first window and marches that pair on.  Any other start
 marches a pair of its own.  Step k solves the exponential trapezoid
-relation (`mild`), with G = F + mu*id increasing,
+relation (`mild`) of A + mu*I and G = F + mu*id, with the march's shift mu
+(`mild.march_shift`) making G increasing,
 
     u_{k+1} = c_k + W1 G(u_{k+1}),      c_k = P u_k + W0 G(u_k),
 
@@ -64,12 +65,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, ValidationError
-from .generators import GeneratorSpec, trapezoid_weights
+from .generators import GeneratorSpec, add_potential, trapezoid_weights
 from .mild import (
     ProblemSpec,
     Trajectory,
-    auto_scale,
     defect_slack,
+    march_shift,
     time_grid,
 )
 from .nonlin import cone_jacobian_range
@@ -122,7 +123,8 @@ def _bound_deficit(problem: ProblemSpec, svec: np.ndarray) -> float:
     Numerically certified bounds can carry small negative margins (eigenvector
     and Newton-polish residuals); that deficit propagates into the iterates
     through the step integral, so the sandwich breach guard must allow it.
-    Shift-invariant: uses the problem's own (possibly scaled) data.
+    Read on the problem's own A and F: the march's shift adds mu*u to both
+    sides of each inequality and leaves it unchanged in exact arithmetic.
     """
     itv = problem.interval
     a = problem.A.matrix
@@ -186,17 +188,17 @@ class _Ladder:
 
     Level 0 is the march's own W1^T and G.  A level above 0 is built on
     first use and kept: W1_gamma = (I - gamma W1)^-1 W1 is the function
-    f1 / (1 - gamma f1) of the scaled generator, f1 that of W1
-    (`generators.trapezoid_weights`), clipped at 0 as `propagator_matrices`
-    clips W1; G - gamma id is the term's own shifted evaluation at mu -
-    gamma.  The ladder holds the scaled generator, the term and arrays,
-    nothing that refers back to a problem; a march and its `select` copies
-    share it, since a level's matrices do not depend on when they are
-    built.
+    f1 / (1 - gamma f1) of A + mu*I, f1 that of W1
+    (`generators.trapezoid_weights`) at A's eigenvalues plus mu, clipped at
+    0 as `propagator_matrices` clips W1; G - gamma id is the term's own
+    shifted evaluation at mu - gamma.  The ladder holds the problem's A and
+    F, the shift and arrays, nothing that refers back to a problem; a march
+    and its `select` copies share it, since a level's matrices do not
+    depend on when they are built.
     """
 
-    def __init__(self, scaled: ProblemSpec, dt: float, svec, w1_t, g, low, high):
-        self.a, self.f, self.mu, self.dt, self.svec = scaled.A, scaled.F, scaled.mu, dt, svec
+    def __init__(self, problem: ProblemSpec, mu: float, svec, w1_t, g, low, high):
+        self.a, self.f, self.mu, self.dt, self.svec = problem.A, problem.F, mu, problem.dt, svec
         diag = (range(low.shape[0]),) * 2
         g_max = float(np.max(high[diag]))
         self.gammas = [m * g_max / LADDER_LEVELS for m in range(LADDER_LEVELS)]
@@ -225,10 +227,10 @@ class _Ladder:
     def rung(self, m: int) -> tuple:
         """(gamma_m, W1_gamma^T, G - gamma_m id) of level m, built once."""
         if m not in self.rungs:
-            gamma, dt = self.gammas[m], self.dt
+            gamma, dt, mu = self.gammas[m], self.dt, self.mu
 
             def w1_gamma(w):
-                f1 = trapezoid_weights(w, dt)[1]
+                f1 = trapezoid_weights(w + mu, dt)[1]
                 return f1 / (1.0 - gamma * f1)
 
             w1 = self.a.function_matrix(w1_gamma)
@@ -282,6 +284,10 @@ class _March:
 
     Rows are held as one k x dim block in standard coordinates (each entry
     multiplied by its cone sign), where the cone order is the entrywise one.
+    The march computes its shift mu = `march_shift(problem)` once, reads
+    the weights P, W0 and W1 of A + mu*I from the problem's own generator
+    (`GeneratorSpec.propagators`) and evaluates G = F + mu*id; the reports
+    carry mu as mu_applied.
     Step k solves z = T_k(z) = c_k + W1 G(z), with the step constant c_k =
     P u_k + W0 G(clamp(u_k)) (`_constant`), by the monotone inner iteration
     z_{j+1} = c_k + W1 G(z_j), from the row's interval bound, or from u_k
@@ -370,14 +376,14 @@ class _March:
 
     def __init__(self, problem, lower, uppers, tol):
         interval = problem.interval
-        scaled = auto_scale(problem)
+        mu = march_shift(problem)
         svec = interval.cone.sign_vector(interval.lower.n_points)
         base_slack = order_slack(interval.value_scale(), interval.dim)
         # the breach guard additionally allows the bounds' own certificate deficit
-        slack = max(base_slack, 12.0 * _bound_deficit(scaled, svec))
+        slack = max(base_slack, 12.0 * _bound_deficit(problem, svec))
         if any(order_violation(lower, upper, interval.cone) > slack for upper in uppers):
             raise ValidationError("u0_upper must lie above u0 in the cone order")
-        self.interval, self.mu = interval, scaled.mu
+        self.interval, self.mu = interval, mu
         self.dt, self.tol, self.slack = problem.dt, tol, slack
         self.svec = None if np.all(svec == 1.0) else svec
         self.lo, self.hi = interval.standard_bounds()
@@ -423,21 +429,22 @@ class _March:
                     f"degenerate interval is not an equilibrium (residual {res:.3e})"
                 )
             return
-        # S W S = W for W = P, W0, W1: A couples no components of opposite sign
-        p_mat, w0, w1 = scaled.A.propagators(problem.dt)
+        # the weights of A + mu*I; S W S = W for W = P, W0, W1, since A
+        # couples no components of opposite sign
+        p_mat, w0, w1 = problem.A.propagators(problem.dt, mu)
         self.p_t, self.w0_t, self.w1_t = p_mat.T.copy(), w0.T.copy(), w1.T.copy()
         # S (F' + mu) S over the interval, for the contraction bound and the ladder
-        low, high = _slope_bounds(scaled.F, interval.cone.signs, interval.lower.values,
+        low, high = _slope_bounds(problem.F, interval.cone.signs, interval.lower.values,
                                   interval.upper.values)
         diag = (range(low.shape[0]),) * 2
-        low[diag] += scaled.mu
-        high[diag] += scaled.mu
+        low[diag] += mu
+        high[diag] += mu
         self.q = _contraction_bound(high, w1)
-        # the shifted reaction term in standard coordinates
-        self.g = _shifted_term(scaled.F, self.svec, scaled.mu)
-        self.F = scaled.F
+        # the shifted reaction term G = F + mu*id in standard coordinates
+        self.g = _shifted_term(problem.F, self.svec, mu)
+        self.F = problem.F
         if self.q is not None and self.q > ACCELERATION_Q and self.y.shape[1] > 1:
-            self.ladder = _Ladder(scaled, problem.dt, self.svec, self.w1_t, self.g, low, high)
+            self.ladder = _Ladder(problem, mu, self.svec, self.w1_t, self.g, low, high)
 
     def _standard(self, values: np.ndarray) -> np.ndarray:
         return values if self.svec is None else self.svec * values
@@ -689,8 +696,8 @@ class _March:
         slack, tol, max_iter = self.slack, self.tol, MAX_INNER_ITER
         p, w0, w1 = float(self.p_t[0, 0]), float(self.w0_t[0, 0]), float(self.w1_t[0, 0])
         dist, violations, k = self.distances, self.violations[r - 1], self.k
-        # ProblemSpec.rhs on two scalar states; a reversed cone marches
-        # g(y) = -rhs(-y), and sign flips are exact
+        # G = F + mu*id on two scalar states; a reversed cone marches
+        # g(y) = -G(-y), and sign flips are exact
         f, mu = self.F.eval_shifted_scalars, float(self.mu)
         if self.svec is not None:
             def f(x0, x1, shift, rhs=f):
@@ -932,8 +939,9 @@ def iterate(
     row H beside L and U, for the equilibria march that usually follows.
     Any other start marches its own two rows.
 
-    The problem is scaled on entry (quasi-increasing shift plus stability
-    floor); fixed points are unaffected.  Raises NumericalError on a sandwich
+    The march applies its shift mu (`mild.march_shift`: the quasi-increasing
+    shift, raised to the stability floor) to A and F alike; fixed points are
+    unaffected, and the report's mu_applied holds it.  Raises NumericalError on a sandwich
     breach or when more than MAX_CLAMP_FRACTION of a pair's evaluated
     entries needed clamping beyond round-off.  The first window fails as a
     whole, so from the lower bound alone a breach of row H fails the call.
@@ -1009,15 +1017,12 @@ def extremal_trajectories(
 
 def linearized_solve(problem: ProblemSpec, v: np.ndarray,
                      rhs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve (A - F'(v) - mu) x = rhs, Newton's matrix at the state v: (x, ok).
+    """Solve (A - F'(v)) x = rhs, Newton's matrix at the state v: (x, ok).
 
     F' is node-local (`Nonlinearity.jacobian_blocks`); see `_banded_solve`,
     which also says when ok is False.
     """
-    jac = problem.F.jacobian_blocks(v)
-    if problem.mu:
-        jac = jac + problem.mu * np.eye(problem.F.components)[:, :, None]
-    return _banded_solve(problem.A, jac, rhs)
+    return _banded_solve(problem.A, problem.F.jacobian_blocks(v), rhs)
 
 
 _GTSV, _GBSV = scipy.linalg.get_lapack_funcs(("gtsv", "gbsv"), dtype=np.float64)
@@ -1155,7 +1160,6 @@ def _enclose(problem: ProblemSpec, sides: np.ndarray, y_p: np.ndarray, x_lo: np.
     [x_lo, y_p + tol_eq], with the M-matrix test of `_m_matrix`: the proven
     radius, or None when a test fails or the radius exceeds tol_eq."""
     jac = _mean_jacobian_bound(problem.F, sides, x_lo, y_p, y_p + tol_eq)
-    jac += problem.mu * np.eye(problem.F.components)[:, :, None]
     kernel = _m_matrix(problem, sides, jac)
     if kernel is None:
         return None
@@ -1190,7 +1194,7 @@ def _sweep(problem: ProblemSpec, sides: np.ndarray, start: np.ndarray, lo: np.nd
     stop there.  It ends without a last state when the proof's premises
     fail or a value is not finite.
 
-    With mu the march's shift (`auto_scale`), G = F + mu id is increasing
+    With mu the march's shift (`march_shift`), G = F + mu id is increasing
     on the interval in side coordinates, and M = T (A + mu) T is a Z-matrix,
     since `ProblemSpec` refuses an A that couples components of opposite
     cone sign.  The test of `_m_matrix` on the blocks J = -mu makes M a
@@ -1202,18 +1206,19 @@ def _sweep(problem: ProblemSpec, sides: np.ndarray, start: np.ndarray, lo: np.nd
     The sweeps stop once the increment is at most tol_eq, or after
     SWEEP_MAX_ITER sweeps.
     """
-    scaled = auto_scale(problem)
-    a = scaled.A
+    mu = march_shift(problem)
     c = problem.F.components
     shift = np.zeros((c, c, sides.size // c))
-    shift[range(c), range(c)] = -(scaled.mu - problem.mu)  # A - shift = A + mu
+    shift[range(c), range(c)] = -mu  # A - shift = A + mu
     kernel = _m_matrix(problem, sides, shift)
     if kernel is None:
         return
     psi = kernel[0]
+    # A + mu as one matrix: A x + mu x would round the residual differently
+    a = add_potential(problem.A, np.full(problem.A.dim, mu))
     y = start
     for count in range(1, SWEEP_MAX_ITER + 1):
-        g = scaled.rhs(sides * y)
+        g = problem.F.eval_shifted(sides * y, mu)
         x, ok = _banded_solve(problem.A, shift, g)
         if not ok:
             return
@@ -1245,7 +1250,7 @@ def _certify_extremal(problem: ProblemSpec, state: np.ndarray, side: int, tol_eq
     min(l, p) - slack and top = p + tol_eq, which holds u*:
 
     - J+ bounds the mean-value Jacobian int_0^1 S F'(u* + s (v - u*)) S ds
-      + mu from above entrywise (`_mean_jacobian_bound`: Simpson's rule on
+      from above entrywise (`_mean_jacobian_bound`: Simpson's rule on
       three boxes where F' is quadratic along segments, else the one box),
       its off-diagonal entries clipped at 0, so M+ = A - J+ is a Z-matrix;
     - M+ passes the M-matrix test of `_m_matrix`: psi = M+^-1 1 > 0 and

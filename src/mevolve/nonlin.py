@@ -46,9 +46,10 @@ class Nonlinearity:
     def eval_shifted(self, values: np.ndarray, shift: float) -> np.ndarray:
         """The shifted term F(values) + shift*values.
 
-        The solver evaluates F in this form (ProblemSpec.rhs); a subclass may
-        override it with one fused expression, as the presets do (they define
-        eval_values as eval_shifted(values, 0.0)).
+        The solver evaluates F in this form: the march at its shift mu,
+        ProblemSpec.rhs at 0.0.  A subclass may override it with one fused
+        expression, as the presets do (they define eval_values as
+        eval_shifted(values, 0.0)).
         """
         return self.eval_values(values) + shift * values
 

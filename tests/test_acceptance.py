@@ -324,7 +324,7 @@ def test_criterion_11_quadrature_convergence():
     dts = [4e-3, 2e-3, 1e-3, 5e-4]
     residuals = []
     for dt in dts:
-        prob = mv.auto_scale(scen.problem(horizon=4.0, dt=dt))
+        prob = scen.problem(horizon=4.0, dt=dt)
         tg = mv.time_grid(4.0, dt)
         traj = mv.Trajectory(tg, closed_branch(tg)[:, None])
         residuals.append(mv.mild_residual(prob, traj))

@@ -22,7 +22,6 @@ from mevolve.generators import (
     _symmetrizer,
     propagator_matrices,
     scalar_generator,
-    shifted,
     trapezoid_weights,
 )
 
@@ -130,7 +129,7 @@ BAND_CASES = [
 @pytest.fixture(scope="module")
 def band_generators():
     """Tridiagonal generators: the three closures, a block-diagonal pair, a
-    potential with both signs and a shifted copy."""
+    potential with both signs and a constant potential (A + 2.5 I)."""
     cases = {}
     for bc, beta in (("dirichlet", None), ("neumann", None), ("robin", 0.7)):
         for n in (2, 3, 60, 160):
@@ -139,7 +138,7 @@ def band_generators():
     cases["block_pair"] = mv.block_generator([neumann, mv.build_laplacian_1d(60, "dirichlet")])
     weight = 8.0 * np.sin(2 * np.pi * mv.generators.mesh_nodes(neumann))
     cases["potential"] = mv.add_potential(neumann, -weight)
-    cases["shifted"] = shifted(mv.build_laplacian_1d(60, "robin", 0.7), 2.5)
+    cases["shifted"] = mv.add_potential(mv.build_laplacian_1d(60, "robin", 0.7), np.full(60, 2.5))
     assert sorted(cases) == sorted(BAND_CASES)
     return cases
 
@@ -169,18 +168,20 @@ class TestBandPath:
         oracle = scipy.linalg.eigvalsh(gen.matrix * np.outer(1.0 / d, d))
         bound = 1e-12 * np.max(np.abs(gen.matrix))
         assert np.max(np.abs(w - oracle)) <= bound
-        # a shifted copy reads its base's factorization
+        # and so does the fixture's own factorization, cached on first use
         assert np.max(np.abs(gen._eig_factors()[1] - oracle)) <= bound
 
     @pytest.mark.parametrize("case", BAND_CASES)
     def test_propagators_match_expm_and_solve(self, band_generators, case):
         gen = band_generators[case]
-        # the oracles need a positive spectrum (Neumann's starts at 0)
-        gen = shifted(gen, max(0.0, -gen.min_eigenvalue()) + 1.0)
+        # the weights of A + mu I: the oracles need a positive spectrum
+        # (Neumann's starts at 0)
+        mu = max(0.0, -gen.min_eigenvalue()) + 1.0
+        a = gen.matrix + mu * np.eye(gen.dim)
         dt = 0.02
-        p, w0, w1 = propagator_matrices(gen, dt)
-        assert np.max(np.abs(p - scipy.linalg.expm(-dt * gen.matrix))) <= 1e-12
-        oracle = np.linalg.solve(gen.matrix, np.eye(gen.dim) - p)
+        p, w0, w1 = propagator_matrices(gen, dt, mu)
+        assert np.max(np.abs(p - scipy.linalg.expm(-dt * a))) <= 1e-12
+        oracle = np.linalg.solve(a, np.eye(gen.dim) - p)
         assert np.max(np.abs(w0 + w1 - oracle)) <= 1e-12
 
     @pytest.mark.parametrize("dt", [1e-3, 0.02, 0.05])
@@ -192,12 +193,13 @@ class TestBandPath:
         # whose terms are as large as 1 + dt ||A|| while it is about
         # (dt A)^2 / 2, carries n eps (1 + dt ||A||) ||A^-1||^2 / dt
         gen = band_generators[case]
-        gen = shifted(gen, max(0.0, -gen.min_eigenvalue()) + 1.0)
-        a, n, eps = gen.matrix, gen.dim, np.finfo(float).eps
+        mu = max(0.0, -gen.min_eigenvalue()) + 1.0
+        n, eps = gen.dim, np.finfo(float).eps
         eye = np.eye(n)
+        a = gen.matrix + mu * eye
         decay = scipy.linalg.expm(-dt * a)
         inverse = np.linalg.norm(np.linalg.inv(a), np.inf)
-        p, w0, w1 = propagator_matrices(gen, dt)
+        p, w0, w1 = propagator_matrices(gen, dt, mu)
         w1_oracle = np.linalg.solve(a, np.linalg.solve(a, dt * a - eye + decay)) / dt
         scale = n * eps * (1.0 + dt * np.linalg.norm(a, np.inf)) * inverse**2 / dt
         assert np.max(np.abs(w1 - w1_oracle)) <= scale
@@ -323,20 +325,20 @@ class TestSpectralFactors:
         self, spectral_generators, case, dt
     ):
         gen = spectral_generators[case]
-        gen = shifted(gen, max(0.0, -gen.min_eigenvalue()) + 1.0)
+        mu = max(0.0, -gen.min_eigenvalue()) + 1.0
         d, w, q = gen._eig_factors()
         view, calls = recording_matmuls(q)
         p, w0, w1 = propagator_matrices(
-            mv.GeneratorSpec(gen.matrix, gen.mesh_h, gen.bc, _eig=(d, w, view)), dt)
-        # the sum over every eigenpair, clipped
-        full = gen.function_matrix(lambda w: np.exp(-dt * w))
+            mv.GeneratorSpec(gen.matrix, gen.mesh_h, gen.bc, _eig=(d, w, view)), dt, mu)
+        # the sum over every eigenpair of A + mu I, clipped
+        full = gen.function_matrix(lambda w: np.exp(-dt * (w + mu)))
         np.maximum(full, 0.0, out=full)
         # bit for bit where the BLAS adds each entry's terms in k order
         # whatever the inner dimension: the tripwire for a kernel that does not
         assert np.asarray(p).tobytes() == full.tobytes()
         assert len(calls) == 3  # P's GEMM, then the ones of W0 and W1
         # over the eigenpairs whose weight has not underflowed
-        assert calls[0][0].shape[1] == np.count_nonzero(np.exp(-dt * w) >= NORMAL_MIN)
+        assert calls[0][0].shape[1] == np.count_nonzero(np.exp(-dt * (w + mu)) >= NORMAL_MIN)
         for operand in (*calls[0], *calls[1], *calls[2], p, w0, w1):
             assert not np.any((operand != 0.0) & (np.abs(operand) < NORMAL_MIN))
 
@@ -375,13 +377,13 @@ class TestSpectralFactors:
     def test_a_one_by_one_generator_factorizes(self):
         d, w, q = scalar_generator(3.0)._eig_factors()
         assert (d.tolist(), w.tolist(), q.tolist()) == ([1.0], [3.0], [[1.0]])
-        p, w0, w1 = propagator_matrices(scalar_generator(3.0), 0.1)
+        p, w0, w1 = propagator_matrices(scalar_generator(3.0), 0.1, 0.0)
         assert p.tolist() == [[math.exp(-0.1 * 3.0)]]
         f0, f1 = trapezoid_weights(np.array([3.0]), 0.1)
         assert w0.tolist() == [f0.tolist()] and w1.tolist() == [f1.tolist()]
         # e^{-1e4} underflows: P's sum keeps no term, and W0 and W1 their one,
         # 1 / (dt w^2) and (dt w - 1) / (dt w^2)
-        p, w0, w1 = propagator_matrices(scalar_generator(1e4), 1.0)
+        p, w0, w1 = propagator_matrices(scalar_generator(1e4), 1.0, 0.0)
         assert p.tolist() == [[0.0]]
         assert w0.tolist() == [[1e-8]] and w1.tolist() == [[(1e4 - 1.0) / 1e8]]
 
@@ -442,7 +444,7 @@ class TestResolvent:
 
     def test_laplace_transform_consistency(self):
         # resolvent at 0 equals the integral of the semigroup when stable
-        gen = shifted(mv.build_laplacian_1d(8, "neumann"), 1.0)
+        gen = mv.add_potential(mv.build_laplacian_1d(8, "neumann"), np.ones(8))
         v = np.linspace(0.2, 1.0, 8)
         direct = scipy.linalg.solve(gen.matrix, v)
         quad, _ = scipy.integrate.quad_vec(
@@ -475,6 +477,26 @@ class TestPrincipalEig:
         assert np.max(np.abs(res)) <= 1e-10
         assert np.max(np.abs(pair.phi0.values)) == pytest.approx(1.0)
         assert np.min(pair.phi0.values) > 0
+
+    @pytest.mark.parametrize("n, bc", [
+        (600, "dirichlet"), (600, "neumann"), (600, "robin"), (1000, "dirichlet"),
+    ])
+    def test_large_meshes_converge(self, n, bc):
+        # the residual's rounding floor, about eps ||A||_inf = 4 eps (n + 1)^2,
+        # passes EIG_RESIDUAL_TOL from n of about 500: the stop test follows it
+        gen = mv.build_laplacian_1d(n, bc, 0.5 if bc == "robin" else None)
+        assert 4.0 * np.finfo(float).eps * gen.inf_norm() > EIG_RESIDUAL_TOL
+        pair = mv.principal_eig(gen)
+        assert np.min(pair.phi0.values) > 0.0
+        if bc == "dirichlet":
+            exact = closed_form_lambda1(n)
+            assert abs(pair.lambda1 - exact) <= 1e-9 * exact
+        elif bc == "neumann":
+            assert abs(pair.lambda1) <= 1e-9
+        else:
+            d = _symmetrizer(gen.matrix)
+            exact = scipy.linalg.eigvalsh(gen.matrix * np.outer(1.0 / d, d))[0]
+            assert abs(pair.lambda1 - exact) <= 1e-9 * exact
 
     def test_reducible_rejected(self):
         m = np.diag([1.0, 2.0, 3.0])
@@ -664,18 +686,21 @@ class TestPropagators:
         # neumann9 is not symmetric: its boundary rows carry -2/h^2
         for base in (dirichlet8, neumann9):
             for mu in (0.5, 3.0, 40.0):
-                gen = shifted(base, mu)
-                # the reused base eigenbasis matches a fresh factorization
-                d = _symmetrizer(gen.matrix)
-                fresh = scipy.linalg.eigvalsh(gen.matrix * np.outer(1.0 / d, d))
-                spread = np.max(np.abs(gen._eig_factors()[1] - fresh))
+                a = base.matrix + mu * np.eye(base.dim)
+                # the base eigenvalues plus mu match a fresh factorization of A + mu I
+                d = _symmetrizer(a)
+                fresh = scipy.linalg.eigvalsh(a * np.outer(1.0 / d, d))
+                spread = np.max(np.abs(base._eig_factors()[1] + mu - fresh))
                 assert spread <= 1e-12 * np.max(np.abs(base.matrix))
-                p, w0, w1 = propagator_matrices(gen, 0.05)
+                p, w0, w1 = propagator_matrices(base, 0.05, mu)
                 assert np.min(p) >= 0 and np.min(w0) >= 0 and np.min(w1) >= 0
-                assert np.allclose(p, scipy.linalg.expm(-0.05 * gen.matrix), atol=1e-12)
-                oracle = np.linalg.solve(gen.matrix, np.eye(base.dim) - p)
+                assert np.allclose(p, scipy.linalg.expm(-0.05 * a), atol=1e-12)
+                oracle = np.linalg.solve(a, np.eye(base.dim) - p)
                 assert np.allclose(w0 + w1, oracle, atol=1e-12)
 
     def test_requires_positive_spectrum(self, neumann9):
         with pytest.raises(ValidationError):
-            propagator_matrices(neumann9, 0.1)  # lambda_1 = 0
+            propagator_matrices(neumann9, 0.1, 0.0)  # lambda_1 = 0
+        # the shift lifts the spectrum of A + mu I to mu
+        p, _, _ = propagator_matrices(neumann9, 0.1, 1.0)
+        assert np.allclose(p @ np.ones(9), np.exp(-0.1))

@@ -1,4 +1,4 @@
-"""Trajectories, scaling, the Picard sweep and its residuals."""
+"""Trajectories, the march's shift, the Picard sweep and its residuals."""
 
 import dataclasses
 
@@ -9,7 +9,9 @@ import mevolve as mv
 from mevolve.errors import ValidationError
 from mevolve.mild import time_grid
 
-from conftest import constant_trajectory, count_solvers, grid
+from conftest import bench_module, constant_trajectory, count_solvers, grid
+
+workloads = bench_module("workloads")  # the benchmark's workload definitions
 
 
 @pytest.fixture(scope="module")
@@ -21,70 +23,84 @@ def closed_branch(t, a=1.0):
     return (1.0 - np.exp(-0.5 * a * np.asarray(t))) ** 2 / a**2
 
 
-class TestScaling:
-    def test_zero_shift_is_identity(self, scalar_scenario):
-        p = scalar_scenario.problem()
-        assert mv.scale_problem(p, 0.0) is p
+class TestMarchShift:
+    """mu belongs to the march (`march_shift`): a problem holds A and F alone."""
 
-    def test_shift_accumulates(self, scalar_scenario):
-        p = mv.scale_problem(scalar_scenario.problem(), 2.0)
-        assert p.mu == 2.0
-        assert p.A.matrix[0, 0] == pytest.approx(3.0)
-        assert p.A.shift == 2.0
-
-    def test_scalar_logistic_shift_makes_rhs_increasing(self):
-        # a = b = 1, M = 2: mu = 3 makes (a+mu)x - b x^2 increasing on [0, 2]
-        interval = mv.OrderInterval(grid([0.0]), grid([2.0]))
-        prob = mv.ProblemSpec(
-            mv.generators.scalar_generator(1.0), mv.logistic(1.0, 1.0), interval
-        )
-        scaled = mv.scale_problem(prob, 3.0)
-        xs = np.linspace(0, 2, 200)
-        vals = [scaled.rhs(np.array([x]))[0] for x in xs]
-        assert np.all(np.diff(vals) >= -1e-12)
-
-    def test_equilibria_unchanged_by_scaling(self, scalar_scenario):
-        prob = scalar_scenario.problem(horizon=4.0, dt=0.01)
-        scaled = mv.scale_problem(prob, 1.7)
-        v, res, ok = mv.newton_equilibrium(scaled, np.array([0.9]))
-        assert ok and abs(v[0] - 1.0) <= 1e-8
-        # residual agrees between scaled and unscaled formulations
-        g = grid([v[0]])
-        assert prob.equilibrium_residual(g) == pytest.approx(
-            scaled.equilibrium_residual(g), abs=1e-12
-        )
-
-    def test_negative_shift_rejected(self, scalar_scenario):
-        with pytest.raises(ValidationError):
-            mv.scale_problem(scalar_scenario.problem(), -1.0)
-
-    def test_auto_scale_policy(self):
+    def test_policy(self):
+        # Neumann: lambda_1 = 0, so the stability floor can bind; the
+        # logistic a u - b u^2 on [0, 1] needs mu = 2b - a to make F + mu id
+        # increasing
         gen = mv.build_laplacian_1d(6, "neumann")
         interval = mv.OrderInterval(grid(np.zeros(6)), grid(np.ones(6)))
-        prob = mv.ProblemSpec(gen, mv.logistic(1.0, 2.0), interval)
-        scaled = mv.auto_scale(prob)
-        assert scaled.mu >= mv.quasi_increasing_shift(prob.F, interval)
-        assert scaled.A.min_eigenvalue() >= 0.1 - 1e-12
+        for f, want in ((mv.logistic(1.0, 2.0), 3.0), (mv.logistic(1.0, 1.0), 1.0),
+                        (mv.logistic(1.0, 0.5), mv.mild.STABILITY_FLOOR)):
+            prob = mv.ProblemSpec(gen, f, interval)
+            mu = mv.march_shift(prob)
+            assert mu == pytest.approx(want, abs=1e-12)
+            assert mu >= mv.quasi_increasing_shift(f, interval)
+            assert gen.min_eigenvalue() + mu >= mv.mild.STABILITY_FLOOR - 1e-12
 
-    def test_auto_scale_shares_one_factorization(self, monkeypatch):
-        # a tridiagonal generator factorizes through eigh_tridiagonal, any
-        # other through eigh: count both
-        calls = count_solvers(monkeypatch)
-        gen = mv.build_laplacian_1d(6, "neumann")
-        interval = mv.OrderInterval(grid(np.zeros(6)), grid(np.ones(6)))
-        prob = mv.ProblemSpec(gen, mv.logistic(1.0, 2.0), interval)
-        first, second = mv.auto_scale(prob), mv.auto_scale(prob)
-        assert first.A is not second.A and first.mu == second.mu > 0
-        # one cached object holds the step's weights (P, W0, W1)
-        assert first.A.propagators(0.01) is second.A.propagators(0.01)
-        assert len(calls) == 1
-        assert calls == ["eigh_tridiagonal"]  # a Neumann Laplacian stays on its band
+    def test_a_problem_holds_no_shift(self):
+        # the shift that once sat on the problem, unmatched by its A, made the
+        # maximal equilibrium of this problem read 3.0; it is 0.5
+        fields = {f.name for f in dataclasses.fields(mv.ProblemSpec)}
+        assert "mu" not in fields and "shift" not in {
+            f.name for f in dataclasses.fields(mv.GeneratorSpec)}
+        interval = mv.OrderInterval(grid(np.zeros(12)), grid(4.0 * np.ones(12)))
+        with pytest.raises(TypeError):
+            mv.ProblemSpec(mv.build_laplacian_1d(12, "neumann"), mv.logistic(1.0, 2.0),
+                           interval, mu=5.0)
+        prob = mv.ProblemSpec(mv.build_laplacian_1d(12, "neumann"), mv.logistic(1.0, 2.0),
+                              interval)
+        eq = mv.asymptotic_equilibria(prob)
+        assert eq.certified[1]
+        assert np.max(np.abs(eq.u_upper_star.values - 0.5)) <= 1e-9
+
+    @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+    def test_a_full_solve_factorizes_its_generator_once(self, workload, monkeypatch):
+        # the build, iterate, the equilibria march and its certificate (the
+        # windows Fisher config runs the sweeps) read one factorization, of
+        # the problem's own A, and one cached tuple of step weights, those of
+        # A + mu I at the march's mu
+        factorized = []
+        eig_factors = mv.GeneratorSpec._eig_factors
+
+        def counted(gen):
+            if gen._eig is None:
+                factorized.append(gen)
+            return eig_factors(gen)
+
+        monkeypatch.setattr(mv.GeneratorSpec, "_eig_factors", counted)
+        for cfg in workloads.configs(workload, workloads.DEFAULT_SEED):
+            factorized.clear()
+            calls = count_solvers(monkeypatch)
+            scen = mv.build_from_config(cfg["scenario"], cfg["params"], cfg.get("n", 1),
+                                        cfg.get("bc", "scalar"), cfg.get("beta"))
+            prob = scen.problem(horizon=cfg["T"], dt=cfg["dt"])
+            report = mv.iterate(prob, scen.interval.lower, tol=cfg["tol"])
+            eq = mv.asymptotic_equilibria(prob, tol=cfg["tol"], tol_eq=cfg["tol_eq"],
+                                          tol_res=cfg["tol_res"], seed=cfg["seed"])
+            assert eq.certified == (True, True)
+            assert len(factorized) == 1 and factorized[0] is prob.A, workloads.label(cfg)
+            assert len(calls) == 1
+            assert list(prob.A._prop_cache) == [(report.mu_applied, cfg["dt"])]
+
+    @pytest.mark.parametrize("seed", [workloads.DEFAULT_SEED, workloads.RECHECK_SEED])
+    @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+    def test_march_shift_is_the_reported_mu(self, workload, seed):
+        for cfg in workloads.configs(workload, seed):
+            scen = mv.build_from_config(cfg["scenario"], cfg["params"], cfg.get("n", 1),
+                                        cfg.get("bc", "scalar"), cfg.get("beta"))
+            prob = scen.problem(horizon=cfg["T"], dt=cfg["dt"])
+            report = mv.iterate(prob, scen.interval.lower, tol=cfg["tol"])
+            assert mv.march_shift(prob) == report.mu_applied, workloads.label(cfg)
 
 
 class TestPicardSweep:
     def test_homogeneous_case_is_semigroup(self):
-        # F == 0 via a logistic evaluated at its root keeps the test honest
-        gen = mv.generators.shifted(mv.build_laplacian_1d(6, "neumann"), 1.0)
+        # F == 0 via a logistic evaluated at its root keeps the test honest;
+        # A's spectrum starts at 1, above the stability floor, so mu = 0
+        gen = mv.add_potential(mv.build_laplacian_1d(6, "neumann"), np.ones(6))
         interval = mv.OrderInterval(grid(np.zeros(6)), grid(np.ones(6)))
 
         class Zero(mv.Nonlinearity):
@@ -109,14 +125,13 @@ class TestPicardSweep:
         gen = mv.build_laplacian_1d(6, "neumann")
         interval = mv.OrderInterval(grid(np.zeros(6)), grid(np.ones(6)))
         prob = mv.ProblemSpec(gen, mv.logistic(1.0, 2.0), interval, horizon=2.0, dt=0.01)
-        scaled = mv.auto_scale(prob)
         v = grid(0.5 * np.ones(6))  # A v = F(v)
         traj = constant_trajectory(v, 2.0, 0.01)
-        image = mv.picard_step(scaled, v, traj)
+        image = mv.picard_step(prob, v, traj)
         assert np.max(np.abs(image.states - traj.states)) <= 1e-12
 
     def test_zero_branch_stays_zero(self, scalar_scenario):
-        prob = mv.auto_scale(scalar_scenario.problem(horizon=1.0, dt=0.001))
+        prob = scalar_scenario.problem(horizon=1.0, dt=0.001)
         zero = grid([0.0])
         traj = constant_trajectory(zero, 1.0, 0.001)
         image = mv.picard_step(prob, zero, traj)
@@ -125,9 +140,7 @@ class TestPicardSweep:
     def test_monotone_in_trajectory_argument(self, rng):
         gen = mv.build_laplacian_1d(8, "neumann")
         interval = mv.OrderInterval(grid(np.zeros(8)), grid(np.ones(8)))
-        prob = mv.auto_scale(
-            mv.ProblemSpec(gen, mv.logistic(1.0, 1.0), interval, horizon=1.0, dt=0.02)
-        )
+        prob = mv.ProblemSpec(gen, mv.logistic(1.0, 1.0), interval, horizon=1.0, dt=0.02)
         u0 = grid(0.5 * np.ones(8))
         tg = time_grid(1.0, 0.02)
         for _ in range(20):
@@ -140,9 +153,7 @@ class TestPicardSweep:
     def test_monotone_in_initial_value(self, rng):
         gen = mv.build_laplacian_1d(8, "neumann")
         interval = mv.OrderInterval(grid(np.zeros(8)), grid(np.ones(8)))
-        prob = mv.auto_scale(
-            mv.ProblemSpec(gen, mv.logistic(1.0, 1.0), interval, horizon=1.0, dt=0.02)
-        )
+        prob = mv.ProblemSpec(gen, mv.logistic(1.0, 1.0), interval, horizon=1.0, dt=0.02)
         traj = constant_trajectory(grid(0.5 * np.ones(8)), 1.0, 0.02)
         for _ in range(20):
             a = rng.uniform(0, 1, size=8)
@@ -154,7 +165,7 @@ class TestPicardSweep:
     def test_interval_invariance(self, rng):
         gen = mv.build_laplacian_1d(8, "neumann")
         scen = mv.build_logistic(gen, 1.0, 1.0)
-        prob = mv.auto_scale(scen.problem(horizon=1.0, dt=0.02))
+        prob = scen.problem(horizon=1.0, dt=0.02)
         interval = prob.interval
         lo, hi = interval.standard_bounds()
         tg = time_grid(1.0, 0.02)
@@ -165,27 +176,19 @@ class TestPicardSweep:
             assert np.min(image.states - lo) >= -1e-12
             assert np.min(hi - image.states) >= -1e-12
 
-    def test_unscaled_neumann_rejected(self):
-        gen = mv.build_laplacian_1d(6, "neumann")  # lambda_1 = 0
-        interval = mv.OrderInterval(grid(np.zeros(6)), grid(np.ones(6)))
-        prob = mv.ProblemSpec(gen, mv.logistic(1.0, 2.0), interval)
-        traj = constant_trajectory(grid(np.zeros(6)), 1.0, 0.01)
-        with pytest.raises(ValidationError, match="shift"):
-            mv.picard_step(prob, grid(np.zeros(6)), traj)
-
 
 class TestMildResidual:
     def test_fixed_point_has_small_residual(self, scalar_scenario):
         prob = scalar_scenario.problem(horizon=5.0, dt=0.001)
         rpt = mv.iterate(prob, grid([0.0]), tol=1e-11)
-        assert mv.mild_residual(mv.auto_scale(prob), rpt.u_max) <= 1e-9
+        assert mv.mild_residual(prob, rpt.u_max) <= 1e-9
 
     def test_closed_form_branch_second_order(self, scalar_scenario):
         # the trapezoid rule's step integral is second order in dt
         residuals = []
         dts = [4e-3, 2e-3, 1e-3, 5e-4]
         for dt in dts:
-            prob = mv.auto_scale(scalar_scenario.problem(horizon=4.0, dt=dt))
+            prob = scalar_scenario.problem(horizon=4.0, dt=dt)
             tg = time_grid(4.0, dt)
             traj = mv.Trajectory(tg, closed_branch(tg)[:, None])
             residuals.append(mv.mild_residual(prob, traj))
@@ -195,7 +198,7 @@ class TestMildResidual:
 
     def test_constant_non_equilibrium_stays_away(self, scalar_scenario):
         for dt in (1e-2, 1e-3):
-            prob = mv.auto_scale(scalar_scenario.problem(horizon=2.0, dt=dt))
+            prob = scalar_scenario.problem(horizon=2.0, dt=dt)
             traj = constant_trajectory(grid([0.5]), 2.0, dt)
             # residual of u == 0.5 cannot vanish under refinement
             assert mv.mild_residual(prob, traj) > 0.05

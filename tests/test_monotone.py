@@ -143,10 +143,9 @@ class TestScalarNonUnique:
 
     def test_fixed_point_residual_bound(self, scalar_run):
         _, prob, rpt = scalar_run
-        scaled = mv.auto_scale(prob)
         bound = 2 * (rpt.tol + prob.dt)
-        assert mv.mild_residual(scaled, rpt.u_min) <= bound
-        assert mv.mild_residual(scaled, rpt.u_max) <= bound
+        assert mv.mild_residual(prob, rpt.u_min) <= bound
+        assert mv.mild_residual(prob, rpt.u_max) <= bound
 
 
 class TestDegenerateInterval:
@@ -579,14 +578,6 @@ class TestSharedFirstWindow:
         finally:
             gc.enable()
 
-    def test_the_scaled_copy_has_a_memo_of_its_own(self, problems):
-        prob = fresh(problems["dirichlet_logistic"])
-        mv.iterate(prob, prob.interval.lower, tol=1e-9)
-        assert list(prob._first_windows) == [1e-9]
-        scaled = mv.mild.scale_problem(prob, 1.0)
-        assert scaled._first_windows == {}
-        assert "_first_windows" not in repr(prob) and scaled.A is not prob.A
-
 
 class TestExtremalTrajectories:
     def test_equilibrium_endpoints_stay_constant(self):
@@ -715,7 +706,7 @@ def test_sandwich_breach_raises():
             zero = np.zeros((1, 1, lo.size))
             return zero, zero
 
-    gen = mv.generators.shifted(mv.build_laplacian_1d(5, "neumann"), 1.0)
+    gen = mv.add_potential(mv.build_laplacian_1d(5, "neumann"), np.ones(5))
     interval = mv.OrderInterval(grid(-np.ones(5)), grid(np.ones(5)))
     prob = mv.ProblemSpec(gen, Lying(), interval, horizon=1.0, dt=0.05)
     with pytest.raises(NumericalError, match="sandwich"):
@@ -733,7 +724,7 @@ class Unbounded(mv.Nonlinearity):
 
 def _rejected_problem(case):
     if case == "no_jacobian_range":
-        gen = mv.generators.shifted(mv.build_laplacian_1d(5, "neumann"), 1.0)
+        gen = mv.add_potential(mv.build_laplacian_1d(5, "neumann"), np.ones(5))
         interval = mv.OrderInterval(grid(-np.ones(5)), grid(np.ones(5)))
         return mv.ProblemSpec(gen, Unbounded(), interval, horizon=1.0, dt=0.05)
     # competition is cooperative only in a flipped cone
@@ -797,13 +788,12 @@ def sweep_oracle(prob, u0, u0_upper, tol, max_iter=2000):
     maps whole trajectories through mv.picard_step, from the constant
     trajectories at the interval bounds, until both sup-distances drop
     below tol.  Returns the (lower, upper) limits."""
-    scaled = mv.auto_scale(prob)
     itv = prob.interval
     lower = constant_trajectory(itv.lower, prob.horizon, prob.dt)
     upper = constant_trajectory(itv.upper, prob.horizon, prob.dt)
     for _ in range(max_iter):
-        lower_next = mv.picard_step(scaled, u0, lower)
-        upper_next = mv.picard_step(scaled, u0_upper, upper)
+        lower_next = mv.picard_step(prob, u0, lower)
+        upper_next = mv.picard_step(prob, u0_upper, upper)
         d_low = np.max(np.abs(lower_next.states - lower.states))
         d_up = np.max(np.abs(upper_next.states - upper.states))
         lower, upper = lower_next, upper_next
@@ -1521,21 +1511,17 @@ def test_the_scalar_benchmark_config_takes_the_float_path(monkeypatch):
 )
 @settings(max_examples=100, deadline=None)
 def test_default_eval_shifted_is_exact_for_a_custom_term(values, shift, c):
-    # the base class adds the shift to eval_values, and ProblemSpec.rhs uses it
+    # the base class adds the shift to eval_values
     f = LinearDecay(c)
     expected = c * values + shift * values
     assert np.array_equal(f.eval_shifted(values, shift), expected)
     # the base class's eval_shifted_scalars goes through eval_shifted
     scalars = f.eval_shifted_scalars(values[0], values[1], shift)
     assert np.array(scalars).tobytes() == expected[:2].tobytes()
-    n = values.size
-    box = mv.OrderInterval(grid(-1e6 * np.ones(n)), grid(1e6 * np.ones(n)))
-    prob = mv.ProblemSpec(mv.build_laplacian_1d(n, "neumann"), f, box, mu=shift)
-    assert np.array_equal(prob.rhs(values), expected)
 
 
 def _dense_newton_matrix(prob, v):
-    return prob.A.matrix - prob.F.jacobian_matrix(v) - prob.mu * np.eye(v.size)
+    return prob.A.matrix - prob.F.jacobian_matrix(v)
 
 
 NEWTON_CASES = [
@@ -1598,21 +1584,6 @@ class TestNewtonLinearAlgebra:
             v = lo + rng.uniform(0.1, 0.9, size=lo.size) * (hi - lo)
             r = prob.A.matrix @ v - prob.rhs(v)
             self.check_against_dense(prob, v, -r)
-
-    @pytest.mark.parametrize("case", ["logistic_dirichlet", "competition_flipped"])
-    def test_shifted_copy_after_its_parent(self, newton_problems, case):
-        # a shifted generator shares its parent's propagator cache; its band
-        # must still carry its own diagonal
-        parent = newton_problems[case]
-        v = 0.5 * (parent.interval.lower.values + parent.interval.upper.values)
-        rhs = np.linspace(-1.0, 1.0, v.size)
-        x_parent = self.check_against_dense(parent, v, rhs)
-        scaled = mv.scale_problem(parent, 40.0)
-        assert scaled.A._prop_cache is parent.A._prop_cache
-        x_scaled = self.check_against_dense(scaled, v, rhs)
-        # A + mu - F' - mu is A - F': the same system up to round-off
-        bound = 1e-10 * np.max(np.abs(x_parent))
-        assert np.max(np.abs(x_scaled - x_parent)) <= bound
 
     @pytest.mark.parametrize("case", NEWTON_CASES)
     def test_newton_converges_on_each_structure(self, newton_problems, case):
@@ -1687,8 +1658,6 @@ def _reference_newton(prob, start, tol_res=1e-10, max_iter=80):
 
     def newton_step(x, rhs):
         jac = prob.F.jacobian_blocks(x)
-        if prob.mu:
-            jac = jac + prob.mu * np.eye(c)[:, :, None]
         ab = nb.band.copy()
         ab[nb.blocks] -= jac
         if not np.all(np.isfinite(ab)):
@@ -2285,15 +2254,16 @@ class TestSweptEnd:
         else:
             prob = problems[case]
         itv = prob.interval
-        scaled = mv.auto_scale(prob)
+        mu = mv.march_shift(prob)
+        a_mu = prob.A.matrix + mu * np.eye(prob.A.dim)
         for side in (1, -1):
             sides = side * itv.cone.sign_vector(itv.lower.n_points)
             a, b = sides * itv.lower.values, sides * itv.upper.values
             lo, hi = np.minimum(a, b), np.maximum(a, b)
             y = lo + 0.25 * (hi - lo)
             ours, _ = next(mv.monotone._sweep(prob, sides, y, lo, hi, 0.0))
-            x = np.linalg.solve(scaled.A.matrix, scaled.rhs(sides * y))
-            psi = sides * np.linalg.solve(scaled.A.matrix, sides)
+            x = np.linalg.solve(a_mu, prob.rhs(sides * y) + mu * (sides * y))
+            psi = sides * np.linalg.solve(a_mu, sides)
             assert np.all(psi > 0.0)
             dense = np.clip(sides * x, lo, hi)
             # the banded sweep lies below the dense one by its residual bound,
@@ -2474,7 +2444,7 @@ class TestMMatrixKernel:
         return np.full((1, 1, prob.A.dim), value)
 
     def test_a_plus_mu_passes_with_kappa_one(self, prob):
-        mu = mv.mild.auto_scale(prob).mu
+        mu = mv.march_shift(prob)
         assert mu > 0.0
         sides = np.ones(prob.A.dim)
         psi, kappa = mv.monotone._m_matrix(prob, sides, self._diagonal(prob, -mu))
@@ -2501,7 +2471,7 @@ class TestMMatrixKernel:
             return 0.3 * x, ok
 
         monkeypatch.setattr(mv.monotone, "_banded_solve", inaccurate)
-        mu = mv.mild.auto_scale(prob).mu
+        mu = mv.march_shift(prob)
         sides = np.ones(prob.A.dim)
         assert mv.monotone._m_matrix(prob, sides, self._diagonal(prob, -mu)) is None
 
@@ -2514,7 +2484,7 @@ class TestMMatrixKernel:
             return x, np.zeros_like(ok)
 
         monkeypatch.setattr(mv.monotone, "_banded_solve", failed)
-        mu = mv.mild.auto_scale(prob).mu
+        mu = mv.march_shift(prob)
         sides = np.ones(prob.A.dim)
         assert mv.monotone._m_matrix(prob, sides, self._diagonal(prob, -mu)) is None
 

@@ -179,7 +179,7 @@ class TestScalarNonUniqueScenario:
         scen = mv.build_scalar_nonunique(1.0, 2.0)
         residuals = []
         for dt in (4e-3, 1e-3):
-            prob = mv.auto_scale(scen.problem(horizon=3.0, dt=dt))
+            prob = scen.problem(horizon=3.0, dt=dt)
             tg = mv.time_grid(3.0, dt)
             for key in ("u_max", "u_min", "U_max", "U_min"):
                 traj = mv.Trajectory(tg, scen.oracles[key](tg)[:, None])
@@ -190,7 +190,7 @@ class TestScalarNonUniqueScenario:
 
     def test_shifted_branch_family_solves_too(self):
         scen = mv.build_scalar_nonunique(1.0, 2.0)
-        prob = mv.auto_scale(scen.problem(horizon=4.0, dt=1e-3))
+        prob = scen.problem(horizon=4.0, dt=1e-3)
         tg = mv.time_grid(4.0, 1e-3)
         family = scen.oracles["branch_family"](tg, 1.0)
         res = mv.mild_residual(prob, mv.Trajectory(tg, family[:, None]))
