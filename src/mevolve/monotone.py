@@ -364,7 +364,8 @@ class _March:
     GEMM of rows L and H holds two rows.
 
     `_advance_block` marches a pair or a window's three rows; a one-entry
-    march (dim == 1) takes `_advance_scalar`, pair by pair on Python floats.
+    march (dim == 1) takes `_advance_scalar`, all its rows in one loop on
+    Python floats.
 
     A march fails as a whole: the first breach of a link or of a row's
     monotonicity, or the first pair that clamps too often, raises
@@ -671,121 +672,169 @@ class _March:
         self.y, self.y_prev, self.c_prev = y.copy(), y_prev.copy(), c_prev
 
     def _advance_scalar(self, out, pen) -> None:
-        """dim == 1: the same iteration on Python floats, one pair at a time
-        (`_scalar_pair`).
+        """dim == 1: the same iteration on Python floats, in one loop that
+        steps the lower row and the march's one or two upper rows together,
+        unrolled (a loop over a list of rows ran about a third slower).
 
-        The lower row's floats do not depend on its partner, so each pair
-        recomputes them bit for bit.
+        Each row takes one eval_shifted_scalar call per step for its step
+        constant, and one per inner iteration while it runs; a stopped row
+        is held.  No row's floats depend on another row, so each row carries
+        the bits it has in any other march.  Each pair's violations are
+        compared in the order of `_advance_block`: the fall of row 0, the
+        rise of row r, then the links lo <= z0 <= z_r <= hi, as max() would
+        take them.
         """
-        ends = {}  # per row: state, previous state, its step constant, then its figures
-        for r in range(1, self.k):
-            ends.update(self._scalar_pair(r, out, pen))
-        rows = [ends[r] for r in range(self.k)]
-        self.y, self.y_prev, self.c_prev = (
-            np.array([[row[i]] for row in rows]) for i in range(3))
-        self.row_clamped, self.row_iters, self.row_peak, self.row_converged = (
-            [row[i] for row in rows] for i in range(3, 7))
-
-    def _scalar_pair(self, r: int, out, pen) -> dict:
-        """Pair (0, r) of the dim == 1 march, with one eval_shifted_scalars
-        call on both rows per inner iteration, and one per step for the step
-        constants.  Returns, for rows 0 and r, (state, previous state, its
-        step constant, clamped, inner iterations, most in one step,
-        converged)."""
         lo, hi = float(self.lo[0]), float(self.hi[0])
         slack, tol, max_iter = self.slack, self.tol, MAX_INNER_ITER
         p, w0, w1 = float(self.p_t[0, 0]), float(self.w0_t[0, 0]), float(self.w1_t[0, 0])
-        dist, violations, k = self.distances, self.violations[r - 1], self.k
-        # G = F + mu*id on two scalar states; a reversed cone marches
+        dist, violations, k = self.distances, self.violations, self.k
+        three = k == 3  # else row 2 never runs, and pair (0, 2) is not read
+        # G = F + mu*id on one scalar state; a reversed cone marches
         # g(y) = -G(-y), and sign flips are exact
-        f, mu = self.F.eval_shifted_scalars, float(self.mu)
+        f, mu = self.F.eval_shifted_scalar, float(self.mu)
         if self.svec is not None:
-            def f(x0, x1, shift, rhs=f):
-                f0, f1 = rhs(-x0, -x1, shift)
-                return -f0, -f1
-        (y0,), (y1,) = self.y[[0, r]].tolist()
+            def f(x, shift, rhs=f):
+                return -rhs(-x, shift)
+        # per row: state, previous state and previous step constant; row 2's
+        # floats stay 0.0 where k == 2
         warm = self.y_prev is not None
-        (p0,), (p1,) = self.y_prev[[0, r]].tolist() if warm else ((0.0,), (0.0,))
-        (cp0,), (cp1,) = self.c_prev[[0, r]].tolist() if warm else ((0.0,), (0.0,))
+        pad = [0.0] * (3 - k)
+        y0, y1, y2 = self.y[:, 0].tolist() + pad
+        if warm:
+            p0, p1, p2 = self.y_prev[:, 0].tolist() + pad
+            cp0, cp1, cp2 = self.c_prev[:, 0].tolist() + pad
+        else:
+            p0 = p1 = p2 = cp0 = cp1 = cp2 = 0.0
+        c2 = z2 = 0.0
         bounded = self.q is not None
-        n0 = n1 = clamped0 = clamped1 = peak0 = peak1 = 0
-        capped0 = capped1 = False
+        n0 = n1 = n2 = clamped0 = clamped1 = clamped2 = peak0 = peak1 = peak2 = 0
+        capped0 = capped1 = capped2 = False
+        n_dist = len(dist)  # the inner iterations dist has a row for
+        # flat views of out and pen, k floats a step (both are contiguous,
+        # so reshape makes views): a memoryview's item writes cost a
+        # fraction of numpy's
+        out_f, pen_f = (memoryview(a.reshape(-1)) for a in (out, pen))
         for step in range(out.shape[0]):
-            yc0 = lo if y0 < lo else hi if y0 > hi else y0
-            yc1 = lo if y1 < lo else hi if y1 > hi else y1
-            g0, g1 = f(yc0, yc1, mu)
-            c0, c1 = p * y0 + w0 * g0, p * y1 + w0 * g1
+            c0 = p * y0 + w0 * f(lo if y0 < lo else hi if y0 > hi else y0, mu)
+            c1 = p * y1 + w0 * f(lo if y1 < lo else hi if y1 > hi else y1, mu)
+            if three:
+                c2 = p * y2 + w0 * f(lo if y2 < lo else hi if y2 > hi else y2, mu)
             if not warm:
-                z0, z1 = lo, hi
+                z0, z1, z2 = lo, hi, hi
             else:
                 z0 = (y0 if y0 - p0 >= -slack else
                       max(y0 - self._reach(cp0 - c0), lo) if bounded else lo)
                 z1 = (y1 if y1 - p1 <= slack else
                       min(y1 + self._reach(c1 - cp1), hi) if bounded else hi)
-            last0, last1 = z0, z1
-            s0, s1 = n0, n1
+                if three:
+                    z2 = (y2 if y2 - p2 <= slack else
+                          min(y2 + self._reach(c2 - cp2), hi) if bounded else hi)
+            last0, last1, last2 = z0, z1, z2
+            s0, s1, s2 = n0, n1, n2
             on0 = on1 = True
-            worst = -np.inf
+            on2 = three
+            # per pair (0, r), the worst violation of the step; worst2 is
+            # read only when three
+            worst1 = worst2 = -np.inf
             j = 0
             while True:
-                zc0 = lo if z0 < lo else hi if z0 > hi else z0
-                zc1 = lo if z1 < lo else hi if z1 > hi else z1
-                f0, f1 = f(zc0, zc1, mu)
-                inc0 = inc1 = 0.0
+                inc0 = inc1 = inc2 = 0.0
                 if on0:
                     n0 += 1
-                    clamped0 += abs(zc0 - z0) > slack
-                    new = c0 + w1 * f0
+                    zc = z0
+                    if zc < lo or zc > hi:
+                        zc = lo if zc < lo else hi
+                        clamped0 += abs(zc - z0) > slack
+                    new = c0 + w1 * f(zc, mu)
                     inc0 = abs(new - z0)
-                    if z0 - new > worst:
-                        worst = z0 - new
+                    fall = z0 - new
+                    if fall > worst1:
+                        worst1 = fall
+                    if fall > worst2:
+                        worst2 = fall
                     last0, z0 = z0, new
                 if on1:
                     n1 += 1
-                    clamped1 += abs(zc1 - z1) > slack
-                    new = c1 + w1 * f1
+                    zc = z1
+                    if zc < lo or zc > hi:
+                        zc = lo if zc < lo else hi
+                        clamped1 += abs(zc - z1) > slack
+                    new = c1 + w1 * f(zc, mu)
                     inc1 = abs(new - z1)
-                    if new - z1 > worst:
-                        worst = new - z1
+                    if new - z1 > worst1:
+                        worst1 = new - z1
                     last1, z1 = z1, new
-                # the chain links lo <= z <= Z <= hi, as max() would take them
-                if lo - z0 > worst:
-                    worst = lo - z0
-                if z0 - z1 > worst:
-                    worst = z0 - z1
-                if z1 - hi > worst:
-                    worst = z1 - hi
-                if worst > slack:
-                    self._breach(worst)
-                if j < len(dist):
+                if on2:
+                    n2 += 1
+                    zc = z2
+                    if zc < lo or zc > hi:
+                        zc = lo if zc < lo else hi
+                        clamped2 += abs(zc - z2) > slack
+                    new = c2 + w1 * f(zc, mu)
+                    inc2 = abs(new - z2)
+                    if new - z2 > worst2:
+                        worst2 = new - z2
+                    last2, z2 = z2, new
+                below = lo - z0
+                if below > worst1:
+                    worst1 = below
+                if z0 - z1 > worst1:
+                    worst1 = z0 - z1
+                if z1 - hi > worst1:
+                    worst1 = z1 - hi
+                if worst1 > slack:
+                    self._breach(worst1)
+                if three:
+                    if below > worst2:
+                        worst2 = below
+                    if z0 - z2 > worst2:
+                        worst2 = z0 - z2
+                    if z2 - hi > worst2:
+                        worst2 = z2 - hi
+                    if worst2 > slack:
+                        self._breach(worst2)
+                if j < n_dist:
                     row = dist[j]
                     if inc0 > row[0]:
                         row[0] = inc0
-                    if inc1 > row[r]:
-                        row[r] = inc1
+                    if inc1 > row[1]:
+                        row[1] = inc1
+                    if three and inc2 > row[2]:
+                        row[2] = inc2
                 else:
-                    row = [inc0] + [0.0] * (k - 1)
-                    row[r] = inc1
-                    dist.append(row)
+                    dist.append([inc0, inc1, inc2] if three else [inc0, inc1])
+                    n_dist += 1
                 j += 1
                 on0 = on0 and inc0 >= tol
                 on1 = on1 and inc1 >= tol
-                if not (on0 or on1):
+                on2 = on2 and inc2 >= tol
+                if not (on0 or on1 or on2):
                     break
                 if j == max_iter:
-                    capped0, capped1 = capped0 or on0, capped1 or on1
+                    capped0, capped1, capped2 = capped0 or on0, capped1 or on1, capped2 or on2
                     break
-            violations.append(worst)
-            out[step, 0, 0], out[step, r, 0] = z0, z1
-            pen[step, 0, 0], pen[step, r, 0] = last0, last1
+            violations[0].append(worst1)
+            if three:
+                violations[1].append(worst2)
+            i = k * step
+            out_f[i], out_f[i + 1], pen_f[i], pen_f[i + 1] = z0, z1, last0, last1
+            if three:
+                out_f[i + 2], pen_f[i + 2] = z2, last2
             if n0 - s0 > peak0:
                 peak0 = n0 - s0
             if n1 - s1 > peak1:
                 peak1 = n1 - s1
-            p0, p1, y0, y1, cp0, cp1 = y0, y1, z0, z1, c0, c1
+            if n2 - s2 > peak2:
+                peak2 = n2 - s2
+            p0, p1, p2, y0, y1, y2, cp0, cp1, cp2 = y0, y1, y2, z0, z1, z2, c0, c1, c2
             warm = True
-        return {0: (y0, p0, cp0, clamped0, n0, peak0, not capped0),
-                r: (y1, p1, cp1, clamped1, n1, peak1, not capped1)}
+        rows = ((y0, p0, cp0, clamped0, n0, peak0, not capped0),
+                (y1, p1, cp1, clamped1, n1, peak1, not capped1),
+                (y2, p2, cp2, clamped2, n2, peak2, not capped2))[:k]
+        self.y, self.y_prev, self.c_prev = (
+            np.array([[row[i]] for row in rows]) for i in range(3))
+        self.row_clamped, self.row_iters, self.row_peak, self.row_converged = (
+            [row[i] for row in rows] for i in range(3, 7))
 
     def _trajectory(self, block: np.ndarray, row: int) -> Trajectory:
         t_grid = self.dt * np.arange(block.shape[0])

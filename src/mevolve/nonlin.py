@@ -64,16 +64,15 @@ class Nonlinearity:
         """
         return lambda values: svec * self.eval_shifted(svec * values, shift)
 
-    def eval_shifted_scalars(self, x0: float, x1: float, shift: float) -> tuple[float, float]:
-        """eval_shifted at the states x0 and x1 of a one-node, one-component
-        problem, as two Python floats.
+    def eval_shifted_scalar(self, x: float, shift: float) -> float:
+        """eval_shifted at the state x of a one-node, one-component problem,
+        as a Python float.
 
-        The dim == 1 march calls it once per inner iteration.  The default
-        makes one eval_shifted call on a (2, 1) array; an override must equal
-        that bit for bit.
+        The dim == 1 march calls it once per row per inner iteration, and
+        once per row per step.  The default makes one eval_shifted call on
+        a (1, 1) array; an override must equal that bit for bit.
         """
-        (f0,), (f1,) = self.eval_shifted(np.array([[x0], [x1]]), shift).tolist()
-        return f0, f1
+        return self.eval_shifted(np.array([[x]]), shift).item()
 
     def jacobian_blocks(self, values: np.ndarray) -> np.ndarray:
         """Node-local Jacobian at a single state, shape (c, c, n): entry
@@ -159,6 +158,10 @@ class _Logistic(Nonlinearity):
     def eval_shifted(self, values, shift):
         return values * ((self.a + shift) - self.b * values)
 
+    def eval_shifted_scalar(self, x, shift):
+        # eval_shifted's operations in its order, so equal bit for bit
+        return x * ((self.a + shift) - self.b * x)
+
     def jacobian_blocks(self, values):
         return (self.a - 2.0 * self.b * values)[None, None]
 
@@ -202,6 +205,10 @@ class _Fisher(Nonlinearity):
         # h(xi) = xi (1 - xi) (alpha + (1 - 2 alpha) xi), weighted by m
         self._m_alpha = self.m * self.alpha
         self._m_slope = self.m * (1.0 - 2.0 * self.alpha)
+        # the two weights as Python floats where m has one node, the only
+        # weight eval_shifted_scalar can pair with a one-entry state
+        self._node_weights = (
+            (self._m_alpha.item(), self._m_slope.item()) if self.m.size == 1 else None)
 
     def eval_values(self, values):
         return self.eval_shifted(values, 0.0)
@@ -210,6 +217,13 @@ class _Fisher(Nonlinearity):
         if values.shape[-1] != self.m.size:
             raise DimensionMismatchError("state length does not match the weight m")
         return values * ((1.0 - values) * (self._m_alpha + self._m_slope * values) + shift)
+
+    def eval_shifted_scalar(self, x, shift):
+        if self._node_weights is None:
+            raise DimensionMismatchError("state length does not match the weight m")
+        m_alpha, m_slope = self._node_weights
+        # eval_shifted's operations in its order, so equal bit for bit
+        return x * ((1.0 - x) * (m_alpha + m_slope * x) + shift)
 
     def jacobian_blocks(self, values):
         return (self.m * _fisher_h_prime(self.alpha, values))[None, None]
@@ -302,14 +316,11 @@ class _SignedSqrt(Nonlinearity):
             out += shift * values
         return out
 
-    def eval_shifted_scalars(self, x0, x1, shift):
+    def eval_shifted_scalar(self, x, shift):
         # sqrt is correctly rounded and abs/copysign are exact in both math
         # and numpy, so this matches eval_shifted bit for bit
-        f0 = math.copysign(math.sqrt(abs(x0)), x0)
-        f1 = math.copysign(math.sqrt(abs(x1)), x1)
-        if shift:
-            return f0 + shift * x0, f1 + shift * x1
-        return f0, f1
+        out = math.copysign(math.sqrt(abs(x)), x)
+        return out + shift * x if shift else out
 
     def jacobian_blocks(self, values):
         with np.errstate(divide="ignore"):

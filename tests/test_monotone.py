@@ -1384,9 +1384,17 @@ def test_accelerated_march_agrees_with_the_plain_step(cfg):
 
 
 class NumpySignedSqrt(_SignedSqrt):
-    """The signed sqrt through the base class's numpy eval_shifted_scalars."""
+    """The signed sqrt through the base class's numpy eval_shifted_scalar;
+    `shapes` records the array of every eval_shifted call."""
 
-    eval_shifted_scalars = mv.Nonlinearity.eval_shifted_scalars
+    eval_shifted_scalar = mv.Nonlinearity.eval_shifted_scalar
+
+    def __init__(self):
+        self.shapes = []
+
+    def eval_shifted(self, values, shift):
+        self.shapes.append(values.shape)
+        return super().eval_shifted(values, shift)
 
 
 def _scalar_march_outputs(prob, run):
@@ -1431,10 +1439,13 @@ class TestScalarMarch:
         itv = scen.interval
         if cone == "reversed":  # one component ordered backwards: g(y) = -F(-y)
             itv = mv.OrderInterval(itv.upper, itv.lower, mv.ConeSpec((-1,)))
+        numpy_term = NumpySignedSqrt()
         (floats, counts), (numpy, numpy_counts) = (
             _scalar_march_outputs(mv.ProblemSpec(scen.A, f, itv, horizon=1.0, dt=5e-3), run)
-            for f in (mv.signed_sqrt(), NumpySignedSqrt())
+            for f in (mv.signed_sqrt(), numpy_term)
         )
+        # the numpy run marched through eval_shifted, one state per call
+        assert (1, 1) in numpy_term.shapes
         assert counts[2] and counts == numpy_counts
         assert [a.tobytes() for a in floats] == [a.tobytes() for a in numpy]
 
@@ -1482,26 +1493,58 @@ class TestScalarMarch:
             assert not drifts
 
 
-def test_the_scalar_benchmark_config_takes_the_float_path(monkeypatch):
-    # TestScalarMarch shows the block path giving the float path's outputs,
-    # but on the scalar benchmark config it runs about 7x slower: only the
-    # dispatch in `_March.advance` keeps a dim == 1 march off it
+def _scalar_benchmark_problem():
+    """The scalar config of the `windows` workload at the default seed:
+    (config, scenario, problem)."""
     (cfg,) = [c for c in workloads.configs("windows", workloads.DEFAULT_SEED)
               if c["scenario"] == "scalar-nonunique"]
     scen = mv.build_from_config(cfg["scenario"], cfg["params"], 1, "scalar")
-    prob = scen.problem(horizon=cfg["T"], dt=cfg["dt"])
+    return cfg, scen, scen.problem(horizon=cfg["T"], dt=cfg["dt"])
+
+
+@pytest.mark.parametrize("u0", ["lower", "upper"])
+def test_the_scalar_benchmark_config_takes_the_float_path(monkeypatch, u0):
+    # TestScalarMarch shows the block path giving the float path's outputs,
+    # but on the scalar benchmark config it runs about 7x slower: only the
+    # dispatch in `_March.advance` keeps a dim == 1 march off it.  From the
+    # lower bound the first window marches three rows, and the equilibria
+    # march, certified at window 1, reads it; from the upper bound every
+    # march has two
+    cfg, scen, prob = _scalar_benchmark_problem()
     taken = []
     for name in ("_advance_block", "_advance_scalar"):
         def recording(march, out, pen, name=name, kernel=getattr(mv.monotone._March, name)):
-            taken.append((name, march.y.shape[1]))
+            taken.append((name, march.y.shape[1], march.k))
             return kernel(march, out, pen)
 
         monkeypatch.setattr(mv.monotone._March, name, recording)
     # the calls of `mevolve run` and the benchmark's solve
-    mv.iterate(prob, scen.interval.lower, tol=cfg["tol"])
+    mv.iterate(prob, getattr(scen.interval, u0), tol=cfg["tol"])
     mv.asymptotic_equilibria(prob, tol=cfg["tol"], tol_eq=cfg["tol_eq"],
                              tol_res=cfg["tol_res"], seed=cfg["seed"])
-    assert taken and set(taken) == {("_advance_scalar", 1)}
+    assert taken and {name for name, _, _ in taken} == {"_advance_scalar"}
+    assert {dim for _, dim, _ in taken} == {1}
+    assert {k for _, _, k in taken} == ({3} if u0 == "lower" else {2})
+
+
+def test_the_scalar_march_evaluates_each_running_row_once(monkeypatch):
+    # the three-row first window from the lower bound evaluates the reaction
+    # term once per row per step for the step constant, and once per inner
+    # iteration of a row while that row runs: rows L, U and H take 3000,
+    # 4000 and 3000 inner iterations over 1000 steps
+    cfg, scen, prob = _scalar_benchmark_problem()
+    calls = []
+    scalar = _SignedSqrt.eval_shifted_scalar
+
+    def counting(f, x, shift):
+        calls.append(x)
+        return scalar(f, x, shift)
+
+    monkeypatch.setattr(_SignedSqrt, "eval_shifted_scalar", counting)
+    mv.iterate(prob, scen.interval.lower, tol=cfg["tol"])
+    march = prob._first_windows[cfg["tol"]]
+    assert march.k == 3
+    assert len(calls) == sum(march.row_iters) + march.k * march.n_steps == 13000
 
 
 @given(
@@ -1515,9 +1558,10 @@ def test_default_eval_shifted_is_exact_for_a_custom_term(values, shift, c):
     f = LinearDecay(c)
     expected = c * values + shift * values
     assert np.array_equal(f.eval_shifted(values, shift), expected)
-    # the base class's eval_shifted_scalars goes through eval_shifted
-    scalars = f.eval_shifted_scalars(values[0], values[1], shift)
-    assert np.array(scalars).tobytes() == expected[:2].tobytes()
+    # the base class's eval_shifted_scalar goes through eval_shifted
+    scalar = f.eval_shifted_scalar(values[0], shift)
+    assert type(scalar) is float
+    assert np.array(scalar).tobytes() == expected[:1].tobytes()
 
 
 def _dense_newton_matrix(prob, v):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mevolve as mv
-from mevolve.errors import ValidationError
+from mevolve.errors import DimensionMismatchError, ValidationError
 from mevolve.nonlin import _fisher_h_prime, _quadratic_range
 
 from conftest import grid
@@ -321,25 +321,51 @@ def _scalars(bound):
 SHIFTS = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
 
 
-def _assert_scalars_match_eval_shifted(f, x0, x1, shift):
+def _assert_scalar_matches_eval_shifted(f, x, shift):
     # bytes, so that -0.0 and 0.0 count as different
-    f0, f1 = f.eval_shifted_scalars(x0, x1, shift)
-    assert type(f0) is float and type(f1) is float
-    expected = f.eval_shifted(np.array([[x0], [x1]]), shift)
-    assert np.array([[f0], [f1]]).tobytes() == expected.tobytes()
+    fx = f.eval_shifted_scalar(x, shift)
+    assert type(fx) is float
+    assert np.array([[fx]]).tobytes() == f.eval_shifted(np.array([[x]]), shift).tobytes()
 
 
-@given(_scalars(1e300), _scalars(1e300), SHIFTS)
+@given(_scalars(1e300), SHIFTS)
 @settings(max_examples=500, deadline=None)
-def test_signed_sqrt_scalars_match_eval_shifted_bit_for_bit(x0, x1, shift):
-    _assert_scalars_match_eval_shifted(mv.signed_sqrt(), x0, x1, shift)
+def test_signed_sqrt_scalar_matches_eval_shifted_bit_for_bit(x, shift):
+    _assert_scalar_matches_eval_shifted(mv.signed_sqrt(), x, shift)
 
 
-@given(_scalars(1e6), _scalars(1e6), SHIFTS)
+@given(_scalars(1e150), SHIFTS, st.floats(0.01, 50.0), st.floats(0.01, 50.0))
+@settings(max_examples=300, deadline=None)
+def test_logistic_scalar_matches_eval_shifted_bit_for_bit(x, shift, a, b):
+    _assert_scalar_matches_eval_shifted(mv.logistic(a, b), x, shift)
+
+
+@given(_scalars(1e100), SHIFTS, st.floats(-50.0, 50.0), st.floats(0.01, 0.99))
+@settings(max_examples=300, deadline=None)
+def test_fisher_scalar_matches_eval_shifted_bit_for_bit(x, shift, m, alpha):
+    # one node: the weight m is a single value, of either sign
+    _assert_scalar_matches_eval_shifted(mv.fisher(np.array([m]), alpha), x, shift)
+
+
+def test_fisher_scalar_rejects_a_weight_of_more_than_one_node():
+    f = mv.fisher(np.array([1.0, 2.0]), 0.3)
+    with pytest.raises(DimensionMismatchError):
+        f.eval_shifted(np.array([[0.5]]), 1.0)
+    with pytest.raises(DimensionMismatchError):
+        f.eval_shifted_scalar(0.5, 1.0)
+
+
+class _CubicTerm(mv.Nonlinearity):
+    """A custom term without a scalar override: the base class's default."""
+
+    def eval_values(self, values):
+        return values * (1.0 - values * values)
+
+
+@given(_scalars(1e6), SHIFTS)
 @settings(max_examples=100, deadline=None)
-def test_default_scalars_match_eval_shifted(x0, x1, shift):
-    # the logistic preset keeps the base class's eval_shifted_scalars
-    _assert_scalars_match_eval_shifted(mv.logistic(1.5, 0.5), x0, x1, shift)
+def test_default_scalar_matches_eval_shifted(x, shift):
+    _assert_scalar_matches_eval_shifted(_CubicTerm(), x, shift)
 
 
 # -- Jacobian bounds ------------------------------------------------------------
