@@ -158,10 +158,6 @@ class _Logistic(Nonlinearity):
     def eval_shifted(self, values, shift):
         return values * ((self.a + shift) - self.b * values)
 
-    def eval_shifted_scalar(self, x, shift):
-        # eval_shifted's operations in its order, so equal bit for bit
-        return x * ((self.a + shift) - self.b * x)
-
     def jacobian_blocks(self, values):
         return (self.a - 2.0 * self.b * values)[None, None]
 
@@ -205,10 +201,6 @@ class _Fisher(Nonlinearity):
         # h(xi) = xi (1 - xi) (alpha + (1 - 2 alpha) xi), weighted by m
         self._m_alpha = self.m * self.alpha
         self._m_slope = self.m * (1.0 - 2.0 * self.alpha)
-        # the two weights as Python floats where m has one node, the only
-        # weight eval_shifted_scalar can pair with a one-entry state
-        self._node_weights = (
-            (self._m_alpha.item(), self._m_slope.item()) if self.m.size == 1 else None)
 
     def eval_values(self, values):
         return self.eval_shifted(values, 0.0)
@@ -217,13 +209,6 @@ class _Fisher(Nonlinearity):
         if values.shape[-1] != self.m.size:
             raise DimensionMismatchError("state length does not match the weight m")
         return values * ((1.0 - values) * (self._m_alpha + self._m_slope * values) + shift)
-
-    def eval_shifted_scalar(self, x, shift):
-        if self._node_weights is None:
-            raise DimensionMismatchError("state length does not match the weight m")
-        m_alpha, m_slope = self._node_weights
-        # eval_shifted's operations in its order, so equal bit for bit
-        return x * ((1.0 - x) * (m_alpha + m_slope * x) + shift)
 
     def jacobian_blocks(self, values):
         return (self.m * _fisher_h_prime(self.alpha, values))[None, None]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mevolve as mv
-from mevolve.errors import DimensionMismatchError, ValidationError
+from mevolve.errors import ValidationError
 from mevolve.nonlin import _fisher_h_prime, _quadratic_range
 
 from conftest import grid
@@ -334,38 +334,11 @@ def test_signed_sqrt_scalar_matches_eval_shifted_bit_for_bit(x, shift):
     _assert_scalar_matches_eval_shifted(mv.signed_sqrt(), x, shift)
 
 
-@given(_scalars(1e150), SHIFTS, st.floats(0.01, 50.0), st.floats(0.01, 50.0))
-@settings(max_examples=300, deadline=None)
-def test_logistic_scalar_matches_eval_shifted_bit_for_bit(x, shift, a, b):
-    _assert_scalar_matches_eval_shifted(mv.logistic(a, b), x, shift)
-
-
-@given(_scalars(1e100), SHIFTS, st.floats(-50.0, 50.0), st.floats(0.01, 0.99))
-@settings(max_examples=300, deadline=None)
-def test_fisher_scalar_matches_eval_shifted_bit_for_bit(x, shift, m, alpha):
-    # one node: the weight m is a single value, of either sign
-    _assert_scalar_matches_eval_shifted(mv.fisher(np.array([m]), alpha), x, shift)
-
-
-def test_fisher_scalar_rejects_a_weight_of_more_than_one_node():
-    f = mv.fisher(np.array([1.0, 2.0]), 0.3)
-    with pytest.raises(DimensionMismatchError):
-        f.eval_shifted(np.array([[0.5]]), 1.0)
-    with pytest.raises(DimensionMismatchError):
-        f.eval_shifted_scalar(0.5, 1.0)
-
-
-class _CubicTerm(mv.Nonlinearity):
-    """A custom term without a scalar override: the base class's default."""
-
-    def eval_values(self, values):
-        return values * (1.0 - values * values)
-
-
 @given(_scalars(1e6), SHIFTS)
 @settings(max_examples=100, deadline=None)
 def test_default_scalar_matches_eval_shifted(x, shift):
-    _assert_scalar_matches_eval_shifted(_CubicTerm(), x, shift)
+    # the logistic preset keeps the base class's eval_shifted_scalar
+    _assert_scalar_matches_eval_shifted(mv.logistic(1.5, 0.5), x, shift)
 
 
 # -- Jacobian bounds ------------------------------------------------------------
