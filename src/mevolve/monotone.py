@@ -323,14 +323,17 @@ class _March:
     of T(z) = c_k + W1 G(z), with W1_gamma = (I - gamma W1)^-1 W1 and
     c_gamma = (I - gamma W1)^-1 c_k = c_k + gamma W1_gamma c_k.  gamma is
     the highest level at or below the smallest diagonal entry of the lower
-    bound of S (F' + mu) S over the row's box: rows 0 and k - 1 share the
-    box between their starts, and a middle row r takes the box between the
-    starts of rows 0 and r, so rows 0 and k - 1 never read a middle row.
-    Rows on different levels take a GEMM per level.  A box at level 0 is
-    evaluated again only at the march's steps 1, 2, 4, 8, ... (every
-    level-0 box is valid); above level 0, at every step.  At q <= 1/4 a
-    plain step needs a few inner iterations and the ladder would cost more
-    than it saves; the dim == 1 float path keeps the plain step.
+    bound of S (F' + mu) S over a box that holds the row's iterates.  Rows
+    0 and k - 1 take the box between their starts.  A middle row r takes
+    the level of that box too where its own box, between the starts of rows
+    0 and r, lies inside it (two-sided, entrywise: row r's start between
+    the starts of rows 0 and k - 1), and makes no box evaluation of its
+    own; else it takes its own box's level.  Rows 0 and k - 1 never read a
+    middle row.  Rows on different levels take a GEMM per level.  A box at
+    level 0 is evaluated again only at the march's steps 1, 2, 4, 8, ...
+    (every level-0 box is valid); above level 0, at every step.  At q <=
+    1/4 a plain step needs a few inner iterations and the ladder would cost
+    more than it saves; the dim == 1 float path keeps the plain step.
 
     Proof, in exact arithmetic.  s >= gamma entrywise, since s_i bounds the
     slope of G_i from above and gamma bounds it from below; with W1 >= 0,
@@ -341,14 +344,17 @@ class _March:
     start rule above stays proven.  G - gamma id is order-preserving on the
     box, so T_gamma is too, and each row's iterates move monotonically
     toward the same step solution as under T, as long as the box holds
-    them.  It does: row 0 rises from its start, a sub-solution, toward its
-    minimal step solution, which lies below the start of row k - 1, a
-    super-solution of row k - 1's step map, which dominates row 0's since
-    y_{k-1} >= y_0 (so c_k of row k - 1 is the larger); row k - 1 falls
-    toward its maximal step solution, which lies above row 0's start, a
-    sub-solution of its map for the same reason; a middle row r falls from
-    its start toward a step solution above row 0's start.  So the stop
-    rule, the guards, the slack, the links and the clamp stay as they are.
+    them.  Its own box does: row 0 rises from its start, a sub-solution,
+    toward its minimal step solution, which lies below the start of row
+    k - 1, a super-solution of row k - 1's step map, which dominates row 0's
+    since y_{k-1} >= y_0 (so c_k of row k - 1 is the larger); row k - 1
+    falls toward its maximal step solution, which lies above row 0's start,
+    a sub-solution of its map for the same reason; a middle row r falls
+    from its start toward a step solution above row 0's start.  A lower
+    bound of the slopes over a box bounds them over every box inside it,
+    so a middle row whose box lies inside that of rows 0 and k - 1 may take
+    their level.  So the stop rule, the guards, the slack, the links and
+    the clamp stay as they are.
 
     The guards run on every inner iteration: each row's monotonicity, and
     the links of `_chain`, lo <= z <= Z_r <= hi for every pair.
@@ -361,7 +367,8 @@ class _March:
     bits do not depend on when its partners stop: rows L and H come out
     the same in the window (L, H) as in the window (L, U, H), since their
     levels are the same in both, and where row U takes another level, the
-    GEMM of rows L and H holds two rows.
+    GEMM of rows L and H holds two rows.  Where row U shares their level,
+    one GEMM holds all three.
 
     `_advance_block` marches a pair or a window's three rows; a one-entry
     march (dim == 1) takes `_advance_scalar`, all its rows in one loop on
@@ -522,9 +529,11 @@ class _March:
     def _box_level(self, r: int, a: np.ndarray | None, b: np.ndarray, step: int) -> int:
         """The level of upper row r's box between the rows a and b at the
         march's step `step`, counted from 1: evaluated on every step while
-        the box sits above level 0, else at steps 1, 2, 4, 8, ... only.  a
-        is None in the march's first step, whose rows start at the interval
-        bounds."""
+        the row's last level sits above level 0, else at steps 1, 2, 4, 8,
+        ... only.  a is None in the march's first step, whose rows start at
+        the interval bounds.  A middle row that shares the level of rows 0
+        and k - 1 records it without a call (`_rungs`), and its next call
+        follows the level it recorded."""
         if a is None:
             self.box_levels[r - 1] = self.ladder.interval_level
         elif self.box_levels[r - 1] or step & (step - 1) == 0:
@@ -541,8 +550,10 @@ class _March:
         plain step.
 
         Rows 0 and k - 1 take the level of the box between their starts.
-        Each other row r takes the level of the box between the starts of
-        rows 0 and r.
+        Each other row r takes the same level where its own box, between
+        the starts of rows 0 and r, lies inside theirs on both sides, with
+        no box evaluation of its own; else the level of its own box
+        (`_box_level`).
         """
         k = self.k
         # the plain step, also while every box waits on level 0
@@ -551,7 +562,14 @@ class _March:
         low = None if first else cur[1]
         levels = [self._box_level(k - 1, low, cur[k], step)] * k
         for r in range(1, k - 1):
-            levels[r] = self._box_level(r, low, cur[1 + r], step)
+            # the box [min(a, b), max(a, b)] of row r lies inside the box
+            # [min(a, t), max(a, t)] of rows 0 and k - 1 exactly where b
+            # lies between a and t, on both sides
+            a, b, t = cur[1], cur[1 + r], cur[k]
+            if ((np.minimum(a, t) <= b) & (b <= np.maximum(a, t))).all():
+                self.box_levels[r - 1] = levels[r]
+            else:
+                levels[r] = self._box_level(r, low, b, step)
         groups = []
         for m in sorted(set(levels)):
             rows = [r for r in range(k) if levels[r] == m]

@@ -1191,16 +1191,19 @@ class TestAcceleratedStep:
     and dim > 1."""
 
     @staticmethod
-    def _sweep_problem():
-        cfg = workloads.configs("sweep", workloads.DEFAULT_SEED)[0]
-        assert cfg["bc"] == "dirichlet"
-        scen = mv.build_from_config(cfg["scenario"], cfg["params"], cfg["n"], cfg["bc"])
+    def _benchmark_problem(workload="sweep", index=0):
+        """A seed-1 benchmark config's problem and tol; by default the
+        `sweep` Dirichlet config (index 1 is `sweep` Robin)."""
+        cfg = workloads.configs(workload, workloads.DEFAULT_SEED)[index]
+        scen = mv.build_from_config(cfg["scenario"], cfg["params"], cfg["n"], cfg["bc"],
+                                    cfg.get("beta"))
         return scen.problem(horizon=cfg["T"], dt=cfg["dt"]), cfg["tol"]
 
     def test_the_sweep_first_window_needs_under_60_percent_of_the_inner_iterations(self):
-        # rows L, U and H: [444, 379, 448] on the ladder, [828, 785, 873] on
-        # the plain step
-        prob, tol = self._sweep_problem()
+        # rows L, U and H: [444, 437, 448] on the ladder, [828, 785, 873] on
+        # the plain step.  Row U shares the level of L and H wherever its
+        # box lies inside theirs; on the level of its own box it took 379
+        prob, tol = self._benchmark_problem()
         fast = mv.monotone._first_window(prob, tol, rising=True)
         assert fast.q > mv.monotone.ACCELERATION_Q and max(fast.box_levels) > 0
         with pytest.MonkeyPatch.context() as patch:
@@ -1214,7 +1217,7 @@ class TestAcceleratedStep:
     def test_every_level_lies_below_the_slopes_of_its_box(self, monkeypatch, rng):
         # G - gamma id is order-preserving on the box: S (F' + mu) S has
         # its diagonal at or above gamma at every point of the box
-        prob, tol = self._sweep_problem()
+        prob, tol = self._benchmark_problem()
         level, boxes = mv.monotone._Ladder.level, []
 
         def recording(ladder, a, b):
@@ -1236,8 +1239,8 @@ class TestAcceleratedStep:
     @staticmethod
     def _march_from(rows):
         """A march of u' + A u = u (1 - 2 u) on [0, 1], Neumann n = 8 and
-        dt = 0.2 (q = 0.33), over 5 steps from the given constant rows,
-        each warm-started at its state."""
+        dt = 0.2 (q = 0.33), over 5 steps from the given rows (each a
+        constant or 8 values), each warm-started at its state."""
         gen, f = mv.build_laplacian_1d(8, "neumann"), mv.logistic(1.0, 2.0)
         lower, upper = grid(np.zeros(8)), grid(np.ones(8))
         prob = mv.ProblemSpec(gen, f, mv.OrderInterval(lower, upper), horizon=1.0, dt=0.2)
@@ -1282,6 +1285,123 @@ class TestAcceleratedStep:
         pair = self._march_from([0.0, 0.6])
         assert window.box_levels == [1, 1] and pair.box_levels == [1]
         assert window.states[0][:, [0, 2]].tobytes() == pair.states[0].tobytes()
+
+    @pytest.mark.parametrize("index", [0, 1])  # sweep Dirichlet, Robin
+    def test_every_step_of_the_sweep_first_window_forms_one_level_group(self, monkeypatch,
+                                                                        index):
+        # row U's box lies inside that of rows L and H, so it shares their
+        # level and makes no box evaluation: one GEMM per inner iteration.
+        # On the level of its own box, 13 (Dirichlet) and 6 (Robin) of the
+        # 50 steps ran U on level 3 beside L and H on levels 0 to 2
+        prob, tol = self._benchmark_problem("sweep", index)
+        level, rungs, calls, steps = mv.monotone._Ladder.level, mv.monotone._March._rungs, [], []
+
+        def counting(ladder, a, b):
+            calls.append(1)
+            return level(ladder, a, b)
+
+        def recording(march, cur, c, step, first):
+            before = len(calls)
+            groups = rungs(march, cur, c, step, first)
+            steps.append((len(groups), len(calls) - before))
+            return groups
+
+        monkeypatch.setattr(mv.monotone._Ladder, "level", counting)
+        monkeypatch.setattr(mv.monotone._March, "_rungs", recording)
+        window = mv.monotone._first_window(prob, tol, rising=True)
+        assert window.k == 3 and max(window.box_levels) > 0
+        assert len(steps) == window.n_steps == 50
+        assert all(groups == 1 and evaluations <= 1 for groups, evaluations in steps)
+
+    @pytest.mark.parametrize("workload,index", [("sweep", 0), ("sweep", 1), ("setup", 0)])
+    def test_rows_l_and_h_of_the_three_row_window_are_those_of_the_pair(self, workload,
+                                                                        index):
+        # rows L and H take their level from their own box, and row U's box
+        # never changes it
+        prob, tol = self._benchmark_problem(workload, index)
+        pair = mv.monotone._first_window(prob, tol)
+        window = mv.monotone._first_window(fresh(prob), tol, rising=True)
+        assert pair.k == 2 and window.k == 3 and window.ladder is not None
+        assert window.states[0][:, [0, 2]].tobytes() == pair.states[0].tobytes()
+
+    @pytest.mark.parametrize("side", ["below row 0", "above row k - 1"])
+    def test_a_middle_row_outside_the_box_at_one_entry_takes_its_own(self, monkeypatch,
+                                                                     side):
+        # L at the equilibrium 0 and H falling from 0.6 share the box
+        # [0, 0.6], on level 1.  Row U leaves it at one entry only: below
+        # L's start by 1e-13, within the slack of the link L <= U, or above
+        # H's start by 1e-6.  On either side U evaluates its own box at
+        # step 1 (a test of one side alone would share L and H's level)
+        box_level, taken = mv.monotone._March._box_level, {}
+
+        def recording(march, r, a, b, step):
+            m = taken[march.k, r, step] = box_level(march, r, a, b, step)
+            return m
+
+        monkeypatch.setattr(mv.monotone._March, "_box_level", recording)
+        u = np.zeros(8) if side == "below row 0" else np.full(8, 0.6)
+        u[3] += -1e-13 if side == "below row 0" else 1e-6
+        self._march_from([0.0, u, 0.6])
+        assert taken[3, 2, 1] == 1
+        # the box [-1e-13, 0] at the equilibrium takes the top level
+        assert taken[3, 1, 1] == (3 if side == "below row 0" else 1)
+
+    @staticmethod
+    def _record_iterate_hulls(monkeypatch):
+        """Per march, step and row: the row's own box (between the starts
+        of row 0 and the row, or row k - 1 for rows 0 and k - 1), the level
+        gamma the row took, and the hull of the states the row's reaction
+        term G - gamma id was evaluated on, in standard coordinates."""
+        rungs, hulls = mv.monotone._March._rungs, {}
+
+        def recording(march, cur, c, step, first):
+            k, out, groups = march.k, [], rungs(march, cur, c, step, first)
+            gammas = {id(g): gamma for gamma, _, g in march.ladder.rungs.values()}
+            for index, w1_t, g, cc in groups:
+                rows = range(k)[index]
+                for r in rows:
+                    top = cur[1 + r] if 0 < r < k - 1 else cur[k]
+                    hulls[march, step, r] = (
+                        np.minimum(cur[1], top), np.maximum(cur[1], top), gammas[id(g)],
+                        np.full(top.shape, np.inf), np.full(top.shape, -np.inf))
+
+                def evaluating(z, g=g, rows=rows, step=step):
+                    for z_r, r in zip(z, rows):
+                        *_, z_min, z_max = hulls[march, step, r]
+                        np.minimum(z_min, z_r, out=z_min)
+                        np.maximum(z_max, z_r, out=z_max)
+                    return g(z)
+
+                out.append((index, w1_t, evaluating, cc))
+            return out
+
+        monkeypatch.setattr(mv.monotone._March, "_rungs", recording)
+        return hulls
+
+    @pytest.mark.parametrize("case", [("sweep", 0), ("sweep", 1), ("setup", 0), "U above H"])
+    def test_every_inner_iterate_lies_in_a_box_whose_slopes_bound_its_level(self, monkeypatch,
+                                                                            case):
+        # the premise of the accelerated step's proof, on every step and
+        # row of a three-row march: each row's inner iterates stay, up to
+        # the slack, inside its own box, and there the diagonal of
+        # S (F' + mu) S lies at or above the gamma the row took.  A middle
+        # row that took the level of the box of rows 0 and k - 1 was never
+        # evaluated on a box of its own; in "U above H" (rows [0, 0.9, 0])
+        # sharing that level without the containment test puts row U on
+        # level 3, where its slopes near 0.9 lie far below gamma
+        hulls = self._record_iterate_hulls(monkeypatch)
+        if case == "U above H":
+            march = self._march_from([0.0, 0.9, 0.0])
+        else:  # the seed-1 sweep Dirichlet and Robin configs, and setup
+            march = mv.monotone._first_window(*self._benchmark_problem(*case), rising=True)
+        assert march.k == 3 and march.ladder is not None
+        assert len(hulls) == 3 * march.n_steps
+        svec = 1.0 if march.svec is None else march.svec
+        for box_lo, box_hi, gamma, z_min, z_max in hulls.values():
+            assert np.all(z_min >= box_lo - march.slack) and np.all(z_max <= box_hi + march.slack)
+            a, b = svec * z_min, svec * z_max
+            low, _ = march.F.jacobian_range(np.minimum(a, b), np.maximum(a, b))
+            assert min(float(low[i, i].min()) for i in range(low.shape[0])) + march.mu >= gamma
 
     def test_repeated_equilibria_marches_are_byte_identical(self, monkeypatch):
         # no proof holds, so the march runs 9 windows of 10 steps.  Rows L
@@ -1328,7 +1448,7 @@ class TestAcceleratedStep:
     def test_a_march_bounds_the_interval_once(self, monkeypatch):
         # the contraction bound and the ladder read one bound of
         # S (F' + mu) S over the interval
-        prob, tol = self._sweep_problem()
+        prob, tol = self._benchmark_problem()
         original, calls = mv.monotone._slope_bounds, []
 
         def counted(*args):
