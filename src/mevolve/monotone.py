@@ -24,12 +24,14 @@ implicit exponential Euler's z = P u_k + B G(z) would.  Where the
 contraction bound q = max(W1 s) < 1 (s the row sums of a bound of G' over
 the interval) proves that every step has one solution, a row that moved
 against its side starts at u_k -+ D / (1 - q) instead of its bound, D the
-drift of c_k over the last step.  Where q > 1/4 and the problem has more
-than one entry, the inner iteration is accelerated (C. V. Pao, Numer. Math.
-79, 1998): with gamma a lower bound of the slopes of G over a box that holds
-the step's iterates, z_{j+1} = (I - gamma W1)^-1 (c_k + W1 (G(z_j) - gamma
-z_j)), which has the same fixed points, sub- and super-solutions and stays
-order-preserving.  Positivity of P, W0 and W1 keeps the ordering chain
+drift of c_k over the last step, and row U starts no higher than row H.
+Where q > 1/4 and the problem has more than one entry, the inner iteration
+is accelerated (C. V. Pao, Numer. Math. 79, 1998): with gamma a lower bound
+of the slopes of G over the box between the starts of the lower and the
+last upper row, which holds every row's iterates, z_{j+1} = (I - gamma
+W1)^-1 (c_k + W1 (G(z_j) - gamma z_j)), which has the same fixed points,
+sub- and super-solutions and stays order-preserving.  Positivity of P, W0
+and W1 keeps the ordering chain
 
     lower bound <= z_j <= z_{j+1} <= Z_{j+1} <= Z_j <= upper bound
 
@@ -250,11 +252,12 @@ def _chain(k: int) -> tuple[tuple, tuple]:
     hi], with k - 1 copies of hi so that upper row r meets its own at row
     k + r.  `runs` groups the links into (first link, first buffer row,
     second buffer row, count), one subtraction per run: one for k = 2, two
-    for k = 3.  Two upper rows are not linked: a rising row's contraction
-    start can lie above a falling row.  `pairs[r - 1]` picks, from the
-    maxima of the check rows of `_March` (2k per-row rows, then the links),
-    pair (0, r)'s violations in the order the march compares them: its
-    three links, the fall of row 0 and the rise of row r.
+    for k = 3.  Two upper rows are not linked: each pair's proof needs its
+    own links only, and rows 0 and k - 1 never read a middle row, whose
+    start is capped at row k - 1's (`_March`).  `pairs[r - 1]` picks, from
+    the maxima of the check rows of `_March` (2k per-row rows, then the
+    links), pair (0, r)'s violations in the order the march compares them:
+    its three links, the fall of row 0 and the rise of row r.
     """
     links = ([(0, 1)] + [(1, 1 + r) for r in range(1, k)]
              + [(1 + r, k + r) for r in range(1, k)])
@@ -292,6 +295,13 @@ class _March:
     P u_k + W0 G(clamp(u_k)) (`_constant`), by the monotone inner iteration
     z_{j+1} = c_k + W1 G(z_j), from the row's interval bound, or from u_k
     when k >= 1 and the row moved in its own cone direction over step k-1.
+    Where the contraction bound q (below) exists the test is exact: a row
+    that moved against its side at any entry, by however little, takes the
+    contraction start.  Where q is None a move against the side within the
+    slack still passes, which is unproven for a move in (0, slack]: u_k is
+    then a sub-solution (super-solution) of step k only up to about (P +
+    W0 G') times the move, which exceeds the slack wherever the step
+    amplifies; the guards catch a start that misses by more.
     Warm start, for the lower row (an upper row is the mirror image):
     u_k >= u_{k-1} and u_k = T_{k-1}(u_k), so T_k(u_k) - u_k = T_k(u_k) -
     T_{k-1}(u_k) = P (u_k - u_{k-1}) + W0 (G(u_k) - G(u_{k-1})) >= 0, since
@@ -317,23 +327,29 @@ class _March:
     guard runs unchanged, so a start that is not a super-solution
     (sub-solution) raises the sandwich breach.
 
+    The cap.  Where q exists, the middle row of a three-row march (row U,
+    rising from the lower bound, beside row H from the upper bound) starts
+    at the entrywise minimum of its own start and row k - 1's.  Proof: U <=
+    H in exact arithmetic (the comparison principle), so U's step constant
+    lies below H's, H's start, a super-solution of H's step map, is one of
+    U's, and the minimum of two super-solutions is one; with q < 1 the
+    falling iteration from it reaches U's one step solution.  Rows 0 and
+    k - 1 never read row U.  A row U above row H by more than round-off, a
+    state no exact march reaches, fails its own monotonicity guard.
+
     The accelerated step.  Where q > 1/4 and dim > 1 the march has a
     ladder (`_Ladder`) of levels gamma_m = m g_max / 4, m = 0, ..., 3, and
-    a row iterates T_gamma(z) = c_gamma + W1_gamma (G(z) - gamma z) in place
-    of T(z) = c_k + W1 G(z), with W1_gamma = (I - gamma W1)^-1 W1 and
+    every row iterates T_gamma(z) = c_gamma + W1_gamma (G(z) - gamma z) in
+    place of T(z) = c_k + W1 G(z), with W1_gamma = (I - gamma W1)^-1 W1 and
     c_gamma = (I - gamma W1)^-1 c_k = c_k + gamma W1_gamma c_k.  gamma is
     the highest level at or below the smallest diagonal entry of the lower
-    bound of S (F' + mu) S over a box that holds the row's iterates.  Rows
-    0 and k - 1 take the box between their starts.  A middle row r takes
-    the level of that box too where its own box, between the starts of rows
-    0 and r, lies inside it (two-sided, entrywise: row r's start between
-    the starts of rows 0 and k - 1), and makes no box evaluation of its
-    own; else it takes its own box's level.  Rows 0 and k - 1 never read a
-    middle row.  Rows on different levels take a GEMM per level.  A box at
-    level 0 is evaluated again only at the march's steps 1, 2, 4, 8, ...
-    (every level-0 box is valid); above level 0, at every step.  At q <=
-    1/4 a plain step needs a few inner iterations and the ladder would cost
-    more than it saves; the dim == 1 float path keeps the plain step.
+    bound of S (F' + mu) S over the box between the starts of rows 0 and
+    k - 1, which holds every row's iterates: one level per step, one GEMM
+    per inner iteration.  The box is evaluated at every step while its
+    level sits above 0, else only at the march's steps 1, 2, 4, 8, ...
+    (every level-0 box is valid).  At q <= 1/4 a plain step needs a few
+    inner iterations and the ladder would cost more than it saves; the
+    dim == 1 float path keeps the plain step.
 
     Proof, in exact arithmetic.  s >= gamma entrywise, since s_i bounds the
     slope of G_i from above and gamma bounds it from below; with W1 >= 0,
@@ -344,31 +360,27 @@ class _March:
     start rule above stays proven.  G - gamma id is order-preserving on the
     box, so T_gamma is too, and each row's iterates move monotonically
     toward the same step solution as under T, as long as the box holds
-    them.  Its own box does: row 0 rises from its start, a sub-solution,
-    toward its minimal step solution, which lies below the start of row
-    k - 1, a super-solution of row k - 1's step map, which dominates row 0's
-    since y_{k-1} >= y_0 (so c_k of row k - 1 is the larger); row k - 1
-    falls toward its maximal step solution, which lies above row 0's start,
-    a sub-solution of its map for the same reason; a middle row r falls
-    from its start toward a step solution above row 0's start.  A lower
-    bound of the slopes over a box bounds them over every box inside it,
-    so a middle row whose box lies inside that of rows 0 and k - 1 may take
-    their level.  So the stop rule, the guards, the slack, the links and
-    the clamp stay as they are.
+    them.  It does: row 0 rises from its start, a sub-solution, toward its
+    minimal step solution, which lies below the start of row k - 1, a
+    super-solution of row k - 1's step map, which dominates row 0's since
+    y_{k-1} >= y_0 (so c_k of row k - 1 is the larger); row k - 1 falls
+    toward its maximal step solution, which lies above row 0's start, a
+    sub-solution of its map for the same reason; a middle row falls from
+    its start, at or below row k - 1's by the cap, and its iterates lie
+    above row 0's by the link and its guard.  So the stop rule, the guards,
+    the slack, the links and the clamp stay as they are.
 
     The guards run on every inner iteration: each row's monotonicity, and
     the links of `_chain`, lo <= z <= Z_r <= hi for every pair.
 
     Each inner iteration multiplies the rows by W1 in one GEMM, and each
-    step forms the rows' constants in another, whose rounding can depend on
-    how many rows they hold: one row takes another BLAS kernel than two or
-    three, which round each row alike.  So every march multiplies all its
-    rows on every inner iteration and holds the stopped ones, and a row's
-    bits do not depend on when its partners stop: rows L and H come out
-    the same in the window (L, H) as in the window (L, U, H), since their
-    levels are the same in both, and where row U takes another level, the
-    GEMM of rows L and H holds two rows.  Where row U shares their level,
-    one GEMM holds all three.
+    step forms the rows' constants in another.  Every march multiplies all
+    its rows on every inner iteration and holds the stopped ones, so a
+    row's bits do not depend on when its partners stop.  Rows L and H come
+    out the same in the window (L, H) as in the window (L, U, H) only where
+    the BLAS rounds each row of a 2-row GEMM as it does in a 3-row one: a
+    one-row GEMM takes another kernel, and OpenBLAS 0.3.31 rounds 2 and 3
+    rows apart for 578 <= dim <= 707.
 
     `_advance_block` marches a pair or a window's three rows; a one-entry
     march (dim == 1) takes `_advance_scalar`, all its rows in one loop on
@@ -405,10 +417,10 @@ class _March:
         self.c_prev = None  # their step constants, P y_prev + W0 G(y_prev)
         self.q = None  # the contraction bound, where it is below 1
         self.ladder = None  # the accelerated step's levels, where q > 1/4
-        # the steps marched so far, and per upper row r, entry r - 1: the
-        # level its box took at its last evaluation (`_box_level`)
+        # the steps marched so far, and the level the box of rows 0 and
+        # k - 1 took at its last evaluation (`_rungs`)
         self.n_steps = 0
-        self.box_levels = [0] * len(uppers)
+        self.box_level = 0
         # the rows by node, one chunk per advance, each from its start node;
         # per row of the last chunk its trajectory, once asked for (`_row`)
         self.states: list[np.ndarray] = []
@@ -526,59 +538,23 @@ class _March:
         and padded by the slack."""
         return (max(drift, 0.0) + self.slack) / (1.0 - self.q)
 
-    def _box_level(self, r: int, a: np.ndarray | None, b: np.ndarray, step: int) -> int:
-        """The level of upper row r's box between the rows a and b at the
-        march's step `step`, counted from 1: evaluated on every step while
-        the row's last level sits above level 0, else at steps 1, 2, 4, 8,
-        ... only.  a is None in the march's first step, whose rows start at
-        the interval bounds.  A middle row that shares the level of rows 0
-        and k - 1 records it without a call (`_rungs`), and its next call
-        follows the level it recorded."""
-        if a is None:
-            self.box_levels[r - 1] = self.ladder.interval_level
-        elif self.box_levels[r - 1] or step & (step - 1) == 0:
-            self.box_levels[r - 1] = self.ladder.level(a, b)
-        return self.box_levels[r - 1]
-
-    def _rungs(self, cur: np.ndarray, c: np.ndarray, step: int, first: bool) -> list:
-        """The march's rows grouped by level at the march's step `step`:
-        per level, (rows, W1_gamma^T, G - gamma id, c_gamma), with c_gamma =
-        c + gamma W1_gamma c = (I - gamma W1)^-1 c of those rows, and the rows
-        as a basic slice, so that a group reads and writes views: a march
-        has two or three rows, so every group is a progression.  `first`
-        marks the march's first step.  Without a ladder every row takes the
-        plain step.
-
-        Rows 0 and k - 1 take the level of the box between their starts.
-        Each other row r takes the same level where its own box, between
-        the starts of rows 0 and r, lies inside theirs on both sides, with
-        no box evaluation of its own; else the level of its own box
-        (`_box_level`).
-        """
-        k = self.k
-        # the plain step, also while every box waits on level 0
-        if self.ladder is None or (not (first or any(self.box_levels)) and step & (step - 1)):
-            return [(slice(None), self.w1_t, self.g, c)]
-        low = None if first else cur[1]
-        levels = [self._box_level(k - 1, low, cur[k], step)] * k
-        for r in range(1, k - 1):
-            # the box [min(a, b), max(a, b)] of row r lies inside the box
-            # [min(a, t), max(a, t)] of rows 0 and k - 1 exactly where b
-            # lies between a and t, on both sides
-            a, b, t = cur[1], cur[1 + r], cur[k]
-            if ((np.minimum(a, t) <= b) & (b <= np.maximum(a, t))).all():
-                self.box_levels[r - 1] = levels[r]
-            else:
-                levels[r] = self._box_level(r, low, b, step)
-        groups = []
-        for m in sorted(set(levels)):
-            rows = [r for r in range(k) if levels[r] == m]
-            gamma, w1_t, g = self.ladder.rung(m)
-            index = slice(rows[0], rows[-1] + 1, rows[1] - rows[0] if len(rows) > 1 else 1)
-            c_rows = c[index]
-            groups.append((index, w1_t, g,
-                           c_rows if gamma == 0.0 else c_rows + gamma * (c_rows @ w1_t)))
-        return groups
+    def _rungs(self, cur: np.ndarray, c: np.ndarray, step: int, first: bool) -> tuple:
+        """The rung every row takes at the march's step `step`, counted from
+        1: (W1_gamma^T, G - gamma id, c_gamma), with c_gamma = c + gamma
+        W1_gamma c = (I - gamma W1)^-1 c.  gamma is the level of the box
+        between the starts of rows 0 and k - 1 in the buffer `cur`
+        (`_chain`), which holds every row's iterates (`_March`); `first`
+        marks the march's first step, whose rows start at the interval
+        bounds.  The box is evaluated on every step while its last level
+        sits above level 0, else at steps 1, 2, 4, 8, ... only.  Without a
+        ladder, and while the box waits on level 0, every row takes the
+        plain step."""
+        ladder = self.ladder
+        if ladder is None or not (first or self.box_level or step & (step - 1) == 0):
+            return self.w1_t, self.g, c
+        self.box_level = ladder.interval_level if first else ladder.level(cur[1], cur[self.k])
+        gamma, w1_t, g = ladder.rung(self.box_level)
+        return w1_t, g, c if gamma == 0.0 else c + gamma * (c @ w1_t)
 
     def _advance_block(self, out, pen) -> None:
         lo, hi, slack, tol, max_iter = self.lo, self.hi, self.slack, self.tol, MAX_INNER_ITER
@@ -597,6 +573,9 @@ class _March:
         chk = np.empty((4 * k - 1, y.shape[1]))
         runs, pairs = _chain(k)
         reaches_tol = float(tol).__le__  # inc >= tol, mapped over the rows in C
+        # how far a row may move against its side and keep its warm start:
+        # not at all where q exists, else within the slack (`_March`)
+        give = slack if q is None else 0.0
         # per buffer, the operands of its links as views
         link_ops = [[(chk[2 * k + i:2 * k + i + n], buf[a:a + n], buf[b:b + n])
                      for i, a, b, n in runs] for buf in bufs]
@@ -609,7 +588,7 @@ class _March:
                 cur[1], cur[2:k + 1] = lo, hi
             else:
                 moved = y - y_prev
-                if moved[0].min() >= -slack:
+                if moved[0].min() >= -give:
                     cur[1] = y[0]
                 elif q is None:
                     cur[1] = lo
@@ -617,15 +596,17 @@ class _March:
                     np.maximum(y[0] - self._reach(float((c_prev[0] - c[0]).max())), lo,
                                out=cur[1])
                 for r in range(1, k):
-                    if moved[r].max() <= slack:
+                    if moved[r].max() <= give:
                         cur[1 + r] = y[r]
                     elif q is None:
                         cur[1 + r] = hi
                     else:
                         np.minimum(y[r] + self._reach(float((c[r] - c_prev[r]).max())), hi,
                                    out=cur[1 + r])
+                if q is not None and k == 3:  # the cap: row U starts at or below row H
+                    np.minimum(cur[2], cur[3], out=cur[2])
             on, held = [True] * k, []  # the running and the stopped rows
-            groups = self._rungs(cur, c, self.n_steps + step + 1, y_prev is None)
+            w1_t, g, cc = self._rungs(cur, c, self.n_steps + step + 1, y_prev is None)
             # while the links hold without any violation, every row lies in
             # [lo, hi] and the clamp is the identity
             for o, first, second in link_ops[t]:
@@ -642,9 +623,8 @@ class _March:
                     counts = np.count_nonzero(np.abs(zc - zs) > slack, axis=1).tolist()
                     for r in range(k):
                         clamped[r] += counts[r] if on[r] else 0
-                for index, w1_t, g, cc in groups:  # a GEMM per level
-                    np.matmul(g(zc[index]), w1_t, out=new[index])
-                    new[index] += cc
+                np.matmul(g(zc), w1_t, out=new)
+                new += cc
                 np.subtract(new, zs, out=rise)
                 np.negative(rise, out=fall)
                 for r in held:  # it keeps its state, and its check rows read -inf
@@ -725,6 +705,7 @@ class _March:
             p0 = p1 = p2 = cp0 = cp1 = cp2 = 0.0
         c2 = z2 = 0.0
         bounded = self.q is not None
+        give = 0.0 if bounded else slack  # as in `_advance_block`
         n0 = n1 = n2 = clamped0 = clamped1 = clamped2 = peak0 = peak1 = peak2 = 0
         capped0 = capped1 = capped2 = False
         n_dist = len(dist)  # the inner iterations dist has a row for
@@ -740,13 +721,15 @@ class _March:
             if not warm:
                 z0, z1, z2 = lo, hi, hi
             else:
-                z0 = (y0 if y0 - p0 >= -slack else
+                z0 = (y0 if y0 - p0 >= -give else
                       max(y0 - self._reach(cp0 - c0), lo) if bounded else lo)
-                z1 = (y1 if y1 - p1 <= slack else
+                z1 = (y1 if y1 - p1 <= give else
                       min(y1 + self._reach(c1 - cp1), hi) if bounded else hi)
                 if three:
-                    z2 = (y2 if y2 - p2 <= slack else
+                    z2 = (y2 if y2 - p2 <= give else
                           min(y2 + self._reach(c2 - cp2), hi) if bounded else hi)
+                    if bounded and z2 <= z1:  # the cap, taking z2 on a tie as np.minimum
+                        z1 = z2
             last0, last1, last2 = z0, z1, z2
             s0, s1, s2 = n0, n1, n2
             on0 = on1 = True
@@ -899,16 +882,16 @@ class _March:
             self.handed = [None] * self.k
         return self._row(0), self._row(1)
 
-    def select(self, r: int) -> _March:
-        """The march of pair (0, r) alone, rows 0 and 1 of a copy holding
+    def select(self) -> _March:
+        """The march of pair (0, k - 1) alone, rows 0 and 1 of a copy holding
         the pair's states, figures and the level of its box, to go on from
         where this one stopped.  This march is left as it is; the copy
         shares only what no march writes (the bounds, the propagators, the
         ladder and the pair's immutable trajectories, until it advances)."""
+        r = self.k - 1
         rows = [0, r]
         pair = copy.copy(self)
         pair.k = 2
-        pair.box_levels = [self.box_levels[r - 1]]
         pair.y = self.y[rows]
         if self.y_prev is not None:
             pair.y_prev, pair.c_prev = self.y_prev[rows], self.c_prev[rows]
@@ -937,10 +920,11 @@ def _first_window(problem: ProblemSpec, tol: float, rising: bool = False) -> _Ma
     Memoized on the problem (`ProblemSpec._first_windows`) by tol.  Rows L
     and H alone are marched until a caller asks for U; then rows L, U and H
     are marched in one block, which replaces the pair.  Every march holds
-    its stopped rows in its GEMM (`_March`), and a GEMM rounds each of two
-    rows as it does each of three, so L and H carry the same bits in
-    either, and every caller reads the same rows in whatever order and
-    however often it asks.
+    its stopped rows in its GEMM (`_March`), and rows L and H never read
+    row U, so L and H carry the same bits in either wherever the BLAS
+    rounds each row of a 2-row GEMM as it does in a 3-row one (OpenBLAS
+    0.3.31 does not for 578 <= dim <= 707); then every caller reads the
+    same rows in whatever order and however often it asks.
     A march that fails raises from `advance` before it is stored, so a
     later caller marches its rows afresh.
     The march is read only: callers take its reports, or `select` a pair to
@@ -991,12 +975,13 @@ def iterate(
     contraction bound q (contraction_bound, `_contraction_bound`) is below
     1, each step has one solution, and that row starts at Y + D / (1 - q),
     Y its state and D the drift of the step constant P Y + W0 G(Y) over the
-    last step, q = max(W1 s) the Lipschitz bound of the step map: a proven
-    super-solution of the step (`_March`).  Otherwise it restarts from the
-    upper bound at every step, as the lower row does from the lower bound
-    when it falls.  Where q > 1/4 and the problem has more than one entry,
-    each step runs the accelerated inner iteration of `_March`, which
-    reaches the same step solutions in fewer iterations.
+    last step, q = max(W1 s) the Lipschitz bound of the step map, capped
+    entrywise at row H's start: a proven super-solution of the step
+    (`_March`).  Otherwise it restarts from the upper bound at every step,
+    as the lower row does from the lower bound when it falls.  Where q >
+    1/4 and the problem has more than one entry, each step runs the
+    accelerated inner iteration of `_March`, which reaches the same step
+    solutions in fewer iterations.
 
     When u0 holds the lower bound's values and u0_upper is None (rows L and
     U) or holds the upper bound's (rows L and H), the report is read from
@@ -1457,7 +1442,7 @@ def asymptotic_equilibria(
     interval = problem.interval
     steps_per_window = time_grid(problem.horizon, problem.dt).size - 1
     march = _first_window(problem, tol)
-    march = march.select(march.k - 1)  # window 1, rows L and H
+    march = march.select()  # window 1, rows L and H
     window_summaries = []
     horizon_converged = False
     certified = [None, None]  # per end: (p, radius) once proven

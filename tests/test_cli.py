@@ -100,6 +100,25 @@ class TestRun:
             last = (out / name).read_text().splitlines()[-1]
             assert float(last.split(",")[0]) == pytest.approx(eq["horizon"])
 
+    def test_rising_row_at_an_unstable_lower_bound_exits_0(self, tmp_path):
+        # m >= 0 (a sin at frequency 0.5) gives the interval [0, 1], whose
+        # lower bound 0 is an unstable equilibrium.  The rising row U sits
+        # near 3e-11 and rises by up to 1e-12 a step, within the slack: it
+        # takes the contraction start, where a warm start at its state
+        # would breach the sandwich at step 47
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scenario="fisher",
+                     params={"alpha": 0.5349847038870532,
+                             "m": {"profile": "sin", "amplitude": 5.487300271461031,
+                                   "frequency": 0.5}},
+                     n=4, dt=0.02, T=1.0)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["iteration"]["sandwich_certified"]
+        eq = doc["equilibria"]
+        assert eq["certified"] == [True, True] and len(eq["windows"]) == 1
+
     def test_unstable_extremal_equilibrium_keeps_its_exit_code(self, tmp_path):
         # a constant Fisher weight gives the [0, 1] interval, whose lower
         # bound 0 is an unstable equilibrium; 0 with F(0) = 0 is one by

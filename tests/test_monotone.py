@@ -478,11 +478,13 @@ class TestSharedFirstWindow:
     @pytest.mark.parametrize("case", ["neumann_logistic", "scalar_logistic"])
     def test_links_are_the_chain_of_each_pair(self, case):
         # the lower row above the upper row H breaches L <= H, and fails the
-        # march; the rising row U above H is no breach, since U <= H is not
-        # a link.  Each state is an equilibrium (0, or the positive
-        # one half way up the interval), and so a fixed point of the march's
-        # step map T(y) = P y + W0 G(y) + W1 G(y) up to the round-off of its
-        # weights: no row moves by more than that, and only the links can fire
+        # march.  U <= H is not a link: row U below row H marches on, and
+        # row U above row H, a state no exact march reaches, starts at H's
+        # state (the cap) and rises, which fails its own monotonicity guard.
+        # Each state is an equilibrium (0, or the positive one half way up
+        # the interval), and so a fixed point of the march's step map T(y) =
+        # P y + W0 G(y) + W1 G(y) up to the round-off of its weights: no row
+        # moves by more than that, and only the links and the cap can fire
         if case == "scalar_logistic":  # u' + u = u (3 - u): equilibria 0 and 2
             gen, f = mv.generators.scalar_generator(1.0), mv.logistic(3.0, 1.0)
             lower, upper = grid([0.0]), grid([4.0])
@@ -500,13 +502,11 @@ class TestSharedFirstWindow:
             march.advance(2)
             return march
 
-        march = march_from([zero, half, zero])
-        # each step's T(y) - y of row U, from the state the step starts at
-        rises = [float(np.max(march._constant(y) + march.g(y) @ march.w1_t - y, axis=1)[1])
-                 for y in march.states[-1][:-1]]
-        assert march.worst_violation[0] <= max(0.0, *rises)
-        with pytest.raises(NumericalError, match="sandwich"):
-            march_from([half, half, zero])
+        march = march_from([zero, zero, half])
+        assert march.q is not None and max(march.worst_violation) <= march.slack
+        for rows in ([zero, half, zero], [half, half, zero]):
+            with pytest.raises(NumericalError, match="sandwich"):
+                march_from(rows)
 
     @pytest.mark.parametrize("case", ["neumann_logistic", "scalar_logistic"])
     def test_a_clamp_overflow_fails_the_whole_march(self, case, monkeypatch):
@@ -1168,8 +1168,8 @@ def _levels_forced_to_0(patch):
 
 def _rungs_forced_to_0(patch):
     """Every row of every march takes the plain step, level 0's rung, while
-    the march still groups its rows by the levels of their boxes: a march
-    that differs from the accelerated one in gamma alone, and a row whose
+    the march still evaluates its box on the accelerated schedule: a march
+    that differs from the accelerated one in gamma alone, and a step whose
     box sits on level 0 does the same float operations in both."""
     rung = mv.monotone._Ladder.rung
     patch.setattr(mv.monotone._Ladder, "rung", lambda self, m: rung(self, 0))
@@ -1201,11 +1201,10 @@ class TestAcceleratedStep:
 
     def test_the_sweep_first_window_needs_under_60_percent_of_the_inner_iterations(self):
         # rows L, U and H: [444, 437, 448] on the ladder, [828, 785, 873] on
-        # the plain step.  Row U shares the level of L and H wherever its
-        # box lies inside theirs; on the level of its own box it took 379
+        # the plain step; every row takes the level of the box of L and H
         prob, tol = self._benchmark_problem()
         fast = mv.monotone._first_window(prob, tol, rising=True)
-        assert fast.q > mv.monotone.ACCELERATION_Q and max(fast.box_levels) > 0
+        assert fast.q > mv.monotone.ACCELERATION_Q and max(fast.ladder.rungs) > 0
         with pytest.MonkeyPatch.context() as patch:
             _levels_forced_to_0(patch)
             plain = mv.monotone._first_window(fresh(prob), tol, rising=True)
@@ -1251,129 +1250,77 @@ class TestAcceleratedStep:
         assert march.q > mv.monotone.ACCELERATION_Q
         return march
 
-    def test_each_row_takes_the_level_of_its_own_box(self, monkeypatch):
-        # rows L and H sit at the equilibrium 0, where the slope of G is
-        # largest, and their box takes the top level.  Row U starts above
-        # H, at 0.9, where G - gamma id decreases for every gamma above
-        # 0.4: its own box [0, 0.9] takes level 0, and it falls toward 1/2
-        # as it does in a pair (L, U) alone
-        box_level, taken = mv.monotone._March._box_level, {}
-
-        def recording(march, r, a, b, step):
-            # per step 1 .. 5; a step without a call keeps every box on 0
-            m = box_level(march, r, a, b, step)
-            taken.setdefault((march.k, r), [0] * 5)[step - 1] = m
-            return m
-
-        monkeypatch.setattr(mv.monotone._March, "_box_level", recording)
-        window = self._march_from([0.0, 0.9, 0.0])
-        pair = self._march_from([0.0, 0.9])
-        # L and H on the top level from step 1; U, as in the pair alone, on
-        # level 0 until its fall brings its box below 3/4 (by step 3, and a
-        # level-0 box is evaluated again at step 4)
-        assert taken[3, 2] == [3] * 5
-        assert taken[3, 1] == taken[2, 1] == [0, 0, 0, 1, 1]
-        u, alone = window.report(1).u_max.states, pair.report(1).u_max.states
-        assert np.max(np.abs(u - alone)) <= 10 * window.tol
-        assert np.all(np.diff(u[:, 0]) < 0.0) and u[-1, 0] > 0.5
-
-    def test_rows_0_and_k_minus_1_never_read_a_middle_row(self):
-        # L from 0 and H from 0.6 share the box [0, 0.6], on level 1; U from
-        # 0.9 above H would pull a box that reached it down to level 0.  L
-        # and H carry the same bits with U as without it
-        window = self._march_from([0.0, 0.9, 0.6])
-        pair = self._march_from([0.0, 0.6])
-        assert window.box_levels == [1, 1] and pair.box_levels == [1]
-        assert window.states[0][:, [0, 2]].tobytes() == pair.states[0].tobytes()
-
-    @pytest.mark.parametrize("index", [0, 1])  # sweep Dirichlet, Robin
-    def test_every_step_of_the_sweep_first_window_forms_one_level_group(self, monkeypatch,
-                                                                        index):
-        # row U's box lies inside that of rows L and H, so it shares their
-        # level and makes no box evaluation: one GEMM per inner iteration.
-        # On the level of its own box, 13 (Dirichlet) and 6 (Robin) of the
-        # 50 steps ran U on level 3 beside L and H on levels 0 to 2
-        prob, tol = self._benchmark_problem("sweep", index)
-        level, rungs, calls, steps = mv.monotone._Ladder.level, mv.monotone._March._rungs, [], []
+    @pytest.mark.parametrize("workload,index,calls", [("sweep", 0, None), ("sweep", 1, None),
+                                                      ("setup", 0, 5)])
+    def test_every_step_of_the_first_window_forms_one_level_group(self, monkeypatch,
+                                                                  workload, index, calls):
+        # every row takes the level of the box of rows L and H: one rung
+        # for all three rows, one GEMM per inner iteration, and at most one
+        # box evaluation per step.  On setup the box stays on level 0 and is
+        # evaluated at steps 2, 4, 8, 16 and 32 only (step 1 takes the
+        # interval's level): 5 calls.  Row U never starts above row H
+        prob, tol = self._benchmark_problem(workload, index)
+        level, rungs, calls_made, steps = (mv.monotone._Ladder.level, mv.monotone._March._rungs,
+                                           [], [])
 
         def counting(ladder, a, b):
-            calls.append(1)
+            calls_made.append(1)
             return level(ladder, a, b)
 
         def recording(march, cur, c, step, first):
-            before = len(calls)
-            groups = rungs(march, cur, c, step, first)
-            steps.append((len(groups), len(calls) - before))
-            return groups
+            # per step: the rows of its rung's step constant, its box
+            # evaluations, and whether row U started at or below row H
+            before = len(calls_made)
+            rung = rungs(march, cur, c, step, first)
+            steps.append((rung[2].shape[0], len(calls_made) - before,
+                          bool(np.all(cur[2] <= cur[3]))))
+            return rung
 
         monkeypatch.setattr(mv.monotone._Ladder, "level", counting)
         monkeypatch.setattr(mv.monotone._March, "_rungs", recording)
         window = mv.monotone._first_window(prob, tol, rising=True)
-        assert window.k == 3 and max(window.box_levels) > 0
+        assert window.k == 3 and window.ladder is not None
         assert len(steps) == window.n_steps == 50
-        assert all(groups == 1 and evaluations <= 1 for groups, evaluations in steps)
+        assert all(rows == 3 and evaluations <= 1 and capped
+                   for rows, evaluations, capped in steps)
+        if calls is not None:
+            assert sum(evaluations for _, evaluations, _ in steps) == calls
 
     @pytest.mark.parametrize("workload,index", [("sweep", 0), ("sweep", 1), ("setup", 0)])
     def test_rows_l_and_h_of_the_three_row_window_are_those_of_the_pair(self, workload,
                                                                         index):
-        # rows L and H take their level from their own box, and row U's box
-        # never changes it
+        # the level is that of the box of rows L and H, and neither row
+        # reads row U
         prob, tol = self._benchmark_problem(workload, index)
         pair = mv.monotone._first_window(prob, tol)
         window = mv.monotone._first_window(fresh(prob), tol, rising=True)
         assert pair.k == 2 and window.k == 3 and window.ladder is not None
         assert window.states[0][:, [0, 2]].tobytes() == pair.states[0].tobytes()
 
-    @pytest.mark.parametrize("side", ["below row 0", "above row k - 1"])
-    def test_a_middle_row_outside_the_box_at_one_entry_takes_its_own(self, monkeypatch,
-                                                                     side):
-        # L at the equilibrium 0 and H falling from 0.6 share the box
-        # [0, 0.6], on level 1.  Row U leaves it at one entry only: below
-        # L's start by 1e-13, within the slack of the link L <= U, or above
-        # H's start by 1e-6.  On either side U evaluates its own box at
-        # step 1 (a test of one side alone would share L and H's level)
-        box_level, taken = mv.monotone._March._box_level, {}
-
-        def recording(march, r, a, b, step):
-            m = taken[march.k, r, step] = box_level(march, r, a, b, step)
-            return m
-
-        monkeypatch.setattr(mv.monotone._March, "_box_level", recording)
-        u = np.zeros(8) if side == "below row 0" else np.full(8, 0.6)
-        u[3] += -1e-13 if side == "below row 0" else 1e-6
-        self._march_from([0.0, u, 0.6])
-        assert taken[3, 2, 1] == 1
-        # the box [-1e-13, 0] at the equilibrium takes the top level
-        assert taken[3, 1, 1] == (3 if side == "below row 0" else 1)
-
     @staticmethod
     def _record_iterate_hulls(monkeypatch):
-        """Per march, step and row: the row's own box (between the starts
-        of row 0 and the row, or row k - 1 for rows 0 and k - 1), the level
-        gamma the row took, and the hull of the states the row's reaction
-        term G - gamma id was evaluated on, in standard coordinates."""
+        """Per march, step and row: the box between the starts of rows 0
+        and k - 1, the level gamma every row took, and the hull of the
+        states the row's reaction term G - gamma id was evaluated on, in
+        standard coordinates."""
         rungs, hulls = mv.monotone._March._rungs, {}
 
         def recording(march, cur, c, step, first):
-            k, out, groups = march.k, [], rungs(march, cur, c, step, first)
-            gammas = {id(g): gamma for gamma, _, g in march.ladder.rungs.values()}
-            for index, w1_t, g, cc in groups:
-                rows = range(k)[index]
-                for r in rows:
-                    top = cur[1 + r] if 0 < r < k - 1 else cur[k]
-                    hulls[march, step, r] = (
-                        np.minimum(cur[1], top), np.maximum(cur[1], top), gammas[id(g)],
-                        np.full(top.shape, np.inf), np.full(top.shape, -np.inf))
+            w1_t, g, cc = rungs(march, cur, c, step, first)
+            gamma = {id(g): gamma for gamma, _, g in march.ladder.rungs.values()}[id(g)]
+            low, high = np.minimum(cur[1], cur[march.k]), np.maximum(cur[1], cur[march.k])
+            for r in range(march.k):
+                hulls[march, step, r] = (low, high, gamma, np.full(low.shape, np.inf),
+                                         np.full(low.shape, -np.inf))
 
-                def evaluating(z, g=g, rows=rows, step=step):
-                    for z_r, r in zip(z, rows):
-                        *_, z_min, z_max = hulls[march, step, r]
-                        np.minimum(z_min, z_r, out=z_min)
-                        np.maximum(z_max, z_r, out=z_max)
-                    return g(z)
+            def evaluating(z):
+                for r, z_r in enumerate(z):
+                    *_, z_min, z_max = hulls[march, step, r]
+                    np.minimum(z_min, z_r, out=z_min)
+                    np.maximum(z_max, z_r, out=z_max)
+                return g(z)
 
-                out.append((index, w1_t, evaluating, cc))
-            return out
+            return w1_t, evaluating, cc
 
         monkeypatch.setattr(mv.monotone._March, "_rungs", recording)
         return hulls
@@ -1383,17 +1330,18 @@ class TestAcceleratedStep:
                                                                             case):
         # the premise of the accelerated step's proof, on every step and
         # row of a three-row march: each row's inner iterates stay, up to
-        # the slack, inside its own box, and there the diagonal of
-        # S (F' + mu) S lies at or above the gamma the row took.  A middle
-        # row that took the level of the box of rows 0 and k - 1 was never
-        # evaluated on a box of its own; in "U above H" (rows [0, 0.9, 0])
-        # sharing that level without the containment test puts row U on
-        # level 3, where its slopes near 0.9 lie far below gamma
+        # the slack, inside the box of rows 0 and k - 1, and there the
+        # diagonal of S (F' + mu) S lies at or above the gamma every row
+        # took.  Row U stays inside through the cap.  "U above H" (rows
+        # [0, 0.9, 0]) is a state no exact march reaches: row U starts at
+        # row H's state and rises, and its own guard fails the march
         hulls = self._record_iterate_hulls(monkeypatch)
         if case == "U above H":
-            march = self._march_from([0.0, 0.9, 0.0])
-        else:  # the seed-1 sweep Dirichlet and Robin configs, and setup
-            march = mv.monotone._first_window(*self._benchmark_problem(*case), rising=True)
+            with pytest.raises(NumericalError, match="sandwich"):
+                self._march_from([0.0, 0.9, 0.0])
+            return
+        # the seed-1 sweep Dirichlet and Robin configs, and setup
+        march = mv.monotone._first_window(*self._benchmark_problem(*case), rising=True)
         assert march.k == 3 and march.ladder is not None
         assert len(hulls) == 3 * march.n_steps
         svec = 1.0 if march.svec is None else march.svec
@@ -1423,10 +1371,10 @@ class TestAcceleratedStep:
 
         first = outputs()
         window = prob._first_windows[1e-9]
-        assert window.q > mv.monotone.ACCELERATION_Q and window.box_levels == [0]
+        assert window.q > mv.monotone.ACCELERATION_Q and window.box_level == 0
         assert len(first[1]) >= 2
         assert outputs() == first
-        assert window.box_levels == [0]
+        assert window.box_level == 0
         assert outputs() == first
 
     @pytest.mark.parametrize("case", ["mesh", "fisher", "scalar"])
@@ -1497,14 +1445,14 @@ def test_accelerated_march_agrees_with_the_plain_step(cfg):
     # an unstable mode: on the near-critical competition a1 = 13, a2 = 10,
     # b12 = b21 = 0.5, n = 4, dt = 1/64, row U sits 82 tol from the step
     # solutions with the plain step and 28 tol with the accelerated one.
-    # The plain march keeps the accelerated one's row groups: a level-0
-    # row then carries the same bits in both, where one GEMM over all rows
-    # rounds it apart.  The second example pins such a row, and it does not
-    # show that the 20 tol bound holds: on the competition a1 = 19.5,
-    # a2 = 10, b12 = b21 = 0.125, n = 5, dt = 0.0546875, row U sits on
-    # level 0 493 tol from the step solutions, about 25x over the bound
-    # with either step (the unstable-mode stop error above), and passes
-    # only through the plain-step branch of the check.
+    # The plain march keeps the accelerated one's box schedule, so a step
+    # whose box sits on level 0 carries the same bits in both.  The second
+    # example does not show that the 20 tol bound holds: on the
+    # competition a1 = 19.5, a2 = 10, b12 = b21 = 0.125, n = 5,
+    # dt = 0.0546875, row U sits 341 tol from the step solutions with the
+    # accelerated step and 490 tol with the plain one, 17x and 25x over the
+    # bound (the unstable-mode stop error above), and passes only through
+    # the plain-step branch of the check.
     kind, params, n, bc, dt = cfg
     scen = mv.build_from_config(kind, params, n, bc, 1.0 if bc == "robin" else None)
     prob, tol = scen.problem(horizon=0.4, dt=dt), 1e-9
@@ -1522,6 +1470,57 @@ def test_accelerated_march_agrees_with_the_plain_step(cfg):
         row = exact._trajectory(exact.states[0], r).states
         assert np.max(np.abs(fast - row)) <= max(20 * tol, np.max(np.abs(plain - row)))
     assert fast_eq.certified == plain_eq.certified
+
+
+@st.composite
+def start_rule_configs(draw):
+    """A small logistic, competition or Fisher config: (scenario, params, n,
+    bc, dt).  The Fisher weight is a sin at frequency 1, which changes
+    sign, or 0.5, where m >= 0 and the interval's lower bound 0 is an
+    unstable equilibrium."""
+    kind = draw(st.sampled_from(["logistic", "competition", "fisher"]))
+    if kind == "logistic":
+        params = {"a": draw(st.floats(1.0, 20.0)), "b": draw(st.floats(0.5, 3.0))}
+        bc = draw(st.sampled_from(["dirichlet", "neumann", "robin"]))
+    elif kind == "competition":
+        params = {"a1": draw(st.floats(10.0, 35.0)), "a2": draw(st.floats(10.0, 35.0)),
+                  "b11": 1.0, "b12": draw(st.floats(0.1, 0.5)),
+                  "b21": draw(st.floats(0.1, 0.5)), "b22": 1.0}
+        bc = draw(st.sampled_from(["dirichlet", "neumann"]))
+    else:
+        params = {"alpha": draw(st.floats(0.2, 0.8)),
+                  "m": {"profile": "sin", "amplitude": draw(st.floats(4.0, 20.0)),
+                        "frequency": draw(st.sampled_from([0.5, 1.0]))}}
+        bc = "neumann"
+    return kind, params, draw(st.integers(3, 8)), bc, draw(st.floats(0.01, 0.05))
+
+
+@given(start_rule_configs())
+@hypothesis.example(("fisher", {"alpha": 0.5349847038870532,
+                                "m": {"profile": "sin", "amplitude": 5.487300271461031,
+                                      "frequency": 0.5}}, 4, "neumann", 0.02))
+@settings(max_examples=30, deadline=None)
+def test_the_start_rules_hold_on_every_first_window(cfg):
+    # the three-row first window over T = 1 never breaches, and wherever q
+    # exists row U never starts above row H.  In the example row U sits
+    # near 3e-11 above the unstable equilibrium 0 and rises by up to 1e-12
+    # a step along its unstable mode, within the slack; a warm start there
+    # is no proven super-solution, and would breach the sandwich at step 47
+    kind, params, n, bc, dt = cfg
+    scen = mv.build_from_config(kind, params, n, bc, 1.0 if bc == "robin" else None)
+    prob = scen.problem(horizon=1.0, dt=dt)
+    rungs, starts = mv.monotone._March._rungs, []
+
+    def recording(march, cur, c, step, first):
+        starts.append(cur[2:4].copy())  # the starts of rows U and H
+        return rungs(march, cur, c, step, first)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mv.monotone._March, "_rungs", recording)
+        window = mv.monotone._first_window(prob, 1e-9, rising=True)
+    assert window.k == 3 and len(starts) == window.n_steps
+    if window.q is not None:
+        assert all(np.all(u <= h) for u, h in starts)
 
 
 class NumpySignedSqrt(_SignedSqrt):
@@ -1566,6 +1565,27 @@ class BlockMarch(mv.monotone._March):
     """A march whose dim == 1 rows take the block (numpy) path."""
 
     _advance_scalar = mv.monotone._March._advance_block
+
+
+def test_the_cap_on_the_float_path_matches_the_block_path():
+    # u' + u = u (3 - u) on [0, 4], all rows at its equilibrium 2, which
+    # row U rose into over the last step: it takes the contraction start,
+    # above row H's warm start 2, and the cap starts it at row H's.  Both
+    # paths then give row U row H's bits
+    itv = mv.OrderInterval(grid([0.0]), grid([4.0]))
+    prob = mv.ProblemSpec(mv.generators.scalar_generator(1.0), mv.logistic(3.0, 1.0), itv,
+                          horizon=1.0, dt=0.05)
+    chunks = []
+    for march_type in (mv.monotone._March, BlockMarch):
+        march = march_type(prob, itv.lower, (itv.lower, itv.upper), 1e-9)
+        march.y = np.array([[2.0], [2.0], [2.0]])
+        march.y_prev = np.array([[2.0], [2.0 - 1e-3], [2.0]])
+        march.c_prev = march._constant(march.y_prev)
+        march.advance(3)
+        assert march.q is not None
+        chunks.append(march.states[-1])
+    assert chunks[0].tobytes() == chunks[1].tobytes()
+    assert chunks[0][:, 1].tobytes() == chunks[0][:, 2].tobytes()
 
 
 @pytest.mark.parametrize("cone", ["standard", "reversed"])
